@@ -187,9 +187,12 @@ int main(int argc, char** argv) {
   }
 
   // --- Warm-hit vs uncached evaluation ------------------------------------
-  // Acceptance: a warm PredictionCache hit answers >= 10x faster than
-  // evaluating TrainedJuggler::Recommend() from scratch. Probe with the
-  // registry's most schedule-rich model (the heaviest online evaluation).
+  // Acceptance: a warm PredictionCache hit answers >= 10x faster than the
+  // uncached path. That ratio measured the worker-pool hop misses used to
+  // take; misses now evaluate on the calling thread, so a plain build fails
+  // this check (~3x) until it is retired together with PredictionCache (see
+  // "Delete the prediction cache" in ROADMAP.md). Probe with the registry's
+  // most schedule-rich model (the heaviest online evaluation).
   size_t probe_index = 0;
   size_t most_schedules = 0;
   for (size_t i = 0; i < pool.size(); ++i) {
@@ -220,9 +223,9 @@ int main(int argc, char** argv) {
   }
   const double warm_us = 1e6 * SecondsSince(warm_start) / kProbeIters;
 
-  // The uncached serving path (what a hit short-circuits): queue handoff,
-  // worker wakeup, model evaluation, cache insertion. Unique parameters per
-  // request guarantee a miss every time.
+  // The uncached serving path (what a hit short-circuits): model evaluation
+  // and cache insertion on the calling thread. Unique parameters per request
+  // guarantee a miss every time.
   constexpr int kMissIters = 5000;
   const auto miss_start = Clock::now();
   for (int i = 0; i < kMissIters; ++i) {

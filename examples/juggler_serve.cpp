@@ -12,13 +12,21 @@
 //   --host H            bind address            (default 127.0.0.1)
 //   --port P            bind port, 0=ephemeral  (default 8080; the HTTP
 //                       port for standalone/router, the RPC port for shard)
-//   --workers N         evaluation worker threads        (default 4)
-//   --queue-capacity N  evaluation queue slots           (default 1024)
+//   --workers N         async warm-up worker threads     (default 4)
+//   --queue-capacity N  async warm-up queue slots (default 1024); when
+//                       given, also the HTTP/RPC handler dispatch queue
+//                       slots (default 256; a full queue answers 503)
 //   --cache-capacity N  prediction cache entries         (default 4096)
 //   --handler-threads N HTTP/RPC handler threads         (default 4)
-//   --eval-delay-ms N   artificial delay before each evaluation (testing
-//                       backpressure; default 0)
+//   --eval-delay-ms N   artificial delay before each evaluation, on
+//                       whichever thread evaluates — the event loop for
+//                       single HTTP recommends (testing backpressure;
+//                       default 0)
 //   --stdin             REPL on stdin instead of the HTTP server
+//
+// Recommends are evaluated where they arrive: HTTP singles whose model is
+// resident on the event loop, batches and RPC frames on a handler thread.
+// The warm-up workers only pre-compute the router's kWarm hints.
 //
 // Online-adaptation flags (standalone and shard roles):
 //   --online                     run the feedback loop: POST /v1/observe (or
@@ -124,6 +132,11 @@ int Usage() {
          "                     [--online] [--online-min-records N]\n"
          "                     [--online-interval-ms N] "
          "[--online-error-threshold X]\n"
+         "--workers: async warm-up threads (recommends are evaluated on the "
+         "thread that receives them)\n"
+         "--queue-capacity: slots of the warm-up queue (default 1024) and, "
+         "when given, of the HTTP/RPC handler dispatch queue (default 256; "
+         "503 when full)\n"
          "stdin commands (with --stdin): <app> <examples> <features> "
          "[iterations] [machine-GB] | reload | stats | apps | quit\n";
   return 2;
@@ -308,6 +321,7 @@ int main(int argc, char** argv) {
   int port = 8080;
   int workers = 4;
   int queue_capacity = 1024;
+  bool queue_capacity_given = false;  // Dispatch queues keep their default.
   int cache_capacity = 4096;
   int handler_threads = 4;
   int eval_delay_ms = 0;
@@ -340,6 +354,7 @@ int main(int argc, char** argv) {
       workers = std::atoi(argv[++i]);
     } else if (arg == "--queue-capacity" && has_value) {
       queue_capacity = std::atoi(argv[++i]);
+      queue_capacity_given = true;
     } else if (arg == "--cache-capacity" && has_value) {
       cache_capacity = std::atoi(argv[++i]);
     } else if (arg == "--handler-threads" && has_value) {
@@ -417,6 +432,10 @@ int main(int argc, char** argv) {
     server_options.http.host = host;
     server_options.http.port = static_cast<uint16_t>(port);
     server_options.http.num_handler_threads = handler_threads;
+    if (queue_capacity_given) {
+      server_options.http.dispatch_queue_capacity =
+          static_cast<size_t>(queue_capacity);
+    }
     cluster::RouterHttpServer server(router->get(), server_options);
     if (auto st = server.Start(); !st.ok()) {
       std::fprintf(stderr, "%s\n", st.ToString().c_str());
@@ -497,6 +516,10 @@ int main(int argc, char** argv) {
     server_options.rpc.host = host;
     server_options.rpc.port = static_cast<uint16_t>(port);
     server_options.rpc.num_handler_threads = handler_threads;
+    if (queue_capacity_given) {
+      server_options.rpc.dispatch_queue_capacity =
+          static_cast<size_t>(queue_capacity);
+    }
     server_options.online = online_loop;
     cluster::ShardServer server(registry, svc, server_options);
     if (auto st = server.Start(); !st.ok()) {
@@ -530,6 +553,10 @@ int main(int argc, char** argv) {
     server_options.http.host = host;
     server_options.http.port = static_cast<uint16_t>(port);
     server_options.http.num_handler_threads = handler_threads;
+    if (queue_capacity_given) {
+      server_options.http.dispatch_queue_capacity =
+          static_cast<size_t>(queue_capacity);
+    }
     server_options.online = online_loop;
     net::HttpRecommendServer server(registry, svc, server_options);
     if (auto st = server.Start(); !st.ok()) {

@@ -64,9 +64,10 @@ std::optional<HttpResponse> HttpRecommendServer::HandleFast(
   if (path != "/v1/recommend" || request.method != "POST") {
     return std::nullopt;
   }
-  // Warm-cache singles are answered right here on the event-loop thread.
-  // Anything that cannot be resolved without a model evaluation (or that is
-  // a batch) falls through to the handler pool.
+  // Singles whose model is resident are answered right here on the
+  // event-loop thread: a cache hit, or an evaluation of about a microsecond.
+  // A lazy model that needs loading from disk, and batches (a 1 MB body can
+  // carry thousands of slots), fall through to the handler pool.
   auto json = Json::Parse(request.body);
   if (!json.ok()) return ErrorResponse(json.status());  // 400, no pool hop.
   if (json->is_object() && json->Find("requests") != nullptr) {
@@ -74,11 +75,11 @@ std::optional<HttpResponse> HttpRecommendServer::HandleFast(
   }
   auto parsed = ParseRecommendRequest(*json);
   if (!parsed.ok()) return ErrorResponse(parsed.status());
-  auto cached = service_->TryRecommendCached(*parsed);
-  if (!cached.has_value()) return std::nullopt;  // Cold key: full path.
-  if (!cached->ok()) return ErrorResponse(cached->status());
+  auto answer = service_->RecommendIfResident(*parsed);
+  if (!answer.has_value()) return std::nullopt;  // Needs a lazy load.
+  if (!answer->ok()) return ErrorResponse(answer->status());
   return HttpResponse::JsonBody(
-      200, ResponseJson(parsed->app, **cached).Dump());
+      200, ResponseJson(parsed->app, **answer).Dump());
 }
 
 HttpResponse HttpRecommendServer::Handle(const HttpRequest& request) {
@@ -252,13 +253,16 @@ std::string HttpRecommendServer::MetricsText() const {
                  static_cast<double>(s.cache_misses));
   }
   AppendHeader(&out, "juggler_evaluations_total", "counter",
-               "Model evaluations run on workers, by application.");
+               "Model evaluations run, by application.");
   for (const auto& [app, s] : stats.per_app) {
     AppendSample(&out, "juggler_evaluations_total", app, "",
                  static_cast<double>(s.evaluations));
   }
   AppendHeader(&out, "juggler_request_latency_us", "summary",
-               "End-to-end request latency in microseconds, by application.");
+               "Time inside the recommendation service (model resolve, "
+               "cache probe and any evaluation) in microseconds, by "
+               "application; excludes HTTP parsing, JSON codecs and socket "
+               "I/O.");
   for (const auto& [app, s] : stats.per_app) {
     AppendSample(&out, "juggler_request_latency_us", app, "quantile=\"0.5\"",
                  s.latency.p50_us);
@@ -271,11 +275,14 @@ std::string HttpRecommendServer::MetricsText() const {
   }
 
   AppendHeader(&out, "juggler_requests_rejected_total", "counter",
-               "Requests shed because the evaluation queue was full.");
+               "Async warm-up requests shed because the warm-up queue, the "
+               "service's only queue, was full (edge sheds count in "
+               "juggler_http_overload_rejected_total).");
   AppendSample(&out, "juggler_requests_rejected_total", "", "",
                static_cast<double>(stats.rejected));
   AppendHeader(&out, "juggler_requests_deadline_shed_total", "counter",
-               "Requests shed because they overstayed the queue deadline.");
+               "Async warm-up requests shed because they overstayed the "
+               "deadline of the warm-up queue, the service's only queue.");
   AppendSample(&out, "juggler_requests_deadline_shed_total", "", "",
                static_cast<double>(stats.deadline_shed));
 

@@ -39,13 +39,16 @@ namespace juggler::net {
 ///    "params": {"examples": 40000, "features": 80000, "iterations": 1},
 ///    "machine": {"machine_gb": 12}}          // optional; paper node default
 ///
-/// Backpressure: a full RecommendationService queue surfaces as HTTP 503
-/// with Retry-After (the ResourceExhausted contract, verbatim at the edge);
-/// the HttpServer applies the same policy when its own dispatch queue fills.
+/// Backpressure: the HttpServer answers 503 with Retry-After when its
+/// dispatch queue is full (the ResourceExhausted contract, verbatim at the
+/// edge). Any ResourceExhausted a handler returns maps to the same 503.
 ///
-/// Fast path: /healthz and warm-cache /v1/recommend singles are answered on
-/// the event-loop thread via RecommendationService::TryRecommendCached() —
-/// no handler-pool hop for the recurring-application case the paper targets.
+/// Fast path: probes and every /v1/recommend single whose model is resident
+/// are answered on the event-loop thread by
+/// RecommendationService::RecommendIfResident() — a cache hit, or a cold
+/// key evaluated inline (about a microsecond). Only batches, other routes
+/// and lazy models that must be loaded from disk take the handler pool; the
+/// loop never parses an artifact.
 class HttpRecommendServer {
  public:
   struct Options {
@@ -88,8 +91,9 @@ class HttpRecommendServer {
   /// exercise routes without a socket.
   HttpResponse Handle(const HttpRequest& request);
 
-  /// Event-loop fast path: answers /healthz and warm-cache recommend
-  /// singles inline; nullopt falls through to Handle() on the pool.
+  /// Event-loop fast path: answers the probes and recommend singles whose
+  /// model is resident inline; nullopt (batches, other routes, a lazy model
+  /// not yet loaded) falls through to Handle() on the pool.
   std::optional<HttpResponse> HandleFast(const HttpRequest& request);
 
   /// The Prometheus exposition text served at /metrics.

@@ -30,8 +30,9 @@ namespace juggler::net {
 ///    connections. Connection state belongs to it exclusively — no locks on
 ///    the I/O path.
 ///  - A complete request is either answered inline by the optional
-///    `FastHandler` (sub-millisecond work only: cache hits, health checks)
-///    or dispatched to the handler pool. The pool thread runs the `Handler`,
+///    `FastHandler` (CPU-only work of a few microseconds: health checks,
+///    cache hits, resident-model evaluations) or dispatched to the handler
+///    pool. The pool thread runs the `Handler`,
 ///    serializes the response, and hands the bytes back to the loop through
 ///    a mutex-guarded completion list + wake pipe.
 ///  - Per connection, at most one request is in the handler at a time;
@@ -42,8 +43,8 @@ namespace juggler::net {
 /// socket edge): when the handler pool's bounded queue is full the server
 /// responds 503 with Retry-After immediately — it never parks a request in
 /// an unbounded queue, never hangs the client, and never drops the
-/// connection without a response. Handlers that are themselves shed by a
-/// full downstream queue return 503 the same way.
+/// connection without a response. A handler that returns a 503 itself
+/// (ResourceExhausted from downstream) is passed through the same way.
 class HttpServer {
  public:
   struct Options {
@@ -74,8 +75,11 @@ class HttpServer {
   using Handler = std::function<HttpResponse(const HttpRequest&)>;
 
   /// Optional fast path, run on the event-loop thread before dispatching.
-  /// Return a response to answer inline (cache hits, trivial GETs), or
-  /// nullopt to fall through to the pool. Must not block.
+  /// Return a response to answer inline, or nullopt to fall through to the
+  /// pool. Every connection waits while it runs, so it must not block: no
+  /// disk or network I/O, no waiting on other threads — only CPU work of a
+  /// few microseconds (trivial GETs, cache hits, resident-model
+  /// evaluations).
   using FastHandler =
       std::function<std::optional<HttpResponse>(const HttpRequest&)>;
 

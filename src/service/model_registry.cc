@@ -214,41 +214,56 @@ StatusOr<std::shared_ptr<const core::TrainedJuggler>> ModelRegistry::Lookup(
 StatusOr<ModelRegistry::Resolved> ModelRegistry::Resolve(
     const std::string& app) const {
   const auto snapshot = CurrentSnapshot();
-  auto it = snapshot->models.find(app);
-  if (it == snapshot->models.end()) {
+  if (auto resident = ResolveInMemory(app, *snapshot)) {
+    return *std::move(resident);
+  }
+  return LoadLazy(app, *snapshot);
+}
+
+std::optional<StatusOr<ModelRegistry::Resolved>>
+ModelRegistry::ResolveResident(const std::string& app) const {
+  return ResolveInMemory(app, *CurrentSnapshot());
+}
+
+std::optional<StatusOr<ModelRegistry::Resolved>>
+ModelRegistry::ResolveInMemory(const std::string& app,
+                               const Snapshot& snapshot) const {
+  auto it = snapshot.models.find(app);
+  if (it == snapshot.models.end()) {
     std::string known;
-    for (const auto& [name, model] : snapshot->models) {
+    for (const auto& [name, model] : snapshot.models) {
       (known.empty() ? known : known.append(", ")).append(name);
     }
     return Status::NotFound("no model for app '" + app + "' (known: " +
                             (known.empty() ? "<none>" : known) + ")");
   }
-  if (it->second == nullptr) return ResolveLazy(app, snapshot);
-  return Resolved{it->second, snapshot->version};
-}
+  if (it->second != nullptr) return Resolved{it->second, snapshot.version};
 
-StatusOr<ModelRegistry::Resolved> ModelRegistry::ResolveLazy(
-    const std::string& app,
-    const std::shared_ptr<const Snapshot>& snapshot) const {
   const std::string path =
       (fs::path(directory_) / (app + kModelSuffix)).string();
-  const auto art = snapshot->artifacts.find(path);
-  if (art == snapshot->artifacts.end()) {
+  const auto art = snapshot.artifacts.find(path);
+  if (art == snapshot.artifacts.end()) {
     return Status::NotFound("no artifact on disk for app '" + app + "'");
   }
   const auto now = std::chrono::steady_clock::now();
-  {
-    MutexLock lock(mu_);
-    EnforceLimitsLocked(now);
-    const auto loaded = loaded_.find(app);
-    if (loaded != loaded_.end() &&
-        loaded->second.mtime_ns == art->second.mtime_ns &&
-        loaded->second.file_size == art->second.file_size) {
-      loaded->second.last_use = now;
-      return Resolved{loaded->second.model, snapshot->version};
-    }
+  MutexLock lock(mu_);
+  EnforceLimitsLocked(now);
+  const auto loaded = loaded_.find(app);
+  if (loaded == loaded_.end() ||
+      loaded->second.mtime_ns != art->second.mtime_ns ||
+      loaded->second.file_size != art->second.file_size) {
+    return std::nullopt;
   }
+  loaded->second.last_use = now;
+  return Resolved{loaded->second.model, snapshot.version};
+}
 
+StatusOr<ModelRegistry::Resolved> ModelRegistry::LoadLazy(
+    const std::string& app, const Snapshot& snapshot) const {
+  const std::string path =
+      (fs::path(directory_) / (app + kModelSuffix)).string();
+  // ResolveInMemory() only declines once it has found the artifact.
+  const Artifact& artifact = snapshot.artifacts.at(path);
   // Parse outside the lock — artifact reads are milliseconds, lookups must
   // not stall behind them. Two threads racing on the same cold app both
   // parse; the second insert wins nothing but wastes only its own time.
@@ -269,15 +284,16 @@ StatusOr<ModelRegistry::Resolved> ModelRegistry::ResolveLazy(
   LoadedModel entry;
   entry.model = std::make_shared<const core::TrainedJuggler>(
       std::move(trained).value());
-  entry.mtime_ns = art->second.mtime_ns;
-  entry.file_size = art->second.file_size;
+  entry.mtime_ns = artifact.mtime_ns;
+  entry.file_size = artifact.file_size;
+  const auto now = std::chrono::steady_clock::now();
   entry.last_use = now;
   auto model = entry.model;
 
   MutexLock lock(mu_);
   loaded_[app] = std::move(entry);
   EnforceLimitsLocked(now);
-  return Resolved{std::move(model), snapshot->version};
+  return Resolved{std::move(model), snapshot.version};
 }
 
 void ModelRegistry::EnforceLimitsLocked(

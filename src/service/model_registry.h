@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -122,6 +123,13 @@ class ModelRegistry {
   /// caches).
   [[nodiscard]] StatusOr<Resolved> Resolve(const std::string& app) const;
 
+  /// Resolve() that never parses an artifact, for callers that must not
+  /// block (the event loop). Eager registries always answer, like Resolve().
+  /// Lazy registries answer when the model is resident (or the app is
+  /// unknown); nullopt means Resolve() would have to load it first.
+  std::optional<StatusOr<Resolved>> ResolveResident(
+      const std::string& app) const;
+
   /// Registered application names, sorted.
   std::vector<std::string> AppNames() const;
 
@@ -177,10 +185,15 @@ class ModelRegistry {
   /// refresh-in-progress gauge.
   [[nodiscard]] Status RefreshImpl() EXCLUDES(mu_);
 
-  /// The lazy-mode Resolve path: loaded-cache hit or parse-on-miss.
-  StatusOr<Resolved> ResolveLazy(const std::string& app,
-                                 const std::shared_ptr<const Snapshot>&
-                                     snapshot) const EXCLUDES(mu_);
+  /// ResolveResident() against `snapshot`: the eager model, the resident
+  /// lazy copy (refreshing its recency), NotFound, or nullopt when a lazy
+  /// model must be parsed first.
+  std::optional<StatusOr<Resolved>> ResolveInMemory(
+      const std::string& app, const Snapshot& snapshot) const EXCLUDES(mu_);
+
+  /// The lazy-mode parse-on-miss path behind Resolve().
+  StatusOr<Resolved> LoadLazy(const std::string& app,
+                              const Snapshot& snapshot) const EXCLUDES(mu_);
 
   /// Applies the TTL sweep then the LRU cap; bumps `evictions_` per model.
   void EnforceLimitsLocked(std::chrono::steady_clock::time_point now) const
@@ -191,7 +204,7 @@ class ModelRegistry {
   /// Guards the snapshot pointer swap + refresh stats. Lock class
   /// "service.ModelRegistry.mu" (rank registry=30): artifact parsing happens
   /// *outside* this lock by design (Refresh builds the snapshot first, then
-  /// swaps; ResolveLazy parses unlocked and re-checks).
+  /// swaps; LoadLazy parses unlocked and re-checks).
   mutable Mutex mu_ ACQUIRED_AFTER(lockdiag::kServiceOrder)
       ACQUIRED_BEFORE(lockdiag::kCacheOrder);
   std::shared_ptr<const Snapshot> snapshot_ GUARDED_BY(mu_);

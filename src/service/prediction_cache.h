@@ -57,9 +57,8 @@ class PredictionCache {
   Value Get(const std::string& key);
 
   /// Like Get(), but a miss is not counted in Stats. For opportunistic
-  /// probes (e.g. an event-loop fast path that falls through to the full
-  /// request path on a miss, where the authoritative Get() then counts the
-  /// one real miss); a hit still refreshes recency and counts as a hit.
+  /// probes (RecommendationService::TryRecommendCached(), which answers
+  /// only hits); a hit still refreshes recency and counts as a hit.
   Value Peek(const std::string& key);
 
   /// Inserts (or refreshes) `key`, evicting the shard's least recently used

@@ -18,7 +18,7 @@ double ElapsedUs(Clock::time_point start) {
 Status DeadlineExceeded(double waited_ms, double deadline_ms) {
   return Status::ResourceExhausted(
       "request spent " + std::to_string(waited_ms) +
-      " ms in the evaluation queue (deadline " + std::to_string(deadline_ms) +
+      " ms in the warm-up queue (deadline " + std::to_string(deadline_ms) +
       " ms); shedding");
 }
 
@@ -47,29 +47,48 @@ RecommendationService::AppCounters& RecommendationService::CountersFor(
   return *node;
 }
 
-StatusOr<RecommendResponse> RecommendationService::EvaluateNow(
+StatusOr<RecommendResponse> RecommendationService::Answer(
     const ModelRegistry::Resolved& resolved, const RecommendRequest& request,
-    const std::string& key, AppCounters& app_counters) {
-  evaluations_.fetch_add(1, std::memory_order_relaxed);
-  app_counters.evaluations.fetch_add(1, std::memory_order_relaxed);
-  auto recs = resolved.model->Recommend(request.params, request.machine_type,
-                                        request.objective);
-  if (!recs.ok()) return recs.status();
-  auto value = std::make_shared<const std::vector<core::Recommendation>>(
-      std::move(recs).value());
-  cache_->Put(key, value);
-  return RecommendResponse{std::move(value), /*cache_hit=*/false,
-                           resolved.version};
+    Clock::time_point start) {
+  AppCounters& app = CountersFor(request.app);
+  app.requests.fetch_add(1, std::memory_order_relaxed);
+  const std::string key =
+      PredictionCache::MakeKey(request.app, resolved.version, request.params,
+                               request.machine_type, request.objective);
+  StatusOr<RecommendResponse> result = [&]() -> StatusOr<RecommendResponse> {
+    if (auto cached = cache_->Get(key)) {
+      app.cache_hits.fetch_add(1, std::memory_order_relaxed);
+      return RecommendResponse{std::move(cached), /*cache_hit=*/true,
+                               resolved.version};
+    }
+    app.cache_misses.fetch_add(1, std::memory_order_relaxed);
+    if (options_.pre_eval_hook) options_.pre_eval_hook();
+    evaluations_.fetch_add(1, std::memory_order_relaxed);
+    app.evaluations.fetch_add(1, std::memory_order_relaxed);
+    auto recs = resolved.model->Recommend(request.params, request.machine_type,
+                                          request.objective);
+    if (!recs.ok()) return recs.status();
+    auto value = std::make_shared<const std::vector<core::Recommendation>>(
+        std::move(recs).value());
+    cache_->Put(key, value);
+    return RecommendResponse{std::move(value), /*cache_hit=*/false,
+                             resolved.version};
+  }();
+  const double elapsed = ElapsedUs(start);
+  latency_.Record(elapsed);
+  app.latency.Record(elapsed);
+  return result;
 }
 
 std::optional<StatusOr<RecommendResponse>>
 RecommendationService::TryRecommendCached(const RecommendRequest& request) {
   const auto start = Clock::now();
-  auto resolved = registry_->Resolve(request.app);
-  if (!resolved.ok()) return resolved.status();  // Answerable without a worker.
-  const std::string key =
-      PredictionCache::MakeKey(request.app, resolved->version, request.params,
-                               request.machine_type, request.objective);
+  auto resolved = registry_->ResolveResident(request.app);
+  if (!resolved) return std::nullopt;  // Lazy model not resident.
+  if (!resolved->ok()) return resolved->status();
+  const std::string key = PredictionCache::MakeKey(
+      request.app, (*resolved)->version, request.params, request.machine_type,
+      request.objective);
   auto cached = cache_->Peek(key);
   if (!cached) return std::nullopt;  // Cold: caller takes the full path.
   AppCounters& app = CountersFor(request.app);
@@ -79,7 +98,7 @@ RecommendationService::TryRecommendCached(const RecommendRequest& request) {
   latency_.Record(elapsed);
   app.latency.Record(elapsed);
   return StatusOr<RecommendResponse>(RecommendResponse{
-      std::move(cached), /*cache_hit=*/true, resolved->version});
+      std::move(cached), /*cache_hit=*/true, (*resolved)->version});
 }
 
 StatusOr<RecommendResponse> RecommendationService::Recommend(
@@ -87,30 +106,26 @@ StatusOr<RecommendResponse> RecommendationService::Recommend(
   const auto start = Clock::now();
   auto resolved = registry_->Resolve(request.app);
   if (!resolved.ok()) return resolved.status();
-  AppCounters& app = CountersFor(request.app);
-  app.requests.fetch_add(1, std::memory_order_relaxed);
-  const std::string key =
-      PredictionCache::MakeKey(request.app, resolved->version, request.params,
-                               request.machine_type, request.objective);
-  // Warm hits are answered on the caller's thread: no queue slot, no worker
-  // handoff — this is the sub-microsecond path recurring applications take.
-  if (auto cached = cache_->Get(key)) {
-    app.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    const double elapsed = ElapsedUs(start);
-    latency_.Record(elapsed);
-    app.latency.Record(elapsed);
-    return RecommendResponse{std::move(cached), /*cache_hit=*/true,
-                             resolved->version};
-  }
-  app.cache_misses.fetch_add(1, std::memory_order_relaxed);
+  return Answer(*resolved, request, start);
+}
 
+std::optional<StatusOr<RecommendResponse>>
+RecommendationService::RecommendIfResident(const RecommendRequest& request) {
+  const auto start = Clock::now();
+  auto resolved = registry_->ResolveResident(request.app);
+  if (!resolved) return std::nullopt;
+  if (!resolved->ok()) return resolved->status();
+  return Answer(**resolved, request, start);
+}
+
+std::future<StatusOr<RecommendResponse>> RecommendationService::RecommendAsync(
+    RecommendRequest request) {
   auto promise =
       std::make_shared<std::promise<StatusOr<RecommendResponse>>>();
   auto future = promise->get_future();
   const auto enqueued = Clock::now();
   Status submitted = pool_->Submit(
-      [this, start, enqueued, resolved = std::move(resolved).value(), request,
-       key, promise, app = &app] {
+      [this, enqueued, request = std::move(request), promise] {
         // Shed before evaluating: the client has likely timed out already.
         const double waited_ms = ElapsedUs(enqueued) / 1000.0;
         if (options_.queue_deadline_ms > 0.0 &&
@@ -120,77 +135,7 @@ StatusOr<RecommendResponse> RecommendationService::Recommend(
               DeadlineExceeded(waited_ms, options_.queue_deadline_ms));
           return;
         }
-        if (options_.pre_eval_hook) options_.pre_eval_hook();
-        auto result = EvaluateNow(resolved, request, key, *app);
-        const double elapsed = ElapsedUs(start);
-        latency_.Record(elapsed);
-        app->latency.Record(elapsed);
-        promise->set_value(std::move(result));
-      });
-  if (!submitted.ok()) {
-    rejected_.fetch_add(1, std::memory_order_relaxed);
-    return submitted;
-  }
-  return future.get();
-}
-
-std::future<StatusOr<RecommendResponse>> RecommendationService::RecommendAsync(
-    RecommendRequest request) {
-  // One pool hop for the whole request keeps the async path simple; the
-  // worker re-probes the cache, so duplicate in-flight keys still coalesce
-  // to one evaluation most of the time.
-  auto promise =
-      std::make_shared<std::promise<StatusOr<RecommendResponse>>>();
-  auto future = promise->get_future();
-  const auto start = Clock::now();
-  auto resolved = registry_->Resolve(request.app);
-  if (!resolved.ok()) {
-    promise->set_value(resolved.status());
-    return future;
-  }
-  AppCounters& app = CountersFor(request.app);
-  app.requests.fetch_add(1, std::memory_order_relaxed);
-  std::string key =
-      PredictionCache::MakeKey(request.app, resolved->version, request.params,
-                               request.machine_type, request.objective);
-  if (auto cached = cache_->Get(key)) {
-    app.cache_hits.fetch_add(1, std::memory_order_relaxed);
-    const double elapsed = ElapsedUs(start);
-    latency_.Record(elapsed);
-    app.latency.Record(elapsed);
-    promise->set_value(RecommendResponse{std::move(cached), /*cache_hit=*/true,
-                                         resolved->version});
-    return future;
-  }
-  app.cache_misses.fetch_add(1, std::memory_order_relaxed);
-  const auto enqueued = Clock::now();
-  Status submitted = pool_->Submit(
-      [this, start, enqueued, resolved = std::move(resolved).value(),
-       request = std::move(request), key = std::move(key), promise,
-       app = &app] {
-        const double waited_ms = ElapsedUs(enqueued) / 1000.0;
-        if (options_.queue_deadline_ms > 0.0 &&
-            waited_ms > options_.queue_deadline_ms) {
-          deadline_shed_.fetch_add(1, std::memory_order_relaxed);
-          promise->set_value(
-              DeadlineExceeded(waited_ms, options_.queue_deadline_ms));
-          return;
-        }
-        if (options_.pre_eval_hook) options_.pre_eval_hook();
-        if (auto cached = cache_->Get(key)) {
-          const double elapsed = ElapsedUs(start);
-          latency_.Record(elapsed);
-          app->latency.Record(elapsed);
-          promise->set_value(RecommendResponse{std::move(cached),
-                                               /*cache_hit=*/true,
-                                               resolved.version});
-          return;
-        }
-        auto result = EvaluateNow(resolved, request, key, *app);
-        const double elapsed = ElapsedUs(start);
-        latency_.Record(elapsed);
-        app->latency.Record(elapsed);
-        promise->set_value(std::move(result));
+        promise->set_value(Recommend(request));
       });
   if (!submitted.ok()) {
     rejected_.fetch_add(1, std::memory_order_relaxed);
@@ -223,14 +168,6 @@ std::vector<StatusOr<RecommendResponse>> RecommendationService::RecommendBatch(
     it->second.indices.push_back(i);
   }
 
-  std::vector<std::pair<const Group*, std::future<StatusOr<RecommendResponse>>>>
-      in_flight;
-  in_flight.reserve(groups.size());
-  for (const auto& [key, group] : groups) {
-    in_flight.emplace_back(&group,
-                           RecommendAsync(requests[group.first_index]));
-  }
-
   std::vector<StatusOr<RecommendResponse>> results;
   results.reserve(requests.size());
   for (size_t i = 0; i < requests.size(); ++i) {
@@ -238,9 +175,9 @@ std::vector<StatusOr<RecommendResponse>> RecommendationService::RecommendBatch(
                              ? Status::Internal("batch slot not filled")
                              : resolve_errors[i]);
   }
-  for (auto& [group, future] : in_flight) {
-    StatusOr<RecommendResponse> result = future.get();
-    for (size_t index : group->indices) {
+  for (const auto& [key, group] : groups) {
+    StatusOr<RecommendResponse> result = Recommend(requests[group.first_index]);
+    for (size_t index : group.indices) {
       results[index] = result;  // Duplicates share the answer snapshot.
     }
   }

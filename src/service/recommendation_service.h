@@ -1,6 +1,7 @@
 #ifndef JUGGLER_SERVICE_RECOMMENDATION_SERVICE_H_
 #define JUGGLER_SERVICE_RECOMMENDATION_SERVICE_H_
 
+#include <chrono>
 #include <cstdint>
 #include <functional>
 #include <future>
@@ -45,36 +46,36 @@ struct RecommendResponse {
 };
 
 /// \brief The online serving front end (§5.5 as a service): model registry +
-/// prediction cache + worker pool behind one request interface.
+/// prediction cache behind one request interface.
 ///
 /// Request path: resolve the model from the registry (never blocks on
-/// reloads), probe the prediction cache on the caller's thread (a warm hit
-/// costs no queue slot and no worker), and only on a miss dispatch the model
-/// evaluation to the pool. A full queue is surfaced immediately as
-/// ResourceExhausted — callers are expected to retry with backoff, exactly
-/// like an overloaded RPC server. The serving layer never alters what the
-/// model would answer: responses are bit-identical to calling
-/// `TrainedJuggler::Recommend()` directly.
+/// reloads), probe the prediction cache, and on a miss evaluate the model —
+/// all on the caller's thread. A resident model is a few closed-form curves
+/// (about a microsecond to evaluate), so a thread hop would cost more than
+/// the work it moves. The only queue is RecommendAsync()'s warm-up pool,
+/// which sheds with ResourceExhausted when full or past its deadline. The
+/// serving layer never alters what the model would answer: responses are
+/// bit-identical to calling `TrainedJuggler::Recommend()` directly.
 class RecommendationService {
  public:
   struct Options {
+    /// Worker threads and queue slots of the RecommendAsync() pool.
     int num_workers = 4;
     size_t queue_capacity = 1024;
-    /// Requests that waited in the evaluation queue longer than this are
-    /// shed with ResourceExhausted (HTTP 503 + Retry-After) instead of being
-    /// evaluated: under sustained overload, answering a request the client
-    /// has likely already timed out on just wastes a worker. 0 disables.
+    /// RecommendAsync() requests that waited in the queue longer than this
+    /// are shed with ResourceExhausted instead of being evaluated: under
+    /// sustained overload, answering a request the client has likely
+    /// already timed out on just wastes a worker. 0 disables.
     double queue_deadline_ms = 0.0;
     PredictionCache::Options cache;
-    /// Test/instrumentation hook run by a worker immediately before each
-    /// model evaluation (nullptr to disable).
+    /// Test/instrumentation hook run immediately before each model
+    /// evaluation, on whichever thread evaluates (nullptr to disable).
     std::function<void()> pre_eval_hook;
   };
 
   /// Per-application slice of the serving counters. `cache_hits` +
   /// `cache_misses` partition answered requests by whether the memo table
-  /// supplied the answer; `evaluations` counts model runs (>= cache_misses,
-  /// since batch fan-out and async re-probes can share one evaluation).
+  /// supplied the answer; `evaluations` counts model runs (one per miss).
   struct AppStats {
     uint64_t requests = 0;
     uint64_t cache_hits = 0;
@@ -86,10 +87,12 @@ class RecommendationService {
   struct Stats {
     PredictionCache::Stats cache;
     LatencyHistogram::Snapshot latency;
-    uint64_t evaluations = 0;  ///< Model evaluations actually run on workers.
-    uint64_t rejected = 0;     ///< Requests shed due to a full queue.
-    /// Requests shed because they overstayed Options::queue_deadline_ms in
-    /// the evaluation queue.
+    uint64_t evaluations = 0;  ///< Model evaluations run, on any thread.
+    /// RecommendAsync() requests shed by a full warm-up queue; Recommend()
+    /// never queues, so it never sheds.
+    uint64_t rejected = 0;
+    /// RecommendAsync() requests shed because they overstayed
+    /// Options::queue_deadline_ms in the warm-up queue.
     uint64_t deadline_shed = 0;
     /// Per-app breakdown, keyed by application name. Only apps that have
     /// been asked about appear (unknown names are rejected before counting,
@@ -104,31 +107,41 @@ class RecommendationService {
   RecommendationService(const RecommendationService&) = delete;
   RecommendationService& operator=(const RecommendationService&) = delete;
 
-  /// Answers one request, blocking until the result is ready. Errors:
-  /// NotFound (unknown app), ResourceExhausted (queue full), or whatever the
-  /// model evaluation itself returns.
+  /// Answers one request on the caller's thread: a cache hit, or a model
+  /// evaluation on a miss. Errors: NotFound (unknown app), a lazy artifact
+  /// that fails to load, or whatever the model evaluation itself returns.
   [[nodiscard]] StatusOr<RecommendResponse> Recommend(const RecommendRequest& request);
 
-  /// Non-blocking cache-only probe for event-loop fast paths. Returns the
-  /// answer if it can be produced without any model evaluation: a warm cache
-  /// hit (counted as a hit; full per-app accounting applies) or a resolve
-  /// error such as NotFound. Returns nullopt on a cold key — which is NOT
-  /// counted as a cache miss; the caller is expected to fall through to
-  /// Recommend()/RecommendAsync(), whose authoritative probe counts it.
+  /// Recommend() for callers that must not block on disk (the event loop):
+  /// the same answer and accounting, but the model is resolved with
+  /// ModelRegistry::ResolveResident(). Returns nullopt, counting nothing,
+  /// when a lazy model would have to be loaded first.
+  std::optional<StatusOr<RecommendResponse>> RecommendIfResident(
+      const RecommendRequest& request);
+
+  /// Cache-only probe: returns the answer if it can be produced without any
+  /// model evaluation or artifact load: a warm cache hit (counted as a hit;
+  /// full per-app accounting applies) or a resolve error such as NotFound.
+  /// Returns nullopt on a cold key or a non-resident lazy model — neither is
+  /// counted. Not on the serving path (HttpRecommendServer calls
+  /// RecommendIfResident(), which counts the same hit); kept for callers
+  /// that time the cache-only answer.
   std::optional<StatusOr<RecommendResponse>> TryRecommendCached(
       const RecommendRequest& request);
 
-  /// Non-blocking variant; the future carries the same result Recommend()
-  /// would return. Registry/cache/backpressure errors still resolve through
-  /// the future (always valid).
+  /// Recommend() on a pool worker, for fire-and-forget warm-ups. The only
+  /// path that queues: a full queue resolves the future to ResourceExhausted
+  /// at once, and a request that overstays Options::queue_deadline_ms is
+  /// shed the same way instead of evaluated. The future is always valid.
   std::future<StatusOr<RecommendResponse>> RecommendAsync(
       RecommendRequest request);
 
-  /// Answers a batch. Identical questions inside the batch (same app,
-  /// parameters, and machine type) are deduplicated: evaluated once, with
-  /// the shared answer fanned back out to every duplicate slot. Results are
-  /// positionally aligned with `requests`, and each equals what a sequential
-  /// Recommend() of that element would return.
+  /// Answers a batch on the caller's thread. Identical questions inside the
+  /// batch (same app, parameters, and machine type) are deduplicated:
+  /// answered by one Recommend(), with the shared answer fanned back out to
+  /// every duplicate slot. Results are positionally aligned with `requests`,
+  /// and each equals what a sequential Recommend() of that element would
+  /// return.
   std::vector<StatusOr<RecommendResponse>> RecommendBatch(
       const std::vector<RecommendRequest>& requests);
 
@@ -153,9 +166,11 @@ class RecommendationService {
   /// successful registry resolve, so the map's keys are registry app names.
   AppCounters& CountersFor(const std::string& app) EXCLUDES(apps_mu_);
 
-  [[nodiscard]] StatusOr<RecommendResponse> EvaluateNow(
+  /// The one answer path behind Recommend() and RecommendIfResident():
+  /// cache probe, evaluation on a miss, and the per-app accounting.
+  [[nodiscard]] StatusOr<RecommendResponse> Answer(
       const ModelRegistry::Resolved& resolved, const RecommendRequest& request,
-      const std::string& key, AppCounters& app_counters);
+      std::chrono::steady_clock::time_point start);
 
   // Nearly mutex-free: shared state is atomics plus the lock-free
   // LatencyHistogram; `apps_mu_` only guards per-app node creation (first

@@ -454,14 +454,17 @@ struct RecommendFixture {
   std::unique_ptr<HttpRecommendServer> server;
 
   explicit RecommendFixture(const std::string& test_name,
-                            bool with_online = false) {
+                            bool with_online = false,
+                            service::ModelRegistry::Options registry_options =
+                                service::ModelRegistry::Options{}) {
     dir = fs::path(testing::TempDir()) / ("http_" + test_name);
     fs::remove_all(dir);
     fs::create_directories(dir);
     std::ofstream out(dir / "svm.model");
     EXPECT_TRUE(core::SaveTrainedJuggler(SvmModel(), out).ok());
     out.close();
-    registry = std::make_shared<service::ModelRegistry>(dir.string());
+    registry = std::make_shared<service::ModelRegistry>(dir.string(),
+                                                        registry_options);
     EXPECT_TRUE(registry->Refresh().ok());
     service = std::make_shared<service::RecommendationService>(
         registry, service::RecommendationService::Options{});
@@ -541,18 +544,16 @@ TEST(HttpRecommendServerTest, LivezStaysUpWhileReadyzDrains) {
   EXPECT_EQ(f.server->Handle(MakeRequest("GET", "/healthz")).status, 200);
 }
 
-TEST(HttpRecommendServerTest, RecommendColdMissesFastPathThenHitsWarm) {
+TEST(HttpRecommendServerTest, RecommendColdAndWarmSinglesAnsweredInline) {
   RecommendFixture f("warm_path");
   const auto request = MakeRequest("POST", "/v1/recommend", kSvmBody);
 
-  // Cold key: the fast path must decline (a model evaluation would block the
-  // event loop).
-  EXPECT_FALSE(f.server->HandleFast(request).has_value());
-
-  // Full path evaluates and fills the cache.
-  const HttpResponse cold = f.server->Handle(request);
-  ASSERT_EQ(cold.status, 200) << cold.body;
-  auto cold_json = Json::Parse(cold.body);
+  // Cold key, resident model: the event loop evaluates it inline (about a
+  // microsecond) and fills the cache — no handler-pool hop.
+  const auto cold = f.server->HandleFast(request);
+  ASSERT_TRUE(cold.has_value());
+  ASSERT_EQ(cold->status, 200) << cold->body;
+  auto cold_json = Json::Parse(cold->body);
   ASSERT_TRUE(cold_json.ok());
   EXPECT_EQ(cold_json->StringOr("app", ""), "svm");
   EXPECT_FALSE(cold_json->Find("cache_hit")->bool_value());
@@ -568,6 +569,39 @@ TEST(HttpRecommendServerTest, RecommendColdMissesFastPathThenHitsWarm) {
   EXPECT_TRUE(warm_json->Find("cache_hit")->bool_value());
   EXPECT_EQ(warm_json->Find("recommendations")->Dump(),
             cold_json->Find("recommendations")->Dump());
+
+  const auto stats = f.service->GetStats();
+  EXPECT_EQ(stats.evaluations, 1u);
+  EXPECT_EQ(stats.cache.misses, 1u);
+  EXPECT_EQ(stats.cache.hits, 1u);
+}
+
+TEST(HttpRecommendServerTest, FastPathNeverLoadsALazyModel) {
+  service::ModelRegistry::Options lazy;
+  lazy.lazy_load = true;
+  RecommendFixture f("lazy_fast_path", /*with_online=*/false, lazy);
+
+  // Not resident: loading would parse the artifact on the event loop, so the
+  // fast path declines and nothing is loaded or counted.
+  const auto request = MakeRequest("POST", "/v1/recommend", kSvmBody);
+  EXPECT_FALSE(f.server->HandleFast(request).has_value());
+  EXPECT_EQ(f.registry->loaded_models(), 0u);
+  EXPECT_TRUE(f.service->GetStats().per_app.empty());
+
+  // The pool path loads it...
+  ASSERT_EQ(f.server->Handle(request).status, 200);
+  EXPECT_EQ(f.registry->loaded_models(), 1u);
+
+  // ...after which a new cold question is evaluated inline.
+  const auto next = f.server->HandleFast(MakeRequest(
+      "POST", "/v1/recommend",
+      R"({"app":"svm","params":{"examples":24000,"features":6000}})"));
+  ASSERT_TRUE(next.has_value());
+  ASSERT_EQ(next->status, 200) << next->body;
+  auto json = Json::Parse(next->body);
+  ASSERT_TRUE(json.ok());
+  EXPECT_FALSE(json->Find("cache_hit")->bool_value());
+  EXPECT_EQ(f.service->GetStats().evaluations, 2u);
 }
 
 TEST(HttpRecommendServerTest, RejectsBadInputsWithStructuredErrors) {

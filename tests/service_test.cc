@@ -287,6 +287,39 @@ TEST(ModelRegistryTest, LazyModeDefersParsingUntilFirstResolve) {
   EXPECT_EQ(registry.evictions(), 0u);
 }
 
+TEST(ModelRegistryTest, ResolveResidentNeverParses) {
+  const fs::path dir = MakeModelDir("resolve_resident");
+  SaveModel(TrainSmall("svm"), dir / "svm.model");
+
+  // Eager: every registered model is resident, so it always answers.
+  ModelRegistry eager(dir.string());
+  ASSERT_TRUE(eager.Refresh().ok());
+  auto eager_svm = eager.ResolveResident("svm");
+  ASSERT_TRUE(eager_svm.has_value());
+  ASSERT_TRUE(eager_svm->ok());
+  EXPECT_EQ((*eager_svm)->version, 1u);
+
+  ModelRegistry::Options options;
+  options.lazy_load = true;
+  ModelRegistry lazy(dir.string(), options);
+  ASSERT_TRUE(lazy.Refresh().ok());
+  // Unknown apps are answered (NotFound needs no parse)...
+  auto unknown = lazy.ResolveResident("nope");
+  ASSERT_TRUE(unknown.has_value());
+  EXPECT_EQ(unknown->status().code(), StatusCode::kNotFound);
+  // ...a registered but unloaded model is declined, and stays unloaded...
+  EXPECT_FALSE(lazy.ResolveResident("svm").has_value());
+  EXPECT_EQ(lazy.loaded_models(), 0u);
+  // ...and once Resolve() has loaded it, it is answered with the same object.
+  auto loaded = lazy.Resolve("svm");
+  ASSERT_TRUE(loaded.ok());
+  auto resident = lazy.ResolveResident("svm");
+  ASSERT_TRUE(resident.has_value());
+  ASSERT_TRUE(resident->ok());
+  EXPECT_EQ((*resident)->model.get(), loaded->model.get());
+  EXPECT_EQ((*resident)->version, loaded->version);
+}
+
 TEST(ModelRegistryTest, LazyLruEvictsBeyondMaxLoaded) {
   const fs::path dir = MakeModelDir("lazy_lru");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
@@ -769,8 +802,9 @@ TEST(RecommendationServiceTest, FullQueueShedsWithResourceExhausted) {
   // ...second fills the one queue slot...
   auto second = f.service->RecommendAsync(SvmRequest(11000, 1100));
   // ...third must be shed immediately.
-  auto third = f.service->Recommend(SvmRequest(12000, 1200));
-  EXPECT_EQ(third.status().code(), StatusCode::kResourceExhausted);
+  auto third = f.service->RecommendAsync(SvmRequest(12000, 1200));
+  ASSERT_EQ(third.wait_for(std::chrono::seconds(0)), std::future_status::ready);
+  EXPECT_EQ(third.get().status().code(), StatusCode::kResourceExhausted);
   EXPECT_EQ(f.service->GetStats().rejected, 1u);
 
   {
@@ -782,6 +816,56 @@ TEST(RecommendationServiceTest, FullQueueShedsWithResourceExhausted) {
   auto r2 = second.get();
   EXPECT_TRUE(r1.ok()) << r1.status().ToString();
   EXPECT_TRUE(r2.ok()) << r2.status().ToString();
+}
+
+TEST(RecommendationServiceTest, RecommendDoesNotQueue) {
+  std::mutex mu;
+  std::condition_variable cv;
+  int entered = 0;
+  bool release = false;
+
+  RecommendationService::Options options;
+  options.num_workers = 1;
+  options.queue_capacity = 1;
+  // Blocks only the pool worker: Recommend() runs the hook on the caller's
+  // thread, which must sail through.
+  const std::thread::id caller = std::this_thread::get_id();
+  int caller_evaluations = 0;  // Touched by the caller's thread only.
+  options.pre_eval_hook = [&] {
+    if (std::this_thread::get_id() == caller) {
+      ++caller_evaluations;
+      return;
+    }
+    std::unique_lock<std::mutex> lock(mu);
+    ++entered;
+    cv.notify_all();
+    cv.wait(lock, [&] { return release; });
+  };
+  ServiceFixture f("does_not_queue", options);
+
+  // The single worker is blocked and the one queue slot is taken...
+  auto first = f.service->RecommendAsync(SvmRequest(10000, 1000));
+  {
+    std::unique_lock<std::mutex> lock(mu);
+    cv.wait(lock, [&] { return entered >= 1; });
+  }
+  auto second = f.service->RecommendAsync(SvmRequest(11000, 1100));
+
+  // ...yet a cold Recommend() is evaluated on this thread and answers OK.
+  auto answered = f.service->Recommend(SvmRequest(12000, 1200));
+  const uint64_t rejected = f.service->GetStats().rejected;
+  {
+    std::lock_guard<std::mutex> lock(mu);
+    release = true;
+  }
+  cv.notify_all();
+  EXPECT_TRUE(first.get().ok());
+  EXPECT_TRUE(second.get().ok());
+
+  ASSERT_TRUE(answered.ok()) << answered.status().ToString();
+  EXPECT_FALSE(answered->cache_hit);
+  EXPECT_EQ(caller_evaluations, 1) << "the hook runs where the model does";
+  EXPECT_EQ(rejected, 0u);
 }
 
 TEST(RecommendationServiceTest, QueueDeadlineShedsStaleRequests) {

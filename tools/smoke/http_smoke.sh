@@ -36,10 +36,11 @@ REPL_OUT="$("$SERVE" "$MODELS" --train-fast --stdin \
 grep -q "svm" <<< "$REPL_OUT" || fail "REPL did not answer the svm question"
 grep -q "requests" <<< "$REPL_OUT" || fail "REPL exit printed no stats summary"
 
-# --- Server mode: deliberately tiny capacity so saturation is reachable.
+# --- Server mode: deliberately tiny capacity so saturation is reachable:
+# one handler thread and a 1-slot handler dispatch queue.
 echo "== HTTP smoke =="
 "$SERVE" "$MODELS" --port 0 --workers 1 --queue-capacity 1 \
-  --eval-delay-ms 400 --handler-threads 8 >"$LOG" 2>&1 &
+  --eval-delay-ms 400 --handler-threads 1 >"$LOG" 2>&1 &
 SERVER_PID=$!
 
 PORT=""
@@ -59,24 +60,28 @@ BODY='{"app":"svm","params":{"examples":12000,"features":3000,"iterations":5}}'
 
 curl -s "$BASE/v1/apps" | grep -q '"svm"' || fail "/v1/apps is missing svm"
 
-# Cold ask evaluates the model (slowed by --eval-delay-ms)...
+# Cold ask evaluates the model inline on the event loop (slowed by
+# --eval-delay-ms)...
 curl -s -X POST -d "$BODY" "$BASE/v1/recommend" \
   | grep -q '"cache_hit":false' || fail "cold recommend was not a miss"
-# ...and the repeat is a warm hit answered on the event loop.
+# ...and the repeat is a warm cache hit.
 curl -s -X POST -d "$BODY" "$BASE/v1/recommend" \
   | grep -q '"cache_hit":true' || fail "warm recommend was not a cache hit"
 
-curl -s "$BASE/metrics" | grep -q 'juggler_requests_total{app="svm"}' \
+# (Capture first: `curl | grep -q` would SIGPIPE curl under pipefail.)
+METRICS="$(curl -s "$BASE/metrics")" || fail "/metrics did not answer"
+grep -q 'juggler_requests_total{app="svm"}' <<< "$METRICS" \
   || fail "/metrics is missing the per-app series"
 
-# Saturation: 1 worker + 1 queue slot + 400ms evaluations. 8 distinct cold
-# questions in parallel must produce at least one immediate 503 — and every
+# Saturation: singles never queue, but batches take the handler pool — 1
+# handler thread + 1 dispatch slot + 400ms evaluations. 8 distinct cold
+# batches in parallel must produce at least one immediate 503 — and every
 # request must get *some* HTTP answer (shed at the edge, never hung/dropped).
 echo "== saturation =="
 CODES=""
 CURL_PIDS=()
 for i in $(seq 1 8); do
-  Q="{\"app\":\"svm\",\"params\":{\"examples\":$((20000 + i)),\"features\":4000}}"
+  Q="{\"requests\":[{\"app\":\"svm\",\"params\":{\"examples\":$((20000 + i)),\"features\":4000}}]}"
   curl -s -o /dev/null -w '%{http_code}\n' --max-time 20 \
     -X POST -d "$Q" "$BASE/v1/recommend" >>"$WORKDIR/codes.txt" &
   CURL_PIDS+=("$!")
