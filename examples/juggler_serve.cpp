@@ -538,13 +538,14 @@ int main(int argc, char** argv) {
     std::printf("\nsignal %d: shutting down\n", static_cast<int>(g_signal));
     server.Stop();
     const auto rpc = server.rpc_stats();
-    std::printf("rpc stats: accepted %llu | frames %llu | pings %llu | "
-                "overload %llu | protocol errors %llu\n",
+    std::printf("rpc stats: accepted %llu | requests %llu | fast path %llu | "
+                "overload %llu | parse errors %llu | idle closed %llu\n",
                 static_cast<unsigned long long>(rpc.accepted),
-                static_cast<unsigned long long>(rpc.frames),
-                static_cast<unsigned long long>(rpc.pings),
+                static_cast<unsigned long long>(rpc.requests),
+                static_cast<unsigned long long>(rpc.fast_path),
                 static_cast<unsigned long long>(rpc.overload_rejected),
-                static_cast<unsigned long long>(rpc.protocol_errors));
+                static_cast<unsigned long long>(rpc.parse_errors),
+                static_cast<unsigned long long>(rpc.idle_closed));
     std::printf("registry: %zu/%zu model(s) resident | evictions %llu\n",
                 registry->loaded_models(), registry->size(),
                 static_cast<unsigned long long>(registry->evictions()));

@@ -140,7 +140,7 @@ class Router {
     /// Lock class "cluster.Router.shard_pool" (rank cluster=14): guards only
     /// the checkout/return vector. RpcClient Dial/Call/close all happen with
     /// the lock released (the `blocking-under-lock` lint rule enforces this).
-    Mutex pool_mu ACQUIRED_AFTER(lockdiag::kRpcOrder);
+    Mutex pool_mu ACQUIRED_AFTER(lockdiag::kNetOrder);
     std::vector<std::unique_ptr<rpc::RpcClient>> pool GUARDED_BY(pool_mu);
   };
 
@@ -195,7 +195,7 @@ class Router {
   /// Lock class "cluster.Router.hot_keys" (rank cluster=14): guards only the
   /// bounded hot-key table; never held across an RPC (payloads are copied
   /// out, then the kWarm call runs unlocked).
-  mutable Mutex hot_mu_ ACQUIRED_AFTER(lockdiag::kRpcOrder);
+  mutable Mutex hot_mu_ ACQUIRED_AFTER(lockdiag::kNetOrder);
   std::map<std::string, HotEntry> hot_keys_ GUARDED_BY(hot_mu_);
 };
 

@@ -291,7 +291,6 @@ void OnReleased(const LockClass* cls) {
 }
 
 LockRankAnchor kNetOrder;
-LockRankAnchor kRpcOrder;
 LockRankAnchor kClusterOrder;
 LockRankAnchor kServiceOrder;
 LockRankAnchor kRegistryOrder;

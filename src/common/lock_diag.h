@@ -19,8 +19,7 @@ namespace juggler::lockdiag {
 /// subsystem layering (outermost layer = lowest rank; a thread may only
 /// acquire locks of equal-or-higher rank than the ones it already holds):
 ///
-///   net (10) < rpc (12) < cluster (14) < service (20)
-///                                      < registry (30) < cache (40)
+///   net (10) < cluster (14) < service (20) < registry (30) < cache (40)
 ///
 /// In detector-enabled builds (`-DJUGGLER_DEADLOCK_DETECT=ON`, default ON
 /// for Debug) every acquisition is checked against a global lock-order
@@ -35,7 +34,6 @@ namespace juggler::lockdiag {
 /// Subsystem layer ranks. Lower = outer (acquired first). Gaps leave room
 /// for future layers without renumbering.
 inline constexpr int kRankNet = 10;
-inline constexpr int kRankRpc = 12;
 inline constexpr int kRankCluster = 14;
 inline constexpr int kRankService = 20;
 inline constexpr int kRankRegistry = 30;
@@ -132,7 +130,6 @@ class CAPABILITY("lock-rank") LockRankAnchor {
 };
 
 extern LockRankAnchor kNetOrder;       ///< rank 10: event-loop completion lists
-extern LockRankAnchor kRpcOrder;       ///< rank 12: rpc server completion lists
 extern LockRankAnchor kClusterOrder;   ///< rank 14: router shard pools
 extern LockRankAnchor kServiceOrder;   ///< rank 20: thread pool, app counters
 extern LockRankAnchor kRegistryOrder;  ///< rank 30: model registry snapshot

@@ -11,14 +11,9 @@ enum class LogLevel { kDebug = 0, kInfo = 1, kWarning = 2, kError = 3 };
 
 /// \brief Minimal leveled logger.
 ///
-/// The library is mostly silent by default (kWarning); tools and examples can
-/// lower the threshold. A global threshold is enough here: the simulator is
-/// single-threaded per run and the benches are batch programs.
+/// The library is mostly silent: lines below kWarning are dropped.
 class Logger {
  public:
-  static LogLevel threshold() { return threshold_; }
-  static void set_threshold(LogLevel level) { threshold_ = level; }
-
   /// One log statement; flushes on destruction.
   class Line {
    public:
@@ -27,7 +22,7 @@ class Logger {
               << "] ";
     }
     ~Line() {
-      if (level_ >= threshold_) {
+      if (level_ >= kThreshold) {
         stream_ << '\n';
         // fputs, not std::cerr: keeps <iostream> (and its per-TU static
         // initializer) out of this widely-included header, and a single
@@ -69,7 +64,7 @@ class Logger {
   };
 
  private:
-  static inline LogLevel threshold_ = LogLevel::kWarning;
+  static constexpr LogLevel kThreshold = LogLevel::kWarning;
 };
 
 }  // namespace juggler

@@ -19,7 +19,7 @@ namespace juggler {
 /// are ACQUIRE/RELEASE annotated, making the whole repo's lock discipline
 /// statically checkable. All lock-protected state in the library uses
 /// `Mutex` + `MutexLock`; raw `std::mutex`/`std::lock_guard` in
-/// `src/service/` and `src/net/` is rejected by `juggler_lint` (rule
+/// `src/service/` and `src/net/` is rejected by `juggler_analyze` (rule
 /// `raw-sync-primitive`).
 ///
 /// Two flavors:

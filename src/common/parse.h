@@ -16,7 +16,7 @@ namespace juggler {
 /// The C library's conversion functions are traps on hostile bytes: `atoi`
 /// is undefined on overflow, the `strtol` family reports range errors only
 /// through `errno` (easy to forget, easy to race), and `std::stoi` throws.
-/// The `juggler_lint` rule `unchecked-parse` therefore bans all of them in
+/// The `juggler_analyze` rule `unchecked-parse` therefore bans all of them in
 /// src/net/ and the model-artifact loader; call sites use these helpers,
 /// which parse with std::from_chars and report failure through the return
 /// value — no errno, no exceptions, no silent saturation.

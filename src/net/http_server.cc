@@ -1,29 +1,12 @@
 #include "net/http_server.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <memory>
+#include <string>
 #include <utility>
-
-#include "net/socket_util.h"
 
 namespace juggler::net {
 
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Loop tick: upper bound on stop latency and idle-sweep granularity.
-constexpr int kLoopTickMs = 50;
-
-/// Flood guard: stop reading from a connection whose parse buffer already
-/// holds this much beyond one maximal request (pipelining stays allowed, an
-/// unbounded pile-up does not).
-size_t ReadPauseThreshold(const HttpParser::Limits& limits) {
-  return limits.max_header_bytes + limits.max_body_bytes + 4096;
-}
 
 HttpResponse OverloadResponse() {
   HttpResponse response = HttpResponse::Text(
@@ -32,404 +15,96 @@ HttpResponse OverloadResponse() {
   return response;
 }
 
+class HttpCodec final : public EventLoopServer::Codec {
+ public:
+  HttpCodec(const HttpParser::Limits& limits, HttpServer::Handler handler,
+            HttpServer::FastHandler fast_handler)
+      : limits_(limits),
+        handler_(std::move(handler)),
+        fast_handler_(std::move(fast_handler)) {}
+
+  std::unique_ptr<EventLoopServer::Decoder> NewDecoder() const override {
+    return std::make_unique<Decoder>(this);
+  }
+
+  size_t read_pause_bytes() const override {
+    return limits_.max_header_bytes + limits_.max_body_bytes + 4096;
+  }
+
+ private:
+  class Decoder final : public EventLoopServer::Decoder {
+   public:
+    explicit Decoder(const HttpCodec* codec)
+        : codec_(codec), parser_(codec->limits_) {}
+
+    void Append(const char* data, size_t size) override {
+      parser_.Append(data, size);
+    }
+    size_t buffered_bytes() const override { return parser_.buffered_bytes(); }
+
+    State Next() override {
+      result_ = parser_.Next();
+      switch (result_.state) {
+        case HttpParser::State::kNeedMore:
+          return State::kNeedMore;
+        case HttpParser::State::kError:
+          return State::kError;
+        case HttpParser::State::kReady:
+          break;
+      }
+      keep_alive_ = result_.request.KeepAlive();
+      return State::kRequest;
+    }
+
+    bool keep_alive() const override { return keep_alive_; }
+
+    bool AnswerInline(std::string* out) override {
+      if (!codec_->fast_handler_) return false;
+      std::optional<HttpResponse> fast = codec_->fast_handler_(result_.request);
+      if (!fast) return false;
+      *out += SerializeResponse(*fast, keep_alive_);
+      return true;
+    }
+
+    EventLoopServer::Job TakeJob() override {
+      return [codec = codec_, keep_alive = keep_alive_,
+              request = std::move(result_.request)] {
+        return SerializeResponse(codec->handler_(request), keep_alive);
+      };
+    }
+
+    void AppendOverload(std::string* out) const override {
+      *out += SerializeResponse(OverloadResponse(), keep_alive_);
+    }
+    void AppendProtocolError(std::string* out) const override {
+      *out += SerializeResponse(
+          HttpResponse::Text(result_.error_status, result_.error_detail + "\n"),
+          /*keep_alive=*/false);
+    }
+    void AppendSlowRead(std::string* out) const override {
+      *out += SerializeResponse(
+          HttpResponse::Text(408, "request header read timeout\n"),
+          /*keep_alive=*/false);
+    }
+
+   private:
+    const HttpCodec* const codec_;
+    HttpParser parser_;
+    HttpParser::Result result_;
+    bool keep_alive_ = false;
+  };
+
+  const HttpParser::Limits limits_;
+  const HttpServer::Handler handler_;
+  const HttpServer::FastHandler fast_handler_;
+};
+
 }  // namespace
 
 HttpServer::HttpServer(const Options& options, Handler handler,
                        FastHandler fast_handler)
-    : options_(options),
-      handler_(std::move(handler)),
-      fast_handler_(std::move(fast_handler)),
-      mu_(lockdiag::RegisterLockClass("net.HttpServer.completions",
-                                      lockdiag::kRankNet)) {}
-
-HttpServer::~HttpServer() { Stop(); }
-
-Status HttpServer::Start() {
-  if (started_.exchange(true)) {
-    return Status::FailedPrecondition("server already started");
-  }
-  auto listen_fd = ListenTcp(options_.host, options_.port);
-  if (!listen_fd.ok()) return listen_fd.status();
-  listen_fd_ = *listen_fd;
-  auto port = LocalPort(listen_fd_);
-  if (!port.ok()) {
-    CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    return port.status();
-  }
-  bound_port_ = *port;
-
-  int pipe_fds[2];
-  if (::pipe2(pipe_fds, O_NONBLOCK | O_CLOEXEC) != 0) {
-    CloseFd(listen_fd_);
-    listen_fd_ = -1;
-    return Status::Internal(std::string("pipe2: ") + std::strerror(errno));
-  }
-  wake_read_fd_ = pipe_fds[0];
-  wake_write_fd_ = pipe_fds[1];
-
-  poller_ = Poller::Create(options_.force_poll);
-  backend_ = poller_->backend_name();
-  JUGGLER_RETURN_IF_ERROR(poller_->Add(listen_fd_, /*want_read=*/true,
-                                       /*want_write=*/false));
-  JUGGLER_RETURN_IF_ERROR(poller_->Add(wake_read_fd_, /*want_read=*/true,
-                                       /*want_write=*/false));
-
-  pool_ = std::make_unique<service::ThreadPool>(service::ThreadPool::Options{
-      options_.num_handler_threads, options_.dispatch_queue_capacity});
-  loop_thread_ = std::thread([this] { LoopMain(); });
-  return Status::OK();
-}
-
-void HttpServer::Stop() {
-  if (!started_.load()) return;
-  stop_.store(true);
-  if (loop_thread_.joinable()) {
-    WakeLoop();
-    loop_thread_.join();
-  }
-  // After the loop exits no new work is dispatched; drain handlers that are
-  // still running (their completions land in completions_ and are dropped).
-  if (pool_) pool_->Shutdown();
-  CloseFd(listen_fd_);
-  CloseFd(wake_read_fd_);
-  CloseFd(wake_write_fd_);
-  listen_fd_ = wake_read_fd_ = wake_write_fd_ = -1;
-}
-
-HttpServer::Stats HttpServer::GetStats() const {
-  Stats stats;
-  stats.accepted = accepted_.load(std::memory_order_relaxed);
-  stats.active = active_.load(std::memory_order_relaxed);
-  stats.requests = requests_.load(std::memory_order_relaxed);
-  stats.fast_path = fast_path_.load(std::memory_order_relaxed);
-  stats.overload_rejected =
-      overload_rejected_.load(std::memory_order_relaxed);
-  stats.parse_errors = parse_errors_.load(std::memory_order_relaxed);
-  stats.idle_closed = idle_closed_.load(std::memory_order_relaxed);
-  stats.slow_read_closed = slow_read_closed_.load(std::memory_order_relaxed);
-  stats.slow_write_closed =
-      slow_write_closed_.load(std::memory_order_relaxed);
-  return stats;
-}
-
-void HttpServer::WakeLoop() {
-  const char byte = 'w';
-  // EAGAIN means the pipe already holds a pending wake-up; that is enough.
-  ssize_t n;
-  do {
-    n = ::write(wake_write_fd_, &byte, 1);
-  } while (n < 0 && errno == EINTR);
-}
-
-void HttpServer::LoopMain() {
-  std::vector<Poller::Event> events;
-  while (!stop_.load(std::memory_order_acquire)) {
-    if (Status status = poller_->Wait(kLoopTickMs, &events); !status.ok()) {
-      break;  // Poller broken (fd table exhausted, ...): shut down.
-    }
-    for (const Poller::Event& event : events) {
-      if (event.fd == wake_read_fd_) {
-        char drain[64];
-        ssize_t n;
-        do {
-          n = ::read(wake_read_fd_, drain, sizeof(drain));
-        } while (n > 0 || (n < 0 && errno == EINTR));
-        continue;
-      }
-      if (event.fd == listen_fd_) {
-        AcceptPending();
-        continue;
-      }
-      HandleConnectionEvent(event);
-    }
-    ApplyCompletions();
-    SweepIdle();
-    SweepDeadlines();
-  }
-  // Loop exit: close every connection (the loop thread owns them all).
-  for (auto& [id, conn] : connections_) {
-    poller_->Remove(conn->fd);
-    CloseFd(conn->fd);
-    active_.fetch_sub(1, std::memory_order_relaxed);
-  }
-  connections_.clear();
-  connection_by_fd_.clear();
-}
-
-void HttpServer::AcceptPending() {
-  for (;;) {
-    auto accepted = AcceptNonBlocking(listen_fd_);
-    if (!accepted.ok()) return;  // Listener broken; keep serving open conns.
-    const int fd = *accepted;
-    if (fd < 0) return;  // Accept queue drained.
-    accepted_.fetch_add(1, std::memory_order_relaxed);
-    if (connections_.size() >= options_.max_connections) {
-      // Reject at the edge, with a response rather than a silent RST.
-      const std::string bytes =
-          SerializeResponse(OverloadResponse(), /*keep_alive=*/false);
-      (void)WriteSome(fd, bytes.data(), bytes.size()).ok();
-      CloseFd(fd);
-      overload_rejected_.fetch_add(1, std::memory_order_relaxed);
-      continue;
-    }
-    SetTcpNoDelay(fd);
-    auto conn = std::make_unique<Connection>(options_.limits);
-    conn->fd = fd;
-    conn->id = next_connection_id_++;
-    conn->last_activity = Clock::now();
-    if (!poller_->Add(fd, /*want_read=*/true, /*want_write=*/false).ok()) {
-      CloseFd(fd);
-      continue;
-    }
-    connection_by_fd_[fd] = conn->id;
-    active_.fetch_add(1, std::memory_order_relaxed);
-    connections_.emplace(conn->id, std::move(conn));
-  }
-}
-
-HttpServer::Connection* HttpServer::FindConnection(uint64_t id) {
-  const auto it = connections_.find(id);
-  return it == connections_.end() ? nullptr : it->second.get();
-}
-
-void HttpServer::CloseConnection(uint64_t id) {
-  const auto it = connections_.find(id);
-  if (it == connections_.end()) return;
-  Connection* conn = it->second.get();
-  poller_->Remove(conn->fd);
-  connection_by_fd_.erase(conn->fd);
-  CloseFd(conn->fd);
-  active_.fetch_sub(1, std::memory_order_relaxed);
-  connections_.erase(it);
-}
-
-void HttpServer::HandleConnectionEvent(const Poller::Event& event) {
-  const auto fd_it = connection_by_fd_.find(event.fd);
-  if (fd_it == connection_by_fd_.end()) return;  // Closed earlier this batch.
-  const uint64_t id = fd_it->second;
-  Connection* conn = FindConnection(id);
-  if (conn == nullptr) return;
-
-  if (event.error) {
-    CloseConnection(id);
-    return;
-  }
-
-  if (event.readable && !conn->read_closed && !conn->read_paused) {
-    char buffer[16384];
-    for (;;) {
-      auto n = ReadSome(conn->fd, buffer, sizeof(buffer));
-      if (!n.ok()) {  // ECONNRESET and friends.
-        CloseConnection(id);
-        return;
-      }
-      if (*n < 0) break;  // Drained (EAGAIN).
-      if (*n == 0) {      // Orderly shutdown from the peer.
-        conn->read_closed = true;
-        break;
-      }
-      conn->parser.Append(buffer, static_cast<size_t>(*n));
-      conn->last_activity = Clock::now();
-      if (conn->parser.buffered_bytes() >
-          ReadPauseThreshold(options_.limits)) {
-        conn->read_paused = true;
-        break;
-      }
-    }
-    PumpRequests(conn);
-  }
-
-  // PumpRequests may have poisoned/closed nothing but queued output.
-  FlushWrites(conn);
-}
-
-void HttpServer::PumpRequests(Connection* conn) {
-  while (!conn->handler_inflight && !conn->close_after_write) {
-    HttpParser::Result result = conn->parser.Next();
-    if (result.state == HttpParser::State::kNeedMore) break;
-    if (result.state == HttpParser::State::kError) {
-      parse_errors_.fetch_add(1, std::memory_order_relaxed);
-      HttpResponse response =
-          HttpResponse::Text(result.error_status, result.error_detail + "\n");
-      conn->out += SerializeResponse(response, /*keep_alive=*/false);
-      conn->close_after_write = true;
-      conn->read_closed = true;  // Framing lost; never parse this fd again.
-      break;
-    }
-
-    requests_.fetch_add(1, std::memory_order_relaxed);
-    conn->last_activity = Clock::now();
-    conn->read_start = {};  // Complete request: the next one gets a fresh clock.
-    const bool keep_alive = result.request.KeepAlive();
-    if (fast_handler_) {
-      if (std::optional<HttpResponse> fast = fast_handler_(result.request)) {
-        fast_path_.fetch_add(1, std::memory_order_relaxed);
-        conn->out += SerializeResponse(*fast, keep_alive);
-        if (!keep_alive) conn->close_after_write = true;
-        continue;  // Next pipelined request, if buffered.
-      }
-    }
-    DispatchToPool(conn, std::move(result.request));
-  }
-
-  // Header-read deadline: armed while a partial request sits in the buffer,
-  // disarmed when the buffer drains. last_activity is *not* the anchor —
-  // trickled bytes refresh it, which is exactly the slowloris hole.
-  if (conn->parser.buffered_bytes() == 0) {
-    conn->read_start = {};
-  } else if (conn->read_start == Clock::time_point{}) {
-    conn->read_start = Clock::now();
-  }
-}
-
-void HttpServer::DispatchToPool(Connection* conn, HttpRequest request) {
-  const uint64_t id = conn->id;
-  const bool keep_alive = request.KeepAlive();
-  Status submitted =
-      pool_->Submit([this, id, keep_alive, request = std::move(request)] {
-        Completion completion;
-        completion.connection_id = id;
-        completion.keep_alive = keep_alive;
-        completion.bytes =
-            SerializeResponse(handler_(request), keep_alive);
-        {
-          MutexLock lock(mu_);
-          completions_.push_back(std::move(completion));
-        }
-        WakeLoop();
-      });
-  if (!submitted.ok()) {
-    // Full dispatch queue (or shutdown): shed at the edge, immediately.
-    overload_rejected_.fetch_add(1, std::memory_order_relaxed);
-    conn->out += SerializeResponse(OverloadResponse(), keep_alive);
-    if (!keep_alive) conn->close_after_write = true;
-    return;
-  }
-  conn->handler_inflight = true;
-}
-
-void HttpServer::ApplyCompletions() {
-  std::vector<Completion> ready;
-  {
-    MutexLock lock(mu_);
-    ready.swap(completions_);
-  }
-  for (Completion& completion : ready) {
-    Connection* conn = FindConnection(completion.connection_id);
-    if (conn == nullptr) continue;  // Connection died while handling.
-    conn->out += completion.bytes;
-    conn->handler_inflight = false;
-    conn->last_activity = Clock::now();
-    if (!completion.keep_alive) conn->close_after_write = true;
-    if (conn->read_paused && conn->parser.buffered_bytes() <=
-                                 ReadPauseThreshold(options_.limits)) {
-      conn->read_paused = false;
-    }
-    PumpRequests(conn);  // Pipelined requests waiting in the buffer.
-    FlushWrites(conn);
-  }
-}
-
-void HttpServer::FlushWrites(Connection* conn) {
-  const uint64_t id = conn->id;
-  size_t written = 0;
-  while (written < conn->out.size()) {
-    auto n = WriteSome(conn->fd, conn->out.data() + written,
-                       conn->out.size() - written);
-    if (!n.ok()) {  // EPIPE/ECONNRESET: peer is gone.
-      CloseConnection(id);
-      return;
-    }
-    if (*n < 0) break;  // Socket buffer full (EAGAIN).
-    written += static_cast<size_t>(*n);
-  }
-  conn->out.erase(0, written);
-
-  // Response-write deadline: armed while bytes are queued for a client that
-  // is not draining them, disarmed once the buffer empties.
-  if (conn->out.empty()) {
-    conn->write_start = {};
-  } else if (conn->write_start == Clock::time_point{}) {
-    conn->write_start = Clock::now();
-  }
-
-  if (conn->out.empty()) {
-    if (conn->close_after_write ||
-        (conn->read_closed && !conn->handler_inflight &&
-         conn->parser.buffered_bytes() == 0)) {
-      CloseConnection(id);
-      return;
-    }
-  }
-
-  // Keep the poller's interest set in sync; a paused reader must drop
-  // EPOLLIN or level-triggered readiness would spin the loop.
-  const bool want_read = !conn->read_closed && !conn->read_paused;
-  const bool want_write = !conn->out.empty();
-  if (want_read != conn->reg_read || want_write != conn->want_write) {
-    if (poller_->Update(conn->fd, want_read, want_write).ok()) {
-      conn->reg_read = want_read;
-      conn->want_write = want_write;
-    }
-  }
-}
-
-void HttpServer::SweepIdle() {
-  if (options_.idle_timeout_ms <= 0) return;
-  const auto now = Clock::now();
-  const auto limit = std::chrono::milliseconds(options_.idle_timeout_ms);
-  std::vector<uint64_t> expired;
-  for (const auto& [id, conn] : connections_) {
-    if (conn->handler_inflight || !conn->out.empty()) continue;
-    if (now - conn->last_activity > limit) expired.push_back(id);
-  }
-  for (const uint64_t id : expired) {
-    idle_closed_.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(id);
-  }
-}
-
-void HttpServer::SweepDeadlines() {
-  const bool read_on = options_.header_read_timeout_ms > 0;
-  const bool write_on = options_.write_timeout_ms > 0;
-  if (!read_on && !write_on) return;
-  const auto now = Clock::now();
-  const auto read_limit =
-      std::chrono::milliseconds(options_.header_read_timeout_ms);
-  const auto write_limit = std::chrono::milliseconds(options_.write_timeout_ms);
-  std::vector<uint64_t> write_stalled;
-  std::vector<uint64_t> read_stalled;
-  for (const auto& [id, conn] : connections_) {
-    if (write_on && conn->write_start != Clock::time_point{} &&
-        now - conn->write_start > write_limit) {
-      write_stalled.push_back(id);
-      continue;
-    }
-    if (read_on && !conn->handler_inflight &&
-        conn->read_start != Clock::time_point{} &&
-        now - conn->read_start > read_limit) {
-      read_stalled.push_back(id);
-    }
-  }
-  for (const uint64_t id : write_stalled) {
-    // The client is not draining its socket; a late response would only sit
-    // in the buffer, so close outright.
-    slow_write_closed_.fetch_add(1, std::memory_order_relaxed);
-    CloseConnection(id);
-  }
-  for (const uint64_t id : read_stalled) {
-    Connection* conn = FindConnection(id);
-    if (conn == nullptr) continue;
-    slow_read_closed_.fetch_add(1, std::memory_order_relaxed);
-    HttpResponse response =
-        HttpResponse::Text(408, "request header read timeout\n");
-    conn->out += SerializeResponse(response, /*keep_alive=*/false);
-    conn->close_after_write = true;
-    conn->read_closed = true;  // Mid-request framing: never parse this again.
-    conn->read_start = {};
-    FlushWrites(conn);
-  }
-}
+    : EventLoopServer(options, std::make_unique<HttpCodec>(
+                                   options.limits, std::move(handler),
+                                   std::move(fast_handler))) {}
 
 }  // namespace juggler::net

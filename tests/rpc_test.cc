@@ -262,7 +262,7 @@ TEST_P(RpcLoopbackTest, CallRoundTripsAndMatchesRequestIds) {
   }
   const auto stats = server.GetStats();
   EXPECT_EQ(stats.accepted, 1u) << "one client, one connection";
-  EXPECT_EQ(stats.frames, 5u);
+  EXPECT_EQ(stats.requests, 5u);
   server.Stop();
 }
 
@@ -278,7 +278,7 @@ TEST_P(RpcLoopbackTest, PingIsAnsweredInlineWithoutTouchingTheHandler) {
   ASSERT_TRUE(client.Ping().ok());
   ASSERT_TRUE(client.Ping().ok());
   EXPECT_EQ(handler_calls.load(), 0);
-  EXPECT_EQ(server.GetStats().pings, 2u);
+  EXPECT_EQ(server.GetStats().fast_path, 2u);
   server.Stop();
 }
 
@@ -370,7 +370,75 @@ TEST_P(RpcLoopbackTest, MalformedStreamGetsErrorFrameAndClose) {
   EXPECT_EQ(decoder.buffered_bytes(), 0u) << "nothing after the error frame";
 
   ASSERT_TRUE(healthy.Ping().ok()) << "healthy connection must be unaffected";
-  EXPECT_GE(server.GetStats().protocol_errors, 1u);
+  EXPECT_GE(server.GetStats().parse_errors, 1u);
+  server.Stop();
+}
+
+/// Polls `read` until it returns non-zero or `timeout` passes; returns the
+/// last value read.
+template <typename Read>
+uint64_t WaitForNonZero(Read read, std::chrono::milliseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  uint64_t value = read();
+  while (value == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    value = read();
+  }
+  return value;
+}
+
+TEST_P(RpcLoopbackTest, StalledFrameReadGetsDeadlineErrorAndClose) {
+  RpcServer::Options options = BaseOptions();
+  options.header_read_timeout_ms = 100;
+  RpcServer server(options, EchoHandler());
+  ASSERT_TRUE(server.Start().ok());
+
+  // A slowloris on the shard port: half a frame header, then nothing. The
+  // idle sweeper alone would keep this alive; the read deadline must not.
+  const std::string frame =
+      EncodeFrame(MakeFrame(FrameType::kRecommend, 7, "stalled"));
+  RawClient slow(server.port());
+  slow.Send(frame.substr(0, kFrameHeaderBytes / 2));
+  const std::string response = slow.ReadToEof();
+
+  FrameDecoder decoder;
+  decoder.Append(response.data(), response.size());
+  const auto result = decoder.Next();
+  ASSERT_EQ(result.state, FrameDecoder::State::kReady);
+  EXPECT_EQ(result.frame.type, FrameType::kError);
+  EXPECT_EQ(result.frame.request_id, 0u);
+  EXPECT_NE(result.frame.payload.find("DEADLINE_EXCEEDED"), std::string::npos)
+      << result.frame.payload;
+  EXPECT_EQ(decoder.buffered_bytes(), 0u) << "nothing after the error frame";
+  EXPECT_EQ(WaitForNonZero([&] { return server.GetStats().slow_read_closed; },
+                           std::chrono::seconds(5)),
+            1u);
+
+  // A complete frame on a fresh connection is unaffected.
+  RpcClient fine(ClientOptions(server.port()));
+  auto reply = fine.Call(FrameType::kRecommend, "ok");
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  EXPECT_EQ(reply->payload, "echo:ok");
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, ClientNotDrainingRepliesIsClosed) {
+  RpcServer::Options options = BaseOptions();
+  options.write_timeout_ms = 150;
+  RpcServer server(options, [](const RpcFrame&) {
+    // Far more than the kernel socket buffers absorb, so the server's write
+    // buffer stays non-empty while the client refuses to read.
+    return MakeFrame(FrameType::kRecommendReply, 0, std::string(32 << 20, 'x'));
+  });
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient stalled(server.port());
+  stalled.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 1, "big")));
+  // Never read. The write deadline must reap the connection instead of
+  // letting the reply bytes sit queued forever.
+  EXPECT_EQ(WaitForNonZero([&] { return server.GetStats().slow_write_closed; },
+                           std::chrono::seconds(10)),
+            1u);
   server.Stop();
 }
 
