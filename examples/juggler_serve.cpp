@@ -20,13 +20,15 @@
 //   --handler-threads N HTTP/RPC handler threads         (default 4)
 //   --eval-delay-ms N   artificial delay before each evaluation, on
 //                       whichever thread evaluates — the event loop for
-//                       single HTTP recommends (testing backpressure;
-//                       default 0)
+//                       single HTTP recommends and resident kRecommend
+//                       frames (testing backpressure; default 0)
 //   --stdin             REPL on stdin instead of the HTTP server
 //
-// Recommends are evaluated where they arrive: HTTP singles whose model is
-// resident on the event loop, batches and RPC frames on a handler thread.
-// The warm-up workers only pre-compute the router's kWarm hints.
+// Recommends are evaluated where they arrive: HTTP singles and kRecommend
+// frames whose model is resident on the event loop, batches and lazy loads
+// on a handler thread. The router forwards singles from its event loop over
+// pipelined shard connections. The warm-up workers serve only
+// RecommendationService::RecommendAsync(), which no serving path calls.
 //
 // Online-adaptation flags (standalone and shard roles):
 //   --online                     run the feedback loop: POST /v1/observe (or
@@ -460,9 +462,13 @@ int main(int argc, char** argv) {
                   static_cast<unsigned long long>(s.errors),
                   s.latency.p95_us);
     }
-    std::printf("router stats: reroutes %llu | probes %llu\n",
+    const auto http = server.http_stats();
+    std::printf("router stats: reroutes %llu | probes %llu | requests %llu | "
+                "fast path %llu\n",
                 static_cast<unsigned long long>((*router)->reroutes()),
-                static_cast<unsigned long long>((*router)->probes()));
+                static_cast<unsigned long long>((*router)->probes()),
+                static_cast<unsigned long long>(http.requests),
+                static_cast<unsigned long long>(http.fast_path));
     return 0;
   }
 

@@ -1,0 +1,119 @@
+#include "cluster/loop_forwarder.h"
+
+#include <optional>
+#include <utility>
+
+#include "net/recommend_codec.h"
+
+namespace juggler::cluster {
+
+net::HttpResponse ForwardedRecommendResponse(StatusOr<std::string> reply) {
+  if (!reply.ok()) return net::ErrorResponse(reply.status());
+  return net::HttpResponse::JsonBody(200, std::move(reply).value());
+}
+
+void LoopForwarder::Forward(const std::string& route_key, std::string payload,
+                            const net::HttpServer::Reply& reply) {
+  Attempt(Call{router_->KeyWalk(route_key, rpc::FrameType::kRecommend),
+               std::move(payload), reply});
+}
+
+void LoopForwarder::Attempt(Call call) {
+  const std::optional<size_t> next = call.walk.Next();
+  if (!next.has_value()) {
+    call.reply(ForwardedRecommendResponse(call.walk.Exhausted()));
+    return;
+  }
+  call.shard = *next;
+  call.start = Clock::now();
+  const uint64_t id = next_id_++;
+  PickChannel(*next)->Send(call.walk.type(), id, call.payload);
+  calls_.emplace(id, std::move(call));
+}
+
+rpc::RpcChannel* LoopForwarder::PickChannel(size_t shard) {
+  std::vector<std::unique_ptr<rpc::RpcChannel>>& channels = channels_[shard];
+  rpc::RpcChannel* best = nullptr;
+  for (const auto& channel : channels) {
+    if (best == nullptr || channel->in_flight() < best->in_flight()) {
+      best = channel.get();
+    }
+  }
+  const size_t cap = router_->options_.max_clients_per_shard == 0
+                         ? 1
+                         : router_->options_.max_clients_per_shard;
+  if (best == nullptr || (best->in_flight() > 0 && channels.size() < cap)) {
+    channels.push_back(std::make_unique<rpc::RpcChannel>(
+        router_->ClientOptions(shard, router_->options_.rpc_timeout_ms),
+        poller_));
+    best = channels.back().get();
+  }
+  return best;
+}
+
+void LoopForwarder::OnStart(net::Poller* poller) {
+  poller_ = poller;
+  channels_.resize(router_->shards_.size());
+}
+
+void LoopForwarder::OnEvent(const net::Poller::Event& event) {
+  for (auto& channels : channels_) {
+    for (auto& channel : channels) {
+      if (channel->fd() != event.fd) continue;
+      channel->OnEvent(event, &outcomes_);
+      Settle();
+      return;
+    }
+  }
+}
+
+void LoopForwarder::AfterEvents() {
+  const Clock::time_point now = Clock::now();
+  for (auto& channels : channels_) {
+    for (auto& channel : channels) channel->CheckDeadlines(now, &outcomes_);
+  }
+  Settle();
+  // Flush what the batch queued: one write per channel. A failed write
+  // reroutes its calls onto other channels, which the next pass flushes.
+  for (bool flushed = true; flushed;) {
+    flushed = false;
+    for (auto& channels : channels_) {
+      for (auto& channel : channels) {
+        if (!channel->dirty()) continue;
+        channel->Flush(&outcomes_);
+        flushed = true;
+      }
+    }
+    Settle();
+  }
+}
+
+void LoopForwarder::Settle() {
+  if (outcomes_.empty()) return;
+  std::vector<rpc::RpcChannel::Outcome> ready;
+  ready.swap(outcomes_);
+  for (rpc::RpcChannel::Outcome& outcome : ready) {
+    const auto it = calls_.find(outcome.request_id);
+    if (it == calls_.end()) continue;
+    Call call = std::move(it->second);
+    calls_.erase(it);
+    std::optional<StatusOr<std::string>> result =
+        call.walk.Finish(call.shard, std::move(outcome.reply), call.start);
+    if (result.has_value()) {
+      call.reply(ForwardedRecommendResponse(*std::move(result)));
+    } else {
+      Attempt(std::move(call));  // Reroute.
+    }
+  }
+  ready.clear();
+  if (outcomes_.empty()) outcomes_.swap(ready);  // Keep the capacity.
+}
+
+void LoopForwarder::OnStop() {
+  // Closing the channels drops their calls; the client connections those
+  // calls answer close with the loop.
+  channels_.clear();
+  calls_.clear();
+}
+
+}  // namespace juggler::cluster

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <chrono>
 #include <map>
+#include <numeric>
 #include <utility>
 
+#include "cluster/loop_forwarder.h"
 #include "common/parse.h"
 #include "net/json.h"
 #include "online/observation.h"
@@ -21,6 +23,31 @@ double ElapsedUs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
              std::chrono::steady_clock::now() - start)
       .count();
+}
+
+rpc::FrameType ReplyTypeFor(rpc::FrameType request) {
+  switch (request) {
+    case rpc::FrameType::kRecommend:
+      return rpc::FrameType::kRecommendReply;
+    case rpc::FrameType::kApps:
+      return rpc::FrameType::kAppsReply;
+    case rpc::FrameType::kReload:
+      return rpc::FrameType::kReloadReply;
+    case rpc::FrameType::kObserve:
+      return rpc::FrameType::kObserveReply;
+    default:
+      return rpc::FrameType::kPong;
+  }
+}
+
+/// The route key of a single-recommend document: the prediction-cache key
+/// with version 0 — the router does not know shard model versions, and
+/// stability across reloads is exactly what keeps routing sticky.
+StatusOr<std::string> SingleRouteKey(const net::Json& json) {
+  auto parsed = net::ParseRecommendRequest(json);
+  if (!parsed.ok()) return parsed.status();
+  return service::PredictionCache::MakeKey(parsed->app, 0, parsed->params,
+                                           parsed->machine_type);
 }
 
 }  // namespace
@@ -59,9 +86,7 @@ Router::Shard::Shard()
 Router::Router(const Options& options)
     : options_(options),
       ring_(options.shards.size(),
-            options.virtual_nodes == 0 ? 1 : options.virtual_nodes),
-      hot_mu_(lockdiag::RegisterLockClass("cluster.Router.hot_keys",
-                                          lockdiag::kRankCluster)) {}
+            options.virtual_nodes == 0 ? 1 : options.virtual_nodes) {}
 
 Router::~Router() { Stop(); }
 
@@ -90,6 +115,97 @@ void Router::Stop() {
   }
 }
 
+// ---- Walk: the forwarding policy -------------------------------------------
+
+Router::Walk::Walk(Router* router, std::vector<size_t> order,
+                   rpc::FrameType type)
+    : router_(router),
+      order_(std::move(order)),
+      type_(type),
+      expected_reply_(ReplyTypeFor(type)) {}
+
+std::optional<size_t> Router::Walk::Next() {
+  // Pass 0 tries the healthy shards in order; pass 1 is the last resort when
+  // the prober has the rest marked down (its view may be a probe interval
+  // stale — a shard that just came back deserves the request rather than
+  // the client an error).
+  for (; pass_ < 2; ++pass_, position_ = 0) {
+    while (position_ < order_.size()) {
+      const size_t index = order_[position_++];
+      const bool healthy =
+          router_->shards_[index]->healthy.load(std::memory_order_relaxed);
+      if ((pass_ == 0) != healthy ||
+          std::find(tried_.begin(), tried_.end(), index) != tried_.end()) {
+        continue;
+      }
+      if (!tried_.empty()) {
+        router_->reroutes_.fetch_add(1, std::memory_order_relaxed);
+      }
+      tried_.push_back(index);
+      return index;
+    }
+  }
+  return std::nullopt;
+}
+
+std::optional<StatusOr<std::string>> Router::Walk::Finish(
+    size_t index, StatusOr<rpc::RpcFrame> reply,
+    std::chrono::steady_clock::time_point start) {
+  router_->RecordAttempt(index, reply.ok(), start);
+  if (!reply.ok()) {
+    last_ = reply.status();
+    return std::nullopt;  // Reroute: next shard in the order.
+  }
+  if (reply->type == rpc::FrameType::kError) {
+    return StatusOr<std::string>(net::StatusFromErrorJson(reply->payload));
+  }
+  if (reply->type != expected_reply_) {
+    last_ = Status::Internal("unexpected reply frame type " +
+                             std::to_string(static_cast<int>(reply->type)));
+    return std::nullopt;
+  }
+  return StatusOr<std::string>(std::move(reply->payload));
+}
+
+Status Router::Walk::Exhausted() const {
+  return Status::ResourceExhausted("all shards failed: " + last_.message());
+}
+
+Router::Walk Router::KeyWalk(const std::string& route_key,
+                             rpc::FrameType type) {
+  const size_t attempts =
+      options_.max_attempts == 0 ? 1 : options_.max_attempts;
+  return Walk(this, ring_.Preference(route_key, attempts), type);
+}
+
+void Router::RecordAttempt(size_t index, bool transport_ok,
+                           std::chrono::steady_clock::time_point start) {
+  Shard& shard = *shards_[index];
+  shard.requests.fetch_add(1, std::memory_order_relaxed);
+  if (!transport_ok) {
+    // The connection is gone and the shard is suspect; the prober flips
+    // `healthy` back once pings succeed again.
+    shard.errors.fetch_add(1, std::memory_order_relaxed);
+    shard.healthy.store(false, std::memory_order_relaxed);
+    return;
+  }
+  shard.latency.Record(ElapsedUs(start));
+  shard.healthy.store(true, std::memory_order_relaxed);
+}
+
+// ---- The blocking transport ------------------------------------------------
+
+rpc::RpcClient::Options Router::ClientOptions(size_t index,
+                                              int call_timeout_ms) const {
+  rpc::RpcClient::Options options;
+  options.host = shards_[index]->host;
+  options.port = shards_[index]->port;
+  options.connect_timeout_ms = options_.connect_timeout_ms;
+  options.call_timeout_ms = call_timeout_ms;
+  options.limits = options_.limits;
+  return options;
+}
+
 StatusOr<rpc::RpcFrame> Router::CallShard(size_t index, rpc::FrameType type,
                                           const std::string& payload) {
   Shard& shard = *shards_[index];
@@ -102,28 +218,12 @@ StatusOr<rpc::RpcFrame> Router::CallShard(size_t index, rpc::FrameType type,
     }
   }
   if (client == nullptr) {
-    rpc::RpcClient::Options copts;
-    copts.host = shard.host;
-    copts.port = shard.port;
-    copts.connect_timeout_ms = options_.connect_timeout_ms;
-    copts.call_timeout_ms = options_.rpc_timeout_ms;
-    copts.limits = options_.limits;
-    client = std::make_unique<rpc::RpcClient>(copts);
+    client = std::make_unique<rpc::RpcClient>(
+        ClientOptions(index, options_.rpc_timeout_ms));
   }
-
-  const auto start = std::chrono::steady_clock::now();
   auto reply = client->Call(type, payload);
-  shard.requests.fetch_add(1, std::memory_order_relaxed);
-  if (!reply.ok()) {
-    // Transport failure: the connection is gone (RpcClient closed it), the
-    // shard is suspect. Drop the client; the prober will flip `healthy`
-    // back once pings succeed again.
-    shard.errors.fetch_add(1, std::memory_order_relaxed);
-    shard.healthy.store(false, std::memory_order_relaxed);
-    return reply.status();
-  }
-  shard.latency.Record(ElapsedUs(start));
-  shard.healthy.store(true, std::memory_order_relaxed);
+  // A transport failure closed the connection: drop the client.
+  if (!reply.ok()) return reply.status();
   MutexLock lock(shard.pool_mu);
   if (shard.pool.size() < options_.max_clients_per_shard) {
     shard.pool.push_back(std::move(client));
@@ -131,177 +231,31 @@ StatusOr<rpc::RpcFrame> Router::CallShard(size_t index, rpc::FrameType type,
   return reply;
 }
 
-StatusOr<std::string> Router::ForwardByKey(const std::string& route_key,
-                                           rpc::FrameType type,
-                                           rpc::FrameType expected_reply,
-                                           const std::string& payload) {
-  const size_t attempts =
-      options_.max_attempts == 0 ? 1 : options_.max_attempts;
-  const std::vector<size_t> prefs = ring_.Preference(route_key, attempts);
-  Status last = Status::ResourceExhausted("no shard reachable");
-  bool attempted = false;
-  const bool recommend = type == rpc::FrameType::kRecommend;
-  std::vector<size_t> failed;
-  // Pass 0 tries the healthy shards in preference order; pass 1 is the
-  // last resort when the prober has everything marked down (its view may
-  // be a probe interval stale — a shard that just came back deserves the
-  // request rather than the client an error).
-  for (int pass = 0; pass < 2; ++pass) {
-    for (const size_t index : prefs) {
-      const bool healthy =
-          shards_[index]->healthy.load(std::memory_order_relaxed);
-      if ((pass == 0) != healthy) continue;
-      if (attempted) reroutes_.fetch_add(1, std::memory_order_relaxed);
-      attempted = true;
-      auto reply = CallShard(index, type, payload);
-      if (!reply.ok()) {
-        last = reply.status();
-        failed.push_back(index);
-        continue;  // Reroute: next shard in the preference order.
-      }
-      if (reply->type == rpc::FrameType::kError) {
-        // The shard answered; the request (or its queue) is the problem.
-        // Never rerouted: a second shard would say the same thing, slower.
-        return net::StatusFromErrorJson(reply->payload);
-      }
-      if (reply->type != expected_reply) {
-        last = Status::Internal(
-            "unexpected reply frame type " +
-            std::to_string(static_cast<int>(reply->type)));
-        continue;
-      }
-      if (recommend) {
-        RecordHotKey(route_key, payload, index);
-        // A reroute landed here: hand the survivor the failed shard's hot
-        // questions so they come back warm, not cold.
-        if (!failed.empty()) MaybeSendWarmHint(failed, index);
-      }
-      return std::move(reply->payload);
-    }
+StatusOr<std::string> Router::RunWalk(Walk walk, const std::string& payload) {
+  while (const std::optional<size_t> index = walk.Next()) {
+    const auto start = std::chrono::steady_clock::now();
+    std::optional<StatusOr<std::string>> result =
+        walk.Finish(*index, CallShard(*index, walk.type(), payload), start);
+    if (result.has_value()) return *std::move(result);
   }
-  // Transient by construction (every failure here was transport-level), so
-  // surface as 503-shaped: clients should back off and retry.
-  return Status::ResourceExhausted("all shards failed: " + last.message());
+  return walk.Exhausted();
 }
 
 StatusOr<std::string> Router::ForwardRecommend(const std::string& route_key,
                                                const std::string& payload) {
-  return ForwardByKey(route_key, rpc::FrameType::kRecommend,
-                      rpc::FrameType::kRecommendReply, payload);
-}
-
-void Router::RecordHotKey(const std::string& route_key,
-                          const std::string& payload, size_t owner) {
-  // The table is a bounded popularity sample, not a log: when full, the
-  // coldest entry makes room.
-  constexpr size_t kMaxHotKeys = 512;
-  MutexLock lock(hot_mu_);
-  auto it = hot_keys_.find(route_key);
-  if (it == hot_keys_.end()) {
-    if (hot_keys_.size() >= kMaxHotKeys) {
-      auto coldest = hot_keys_.begin();
-      for (auto c = hot_keys_.begin(); c != hot_keys_.end(); ++c) {
-        if (c->second.hits < coldest->second.hits) coldest = c;
-      }
-      hot_keys_.erase(coldest);
-    }
-    it = hot_keys_.emplace(route_key, HotEntry{}).first;
-    it->second.payload = payload;
-  }
-  it->second.owner = owner;
-  ++it->second.hits;
-}
-
-void Router::MaybeSendWarmHint(const std::vector<size_t>& failed,
-                               size_t target) {
-  constexpr size_t kWarmTopK = 8;
-  constexpr int64_t kWarmCooldownMs = 1'000;
-  const int64_t now_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                             std::chrono::steady_clock::now().time_since_epoch())
-                             .count();
-  // Claim each failed shard's cooldown slot atomically: one failover burst
-  // sends one hint per failed shard, not one per rerouted request.
-  std::vector<bool> source(shards_.size(), false);
-  bool any = false;
-  for (const size_t index : failed) {
-    if (index == target || index >= shards_.size()) continue;
-    int64_t last_ms =
-        shards_[index]->last_warm_ms.load(std::memory_order_relaxed);
-    if (last_ms >= 0 && now_ms - last_ms < kWarmCooldownMs) continue;
-    if (!shards_[index]->last_warm_ms.compare_exchange_strong(
-            last_ms, now_ms, std::memory_order_relaxed)) {
-      continue;
-    }
-    source[index] = true;
-    any = true;
-  }
-  if (!any) return;
-
-  // Copy the candidate payloads out; the kWarm call runs with hot_mu_
-  // released.
-  std::vector<std::pair<uint64_t, std::string>> hot;
-  {
-    MutexLock lock(hot_mu_);
-    for (const auto& [key, entry] : hot_keys_) {
-      if (entry.owner < source.size() && source[entry.owner]) {
-        hot.emplace_back(entry.hits, entry.payload);
-      }
-    }
-  }
-  if (hot.empty()) return;
-  std::sort(hot.begin(), hot.end(),
-            [](const auto& a, const auto& b) { return a.first > b.first; });
-  if (hot.size() > kWarmTopK) hot.resize(kWarmTopK);
-
-  // Payloads are raw JSON documents; splice them into one array.
-  std::string body = "[";
-  for (size_t i = 0; i < hot.size(); ++i) {
-    if (i > 0) body.push_back(',');
-    body.append(hot[i].second);
-  }
-  body.push_back(']');
-  auto reply = CallShard(target, rpc::FrameType::kWarm, body);
-  if (reply.ok() && reply->type == rpc::FrameType::kWarmReply) {
-    warm_hints_.fetch_add(1, std::memory_order_relaxed);
-    warm_keys_.fetch_add(hot.size(), std::memory_order_relaxed);
-  }
+  return RunWalk(KeyWalk(route_key, rpc::FrameType::kRecommend), payload);
 }
 
 StatusOr<std::string> Router::ForwardObserve(const std::string& route_key,
                                              const std::string& payload) {
-  return ForwardByKey(route_key, rpc::FrameType::kObserve,
-                      rpc::FrameType::kObserveReply, payload);
+  return RunWalk(KeyWalk(route_key, rpc::FrameType::kObserve), payload);
 }
 
 StatusOr<std::string> Router::CallAny(rpc::FrameType type,
                                       const std::string& payload) {
-  const rpc::FrameType expected_reply =
-      type == rpc::FrameType::kApps ? rpc::FrameType::kAppsReply
-                                    : rpc::FrameType::kReloadReply;
-  Status last = Status::ResourceExhausted("no shard reachable");
-  for (int pass = 0; pass < 2; ++pass) {
-    for (size_t index = 0; index < shards_.size(); ++index) {
-      const bool healthy =
-          shards_[index]->healthy.load(std::memory_order_relaxed);
-      if ((pass == 0) != healthy) continue;
-      auto reply = CallShard(index, type, payload);
-      if (!reply.ok()) {
-        last = reply.status();
-        continue;
-      }
-      if (reply->type == rpc::FrameType::kError) {
-        return net::StatusFromErrorJson(reply->payload);
-      }
-      if (reply->type != expected_reply) {
-        last = Status::Internal(
-            "unexpected reply frame type " +
-            std::to_string(static_cast<int>(reply->type)));
-        continue;
-      }
-      return std::move(reply->payload);
-    }
-  }
-  return Status::ResourceExhausted("all shards failed: " + last.message());
+  std::vector<size_t> order(shards_.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  return RunWalk(Walk(this, std::move(order), type), payload);
 }
 
 std::vector<Router::BroadcastResult> Router::Broadcast(
@@ -309,7 +263,9 @@ std::vector<Router::BroadcastResult> Router::Broadcast(
   std::vector<BroadcastResult> results;
   results.reserve(shards_.size());
   for (size_t index = 0; index < shards_.size(); ++index) {
+    const auto start = std::chrono::steady_clock::now();
     auto reply = CallShard(index, type, payload);
+    RecordAttempt(index, reply.ok(), start);
     StatusOr<std::string> outcome =
         !reply.ok() ? StatusOr<std::string>(reply.status())
         : reply->type == rpc::FrameType::kError
@@ -345,17 +301,19 @@ size_t Router::healthy_shards() const {
 }
 
 void Router::ProbeLoop() {
+  // One kept connection per shard; a probe redials only after a failure
+  // (Ping() closes the connection on any error). Probes borrow the connect
+  // timeout: a shard that cannot answer a ping quickly counts as down.
+  std::vector<std::unique_ptr<rpc::RpcClient>> clients;
+  for (size_t index = 0; index < shards_.size(); ++index) {
+    clients.push_back(std::make_unique<rpc::RpcClient>(
+        ClientOptions(index, options_.connect_timeout_ms)));
+  }
   while (!stop_.load(std::memory_order_relaxed)) {
-    for (auto& shard : shards_) {
+    for (size_t index = 0; index < shards_.size(); ++index) {
       if (stop_.load(std::memory_order_relaxed)) return;
-      rpc::RpcClient::Options copts;
-      copts.host = shard->host;
-      copts.port = shard->port;
-      copts.connect_timeout_ms = options_.connect_timeout_ms;
-      copts.call_timeout_ms = options_.connect_timeout_ms;
-      copts.limits = options_.limits;
-      rpc::RpcClient client(copts);
-      shard->healthy.store(client.Ping().ok(), std::memory_order_relaxed);
+      shards_[index]->healthy.store(clients[index]->Ping().ok(),
+                                    std::memory_order_relaxed);
       probes_.fetch_add(1, std::memory_order_relaxed);
     }
     // Sleep in small slices so Stop() is never blocked a full interval.
@@ -372,51 +330,89 @@ void Router::ProbeLoop() {
 
 RouterHttpServer::RouterHttpServer(Router* router, const Options& options)
     : router_(router),
+      forwarder_(std::make_unique<LoopForwarder>(router)),
       server_(
           options.http,
           [this](const net::HttpRequest& request) { return Handle(request); },
-          [this](const net::HttpRequest& request)
-              -> std::optional<net::HttpResponse> {
-            // Health must answer even when every handler thread is parked
-            // on a slow shard call.
-            const std::string path = request.Path();
-            if (path == "/livez" && request.method == "GET") {
-              return net::HttpResponse::Text(200, "ok\n");
-            }
-            if ((path == "/healthz" || path == "/readyz") &&
-                request.method == "GET") {
-              return router_->healthy_shards() > 0
-                         ? net::HttpResponse::Text(200, "ok\n")
-                         : net::ErrorResponse(Status::FailedPrecondition(
-                               "no healthy shards"));
-            }
-            return std::nullopt;
-          }) {}
+          [this](const net::HttpRequest& request) {
+            return HandleFast(request);
+          },
+          [this](const net::HttpRequest& request,
+                 const net::HttpServer::Reply& reply) {
+            return ForwardOnLoop(request, reply);
+          },
+          forwarder_.get()) {}
 
-net::HttpResponse RouterHttpServer::Handle(const net::HttpRequest& request) {
+RouterHttpServer::~RouterHttpServer() = default;
+
+std::optional<net::HttpResponse> RouterHttpServer::HandleFast(
+    const net::HttpRequest& request) {
+  if (request.method != "GET") return std::nullopt;
   const std::string path = request.Path();
-  if (path == "/livez") {
-    return net::HttpResponse::Text(200, "ok\n");
-  }
+  if (path == "/livez") return net::HttpResponse::Text(200, "ok\n");
   if (path == "/healthz" || path == "/readyz") {
     return router_->healthy_shards() > 0
                ? net::HttpResponse::Text(200, "ok\n")
                : net::ErrorResponse(
                      Status::FailedPrecondition("no healthy shards"));
   }
-  if (path == "/v1/recommend" && request.method == "POST") {
+  return std::nullopt;
+}
+
+bool RouterHttpServer::ForwardOnLoop(const net::HttpRequest& request,
+                                     const net::HttpServer::Reply& reply) {
+  if (request.method != "POST" || request.Path() != "/v1/recommend") {
+    return false;
+  }
+  // The router validates before forwarding: a 400 must not cost a network
+  // hop, and the parse yields the fields the route key hashes over.
+  auto json = net::Json::Parse(request.body);
+  if (!json.ok()) {
+    reply(net::ErrorResponse(json.status()));
+    return true;
+  }
+  // Batches fan out slot by slot over the blocking transport (pool path).
+  if (json->is_object() && json->Find("requests") != nullptr) return false;
+  auto route_key = SingleRouteKey(*json);
+  if (!route_key.ok()) {
+    reply(net::ErrorResponse(route_key.status()));
+    return true;
+  }
+  forwarder_->Forward(*route_key, request.body, reply);
+  return true;
+}
+
+net::HttpResponse RouterHttpServer::Handle(const net::HttpRequest& request) {
+  const std::string path = request.Path();
+  if (path == "/livez") {
+    if (request.method != "GET") return net::MethodNotAllowed("GET");
+    return net::HttpResponse::Text(200, "ok\n");
+  }
+  if (path == "/healthz" || path == "/readyz") {
+    if (request.method != "GET") return net::MethodNotAllowed("GET");
+    return router_->healthy_shards() > 0
+               ? net::HttpResponse::Text(200, "ok\n")
+               : net::ErrorResponse(
+                     Status::FailedPrecondition("no healthy shards"));
+  }
+  if (path == "/v1/recommend") {
+    if (request.method != "POST") return net::MethodNotAllowed("POST");
     return HandleRecommend(request);
   }
-  if (path == "/v1/observe" && request.method == "POST") {
+  if (path == "/v1/observe") {
+    if (request.method != "POST") return net::MethodNotAllowed("POST");
     return HandleObserve(request);
   }
-  if (path == "/v1/apps" && request.method == "GET") {
+  if (path == "/v1/apps") {
+    if (request.method != "GET") return net::MethodNotAllowed("GET");
     return HandleApps();
   }
-  if (path == "/v1/reload" && request.method == "POST") {
+  if (path == "/v1/reload") {
+    if (request.method != "POST") return net::MethodNotAllowed("POST");
     return HandleReload();
   }
-  if (path == "/metrics" && request.method == "GET") {
+  if (path == "/metrics") {
+    if (request.method != "GET") return net::MethodNotAllowed("GET");
     net::HttpResponse response = net::HttpResponse::Text(200, MetricsText());
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return response;
@@ -433,17 +429,12 @@ net::HttpResponse RouterHttpServer::HandleRecommend(
   const net::Json* batch =
       json->is_object() ? json->Find("requests") : nullptr;
   if (batch == nullptr) {
-    // The router validates before forwarding: a 400 must not cost a network
-    // hop, and the parse yields the fields the route key hashes over.
-    auto parsed = net::ParseRecommendRequest(*json);
-    if (!parsed.ok()) return net::ErrorResponse(parsed.status());
-    // Version 0 in the key: the router does not know shard model versions,
-    // and stability across reloads is exactly what keeps routing sticky.
-    const std::string route_key = service::PredictionCache::MakeKey(
-        parsed->app, 0, parsed->params, parsed->machine_type);
-    auto reply = router_->ForwardRecommend(route_key, json->Dump());
-    if (!reply.ok()) return net::ErrorResponse(reply.status());
-    return net::HttpResponse::JsonBody(200, std::move(reply).value());
+    // Same validation as the loop path (ForwardOnLoop), same bytes forwarded:
+    // the request body verbatim.
+    auto route_key = SingleRouteKey(*json);
+    if (!route_key.ok()) return net::ErrorResponse(route_key.status());
+    return ForwardedRecommendResponse(
+        router_->ForwardRecommend(*route_key, request.body));
   }
 
   if (!batch->is_array()) {
@@ -455,14 +446,13 @@ net::HttpResponse RouterHttpServer::HandleRecommend(
   std::vector<std::string> route_keys;
   route_keys.reserve(batch->array_items().size());
   for (size_t i = 0; i < batch->array_items().size(); ++i) {
-    auto parsed = net::ParseRecommendRequest(batch->array_items()[i]);
-    if (!parsed.ok()) {
+    auto route_key = SingleRouteKey(batch->array_items()[i]);
+    if (!route_key.ok()) {
       return net::ErrorResponse(
           Status::InvalidArgument("requests[" + std::to_string(i) +
-                                  "]: " + parsed.status().message()));
+                                  "]: " + route_key.status().message()));
     }
-    route_keys.push_back(service::PredictionCache::MakeKey(
-        parsed->app, 0, parsed->params, parsed->machine_type));
+    route_keys.push_back(std::move(route_key).value());
   }
   // Replies are raw JSON documents; splice them rather than reparse.
   std::string body = "{\"results\":[";
@@ -596,15 +586,6 @@ std::string RouterHttpServer::MetricsText() const {
                     "failure.");
   net::AppendSample(&out, "juggler_router_reroutes_total", "", "",
                     static_cast<double>(router_->reroutes()));
-  net::AppendHeader(&out, "juggler_router_warm_hints_total", "counter",
-                    "Cache warm hints sent to surviving shards after a "
-                    "failover reroute.");
-  net::AppendSample(&out, "juggler_router_warm_hints_total", "", "",
-                    static_cast<double>(router_->warm_hints()));
-  net::AppendHeader(&out, "juggler_router_warm_keys_total", "counter",
-                    "Hot questions forwarded across all warm hints.");
-  net::AppendSample(&out, "juggler_router_warm_keys_total", "", "",
-                    static_cast<double>(router_->warm_keys()));
   net::AppendHeader(&out, "juggler_router_probes_total", "counter",
                     "Health probes sent.");
   net::AppendSample(&out, "juggler_router_probes_total", "", "",
@@ -626,6 +607,12 @@ std::string RouterHttpServer::MetricsText() const {
                     "HTTP requests parsed.");
   net::AppendSample(&out, "juggler_http_requests_total", "", "",
                     static_cast<double>(http.requests));
+  net::AppendHeader(&out, "juggler_http_fast_path_total", "counter",
+                    "HTTP requests answered without a handler-pool hop: "
+                    "probes on the event loop, and recommend singles "
+                    "forwarded to their shard from the event loop.");
+  net::AppendSample(&out, "juggler_http_fast_path_total", "", "",
+                    static_cast<double>(http.fast_path));
   net::AppendHeader(&out, "juggler_http_overload_rejected_total", "counter",
                     "HTTP requests answered 503 by the dispatch-queue "
                     "guard.");

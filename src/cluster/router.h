@@ -2,8 +2,8 @@
 #define JUGGLER_CLUSTER_ROUTER_H_
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <optional>
 #include <string>
@@ -22,6 +22,8 @@
 
 namespace juggler::cluster {
 
+class LoopForwarder;
+
 /// \brief Consistent-hash router over a fixed fleet of JRPC shards.
 ///
 /// Each recommend question routes by hash of (app, params, machine) — the
@@ -29,9 +31,15 @@ namespace juggler::cluster {
 /// so a recurring question always lands on the shard whose cache is warm
 /// for it and whose lazy registry has its model resident.
 ///
+/// Two transports share one forwarding policy (`Walk`): the blocking one
+/// below (pooled RpcClients; batches, observe, apps, reload, and the public
+/// ForwardRecommend) and the router's loop path (`LoopForwarder`: pipelined
+/// RpcChannels on the HTTP event loop; single recommends).
+///
 /// Failure model:
-///  - a background prober pings every shard on a fixed cadence and flips a
-///    per-shard healthy bit; routing prefers healthy shards;
+///  - a background prober pings every shard on a fixed cadence over one
+///    kept connection per shard and flips a per-shard healthy bit; routing
+///    prefers healthy shards;
 ///  - a transport failure mid-request (dial, timeout, peer close, framing)
 ///    marks the shard unhealthy and reroutes the request to the next shard
 ///    in the key's preference order — the client sees one slower request,
@@ -110,14 +118,6 @@ class Router {
   uint64_t reroutes() const {
     return reroutes_.load(std::memory_order_relaxed);
   }
-  /// Warm hints sent to surviving shards after a failover reroute.
-  uint64_t warm_hints() const {
-    return warm_hints_.load(std::memory_order_relaxed);
-  }
-  /// Hot keys forwarded across all warm hints.
-  uint64_t warm_keys() const {
-    return warm_keys_.load(std::memory_order_relaxed);
-  }
   uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
   size_t healthy_shards() const;
   size_t shard_count() const { return shards_.size(); }
@@ -125,6 +125,8 @@ class Router {
   const HashRing& ring() const { return ring_; }
 
  private:
+  friend class LoopForwarder;
+
   struct Shard {
     Shard();
     std::string address;
@@ -134,9 +136,6 @@ class Router {
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> errors{0};
     service::LatencyHistogram latency;
-    /// steady_clock ms of the last warm hint sourced from this shard's keys
-    /// (cooldown so one failover burst sends one hint, not one per request).
-    std::atomic<int64_t> last_warm_ms{-1};
     /// Lock class "cluster.Router.shard_pool" (rank cluster=14): guards only
     /// the checkout/return vector. RpcClient Dial/Call/close all happen with
     /// the lock released (the `blocking-under-lock` lint rule enforces this).
@@ -144,38 +143,62 @@ class Router {
     std::vector<std::unique_ptr<rpc::RpcClient>> pool GUARDED_BY(pool_mu);
   };
 
-  /// One recently served recommend question: enough to re-issue it as a
-  /// cache pre-warm on another shard.
-  struct HotEntry {
-    std::string payload;  ///< The single-recommend request JSON, verbatim.
-    uint64_t hits = 0;
-    size_t owner = 0;  ///< Shard index that last served it.
+  /// \brief One request's walk over candidate shards: the forwarding policy
+  /// both transports share. Next() yields the healthy candidates in order,
+  /// then — as a last resort, the prober's view may be a probe interval
+  /// stale — the unhealthy ones, never a shard twice, counting every attempt
+  /// after the first as a reroute. Finish() books the attempt in the shard's
+  /// stats and health and maps its reply: a transport failure or an
+  /// unexpected frame moves on; a kError reply ends the walk with its Status
+  /// (the shard answered — a second shard would say the same, slower).
+  class Walk {
+   public:
+    Walk(Router* router, std::vector<size_t> order, rpc::FrameType type);
+
+    /// The request frame type every attempt sends.
+    rpc::FrameType type() const { return type_; }
+
+    /// The next shard to try, or nullopt once every candidate was tried.
+    std::optional<size_t> Next();
+
+    /// Books the attempt on `index` that started at `start`. Returns the
+    /// request's result when it ends the walk, nullopt to try Next().
+    std::optional<StatusOr<std::string>> Finish(
+        size_t index, StatusOr<rpc::RpcFrame> reply,
+        std::chrono::steady_clock::time_point start);
+
+    /// The result once Next() ran out: transient by construction (every
+    /// failure was transport-level), so 503-shaped.
+    Status Exhausted() const;
+
+   private:
+    Router* router_;
+    std::vector<size_t> order_;
+    rpc::FrameType type_;
+    rpc::FrameType expected_reply_;
+    std::vector<size_t> tried_;
+    int pass_ = 0;
+    size_t position_ = 0;
+    Status last_ = Status::ResourceExhausted("no shard reachable");
   };
 
-  /// One call against shard `index`: checkout (or dial) a pooled client,
-  /// send, and either return the client to the pool (success) or drop it
-  /// and mark the shard unhealthy (transport failure).
+  /// The walk for a keyed request: the key's ring preference order.
+  Walk KeyWalk(const std::string& route_key, rpc::FrameType type);
+
+  /// Books one attempt's outcome in shard `index`'s counters and health.
+  void RecordAttempt(size_t index, bool transport_ok,
+                     std::chrono::steady_clock::time_point start);
+
+  rpc::RpcClient::Options ClientOptions(size_t index,
+                                        int call_timeout_ms) const;
+
+  /// The blocking transport: checkout (or dial) a pooled client, call, and
+  /// return the client to the pool — or drop it on a transport failure.
   StatusOr<rpc::RpcFrame> CallShard(size_t index, rpc::FrameType type,
                                     const std::string& payload);
 
-  /// The shared preference-order forwarding loop behind ForwardRecommend
-  /// and ForwardObserve.
-  StatusOr<std::string> ForwardByKey(const std::string& route_key,
-                                     rpc::FrameType type,
-                                     rpc::FrameType expected_reply,
-                                     const std::string& payload);
-
-  /// Remembers a successfully served recommend question in the bounded
-  /// hot-key table (route_key -> payload/hits/owner shard).
-  void RecordHotKey(const std::string& route_key, const std::string& payload,
-                    size_t owner) EXCLUDES(hot_mu_);
-
-  /// After a failover reroute: best-effort kWarm to `target` carrying the
-  /// top-k hot questions last owned by the `failed` shards, so the survivor
-  /// pre-computes them instead of serving cold. Rate-limited per failed
-  /// shard; never blocks the rerouted request's response path on an error.
-  void MaybeSendWarmHint(const std::vector<size_t>& failed, size_t target)
-      EXCLUDES(hot_mu_);
+  /// Runs `walk` to its end over the blocking transport.
+  StatusOr<std::string> RunWalk(Walk walk, const std::string& payload);
 
   void ProbeLoop();
 
@@ -189,21 +212,16 @@ class Router {
 
   std::atomic<uint64_t> reroutes_{0};
   std::atomic<uint64_t> probes_{0};
-  std::atomic<uint64_t> warm_hints_{0};
-  std::atomic<uint64_t> warm_keys_{0};
-
-  /// Lock class "cluster.Router.hot_keys" (rank cluster=14): guards only the
-  /// bounded hot-key table; never held across an RPC (payloads are copied
-  /// out, then the kWarm call runs unlocked).
-  mutable Mutex hot_mu_ ACQUIRED_AFTER(lockdiag::kNetOrder);
-  std::map<std::string, HotEntry> hot_keys_ GUARDED_BY(hot_mu_);
 };
 
 /// \brief The HTTP face of the cluster: the standalone server's API, with
 /// every recommend forwarded to a shard instead of evaluated in-process.
 ///
-/// Endpoints (same wire shapes as HttpRecommendServer):
-///   POST /v1/recommend   routed by consistent hash; batches route per slot
+/// Endpoints (same wire shapes as HttpRecommendServer; a known path with
+/// the wrong method answers 405 with Allow):
+///   POST /v1/recommend   routed by consistent hash; singles are forwarded
+///                        from the event loop (LoopForwarder), batches
+///                        route per slot from the handler pool
 ///   POST /v1/observe     observations grouped by app, each group routed to
 ///                        the app's shard as a kObserve frame
 ///   GET  /v1/apps        answered by the first healthy shard
@@ -219,6 +237,7 @@ class RouterHttpServer {
   };
 
   RouterHttpServer(Router* router, const Options& options);
+  ~RouterHttpServer();
 
   [[nodiscard]] Status Start() { return server_.Start(); }
   void Stop() { server_.Stop(); }
@@ -227,19 +246,28 @@ class RouterHttpServer {
   const std::string& backend() const { return server_.backend(); }
   net::HttpServer::Stats http_stats() const { return server_.GetStats(); }
 
-  /// Full routing of one request. Public so tests can exercise routes
-  /// without a socket.
+  /// Full routing of one request over the blocking transport (the
+  /// handler-pool path). Public so tests can exercise routes without a
+  /// socket.
   net::HttpResponse Handle(const net::HttpRequest& request);
 
   std::string MetricsText() const;
 
  private:
+  /// Event-loop fast path: the GET health probes, which must answer even
+  /// while every handler thread waits on a slow shard.
+  std::optional<net::HttpResponse> HandleFast(const net::HttpRequest& request);
+  /// Event-loop deferred path: takes valid recommend singles and forwards
+  /// them through `forwarder_`; declines batches.
+  bool ForwardOnLoop(const net::HttpRequest& request,
+                     const net::HttpServer::Reply& reply);
   net::HttpResponse HandleRecommend(const net::HttpRequest& request);
   net::HttpResponse HandleObserve(const net::HttpRequest& request);
   net::HttpResponse HandleApps();
   net::HttpResponse HandleReload();
 
   Router* router_;  ///< Not owned; outlives the server.
+  std::unique_ptr<LoopForwarder> forwarder_;  ///< Loop-thread state.
   net::HttpServer server_;
 };
 

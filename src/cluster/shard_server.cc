@@ -30,22 +30,22 @@ ShardServer::ShardServer(
     : registry_(std::move(registry)),
       service_(std::move(service)),
       online_(options.online),
-      server_(options.rpc,
-              [this](const rpc::RpcFrame& request) { return Handle(request); }) {
+      server_(
+          options.rpc,
+          [this](const rpc::RpcFrame& request) { return Handle(request); },
+          [this](const rpc::RpcFrame& request) { return HandleFast(request); }) {
 }
 
 rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
   switch (request.type) {
     case rpc::FrameType::kRecommend:
-      return HandleRecommend(request);
+      return *HandleRecommend(request, /*resident_only=*/false);
     case rpc::FrameType::kApps:
       return HandleApps();
     case rpc::FrameType::kReload:
       return HandleReload();
     case rpc::FrameType::kObserve:
       return HandleObserve(request);
-    case rpc::FrameType::kWarm:
-      return HandleWarm(request);
     default:
       return ErrorFrame(Status::InvalidArgument(
           "unsupported frame type " +
@@ -53,15 +53,28 @@ rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
   }
 }
 
-rpc::RpcFrame ShardServer::HandleRecommend(const rpc::RpcFrame& request) {
+std::optional<rpc::RpcFrame> ShardServer::HandleFast(
+    const rpc::RpcFrame& request) {
+  if (request.type != rpc::FrameType::kRecommend) return std::nullopt;
+  return HandleRecommend(request, /*resident_only=*/true);
+}
+
+std::optional<rpc::RpcFrame> ShardServer::HandleRecommend(
+    const rpc::RpcFrame& request, bool resident_only) {
   auto json = net::Json::Parse(request.payload);
   if (!json.ok()) return ErrorFrame(json.status());
   auto parsed = net::ParseRecommendRequest(*json);
   if (!parsed.ok()) return ErrorFrame(parsed.status());
-  auto response = service_->Recommend(*parsed);
-  if (!response.ok()) return ErrorFrame(response.status());
+  std::optional<StatusOr<service::RecommendResponse>> response;
+  if (resident_only) {
+    response = service_->RecommendIfResident(*parsed);
+    if (!response.has_value()) return std::nullopt;  // Needs a lazy load.
+  } else {
+    response = service_->Recommend(*parsed);
+  }
+  if (!response->ok()) return ErrorFrame(response->status());
   return Reply(rpc::FrameType::kRecommendReply,
-               net::ResponseJson(parsed->app, *response).Dump());
+               net::ResponseJson(parsed->app, **response).Dump());
 }
 
 rpc::RpcFrame ShardServer::HandleObserve(const rpc::RpcFrame& request) {
@@ -81,30 +94,6 @@ rpc::RpcFrame ShardServer::HandleObserve(const rpc::RpcFrame& request) {
                           after.ingested - before.ingested)))
       .Set("buffered", net::Json::Number(static_cast<double>(after.buffered)));
   return Reply(rpc::FrameType::kObserveReply, out.Dump());
-}
-
-rpc::RpcFrame ShardServer::HandleWarm(const rpc::RpcFrame& request) {
-  auto json = net::Json::Parse(request.payload);
-  if (!json.ok()) return ErrorFrame(json.status());
-  if (!json->is_array()) {
-    return ErrorFrame(
-        Status::InvalidArgument("warm hint must be a JSON array"));
-  }
-  // Best effort by contract: unparsable entries are skipped (the router
-  // assembled this from requests another shard already served, so they
-  // normally all parse), and evaluation happens asynchronously — the reply
-  // only acknowledges that the warm-up was queued, it never waits for it.
-  size_t warmed = 0;
-  for (const net::Json& item : json->array_items()) {
-    auto parsed = net::ParseRecommendRequest(item);
-    if (!parsed.ok()) continue;
-    (void)service_->RecommendAsync(std::move(parsed).value());
-    ++warmed;
-  }
-  warms_.fetch_add(warmed, std::memory_order_relaxed);
-  net::Json out = net::Json::Obj();
-  out.Set("warmed", net::Json::Number(static_cast<double>(warmed)));
-  return Reply(rpc::FrameType::kWarmReply, out.Dump());
 }
 
 rpc::RpcFrame ShardServer::HandleApps() const {

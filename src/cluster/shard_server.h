@@ -1,9 +1,8 @@
 #ifndef JUGGLER_CLUSTER_SHARD_SERVER_H_
 #define JUGGLER_CLUSTER_SHARD_SERVER_H_
 
-#include <atomic>
-#include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 
@@ -31,11 +30,14 @@ namespace juggler::cluster {
 ///   kObserve    -> kObserveReply {"accepted":n,"buffered":n} | kError
 ///                  (observation batch in the online binary wire format;
 ///                  FAILED_PRECONDITION when the shard runs without --online)
-///   kWarm       -> kWarmReply {"warmed":n}: a best-effort cache pre-warm
-///                  hint from the router after failover — a JSON array of
-///                  recommend request docs the shard evaluates asynchronously
-///                  so rerouted hot questions land warm instead of cold
 ///   anything else -> kError INVALID_ARGUMENT
+///
+/// Where frames run: kPing, and every kRecommend whose model is resident
+/// (a cache hit or a microsecond evaluation, through
+/// RecommendationService::RecommendIfResident) or that fails validation,
+/// is answered inline on the shard's event loop (HandleFast). A recommend
+/// that needs a lazy model load, kObserve, kApps and kReload go to the
+/// handler pool (Handle).
 class ShardServer {
  public:
   struct Options {
@@ -59,20 +61,22 @@ class ShardServer {
   /// can exercise the protocol without a socket.
   rpc::RpcFrame Handle(const rpc::RpcFrame& request);
 
-  /// Requests pre-computed from router warm hints since construction.
-  uint64_t warms() const { return warms_.load(std::memory_order_relaxed); }
+  /// Event-loop fast path: the answer to a kRecommend that needs no model
+  /// load, or nullopt to fall through to Handle() on the pool.
+  std::optional<rpc::RpcFrame> HandleFast(const rpc::RpcFrame& request);
 
  private:
-  rpc::RpcFrame HandleRecommend(const rpc::RpcFrame& request);
+  /// The recommend answer path of both HandleFast (`resident_only`: nullopt
+  /// when the model is not in memory) and Handle.
+  std::optional<rpc::RpcFrame> HandleRecommend(const rpc::RpcFrame& request,
+                                               bool resident_only);
   rpc::RpcFrame HandleObserve(const rpc::RpcFrame& request);
-  rpc::RpcFrame HandleWarm(const rpc::RpcFrame& request);
   rpc::RpcFrame HandleApps() const;
   rpc::RpcFrame HandleReload();
 
   std::shared_ptr<service::ModelRegistry> registry_;
   std::shared_ptr<service::RecommendationService> service_;
   std::shared_ptr<online::OnlineJuggler> online_;
-  std::atomic<uint64_t> warms_{0};
   rpc::RpcServer server_;
 };
 

@@ -21,9 +21,11 @@ constexpr int kLoopTickMs = 50;
 }  // namespace
 
 EventLoopServer::EventLoopServer(const Options& options,
-                                 std::unique_ptr<const Codec> codec)
+                                 std::unique_ptr<const Codec> codec,
+                                 LoopAgent* agent)
     : options_(options),
       codec_(std::move(codec)),
+      agent_(agent),
       mu_(lockdiag::RegisterLockClass("net.EventLoopServer.completions",
                                       lockdiag::kRankNet)) {}
 
@@ -109,6 +111,7 @@ void EventLoopServer::WakeLoop() {
 
 void EventLoopServer::LoopMain() {
   std::vector<Poller::Event> events;
+  if (agent_ != nullptr) agent_->OnStart(poller_.get());
   while (!stop_.load(std::memory_order_acquire)) {
     if (Status status = poller_->Wait(kLoopTickMs, &events); !status.ok()) {
       break;  // Poller broken (fd table exhausted, ...): shut down.
@@ -126,11 +129,20 @@ void EventLoopServer::LoopMain() {
         AcceptPending();
         continue;
       }
-      HandleConnectionEvent(event);
+      const auto connection = connection_by_fd_.find(event.fd);
+      if (connection != connection_by_fd_.end()) {
+        HandleConnectionEvent(event, connection->second);
+      } else if (agent_ != nullptr) {
+        // The agent's own descriptor, or one closed earlier this batch
+        // (which the agent does not know either).
+        agent_->OnEvent(event);
+      }
     }
     ApplyCompletions();
+    if (agent_ != nullptr) agent_->AfterEvents();
     SweepConnections();
   }
+  if (agent_ != nullptr) agent_->OnStop();
   // Loop exit: close every connection (the loop thread owns them all).
   for (auto& [id, conn] : connections_) {
     poller_->Remove(conn->fd);
@@ -189,10 +201,8 @@ void EventLoopServer::CloseConnection(uint64_t id) {
   connections_.erase(it);
 }
 
-void EventLoopServer::HandleConnectionEvent(const Poller::Event& event) {
-  const auto fd_it = connection_by_fd_.find(event.fd);
-  if (fd_it == connection_by_fd_.end()) return;  // Closed earlier this batch.
-  const uint64_t id = fd_it->second;
+void EventLoopServer::HandleConnectionEvent(const Poller::Event& event,
+                                            uint64_t id) {
   Connection* conn = FindConnection(id);
   if (conn == nullptr) return;
 
@@ -229,6 +239,8 @@ void EventLoopServer::HandleConnectionEvent(const Poller::Event& event) {
 
 void EventLoopServer::PumpRequests(Connection* conn) {
   Decoder& decoder = *conn->decoder;
+  const uint64_t outer_pump = pumping_id_;
+  pumping_id_ = conn->id;
   while (!conn->handler_inflight && !conn->close_after_write) {
     const Decoder::State state = decoder.Next();
     if (state == Decoder::State::kNeedMore) break;
@@ -243,13 +255,25 @@ void EventLoopServer::PumpRequests(Connection* conn) {
     requests_.fetch_add(1, std::memory_order_relaxed);
     conn->last_activity = Clock::now();
     conn->read_start = {};  // Complete request: the next one gets a fresh clock.
-    if (decoder.AnswerInline(&conn->out)) {
-      fast_path_.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      DispatchToPool(conn);
+    // The slot is taken before the codec runs: a deferred answer may reply
+    // right away (a validation error), which frees it again.
+    conn->handler_inflight = true;
+    switch (decoder.AnswerInline(Deferred(this, conn->id), &conn->out)) {
+      case Decoder::Answer::kInline:
+        conn->handler_inflight = false;
+        fast_path_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case Decoder::Answer::kDeferred:
+        fast_path_.fetch_add(1, std::memory_order_relaxed);
+        break;
+      case Decoder::Answer::kPool:
+        conn->handler_inflight = false;
+        DispatchToPool(conn);
+        break;
     }
     if (!decoder.keep_alive()) conn->close_after_write = true;
   }
+  pumping_id_ = outer_pump;
 
   // Header-read deadline: armed while a partial request sits in the buffer,
   // disarmed when the buffer drains. last_activity is *not* the anchor —
@@ -289,16 +313,34 @@ void EventLoopServer::ApplyCompletions() {
   for (Completion& completion : ready) {
     Connection* conn = FindConnection(completion.connection_id);
     if (conn == nullptr) continue;  // Connection died while handling.
-    conn->out += completion.bytes;
-    conn->handler_inflight = false;
-    conn->last_activity = Clock::now();
-    if (conn->read_paused &&
-        conn->decoder->buffered_bytes() <= codec_->read_pause_bytes()) {
-      conn->read_paused = false;
-    }
-    PumpRequests(conn);  // Pipelined requests waiting in the buffer.
-    FlushWrites(conn);
+    FinishInflight(conn, std::move(completion.bytes));
   }
+}
+
+void EventLoopServer::ReplyDeferred(uint64_t connection_id,
+                                    std::string bytes) {
+  Connection* conn = FindConnection(connection_id);
+  // Gone (client closed meanwhile) or not waiting: nothing to answer.
+  if (conn == nullptr || !conn->handler_inflight) return;
+  FinishInflight(conn, std::move(bytes));
+}
+
+void EventLoopServer::FinishInflight(Connection* conn, std::string bytes) {
+  if (conn->out.empty()) {
+    conn->out = std::move(bytes);
+  } else {
+    conn->out += bytes;
+  }
+  conn->handler_inflight = false;
+  conn->last_activity = Clock::now();
+  if (conn->read_paused &&
+      conn->decoder->buffered_bytes() <= codec_->read_pause_bytes()) {
+    conn->read_paused = false;
+  }
+  // Replied from inside this connection's own pump: it continues there.
+  if (conn->id == pumping_id_) return;
+  PumpRequests(conn);  // Pipelined requests waiting in the buffer.
+  FlushWrites(conn);
 }
 
 void EventLoopServer::FlushWrites(Connection* conn) {

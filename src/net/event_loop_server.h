@@ -9,6 +9,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/mutex.h"
@@ -28,13 +29,16 @@ namespace juggler::net {
 ///  - The loop thread accepts, reads, decodes, writes, and sweeps
 ///    connections. Connection state belongs to it exclusively — no locks on
 ///    the I/O path.
-///  - A complete request is either answered inline by the codec (CPU-only
-///    work of a few microseconds) or turned into a job for the handler pool.
-///    The pool thread runs the job and hands the reply bytes back to the
-///    loop through a mutex-guarded completion list + wake pipe.
-///  - Per connection, at most one request is in the pool at a time;
-///    pipelined requests wait in the connection's decode buffer, so replies
-///    always leave in request order.
+///  - A complete request is answered inline by the codec (CPU-only work of
+///    a few microseconds), deferred, or turned into a job for the handler
+///    pool. The pool thread runs the job and hands the reply bytes back to
+///    the loop through a mutex-guarded completion list + wake pipe.
+///  - A deferred request is answered later *on the loop thread*, from I/O
+///    the loop drives for an optional `LoopAgent` (the router's pipelined
+///    shard connections live in this same poller); no thread hop at all.
+///  - Per connection, at most one request is in flight (in the pool or
+///    deferred) at a time; pipelined requests wait in the connection's
+///    decode buffer, so replies always leave in request order.
 ///
 /// Hostile-input guarantees, identical on every edge:
 ///  - a full dispatch queue (or the connection limit) gets the codec's
@@ -75,7 +79,9 @@ class EventLoopServer {
     uint64_t accepted = 0;           ///< Connections accepted.
     uint64_t active = 0;             ///< Currently open connections.
     uint64_t requests = 0;           ///< Complete requests decoded.
-    uint64_t fast_path = 0;          ///< Answered inline on the loop thread.
+    /// Answered on the loop thread without a handler-pool hop: inline, or
+    /// deferred and completed by the loop (router forwards).
+    uint64_t fast_path = 0;
     uint64_t overload_rejected = 0;  ///< Overload replies (queue or conns).
     uint64_t parse_errors = 0;       ///< Protocol errors (connection closed).
     uint64_t idle_closed = 0;        ///< Connections reaped by idle timeout.
@@ -86,6 +92,41 @@ class EventLoopServer {
   /// Turns one request into its reply bytes on a handler-pool thread; may
   /// block (e.g. on a model evaluation or a downstream call).
   using Job = std::function<std::string()>;
+
+  /// \brief Handle to one deferred request: Reply() sends its answer. Loop
+  /// thread only, at most once; a reply for a connection that has closed
+  /// meanwhile is dropped.
+  class Deferred {
+   public:
+    Deferred(EventLoopServer* server, uint64_t connection_id)
+        : server_(server), connection_id_(connection_id) {}
+    void Reply(std::string bytes) const {
+      server_->ReplyDeferred(connection_id_, std::move(bytes));
+    }
+
+   private:
+    EventLoopServer* server_;
+    uint64_t connection_id_;
+  };
+
+  /// \brief Descriptors and deadlines the loop thread drives besides its own
+  /// connections — the router's non-blocking shard connections, whose
+  /// replies complete Deferred requests. Every call is on the loop thread.
+  class LoopAgent {
+   public:
+    virtual ~LoopAgent() = default;
+    /// Before the first wait: the poller the agent registers its
+    /// descriptors with (Add/Update/Remove; never Wait).
+    virtual void OnStart(Poller* poller) = 0;
+    /// Readiness of a descriptor that is not one of the server's own.
+    virtual void OnEvent(const Poller::Event& event) = 0;
+    /// After each batch of events and pool completions: flush the writes
+    /// the batch queued, expire deadlines.
+    virtual void AfterEvents() = 0;
+    /// Loop exit: close every descriptor (deferred requests die with their
+    /// connections).
+    virtual void OnStop() = 0;
+  };
 
   /// \brief One connection's side of the protocol: decodes the bytes the
   /// loop feeds it and frames the replies. Owned and touched by the loop
@@ -103,9 +144,13 @@ class EventLoopServer {
     /// False when the connection closes after this request's reply. Before
     /// any request it is false, so a refused connection is told to close.
     virtual bool keep_alive() const = 0;
-    /// Appends the inline answer and returns true, or returns false to send
-    /// the request to the pool. Must not block.
-    virtual bool AnswerInline(std::string* out) = 0;
+    enum class Answer {
+      kInline,    ///< The reply was appended to `out`.
+      kDeferred,  ///< `deferred.Reply()` sends it later (or already did).
+      kPool,      ///< Send the request to the pool (TakeJob()).
+    };
+    /// Answers the request on the loop thread if it can. Must not block.
+    virtual Answer AnswerInline(const Deferred& deferred, std::string* out) = 0;
     /// Moves the request into the job that answers it on the pool.
     virtual Job TakeJob() = 0;
     /// Appends the reply to a request the full pool cannot take (before
@@ -128,7 +173,9 @@ class EventLoopServer {
     virtual size_t read_pause_bytes() const = 0;
   };
 
-  EventLoopServer(const Options& options, std::unique_ptr<const Codec> codec);
+  /// `agent` (optional, not owned) must outlive the server.
+  EventLoopServer(const Options& options, std::unique_ptr<const Codec> codec,
+                  LoopAgent* agent = nullptr);
   ~EventLoopServer();
 
   EventLoopServer(const EventLoopServer&) = delete;
@@ -158,7 +205,8 @@ class EventLoopServer {
     uint64_t id = 0;
     std::unique_ptr<Decoder> decoder;
     std::string out;                ///< Bytes awaiting write.
-    bool handler_inflight = false;  ///< A request is in the pool right now.
+    /// A request is in the pool or deferred right now.
+    bool handler_inflight = false;
     /// Close once `out` drains and nothing is in flight.
     bool close_after_write = false;
     bool read_closed = false;  ///< Peer half-closed or poisoned decoder.
@@ -184,10 +232,13 @@ class EventLoopServer {
   void LoopMain();
   void WakeLoop();
   void AcceptPending();
-  void HandleConnectionEvent(const Poller::Event& event);
+  void HandleConnectionEvent(const Poller::Event& event, uint64_t id);
   /// Decodes as many buffered requests as can be answered or dispatched now.
   void PumpRequests(Connection* conn);
   void DispatchToPool(Connection* conn);
+  /// Delivers the in-flight request's reply and resumes the connection.
+  void FinishInflight(Connection* conn, std::string bytes);
+  void ReplyDeferred(uint64_t connection_id, std::string bytes);
   /// Flushes the write buffer; adjusts write interest; may close `conn`.
   void FlushWrites(Connection* conn);
   void ApplyCompletions() EXCLUDES(mu_);
@@ -199,6 +250,7 @@ class EventLoopServer {
 
   const Options options_;
   const std::unique_ptr<const Codec> codec_;
+  LoopAgent* const agent_;
 
   // Immutable after Start().
   int listen_fd_ = -1;
@@ -212,6 +264,9 @@ class EventLoopServer {
   std::map<uint64_t, std::unique_ptr<Connection>> connections_;
   std::map<int, uint64_t> connection_by_fd_;
   uint64_t next_connection_id_ = 1;
+  /// The connection PumpRequests() is decoding (0: none); a deferred reply
+  /// sent from inside it leaves the resuming to that pump.
+  uint64_t pumping_id_ = 0;
 
   std::unique_ptr<service::ThreadPool> pool_;
   std::thread loop_thread_;

@@ -10,19 +10,6 @@
 
 namespace juggler::net {
 
-namespace {
-
-HttpResponse MethodNotAllowed(const std::string& allow) {
-  HttpResponse response = HttpResponse::JsonBody(
-      405, ErrorJson(Status::InvalidArgument("method not allowed; use " +
-                                             allow))
-               .Dump());
-  response.headers.emplace_back("Allow", allow);
-  return response;
-}
-
-}  // namespace
-
 HttpRecommendServer::HttpRecommendServer(
     std::shared_ptr<service::ModelRegistry> registry,
     std::shared_ptr<service::RecommendationService> service,

@@ -18,10 +18,12 @@ HttpResponse OverloadResponse() {
 class HttpCodec final : public EventLoopServer::Codec {
  public:
   HttpCodec(const HttpParser::Limits& limits, HttpServer::Handler handler,
-            HttpServer::FastHandler fast_handler)
+            HttpServer::FastHandler fast_handler,
+            HttpServer::DeferHandler defer_handler)
       : limits_(limits),
         handler_(std::move(handler)),
-        fast_handler_(std::move(fast_handler)) {}
+        fast_handler_(std::move(fast_handler)),
+        defer_handler_(std::move(defer_handler)) {}
 
   std::unique_ptr<EventLoopServer::Decoder> NewDecoder() const override {
     return std::make_unique<Decoder>(this);
@@ -58,12 +60,22 @@ class HttpCodec final : public EventLoopServer::Codec {
 
     bool keep_alive() const override { return keep_alive_; }
 
-    bool AnswerInline(std::string* out) override {
-      if (!codec_->fast_handler_) return false;
-      std::optional<HttpResponse> fast = codec_->fast_handler_(result_.request);
-      if (!fast) return false;
-      *out += SerializeResponse(*fast, keep_alive_);
-      return true;
+    Answer AnswerInline(const EventLoopServer::Deferred& deferred,
+                        std::string* out) override {
+      if (codec_->fast_handler_) {
+        std::optional<HttpResponse> fast =
+            codec_->fast_handler_(result_.request);
+        if (fast) {
+          *out += SerializeResponse(*fast, keep_alive_);
+          return Answer::kInline;
+        }
+      }
+      if (codec_->defer_handler_ &&
+          codec_->defer_handler_(result_.request,
+                                 HttpServer::Reply(deferred, keep_alive_))) {
+        return Answer::kDeferred;
+      }
+      return Answer::kPool;
     }
 
     EventLoopServer::Job TakeJob() override {
@@ -97,14 +109,18 @@ class HttpCodec final : public EventLoopServer::Codec {
   const HttpParser::Limits limits_;
   const HttpServer::Handler handler_;
   const HttpServer::FastHandler fast_handler_;
+  const HttpServer::DeferHandler defer_handler_;
 };
 
 }  // namespace
 
 HttpServer::HttpServer(const Options& options, Handler handler,
-                       FastHandler fast_handler)
-    : EventLoopServer(options, std::make_unique<HttpCodec>(
-                                   options.limits, std::move(handler),
-                                   std::move(fast_handler))) {}
+                       FastHandler fast_handler, DeferHandler defer_handler,
+                       LoopAgent* agent)
+    : EventLoopServer(options,
+                      std::make_unique<HttpCodec>(
+                          options.limits, std::move(handler),
+                          std::move(fast_handler), std::move(defer_handler)),
+                      agent) {}
 
 }  // namespace juggler::net

@@ -11,10 +11,11 @@ namespace juggler::net {
 
 /// \brief Non-blocking HTTP/1.1 front end: an EventLoopServer speaking HTTP.
 ///
-/// A complete request is either answered inline by the optional
-/// `FastHandler` (health checks, cache hits, resident-model evaluations) or
-/// run through the `Handler` on the handler pool; the response is serialized
-/// with the request's keep-alive choice.
+/// A complete request is answered inline by the optional `FastHandler`
+/// (health checks, cache hits, resident-model evaluations), taken by the
+/// optional `DeferHandler` and answered later on the loop thread (the
+/// router's forwards), or run through the `Handler` on the handler pool; the
+/// response is serialized with the request's keep-alive choice.
 ///
 /// Backpressure contract (the RecommendationService policy, preserved at the
 /// socket edge): when the handler pool's bounded queue is full the server
@@ -42,8 +43,33 @@ class HttpServer : public EventLoopServer {
   using FastHandler =
       std::function<std::optional<HttpResponse>(const HttpRequest&)>;
 
+  /// Sends the response to one deferred request: on the loop thread, once.
+  class Reply {
+   public:
+    Reply(EventLoopServer::Deferred deferred, bool keep_alive)
+        : deferred_(deferred), keep_alive_(keep_alive) {}
+    void operator()(const HttpResponse& response) const {
+      deferred_.Reply(SerializeResponse(response, keep_alive_));
+    }
+
+   private:
+    EventLoopServer::Deferred deferred_;
+    bool keep_alive_;
+  };
+
+  /// Optional loop-thread handler for what the FastHandler declined. Return
+  /// true to take the request: `reply` must then be called exactly once, on
+  /// the loop thread — right away, or later from the `agent`'s I/O. Return
+  /// false to fall through to the pool. Same no-blocking rule as the
+  /// FastHandler.
+  using DeferHandler = std::function<bool(const HttpRequest&, const Reply&)>;
+
+  /// `agent` (optional, not owned) drives the I/O that completes deferred
+  /// requests; see EventLoopServer::LoopAgent.
   HttpServer(const Options& options, Handler handler,
-             FastHandler fast_handler = nullptr);
+             FastHandler fast_handler = nullptr,
+             DeferHandler defer_handler = nullptr,
+             LoopAgent* agent = nullptr);
 };
 
 }  // namespace juggler::net

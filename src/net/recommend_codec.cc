@@ -271,4 +271,13 @@ HttpResponse ErrorResponse(const Status& status) {
   return response;
 }
 
+HttpResponse MethodNotAllowed(const std::string& allow) {
+  HttpResponse response = HttpResponse::JsonBody(
+      405, ErrorJson(Status::InvalidArgument("method not allowed; use " +
+                                             allow))
+               .Dump());
+  response.headers.emplace_back("Allow", allow);
+  return response;
+}
+
 }  // namespace juggler::net

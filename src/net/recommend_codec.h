@@ -52,6 +52,10 @@ Json ResponseJson(const std::string& app,
 /// error body; 503 carries Retry-After).
 HttpResponse ErrorResponse(const Status& status);
 
+/// 405 for a known path asked with the wrong method; `allow` is the one
+/// method it takes (also sent as the Allow header).
+HttpResponse MethodNotAllowed(const std::string& allow);
+
 /// Decodes the JSON form of POST /v1/observe: a top-level array of
 ///   {"kind":"run_time"|"dataset_size"|"serve_latency","app":"svm",
 ///    "target":N,"params":{"examples":N,"features":N,"iterations":N},

@@ -95,8 +95,7 @@ StatusOr<int> AcceptNonBlocking(int listen_fd) {
   }
 }
 
-StatusOr<int> ConnectTcp(const std::string& host, uint16_t port,
-                         int timeout_ms) {
+StatusOr<int> StartConnectTcp(const std::string& host, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -117,30 +116,54 @@ StatusOr<int> ConnectTcp(const std::string& host, uint16_t port,
     CloseFd(fd);
     return status;
   }
-  if (rc != 0) {
-    // Non-blocking connect in flight: writability signals the outcome.
-    auto ready = WaitFd(fd, /*want_write=*/true, timeout_ms);
-    if (!ready.ok()) {
-      CloseFd(fd);
-      return ready.status();
-    }
-    if (!*ready) {
-      CloseFd(fd);
-      return Status::Aborted("connect " + host + ":" + std::to_string(port) +
-                             " timed out after " + std::to_string(timeout_ms) +
-                             " ms");
-    }
-    int so_error = 0;
-    socklen_t len = sizeof(so_error);
-    if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0 ||
-        so_error != 0) {
-      CloseFd(fd);
-      return Status::Internal("connect " + host + ":" +
-                              std::to_string(port) + ": " +
-                              std::strerror(so_error != 0 ? so_error : errno));
-    }
-  }
   SetTcpNoDelay(fd);
+  return fd;
+}
+
+StatusOr<bool> ConnectDone(int fd) {
+  int so_error = 0;
+  socklen_t len = sizeof(so_error);
+  if (::getsockopt(fd, SOL_SOCKET, SO_ERROR, &so_error, &len) != 0) {
+    return Errno("getsockopt(SO_ERROR)");
+  }
+  if (so_error != 0) {
+    return Status::Internal(std::strerror(so_error));
+  }
+  // No pending error yet says nothing on its own: a writable readiness the
+  // caller saw may be stale, so only a known peer proves the handshake done.
+  sockaddr_in peer{};
+  socklen_t peer_len = sizeof(peer);
+  if (::getpeername(fd, reinterpret_cast<sockaddr*>(&peer), &peer_len) == 0) {
+    return true;
+  }
+  if (errno == ENOTCONN) return false;
+  return Errno("getpeername");
+}
+
+StatusOr<int> ConnectTcp(const std::string& host, uint16_t port,
+                         int timeout_ms) {
+  auto fd = StartConnectTcp(host, port);
+  if (!fd.ok()) return fd.status();
+  // Non-blocking connect in flight: writability signals the outcome.
+  auto ready = WaitFd(*fd, /*want_write=*/true, timeout_ms);
+  if (!ready.ok()) {
+    CloseFd(*fd);
+    return ready.status();
+  }
+  if (!*ready) {
+    CloseFd(*fd);
+    return Status::Aborted("connect " + host + ":" + std::to_string(port) +
+                           " timed out after " + std::to_string(timeout_ms) +
+                           " ms");
+  }
+  auto done = ConnectDone(*fd);
+  if (!done.ok() || !*done) {
+    CloseFd(*fd);
+    return Status::Internal("connect " + host + ":" + std::to_string(port) +
+                            ": " +
+                            (done.ok() ? std::string("not connected")
+                                       : done.status().message()));
+  }
   return fd;
 }
 

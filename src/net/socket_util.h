@@ -35,6 +35,17 @@ void SetTcpNoDelay(int fd);
 /// real failures.
 [[nodiscard]] StatusOr<int> AcceptNonBlocking(int listen_fd);
 
+/// Starts a non-blocking dial of `host:port` (numeric IPv4) and returns the
+/// socket at once (non-blocking, close-on-exec, TCP_NODELAY): the connect may
+/// still be in flight. Wait for writability, then ask ConnectDone().
+[[nodiscard]] StatusOr<int> StartConnectTcp(const std::string& host,
+                                            uint16_t port);
+
+/// Outcome of a dial started by StartConnectTcp(): true once connected,
+/// false while the handshake is still in flight, an error Status when it
+/// failed (refused, unreachable, ...).
+[[nodiscard]] StatusOr<bool> ConnectDone(int fd);
+
 /// Dials `host:port` (numeric IPv4) and waits up to `timeout_ms` for the
 /// connect to complete. Returns a connected non-blocking, close-on-exec
 /// socket with TCP_NODELAY set. Aborted on timeout, Internal on refusal.

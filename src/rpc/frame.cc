@@ -46,18 +46,23 @@ uint64_t ReadU64(const char* p) {
 
 bool IsKnownFrameType(uint8_t value) {
   return value >= static_cast<uint8_t>(FrameType::kPing) &&
-         value <= static_cast<uint8_t>(FrameType::kWarmReply);
+         value <= static_cast<uint8_t>(FrameType::kObserveReply);
+}
+
+void AppendFrame(FrameType type, uint64_t request_id, std::string_view payload,
+                 std::string* out) {
+  out->reserve(out->size() + kFrameHeaderBytes + payload.size());
+  out->append(kFrameMagic, sizeof(kFrameMagic));
+  out->push_back(static_cast<char>(kProtocolVersion));
+  out->push_back(static_cast<char>(type));
+  AppendU16(out, 0);  // Reserved.
+  AppendU64(out, request_id);
+  AppendU32(out, static_cast<uint32_t>(payload.size()));
+  out->append(payload);
 }
 
 void AppendFrame(const RpcFrame& frame, std::string* out) {
-  out->reserve(out->size() + kFrameHeaderBytes + frame.payload.size());
-  out->append(kFrameMagic, sizeof(kFrameMagic));
-  out->push_back(static_cast<char>(kProtocolVersion));
-  out->push_back(static_cast<char>(frame.type));
-  AppendU16(out, 0);  // Reserved.
-  AppendU64(out, frame.request_id);
-  AppendU32(out, static_cast<uint32_t>(frame.payload.size()));
-  out->append(frame.payload);
+  AppendFrame(frame.type, frame.request_id, frame.payload, out);
 }
 
 std::string EncodeFrame(const RpcFrame& frame) {

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <string>
+#include <string_view>
 
 namespace juggler::rpc {
 
@@ -37,9 +38,6 @@ enum class FrameType : uint8_t {
   kError = 9,           ///< Payload: {"error":{"code":...,"message":...}}.
   kObserve = 10,        ///< Payload: observation batch (online wire format).
   kObserveReply = 11,   ///< Payload: {"accepted":n,"buffered":n}.
-  kWarm = 12,           ///< Payload: JSON array of recommend request docs;
-                        ///< best-effort cache pre-warm hint after failover.
-  kWarmReply = 13,      ///< Payload: {"warmed":n}.
 };
 
 /// True when `value` is one of the FrameType enumerators above.
@@ -60,6 +58,8 @@ std::string EncodeFrame(const RpcFrame& frame);
 
 /// Appends the serialized frame to `out` (the event loop's write buffer).
 void AppendFrame(const RpcFrame& frame, std::string* out);
+void AppendFrame(FrameType type, uint64_t request_id, std::string_view payload,
+                 std::string* out);
 
 /// \brief Incremental frame decoder for one connection.
 ///

@@ -11,8 +11,12 @@ namespace juggler::rpc {
 
 /// \brief Synchronous JRPC client: one connection, one request in flight.
 ///
-/// The router keeps a small pool of these per shard (checkout/checkin), so
-/// a single client never needs internal locking — it is NOT thread-safe.
+/// It serves the router's blocking routes — batches, observe, apps, reload,
+/// and the public Router::ForwardRecommend — from a small pool per shard
+/// (checkout/checkin), and its prober, one kept client per shard; a single
+/// client never needs internal locking — it is NOT thread-safe. Recommend
+/// singles from the router's event loop use the non-blocking, pipelined
+/// RpcChannel instead.
 ///
 /// Failure model: any transport problem (dial failure, deadline, peer close,
 /// protocol error) closes the connection and surfaces as a non-OK Status —

@@ -22,8 +22,11 @@ void AppendError(uint64_t request_id, const char* code,
 
 class FrameCodec final : public net::EventLoopServer::Codec {
  public:
-  FrameCodec(const FrameDecoder::Limits& limits, RpcServer::Handler handler)
-      : limits_(limits), handler_(std::move(handler)) {}
+  FrameCodec(const FrameDecoder::Limits& limits, RpcServer::Handler handler,
+             RpcServer::FastHandler fast_handler)
+      : limits_(limits),
+        handler_(std::move(handler)),
+        fast_handler_(std::move(fast_handler)) {}
 
   std::unique_ptr<net::EventLoopServer::Decoder> NewDecoder() const override {
     return std::make_unique<Decoder>(this);
@@ -63,14 +66,18 @@ class FrameCodec final : public net::EventLoopServer::Codec {
     // Connections stay open across frames; only errors close them.
     bool keep_alive() const override { return true; }
 
-    bool AnswerInline(std::string* out) override {
-      if (result_.frame.type != FrameType::kPing) return false;
-      RpcFrame pong;
-      pong.type = FrameType::kPong;
-      pong.request_id = request_id_;
-      pong.payload = std::move(result_.frame.payload);
-      AppendFrame(pong, out);
-      return true;
+    Answer AnswerInline(const net::EventLoopServer::Deferred& /*deferred*/,
+                        std::string* out) override {
+      if (result_.frame.type == FrameType::kPing) {
+        AppendFrame(FrameType::kPong, request_id_, result_.frame.payload, out);
+        return Answer::kInline;
+      }
+      if (!codec_->fast_handler_) return Answer::kPool;
+      std::optional<RpcFrame> reply = codec_->fast_handler_(result_.frame);
+      if (!reply) return Answer::kPool;
+      reply->request_id = request_id_;
+      AppendFrame(*reply, out);
+      return Answer::kInline;
     }
 
     net::EventLoopServer::Job TakeJob() override {
@@ -101,13 +108,16 @@ class FrameCodec final : public net::EventLoopServer::Codec {
 
   const FrameDecoder::Limits limits_;
   const RpcServer::Handler handler_;
+  const RpcServer::FastHandler fast_handler_;
 };
 
 }  // namespace
 
-RpcServer::RpcServer(const Options& options, Handler handler)
+RpcServer::RpcServer(const Options& options, Handler handler,
+                     FastHandler fast_handler)
     : net::EventLoopServer(
-          options, std::make_unique<FrameCodec>(options.limits,
-                                                std::move(handler))) {}
+          options,
+          std::make_unique<FrameCodec>(options.limits, std::move(handler),
+                                       std::move(fast_handler))) {}
 
 }  // namespace juggler::rpc

@@ -2,6 +2,7 @@
 #define JUGGLER_RPC_RPC_SERVER_H_
 
 #include <functional>
+#include <optional>
 
 #include "net/event_loop_server.h"
 #include "rpc/frame.h"
@@ -14,8 +15,10 @@ namespace juggler::rpc {
 /// Protocol behavior:
 ///  - kPing is answered inline on the loop thread (health probes must not
 ///    queue behind model evaluations);
-///  - every other frame runs the Handler on the pool; the returned frame is
-///    sent with the request's id stamped in;
+///  - the optional FastHandler may answer any other frame inline on the
+///    loop thread (the shard's resident-model recommends);
+///  - every other frame runs the Handler on the pool. Either way the reply
+///    is sent with the request's id stamped in;
 ///  - a full dispatch queue answers kError RESOURCE_EXHAUSTED immediately —
 ///    bounded queues shed at the edge, never park unboundedly. The payload
 ///    keeps the HTTP API's error JSON shape so the router can map it back
@@ -34,7 +37,15 @@ class RpcServer : public net::EventLoopServer {
   /// The returned frame's request_id is overwritten with the request's.
   using Handler = std::function<RpcFrame(const RpcFrame&)>;
 
-  RpcServer(const Options& options, Handler handler);
+  /// Optional fast path, run on the event-loop thread before dispatching:
+  /// return a reply frame to answer inline (its request_id is overwritten),
+  /// or nullopt to fall through to the pool. Every connection waits while
+  /// it runs, so the same rule as HttpServer::FastHandler holds: no disk or
+  /// network I/O, no waiting on other threads.
+  using FastHandler = std::function<std::optional<RpcFrame>(const RpcFrame&)>;
+
+  RpcServer(const Options& options, Handler handler,
+            FastHandler fast_handler = nullptr);
 };
 
 }  // namespace juggler::rpc

@@ -1,11 +1,20 @@
 // Tests for the src/cluster subsystem: HashRing properties (spread,
-// stability, failover order), the ShardServer frame protocol, and the
-// Router + RouterHttpServer end-to-end path over real loopback RPC —
-// including the reroute-on-shard-kill chaos test (ctest -L chaos).
+// stability, failover order), the ShardServer frame protocol and its inline
+// answers, and the Router + RouterHttpServer end-to-end paths over real
+// loopback RPC — the blocking Handle() path and the event-loop forwarding
+// path — including the reroute-on-shard-kill chaos tests (ctest -L chaos).
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
+#include <atomic>
 #include <chrono>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <memory>
 #include <set>
@@ -22,7 +31,10 @@
 #include "core/serialization.h"
 #include "net/http.h"
 #include "net/json.h"
+#include "net/recommend_codec.h"
+#include "rpc/rpc_client.h"
 #include "service/model_registry.h"
+#include "service/prediction_cache.h"
 #include "service/recommendation_service.h"
 #include "workloads/workloads.h"
 
@@ -150,8 +162,12 @@ struct ClusterFixture {
   std::unique_ptr<Router> router;
   std::unique_ptr<RouterHttpServer> http;
 
-  explicit ClusterFixture(const std::string& test_name, size_t shard_count = 2,
-                          int probe_interval_ms = 50) {
+  /// `tune` adjusts the router's options last (extra shard addresses,
+  /// timeouts).
+  explicit ClusterFixture(
+      const std::string& test_name, size_t shard_count = 2,
+      int probe_interval_ms = 50,
+      const std::function<void(Router::Options*)>& tune = nullptr) {
     dir = fs::path(testing::TempDir()) / ("cluster_" + test_name);
     fs::remove_all(dir);
     fs::create_directories(dir);
@@ -185,6 +201,7 @@ struct ClusterFixture {
     ropts.shards = addresses;
     ropts.probe_interval_ms = probe_interval_ms;
     ropts.connect_timeout_ms = 500;
+    if (tune) tune(&ropts);
     auto created = Router::Create(ropts);
     EXPECT_TRUE(created.ok()) << created.status().ToString();
     router = std::move(created).value();
@@ -194,9 +211,130 @@ struct ClusterFixture {
   }
 
   ~ClusterFixture() {
+    http->Stop();
     if (router != nullptr) router->Stop();
     for (auto& shard : shards) shard->server->Stop();
   }
+
+  /// Starts the router's HTTP front end; returns its port.
+  uint16_t StartHttp() {
+    EXPECT_TRUE(http->Start().ok());
+    return http->port();
+  }
+};
+
+/// Blocking keep-alive HTTP client: the other side of every conversation is
+/// the router's non-blocking server.
+class HttpClient {
+ public:
+  explicit HttpClient(uint16_t port) {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_port = htons(port);
+    EXPECT_EQ(::inet_pton(AF_INET, "127.0.0.1", &addr.sin_addr), 1);
+    EXPECT_EQ(::connect(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)),
+              0);
+    timeval tv{};
+    tv.tv_sec = 10;
+    ::setsockopt(fd_, SOL_SOCKET, SO_RCVTIMEO, &tv, sizeof(tv));
+  }
+  ~HttpClient() {
+    if (fd_ >= 0) ::close(fd_);
+  }
+
+  struct Reply {
+    int status = -1;  ///< -1: no complete response (EOF or timeout).
+    std::string body;
+  };
+
+  Reply Call(const std::string& method, const std::string& target,
+             const std::string& body = "") {
+    const std::string request = method + " " + target +
+                                " HTTP/1.1\r\nHost: test\r\nContent-Length: " +
+                                std::to_string(body.size()) + "\r\n\r\n" +
+                                body;
+    size_t sent = 0;
+    while (sent < request.size()) {
+      const ssize_t n = ::send(fd_, request.data() + sent,
+                               request.size() - sent, MSG_NOSIGNAL);
+      if (n <= 0) return Reply{};
+      sent += static_cast<size_t>(n);
+    }
+    for (;;) {
+      const size_t header_end = buffer_.find("\r\n\r\n");
+      if (header_end != std::string::npos) {
+        size_t length = 0;
+        const std::string needle = "Content-Length: ";
+        const size_t pos = buffer_.find(needle);
+        if (pos != std::string::npos && pos < header_end) {
+          length = static_cast<size_t>(
+              std::stoul(buffer_.substr(pos + needle.size())));
+        }
+        const size_t total = header_end + 4 + length;
+        if (buffer_.size() >= total) {
+          Reply reply;
+          reply.status = std::stoi(buffer_.substr(9, 3));
+          reply.body = buffer_.substr(header_end + 4, length);
+          buffer_.erase(0, total);
+          return reply;
+        }
+      }
+      char chunk[4096];
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) return Reply{};
+      buffer_.append(chunk, static_cast<size_t>(n));
+    }
+  }
+
+ private:
+  int fd_ = -1;
+  std::string buffer_;
+};
+
+/// A single-recommend body for svm with `examples` examples.
+std::string SvmBody(int examples) {
+  return std::string(R"({"app":"svm","params":{"examples":)") +
+         std::to_string(examples) + R"(,"features":3000,"iterations":5}})";
+}
+
+/// The router's route key for a single-recommend body.
+std::string RouteKeyOf(const std::string& body) {
+  auto json = net::Json::Parse(body);
+  EXPECT_TRUE(json.ok());
+  auto parsed = net::ParseRecommendRequest(*json);
+  EXPECT_TRUE(parsed.ok());
+  return service::PredictionCache::MakeKey(parsed->app, 0, parsed->params,
+                                           parsed->machine_type);
+}
+
+/// A listener that accepts into its backlog and never reads or answers: a
+/// hung shard.
+class SilentShard {
+ public:
+  SilentShard() {
+    fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+    EXPECT_GE(fd_, 0);
+    sockaddr_in addr{};
+    addr.sin_family = AF_INET;
+    addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+    EXPECT_EQ(
+        ::bind(fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)), 0);
+    EXPECT_EQ(::listen(fd_, 16), 0);
+    socklen_t len = sizeof(addr);
+    EXPECT_EQ(
+        ::getsockname(fd_, reinterpret_cast<sockaddr*>(&addr), &len), 0);
+    port_ = ntohs(addr.sin_port);
+  }
+  ~SilentShard() { ::close(fd_); }
+  std::string address() const {
+    return "127.0.0.1:" + std::to_string(port_);
+  }
+
+ private:
+  int fd_ = -1;
+  uint16_t port_ = 0;
 };
 
 net::HttpRequest MakeRequest(const std::string& method,
@@ -346,8 +484,42 @@ TEST(RouterTest, AppsAndReloadAndMetricsRoutes) {
   EXPECT_NE(metrics.body.find("juggler_lock_hold_seconds_total"),
             std::string::npos);
 
+  EXPECT_NE(metrics.body.find("juggler_http_fast_path_total"),
+            std::string::npos);
+  EXPECT_EQ(metrics.body.find("juggler_router_warm"), std::string::npos)
+      << "the warm-hint series are gone";
+
   const auto missing = f.http->Handle(MakeRequest("GET", "/nope"));
   EXPECT_EQ(missing.status, 404);
+}
+
+TEST(RouterTest, KnownPathWithTheWrongMethodIs405WithAllow) {
+  ClusterFixture f("method");
+  const auto allow_of = [](const net::HttpResponse& response) {
+    for (const auto& [name, value] : response.headers) {
+      if (name == "Allow") return value;
+    }
+    return std::string();
+  };
+  const auto get_recommend =
+      f.http->Handle(MakeRequest("GET", "/v1/recommend"));
+  EXPECT_EQ(get_recommend.status, 405) << get_recommend.body;
+  EXPECT_EQ(allow_of(get_recommend), "POST");
+  const auto post_livez = f.http->Handle(MakeRequest("POST", "/livez"));
+  EXPECT_EQ(post_livez.status, 405) << post_livez.body;
+  EXPECT_EQ(allow_of(post_livez), "GET");
+  EXPECT_EQ(f.http->Handle(MakeRequest("PUT", "/v1/apps")).status, 405);
+  EXPECT_EQ(f.http->Handle(MakeRequest("GET", "/v1/observe")).status, 405);
+
+  // Same answers through the event loop (fast and deferred paths decline,
+  // the pool answers).
+  HttpClient client(f.StartHttp());
+  EXPECT_EQ(client.Call("GET", "/v1/recommend").status, 405);
+  EXPECT_EQ(client.Call("POST", "/livez").status, 405);
+  EXPECT_EQ(client.Call("GET", "/livez").status, 200);
+  const auto stats = f.router->GetShardStats();
+  EXPECT_EQ(stats[0].requests + stats[1].requests, 0u)
+      << "a wrong method must not reach a shard";
 }
 
 // ---------------------------------------------------------------------------
@@ -400,60 +572,43 @@ TEST(RouterChaosTest, KillingAShardReroutesWithZeroClientErrors) {
       << metrics;
 }
 
-TEST(RouterChaosTest, FailoverSendsWarmHintsToTheSurvivor) {
+TEST(RouterChaosTest, FailoverReroutesTheDeadOwnersKeysToTheSurvivor) {
   // Long probe interval: the prober must not mark the killed shard down
-  // before the rerouted request observes the transport failure itself (a
-  // skipped-as-unhealthy shard is not a "failed" shard, so no hint).
-  ClusterFixture f("warm_hint", /*shard_count=*/2,
+  // before the rerouted request observes the transport failure itself.
+  ClusterFixture f("failover", /*shard_count=*/2,
                    /*probe_interval_ms=*/5000);
 
-  // Serve distinct questions until one shard owns at least two hot keys:
-  // the key that triggers the reroute gets re-owned by the survivor, so the
-  // hint's payload comes from the *other* keys the dead shard served.
-  const auto body_for = [](int i) {
-    return std::string(R"({"app":"svm","params":{"examples":)") +
-           std::to_string(12000 + 500 * i) +
-           R"(,"features":3000,"iterations":5}})";
-  };
-  std::vector<std::vector<std::string>> keys_by_shard(2);
+  // Serve distinct questions until one shard owns one of them.
+  std::string owned_body;
   size_t owner = 2;
   for (int i = 0; i < 32 && owner == 2; ++i) {
-    const std::string body = body_for(i);
+    const std::string body = SvmBody(12000 + 500 * i);
     const auto before = f.router->GetShardStats();
     ASSERT_EQ(f.http->Handle(MakeRequest("POST", "/v1/recommend", body)).status,
               200);
     const auto after = f.router->GetShardStats();
     for (size_t s = 0; s < 2; ++s) {
       if (after[s].requests > before[s].requests) {
-        keys_by_shard[s].push_back(body);
-        if (keys_by_shard[s].size() >= 2) owner = s;
+        owner = s;
+        owned_body = body;
       }
     }
   }
-  ASSERT_LT(owner, 2u) << "hashing never gave one shard two keys in 32 tries";
+  ASSERT_LT(owner, 2u);
   const size_t survivor = 1 - owner;
-  EXPECT_EQ(f.router->warm_hints(), 0u);
-  EXPECT_EQ(f.shards[survivor]->server->warms(), 0u);
 
   f.shards[owner]->server->Stop();
 
-  // The reroute path sends the hint synchronously before answering, so the
-  // counters are settled the moment Handle returns.
-  const auto rerouted = f.http->Handle(
-      MakeRequest("POST", "/v1/recommend", keys_by_shard[owner][0]));
+  const auto before = f.router->GetShardStats();
+  const auto rerouted =
+      f.http->Handle(MakeRequest("POST", "/v1/recommend", owned_body));
   ASSERT_EQ(rerouted.status, 200) << rerouted.body;
   EXPECT_GE(f.router->reroutes(), 1u);
-  EXPECT_GE(f.router->warm_hints(), 1u)
-      << "failover must hand the survivor the dead shard's hot keys";
-  EXPECT_GE(f.router->warm_keys(), 1u);
-  EXPECT_GE(f.shards[survivor]->server->warms(), 1u)
-      << "the survivor must have queued the hinted questions";
-
-  const std::string metrics = f.http->MetricsText();
-  EXPECT_NE(metrics.find("juggler_router_warm_hints_total"),
-            std::string::npos)
-      << metrics;
-  EXPECT_NE(metrics.find("juggler_router_warm_keys_total"), std::string::npos);
+  const auto after = f.router->GetShardStats();
+  EXPECT_EQ(after[owner].errors, before[owner].errors + 1)
+      << "the dead owner was tried first and failed transport-wise";
+  EXPECT_EQ(after[survivor].requests, before[survivor].requests + 1);
+  EXPECT_FALSE(after[owner].healthy);
 }
 
 TEST(RouterChaosTest, AllShardsDownIs503ShapedAndHealthzGoesRed) {
@@ -473,6 +628,212 @@ TEST(RouterChaosTest, AllShardsDownIs503ShapedAndHealthzGoesRed) {
   EXPECT_EQ(response.status, 503) << response.body;
   EXPECT_NE(response.body.find("RESOURCE_EXHAUSTED"), std::string::npos);
   EXPECT_EQ(f.http->Handle(MakeRequest("GET", "/healthz")).status, 503);
+}
+
+// ---------------------------------------------------------------------------
+// The event-loop forwarding path: RouterHttpServer over real sockets, whose
+// loop forwards singles over pipelined shard connections.
+// ---------------------------------------------------------------------------
+
+TEST(RouterLoopTest, ConcurrentClientsGetTheBytesHandleReturns) {
+  ClusterFixture f("loop_bytes");
+  // Reference answers from the blocking path, taken warm: the first call
+  // fills the owner's cache, and cache_hit is part of the bytes.
+  std::vector<std::string> bodies;
+  std::vector<std::string> expected;
+  for (int i = 0; i < 4; ++i) {
+    bodies.push_back(SvmBody(12000 + 1000 * i));
+    const auto request = MakeRequest("POST", "/v1/recommend", bodies.back());
+    ASSERT_EQ(f.http->Handle(request).status, 200);
+    const auto warm = f.http->Handle(request);
+    ASSERT_EQ(warm.status, 200) << warm.body;
+    expected.push_back(warm.body);
+  }
+
+  const uint16_t port = f.StartHttp();
+  const auto before = f.router->GetShardStats();
+  const auto http_before = f.http->http_stats();
+  uint64_t shard_inline_before = 0;
+  for (const auto& shard : f.shards) {
+    shard_inline_before += shard->server->rpc_stats().fast_path;
+  }
+
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 25;
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      HttpClient client(port);
+      for (int i = 0; i < kPerClient; ++i) {
+        const size_t k = static_cast<size_t>(c + i) % bodies.size();
+        const auto reply = client.Call("POST", "/v1/recommend", bodies[k]);
+        if (reply.status != 200 || reply.body != expected[k]) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  constexpr uint64_t kTotal = kClients * kPerClient;
+  const auto http_after = f.http->http_stats();
+  EXPECT_EQ(http_after.requests - http_before.requests, kTotal);
+  EXPECT_EQ(http_after.fast_path - http_before.fast_path, kTotal)
+      << "every single must be forwarded from the loop, none by the pool";
+  // The per-shard series move on the loop path as on the pool path.
+  const auto after = f.router->GetShardStats();
+  uint64_t calls = 0;
+  uint64_t timed = 0;
+  for (size_t s = 0; s < after.size(); ++s) {
+    calls += after[s].requests - before[s].requests;
+    timed += after[s].latency.count - before[s].latency.count;
+    EXPECT_EQ(after[s].errors, before[s].errors);
+    EXPECT_TRUE(after[s].healthy);
+  }
+  EXPECT_EQ(calls, kTotal);
+  EXPECT_EQ(timed, kTotal);
+  EXPECT_EQ(f.router->reroutes(), 0u);
+  // And the shards answered them inline on their own loops (warm keys).
+  uint64_t shard_inline_after = 0;
+  for (const auto& shard : f.shards) {
+    shard_inline_after += shard->server->rpc_stats().fast_path;
+  }
+  EXPECT_GE(shard_inline_after - shard_inline_before, kTotal);
+}
+
+TEST(RouterLoopTest, ValidationErrorsAndBatchesKeepTheirAnswers) {
+  ClusterFixture f("loop_validate");
+  HttpClient client(f.StartHttp());
+  const auto bad = client.Call("POST", "/v1/recommend", "not json");
+  EXPECT_EQ(bad.status, 400);
+  EXPECT_EQ(bad.body,
+            f.http->Handle(MakeRequest("POST", "/v1/recommend", "not json"))
+                .body);
+  const auto unknown = client.Call(
+      "POST", "/v1/recommend",
+      R"({"app":"no-such-app","params":{"examples":12000,"features":3000,)"
+      R"("iterations":5}})");
+  EXPECT_EQ(unknown.status, 404) << unknown.body;
+  EXPECT_EQ(f.router->reroutes(), 0u) << "kError replies never reroute";
+
+  const std::string batch = R"({"requests":[)" + std::string(kSvmBody) +
+                            "," + SvmBody(24000) + "]}";
+  const auto http_before = f.http->http_stats();
+  const auto batched = client.Call("POST", "/v1/recommend", batch);
+  ASSERT_EQ(batched.status, 200) << batched.body;
+  auto json = net::Json::Parse(batched.body);
+  ASSERT_TRUE(json.ok());
+  EXPECT_EQ(json->Find("results")->array_items().size(), 2u);
+  EXPECT_EQ(f.http->http_stats().fast_path, http_before.fast_path)
+      << "batches take the pool path";
+}
+
+TEST(RouterLoopChaosTest, KillingTheOwnerWithCallsInFlightReroutesThem) {
+  ClusterFixture f("loop_kill", /*shard_count=*/2, /*probe_interval_ms=*/50);
+  const auto request = MakeRequest("POST", "/v1/recommend", kSvmBody);
+  ASSERT_EQ(f.http->Handle(request).status, 200);
+  const size_t owner = f.router->GetShardStats()[0].requests > 0 ? 0 : 1;
+  const uint16_t port = f.StartHttp();
+
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 40;
+  std::atomic<int> sent{0};
+  std::atomic<int> failures{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&] {
+      HttpClient client(port);
+      for (int i = 0; i < kPerClient; ++i) {
+        sent.fetch_add(1);
+        const auto reply = client.Call("POST", "/v1/recommend", kSvmBody);
+        if (reply.status != 200) failures.fetch_add(1);
+      }
+    });
+  }
+  // Kill the owner while every client keeps a call going.
+  while (sent.load() < kClients * kPerClient / 4) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  f.shards[owner]->server->Stop();
+  for (auto& client : clients) client.join();
+
+  EXPECT_EQ(failures.load(), 0) << "a dead shard must be invisible to clients";
+  EXPECT_GE(f.router->reroutes(), 1u);
+  const auto stats = f.router->GetShardStats();
+  EXPECT_GE(stats[owner].errors, 1u);
+  EXPECT_GT(stats[1 - owner].requests, 0u);
+}
+
+TEST(RouterLoopChaosTest, HungShardTimesOutAndReroutesWhileTheLoopServes) {
+  SilentShard silent;
+  // The hung shard joins as index 1. A slow connect timeout holds the
+  // prober's first ping to it for 1.5 s, so it still looks healthy and the
+  // request tries it first; only the call deadline can get it out.
+  ClusterFixture f("loop_hung", /*shard_count=*/1,
+                   /*probe_interval_ms=*/5000, [&](Router::Options* options) {
+                     options->shards.push_back(silent.address());
+                     options->rpc_timeout_ms = 200;
+                     options->connect_timeout_ms = 1500;
+                   });
+  std::string body;
+  for (int i = 0; i < 64 && body.empty(); ++i) {
+    if (f.router->ring().Owner(RouteKeyOf(SvmBody(12000 + 100 * i))) == 1) {
+      body = SvmBody(12000 + 100 * i);
+    }
+  }
+  ASSERT_FALSE(body.empty()) << "no key hashed to the hung shard";
+  const uint16_t port = f.StartHttp();
+
+  std::atomic<int> status{0};
+  std::atomic<int64_t> elapsed_ms{0};
+  std::thread caller([&] {
+    HttpClient client(port);
+    const auto start = std::chrono::steady_clock::now();
+    status.store(client.Call("POST", "/v1/recommend", body).status);
+    elapsed_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
+                         std::chrono::steady_clock::now() - start)
+                         .count());
+  });
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  {
+    // The call is parked on the hung shard; the loop is not.
+    HttpClient probe(port);
+    const auto start = std::chrono::steady_clock::now();
+    EXPECT_EQ(probe.Call("GET", "/livez").status, 200);
+    EXPECT_LT(std::chrono::duration_cast<std::chrono::milliseconds>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              50);
+  }
+  caller.join();
+  EXPECT_EQ(status.load(), 200) << "rerouted to the live shard";
+  EXPECT_GE(elapsed_ms.load(), 190);
+  EXPECT_LT(elapsed_ms.load(), 1'500);
+  EXPECT_GE(f.router->reroutes(), 1u);
+  const auto stats = f.router->GetShardStats();
+  EXPECT_GE(stats[1].errors, 1u);
+  EXPECT_FALSE(stats[1].healthy);
+}
+
+TEST(RouterLoopChaosTest, OnlyAHungShardFailsAfterTheDeadline) {
+  SilentShard silent;
+  ClusterFixture f("loop_hung_only", /*shard_count=*/0,
+                   /*probe_interval_ms=*/5000, [&](Router::Options* options) {
+                     options->shards.push_back(silent.address());
+                     options->rpc_timeout_ms = 200;
+                     options->connect_timeout_ms = 1500;
+                   });
+  HttpClient client(f.StartHttp());
+  const auto start = std::chrono::steady_clock::now();
+  const auto reply = client.Call("POST", "/v1/recommend", kSvmBody);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  EXPECT_EQ(reply.status, 503) << reply.body;
+  EXPECT_NE(reply.body.find("timed out"), std::string::npos) << reply.body;
+  EXPECT_GE(elapsed.count(), 190);
+  EXPECT_LT(elapsed.count(), 1'500);
 }
 
 // ---------------------------------------------------------------------------
@@ -512,6 +873,55 @@ TEST(ShardServerTest, HandlesEveryFrameTypeOfTheProtocol) {
   unsupported.type = rpc::FrameType::kPong;  // Not a request type.
   const auto unsupported_reply = shard.Handle(unsupported);
   EXPECT_EQ(unsupported_reply.type, rpc::FrameType::kError);
+}
+
+TEST(ShardServerTest, ResidentRecommendsAreAnsweredOnTheShardLoop) {
+  ClusterFixture f("shard_inline", /*shard_count=*/1);
+  f.router->Stop();  // No probes: the shard's counters see only this test.
+  ShardServer& shard = *f.shards[0]->server;
+  rpc::RpcClient::Options options;
+  options.port = shard.port();
+  rpc::RpcClient client(options);
+
+  const auto start = shard.rpc_stats();
+  auto cold = client.Call(rpc::FrameType::kRecommend, kSvmBody);
+  ASSERT_TRUE(cold.ok()) << cold.status().ToString();
+  ASSERT_EQ(cold->type, rpc::FrameType::kRecommendReply) << cold->payload;
+  EXPECT_EQ(shard.rpc_stats().fast_path, start.fast_path)
+      << "the first call loads the lazy model: pool path";
+
+  auto warm = client.Call(rpc::FrameType::kRecommend, kSvmBody);
+  ASSERT_TRUE(warm.ok());
+  EXPECT_EQ(warm->type, rpc::FrameType::kRecommendReply);
+  auto other = client.Call(rpc::FrameType::kRecommend, SvmBody(24000));
+  ASSERT_TRUE(other.ok());
+  EXPECT_EQ(other->type, rpc::FrameType::kRecommendReply);
+  auto bad = client.Call(rpc::FrameType::kRecommend, "not json");
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->type, rpc::FrameType::kError);
+  EXPECT_EQ(shard.rpc_stats().fast_path, start.fast_path + 3)
+      << "a cache hit, a resident evaluation and a validation error are "
+         "all answered on the shard's event loop";
+
+  // Same recommendations either way; only cache_hit differs.
+  auto cold_json = net::Json::Parse(cold->payload);
+  auto warm_json = net::Json::Parse(warm->payload);
+  ASSERT_TRUE(cold_json.ok() && warm_json.ok());
+  EXPECT_EQ(cold_json->Find("recommendations")->Dump(),
+            warm_json->Find("recommendations")->Dump());
+  EXPECT_TRUE(warm_json->Find("cache_hit")->bool_value());
+
+  // The inline answer is the pool answer, byte for byte.
+  rpc::RpcFrame request;
+  request.type = rpc::FrameType::kRecommend;
+  request.payload = kSvmBody;
+  const auto fast = shard.HandleFast(request);
+  ASSERT_TRUE(fast.has_value());
+  EXPECT_EQ(fast->payload, shard.Handle(request).payload);
+  // Other frames always take the pool.
+  rpc::RpcFrame apps;
+  apps.type = rpc::FrameType::kApps;
+  EXPECT_FALSE(shard.HandleFast(apps).has_value());
 }
 
 }  // namespace

@@ -1,6 +1,8 @@
 // Tests for the src/rpc subsystem: JRPC frame encode/decode (round trips,
-// split feeds, every header-rejection edge, poison semantics) and the
-// RpcClient/RpcServer pair over real loopback sockets.
+// split feeds, every header-rejection edge, poison semantics), the
+// RpcClient/RpcServer pair over real loopback sockets (including the
+// server's inline FastHandler and pipelined ordering), and the pipelined,
+// non-blocking RpcChannel.
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -11,13 +13,16 @@
 #include <chrono>
 #include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "net/poller.h"
 #include "rpc/frame.h"
+#include "rpc/rpc_channel.h"
 #include "rpc/rpc_client.h"
 #include "rpc/rpc_server.h"
 
@@ -57,7 +62,7 @@ TEST(FrameTest, EncodeProducesDocumentedLayout) {
 
 TEST(FrameTest, RoundTripsEveryFrameType) {
   for (uint8_t t = static_cast<uint8_t>(FrameType::kPing);
-       t <= static_cast<uint8_t>(FrameType::kWarmReply); ++t) {
+       t <= static_cast<uint8_t>(FrameType::kObserveReply); ++t) {
     ASSERT_TRUE(IsKnownFrameType(t));
     const RpcFrame in = MakeFrame(static_cast<FrameType>(t), 77 + t,
                                   "payload-" + std::to_string(t));
@@ -72,7 +77,7 @@ TEST(FrameTest, RoundTripsEveryFrameType) {
     EXPECT_EQ(decoder.buffered_bytes(), 0u);
   }
   EXPECT_FALSE(IsKnownFrameType(0));
-  EXPECT_FALSE(IsKnownFrameType(14));
+  EXPECT_FALSE(IsKnownFrameType(12));
   EXPECT_FALSE(IsKnownFrameType(255));
 }
 
@@ -137,8 +142,8 @@ TEST(FrameTest, RejectsMalformedHeaders) {
   }
   {
     std::string wire = good;
-    wire[5] = 14;
-    cases.push_back({"frame type past kWarmReply", wire, "type"});
+    wire[5] = 12;
+    cases.push_back({"frame type past kObserveReply", wire, "type"});
   }
   {
     std::string wire = good;
@@ -332,6 +337,26 @@ class RawClient {
     }
   }
 
+  /// Reads until `count` complete frames arrived (or the peer closes, or
+  /// the receive timeout passes); returns the frames in arrival order.
+  std::vector<RpcFrame> ReadFrames(size_t count) {
+    FrameDecoder decoder;
+    std::vector<RpcFrame> frames;
+    char chunk[4096];
+    while (frames.size() < count) {
+      auto result = decoder.Next();
+      if (result.state == FrameDecoder::State::kReady) {
+        frames.push_back(std::move(result.frame));
+        continue;
+      }
+      if (result.state == FrameDecoder::State::kError) break;
+      const ssize_t n = ::recv(fd_, chunk, sizeof(chunk), 0);
+      if (n <= 0) break;
+      decoder.Append(chunk, static_cast<size_t>(n));
+    }
+    return frames;
+  }
+
   /// Reads until EOF; returns everything the server sent.
   std::string ReadToEof() {
     std::string out;
@@ -512,6 +537,179 @@ TEST_P(RpcLoopbackTest, ServerStopUnblocksClients) {
   // transport error — it must not hang.
   (void)client.Call(FrameType::kRecommend, "during-shutdown");
   stopper.join();
+}
+
+TEST_P(RpcLoopbackTest, FastHandlerRepliesInlineWithTheRequestId) {
+  std::atomic<int> pool_calls{0};
+  RpcServer server(
+      BaseOptions(),
+      [&](const RpcFrame& request) {
+        pool_calls.fetch_add(1);
+        return MakeFrame(FrameType::kRecommendReply, 0,
+                         "pool:" + request.payload);
+      },
+      [](const RpcFrame& request) -> std::optional<RpcFrame> {
+        if (request.payload.rfind("fast", 0) != 0) return std::nullopt;
+        // A wrong id on purpose: the server must stamp the request's.
+        return MakeFrame(FrameType::kRecommendReply, 999,
+                         "inline:" + request.payload);
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  RawClient client(server.port());
+  client.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 41, "fast-1")));
+  auto frames = client.ReadFrames(1);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].request_id, 41u);
+  EXPECT_EQ(frames[0].payload, "inline:fast-1");
+  EXPECT_EQ(pool_calls.load(), 0);
+  EXPECT_EQ(server.GetStats().fast_path, 1u);
+
+  // nullopt falls through to the pool; fast_path does not move.
+  client.Send(EncodeFrame(MakeFrame(FrameType::kRecommend, 42, "slow-1")));
+  frames = client.ReadFrames(1);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].request_id, 42u);
+  EXPECT_EQ(frames[0].payload, "pool:slow-1");
+  EXPECT_EQ(pool_calls.load(), 1);
+  const auto stats = server.GetStats();
+  EXPECT_EQ(stats.fast_path, 1u);
+  EXPECT_EQ(stats.requests, 2u);
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, PipelinedFramesAreAnsweredInOrder) {
+  // Pool answers are slow and inline answers instant: replies must still
+  // leave in request order, whichever path each frame takes.
+  RpcServer server(
+      BaseOptions(),
+      [](const RpcFrame& request) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(5));
+        return MakeFrame(FrameType::kRecommendReply, 0, request.payload);
+      },
+      [](const RpcFrame& request) -> std::optional<RpcFrame> {
+        if (request.payload.rfind("fast", 0) != 0) return std::nullopt;
+        return MakeFrame(FrameType::kRecommendReply, 0, request.payload);
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  std::string burst;
+  std::vector<std::string> payloads;
+  for (uint64_t id = 1; id <= 12; ++id) {
+    payloads.push_back((id % 3 == 0 ? "slow-" : "fast-") +
+                       std::to_string(id));
+    AppendFrame(MakeFrame(FrameType::kRecommend, id, payloads.back()),
+                &burst);
+  }
+  RawClient client(server.port());
+  client.Send(burst);  // One write: every frame in flight at once.
+  const auto frames = client.ReadFrames(payloads.size());
+  ASSERT_EQ(frames.size(), payloads.size());
+  for (size_t i = 0; i < frames.size(); ++i) {
+    EXPECT_EQ(frames[i].request_id, i + 1) << "reply " << i;
+    EXPECT_EQ(frames[i].payload, payloads[i]);
+  }
+  EXPECT_EQ(server.GetStats().fast_path, 8u);
+  server.Stop();
+}
+
+/// Drives `channel` on a private poller until `want` outcomes arrived or
+/// `timeout` passed, checking deadlines on every turn like the router loop.
+std::vector<RpcChannel::Outcome> DriveChannel(
+    net::Poller* poller, RpcChannel* channel, size_t want,
+    std::chrono::milliseconds timeout) {
+  std::vector<RpcChannel::Outcome> outcomes;
+  std::vector<net::Poller::Event> events;
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  channel->Flush(&outcomes);
+  while (outcomes.size() < want && std::chrono::steady_clock::now() < deadline) {
+    EXPECT_TRUE(poller->Wait(10, &events).ok());
+    for (const auto& event : events) channel->OnEvent(event, &outcomes);
+    channel->CheckDeadlines(std::chrono::steady_clock::now(), &outcomes);
+    if (channel->dirty()) channel->Flush(&outcomes);
+  }
+  return outcomes;
+}
+
+TEST_P(RpcLoopbackTest, ChannelPipelinesCallsAndMatchesIds) {
+  RpcServer server(BaseOptions(), EchoHandler());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto poller = net::Poller::Create(GetParam());
+  RpcChannel::Options options;
+  options.port = server.port();
+  RpcChannel channel(options, poller.get());
+  for (uint64_t id = 10; id < 20; ++id) {
+    channel.Send(FrameType::kRecommend, id, "call-" + std::to_string(id));
+  }
+  EXPECT_EQ(channel.in_flight(), 10u);
+  const auto outcomes =
+      DriveChannel(poller.get(), &channel, 10, std::chrono::seconds(10));
+  ASSERT_EQ(outcomes.size(), 10u);
+  for (const auto& outcome : outcomes) {
+    ASSERT_TRUE(outcome.reply.ok()) << outcome.reply.status().ToString();
+    EXPECT_EQ(outcome.reply->payload,
+              "echo:call-" + std::to_string(outcome.request_id));
+  }
+  EXPECT_EQ(channel.in_flight(), 0u);
+  EXPECT_EQ(server.GetStats().accepted, 1u) << "one connection, pipelined";
+  server.Stop();
+}
+
+TEST_P(RpcLoopbackTest, ChannelFailsEveryCallOnASilentPeerAtTheDeadline) {
+  const int listen_fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(listen_fd, 0);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  ASSERT_EQ(::bind(listen_fd, reinterpret_cast<sockaddr*>(&addr),
+                   sizeof(addr)),
+            0);
+  ASSERT_EQ(::listen(listen_fd, 4), 0);
+  socklen_t len = sizeof(addr);
+  ASSERT_EQ(::getsockname(listen_fd, reinterpret_cast<sockaddr*>(&addr), &len),
+            0);
+
+  auto poller = net::Poller::Create(GetParam());
+  RpcChannel::Options options;
+  options.port = ntohs(addr.sin_port);
+  options.call_timeout_ms = 150;
+  RpcChannel channel(options, poller.get());
+  channel.Send(FrameType::kRecommend, 1, "a");
+  channel.Send(FrameType::kRecommend, 2, "b");
+  const auto start = std::chrono::steady_clock::now();
+  const auto outcomes =
+      DriveChannel(poller.get(), &channel, 2, std::chrono::seconds(10));
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_EQ(outcomes.size(), 2u);
+  for (const auto& outcome : outcomes) {
+    EXPECT_EQ(outcome.reply.status().code(), StatusCode::kAborted)
+        << outcome.reply.status().ToString();
+  }
+  EXPECT_GE(elapsed.count(), 140);
+  EXPECT_LT(elapsed.count(), 5'000);
+  EXPECT_EQ(channel.fd(), -1) << "a timed-out connection is closed";
+  ::close(listen_fd);
+}
+
+TEST_P(RpcLoopbackTest, ChannelDialFailureFailsTheCalls) {
+  RpcServer probe(BaseOptions(), EchoHandler());
+  ASSERT_TRUE(probe.Start().ok());
+  const uint16_t dead_port = probe.port();
+  probe.Stop();
+
+  auto poller = net::Poller::Create(GetParam());
+  RpcChannel::Options options;
+  options.port = dead_port;
+  options.connect_timeout_ms = 200;
+  RpcChannel channel(options, poller.get());
+  channel.Send(FrameType::kPing, 1, "");
+  const auto outcomes =
+      DriveChannel(poller.get(), &channel, 1, std::chrono::seconds(10));
+  ASSERT_EQ(outcomes.size(), 1u);
+  EXPECT_FALSE(outcomes[0].reply.ok());
+  EXPECT_EQ(channel.in_flight(), 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, RpcLoopbackTest, ::testing::Bool(),

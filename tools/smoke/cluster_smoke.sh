@@ -109,6 +109,13 @@ grep -q 'juggler_router_shard_healthy{shard="127.0.0.1:' <<< "$METRICS" \
   || fail "/metrics is missing the per-shard health series"
 grep -q 'juggler_router_healthy_shards 2' <<< "$METRICS" \
   || fail "/metrics does not show 2 healthy shards"
+# The recommends above were forwarded from the router's event loop (no
+# handler-pool hop): the fast-path counter proves the loop path served.
+FAST_PATH="$(sed -n 's/^juggler_http_fast_path_total \([0-9]*\)$/\1/p' \
+  <<< "$METRICS")"
+[ -n "$FAST_PATH" ] && [ "$FAST_PATH" -gt 0 ] \
+  || fail "router fast_path_total is '$FAST_PATH', expected > 0"
+echo "router fast path: $FAST_PATH request(s) answered from the event loop"
 
 # --- Chaos: kill -9 the shard that owns the warm key, mid-conversation.
 # /v1/apps and /v1/reload also bump requests_total, so the owner is the

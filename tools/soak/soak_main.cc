@@ -781,13 +781,9 @@ int main(int argc, char** argv) {
   }
 
   if (cluster_stack != nullptr) {
-    std::printf("router: reroutes %llu | warm hints %llu (%llu keys)\n",
+    std::printf("router: reroutes %llu\n",
                 static_cast<unsigned long long>(
-                    cluster_stack->router().reroutes()),
-                static_cast<unsigned long long>(
-                    cluster_stack->router().warm_hints()),
-                static_cast<unsigned long long>(
-                    cluster_stack->router().warm_keys()));
+                    cluster_stack->router().reroutes()));
   }
   stack->Stop();
 
