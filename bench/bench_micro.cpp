@@ -7,6 +7,7 @@
 #include "core/dataset_metrics.h"
 #include "core/hotspot.h"
 #include "core/parameter_calibration.h"
+#include "math/linear_model.h"
 #include "math/nnls.h"
 #include "minispark/engine.h"
 #include "workloads/workloads.h"
@@ -108,6 +109,30 @@ void BM_NnlsFit(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_NnlsFit)->Arg(9)->Arg(100);
+
+// Leave-one-out family selection over the four time-model families. n = 9
+// is the offline 3x3 training grid; n = 450 is one refit target's buffer on
+// the cluster_online serving workload, drawn like its observe batches
+// (e in [2000, 20000], f in [100, 2000], a drifted time model with 2% noise).
+void BM_CrossValidation(benchmark::State& state) {
+  const int n = static_cast<int>(state.range(0));
+  Rng rng(450);
+  std::vector<math::Observation> data;
+  for (int i = 0; i < n; ++i) {
+    const double e = n == 9 ? 4000.0 * (1 << (i / 3))
+                            : static_cast<double>(rng.UniformInt(2'000, 20'000));
+    const double f = n == 9 ? 1000.0 * (1 << (i % 3))
+                            : static_cast<double>(rng.UniformInt(100, 2'000));
+    const double value = (1800.0 + 0.004 * e * f) * 1.25 * rng.Jitter(0.02);
+    data.push_back({{e, f}, value});
+  }
+  const auto families = math::MakeTimeModelFamilies();
+  for (auto _ : state) {
+    auto best = math::SelectModelByCrossValidation(families, data);
+    benchmark::DoNotOptimize(best);
+  }
+}
+BENCHMARK(BM_CrossValidation)->Arg(9)->Arg(450)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

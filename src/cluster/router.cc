@@ -8,6 +8,7 @@
 
 #include "cluster/loop_forwarder.h"
 #include "common/parse.h"
+#include "common/thread_name.h"
 #include "net/json.h"
 #include "online/observation.h"
 #include "online/online_metrics.h"
@@ -93,7 +94,10 @@ Router::~Router() { Stop(); }
 Status Router::Start() {
   if (started_.exchange(true)) return Status::OK();
   stop_.store(false);
-  prober_ = std::thread([this] { ProbeLoop(); });
+  prober_ = std::thread([this] {
+    SetCurrentThreadName("jg-prober");
+    ProbeLoop();
+  });
   return Status::OK();
 }
 

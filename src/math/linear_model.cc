@@ -17,6 +17,24 @@ LinearModel::LinearModel(std::string name, std::vector<BasisFn> basis,
   assert(basis_.size() == term_names_.size());
 }
 
+namespace {
+
+// Evaluates every basis term at every observation: row r of `a` holds the
+// terms of data[r], and b[r] its observed value.
+void BuildDesign(const LinearModel& model, const std::vector<Observation>& data,
+                 Matrix* a, std::vector<double>* b) {
+  const int n = static_cast<int>(data.size());
+  const int k = model.num_terms();
+  *a = Matrix(n, k);
+  b->resize(n);
+  for (int r = 0; r < n; ++r) {
+    for (int c = 0; c < k; ++c) (*a)(r, c) = model.Term(c, data[r].params);
+    (*b)[r] = data[r].value;
+  }
+}
+
+}  // namespace
+
 Status LinearModel::Fit(const std::vector<Observation>& data) {
   const int n = static_cast<int>(data.size());
   const int k = num_terms();
@@ -25,12 +43,9 @@ Status LinearModel::Fit(const std::vector<Observation>& data) {
                                    std::to_string(n) + ") than terms (" +
                                    std::to_string(k) + ")");
   }
-  Matrix a(n, k);
-  std::vector<double> b(n);
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < k; ++c) a(r, c) = basis_[c](data[r].params);
-    b[r] = data[r].value;
-  }
+  Matrix a;
+  std::vector<double> b;
+  BuildDesign(*this, data, &a, &b);
   JUGGLER_RETURN_IF_ERROR(NonNegativeLeastSquares(a, b, &coefficients_));
   fitted_ = true;
   return Status::OK();
@@ -150,6 +165,49 @@ double MeanRelativeError(const LinearModel& model,
   return n > 0 ? sum / n : 0.0;
 }
 
+StatusOr<double> LeaveOneOutError(const LinearModel& family,
+                                   const std::vector<Observation>& data) {
+  const int n = static_cast<int>(data.size());
+  const int k = family.num_terms();
+  // Need strictly more points than terms so every LOO fold is solvable.
+  if (n <= k) {
+    return Status::FailedPrecondition(
+        "LeaveOneOutError: need more observations than terms");
+  }
+  Matrix design;
+  std::vector<double> values;
+  BuildDesign(family, data, &design, &values);
+  // Fold `held` is the design without row `held`, rows in their original
+  // order. Fold 0 is rows 1..n-1; fold `held` differs from fold `held - 1`
+  // only in slot `held - 1`, which goes from row `held` to row `held - 1`.
+  Matrix fold(n - 1, k);
+  std::vector<double> fold_values(n - 1), coef;
+  auto copy_row = [&](int row, int slot) {
+    for (int c = 0; c < k; ++c) fold(slot, c) = design(row, c);
+    fold_values[slot] = values[row];
+  };
+  for (int r = 1; r < n; ++r) copy_row(r, r - 1);
+  double error_sum = 0.0;
+  int folds = 0;
+  for (int held = 0; held < n; ++held) {
+    if (held > 0) copy_row(held - 1, held - 1);
+    JUGGLER_RETURN_IF_ERROR(NonNegativeLeastSquares(fold, fold_values, &coef));
+    const double actual = values[held];
+    if (actual != 0.0) {
+      // The held-out prediction, summed as Predict() sums it.
+      double predicted = 0.0;
+      for (int c = 0; c < k; ++c) predicted += coef[c] * design(held, c);
+      error_sum += std::fabs(predicted - actual) / std::fabs(actual);
+      ++folds;
+    }
+  }
+  if (folds == 0) {
+    return Status::FailedPrecondition(
+        "LeaveOneOutError: every observation is zero");
+  }
+  return error_sum / folds;
+}
+
 StatusOr<LinearModel> SelectModelByCrossValidation(
     std::vector<LinearModel> candidates, const std::vector<Observation>& data) {
   if (data.empty()) {
@@ -157,36 +215,10 @@ StatusOr<LinearModel> SelectModelByCrossValidation(
   }
   double best_error = std::numeric_limits<double>::infinity();
   int best_index = -1;
-
   for (size_t ci = 0; ci < candidates.size(); ++ci) {
-    LinearModel& candidate = candidates[ci];
-    // Need strictly more points than terms so every LOO fold is solvable.
-    if (static_cast<int>(data.size()) <= candidate.num_terms()) continue;
-    double error_sum = 0.0;
-    int folds = 0;
-    bool usable = true;
-    for (size_t held = 0; held < data.size(); ++held) {
-      std::vector<Observation> train;
-      train.reserve(data.size() - 1);
-      for (size_t i = 0; i < data.size(); ++i) {
-        if (i != held) train.push_back(data[i]);
-      }
-      LinearModel fold = candidate;
-      if (!fold.Fit(train).ok()) {
-        usable = false;
-        break;
-      }
-      const double actual = data[held].value;
-      if (actual != 0.0) {
-        error_sum +=
-            std::fabs(fold.Predict(data[held].params) - actual) / std::fabs(actual);
-        ++folds;
-      }
-    }
-    if (!usable || folds == 0) continue;
-    const double error = error_sum / folds;
-    if (error < best_error) {
-      best_error = error;
+    auto error = LeaveOneOutError(candidates[ci], data);
+    if (error.ok() && *error < best_error) {
+      best_error = *error;
       best_index = static_cast<int>(ci);
     }
   }

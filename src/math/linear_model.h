@@ -35,6 +35,11 @@ class LinearModel {
   bool fitted() const { return fitted_; }
   const std::vector<double>& coefficients() const { return coefficients_; }
 
+  /// Value of basis term `c` at `params` (one column of the design matrix).
+  double Term(int c, const std::vector<double>& params) const {
+    return basis_[c](params);
+  }
+
   /// Fits non-negative coefficients to the observations. Requires at least
   /// as many observations as terms.
   [[nodiscard]] Status Fit(const std::vector<Observation>& data);
@@ -79,6 +84,16 @@ std::vector<LinearModel> MakeTimeModelFamilies();
 /// avg(|pred - actual| / actual). Observations with value 0 are skipped.
 double MeanRelativeError(const LinearModel& model,
                          const std::vector<Observation>& data);
+
+/// \brief Leave-one-out error of one model family (§5.2): holds out each
+/// observation in turn, fits the family on the rest (in their original
+/// order), and averages |pred - actual| / |actual| over the held-out
+/// observations with a nonzero value.
+///
+/// Returns FailedPrecondition when there are no more observations than
+/// terms, or every observation is zero.
+[[nodiscard]] StatusOr<double> LeaveOneOutError(
+    const LinearModel& family, const std::vector<Observation>& data);
 
 /// \brief Leave-one-out cross-validation model selection (§5.2): for each
 /// candidate family, hold out each observation in turn, fit on the rest,

@@ -7,6 +7,7 @@
 #include <cstring>
 #include <utility>
 
+#include "common/thread_name.h"
 #include "net/socket_util.h"
 
 namespace juggler::net {
@@ -64,7 +65,10 @@ Status EventLoopServer::Start() {
 
   pool_ = std::make_unique<service::ThreadPool>(service::ThreadPool::Options{
       options_.num_handler_threads, options_.dispatch_queue_capacity});
-  loop_thread_ = std::thread([this] { LoopMain(); });
+  loop_thread_ = std::thread([this] {
+    SetCurrentThreadName("jg-loop");
+    LoopMain();
+  });
   return Status::OK();
 }
 

@@ -75,12 +75,20 @@ std::vector<Observation> FeedbackCollector::SnapshotApp(
   return out;
 }
 
-size_t FeedbackCollector::DiscardApp(const std::string& app) {
+std::vector<Observation> FeedbackCollector::TakeApp(const std::string& app) {
+  std::vector<Observation> out;
   MutexLock lock(mu_);
-  const size_t before = buffer_.size();
-  std::erase_if(buffer_,
-                [&app](const Observation& o) { return o.app == app; });
-  return before - buffer_.size();
+  auto kept = buffer_.begin();
+  for (auto it = buffer_.begin(); it != buffer_.end(); ++it) {
+    if (it->app == app) {
+      out.push_back(std::move(*it));
+    } else {
+      if (kept != it) *kept = std::move(*it);
+      ++kept;
+    }
+  }
+  buffer_.erase(kept, buffer_.end());
+  return out;
 }
 
 std::vector<std::string> FeedbackCollector::Apps() const {

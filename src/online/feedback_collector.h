@@ -55,10 +55,11 @@ class FeedbackCollector {
   /// Oldest-first snapshot of the buffered observations for `app`.
   std::vector<Observation> SnapshotApp(const std::string& app) const;
 
-  /// Drops every buffered observation for `app` (consumed by a refit).
-  /// Returns how many were dropped. Not counted in Stats::dropped — these
-  /// were used, not lost.
-  size_t DiscardApp(const std::string& app);
+  /// Removes and returns every buffered observation for `app`, oldest-first,
+  /// under one lock hold: a refit consumes exactly what this returns, and
+  /// anything ingested afterwards stays buffered for the next attempt. Not
+  /// counted in Stats::dropped — these are used, not lost.
+  std::vector<Observation> TakeApp(const std::string& app);
 
   /// Application names with at least one buffered observation, sorted.
   std::vector<std::string> Apps() const;

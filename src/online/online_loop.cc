@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "common/lock_diag.h"
+#include "common/thread_name.h"
 #include "online/online_metrics.h"
 
 namespace juggler::online {
@@ -28,7 +29,10 @@ OnlineJuggler::~OnlineJuggler() { Stop(); }
 void OnlineJuggler::Start() {
   if (running_.exchange(true)) return;
   stop_.store(false);
-  thread_ = std::thread([this] { Loop(); });
+  thread_ = std::thread([this] {
+    SetCurrentThreadName("jg-online");
+    Loop();
+  });
 }
 
 void OnlineJuggler::Stop() {
@@ -63,24 +67,30 @@ void OnlineJuggler::SetLastAttempt(const std::string& app) {
   last_attempt_[app] = now;
 }
 
-OnlineJuggler::AttemptResult OnlineJuggler::MaybeRefit(
-    const std::string& app) {
-  const std::vector<Observation> observations = collector_->SnapshotApp(app);
-  size_t model_records = 0;
-  for (const Observation& o : observations) {
-    if (o.kind != ObservationKind::kServeLatency) ++model_records;
+OnlineJuggler::AttemptResult OnlineJuggler::MaybeRefit(const std::string& app,
+                                                      size_t* consumed) {
+  {
+    const std::vector<Observation> pending = collector_->SnapshotApp(app);
+    size_t model_records = 0;
+    for (const Observation& o : pending) {
+      if (o.kind != ObservationKind::kServeLatency) ++model_records;
+    }
+    const bool triggered =
+        engine_.CountTriggered(model_records) ||
+        engine_.IntervalTriggered(SinceLastAttemptMs(app), model_records) ||
+        engine_.ErrorTriggered(pending);
+    if (!triggered) return AttemptResult::kSkipped;
   }
-  const bool triggered =
-      engine_.CountTriggered(model_records) ||
-      engine_.IntervalTriggered(SinceLastAttemptMs(app), model_records) ||
-      engine_.ErrorTriggered(observations);
-  if (!triggered) return AttemptResult::kSkipped;
+  // Consume the batch whatever the outcome — a retry should see fresh
+  // traffic — and refit on exactly what was taken: records that arrive
+  // during the refit stay buffered for the next attempt.
+  const std::vector<Observation> observations = collector_->TakeApp(app);
+  *consumed += observations.size();
 
   auto resolved = registry_->Resolve(app);
   if (!resolved.ok()) {
     // Observations for an app the registry does not serve: drop them so the
     // buffer cannot be wedged by a misdirected producer.
-    collector_->DiscardApp(app);
     SetLastAttempt(app);
     return AttemptResult::kSkipped;
   }
@@ -88,8 +98,6 @@ OnlineJuggler::AttemptResult OnlineJuggler::MaybeRefit(
   RecordRefitAttempt();
   SetLastAttempt(app);
   auto outcome = engine_.Refit(*resolved->model, observations);
-  // Consume the batch either way: a retry should see fresh traffic.
-  collector_->DiscardApp(app);
   if (!outcome.ok()) {
     RecordRefitRejected();
     return AttemptResult::kRejected;
@@ -122,7 +130,7 @@ OnlineJuggler::AttemptResult OnlineJuggler::MaybeRefit(
 OnlineJuggler::CycleOutcome OnlineJuggler::RunOnce() {
   CycleOutcome cycle;
   for (const std::string& app : collector_->Apps()) {
-    switch (MaybeRefit(app)) {
+    switch (MaybeRefit(app, &cycle.consumed)) {
       case AttemptResult::kAccepted:
         ++cycle.attempted;
         ++cycle.accepted;

@@ -50,6 +50,9 @@ class OnlineJuggler {
     size_t attempted = 0;
     size_t accepted = 0;
     size_t rejected = 0;
+    /// Observations taken out of the buffer by triggered attempts, whether
+    /// refit on or discarded (an app the registry does not serve).
+    size_t consumed = 0;
   };
 
   /// `service` may be null (no prediction cache to flush — e.g. tests that
@@ -90,10 +93,11 @@ class OnlineJuggler {
   ModelPublisher& publisher() { return *publisher_; }
 
  private:
-  /// Evaluates triggers for one app and, when fired, runs the full
-  /// refit/gate/publish sequence. Returns nullopt when no trigger fired.
+  /// Evaluates triggers for one app and, when fired, takes its buffered
+  /// observations (adding their count to `*consumed`) and runs the full
+  /// refit/gate/publish sequence. kSkipped when no trigger fired.
   enum class AttemptResult { kAccepted, kRejected, kSkipped };
-  AttemptResult MaybeRefit(const std::string& app);
+  AttemptResult MaybeRefit(const std::string& app, size_t* consumed);
 
   /// Milliseconds since the last refit attempt for `app` (int64 max when
   /// never attempted). Self-contained locking so callers hold no lock

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <utility>
 
+#include "common/thread_name.h"
+
 namespace juggler::service {
 
 ThreadPool::ThreadPool(const Options& options)
@@ -12,7 +14,10 @@ ThreadPool::ThreadPool(const Options& options)
   const int n = std::max(1, options.num_threads);
   workers_.reserve(n);
   for (int i = 0; i < n; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    workers_.emplace_back([this] {
+      SetCurrentThreadName("jg-pool");
+      WorkerLoop();
+    });
   }
 }
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <filesystem>
@@ -326,18 +327,28 @@ TEST(FeedbackCollectorTest, RejectsInvalidObservations) {
   EXPECT_EQ(stats.buffered, 0u);
 }
 
-TEST(FeedbackCollectorTest, DiscardAppIsScopedAndUncounted) {
+TEST(FeedbackCollectorTest, TakeAppIsScopedOrderedAndUncounted) {
   FeedbackCollector collector({.capacity = 16});
   collector.Add(QuickObs("svm", 1.0));
   collector.Add(QuickObs("pca", 2.0));
   collector.Add(QuickObs("svm", 3.0));
+  collector.Add(QuickObs("pca", 4.0));
   EXPECT_EQ(collector.Apps(), (std::vector<std::string>{"pca", "svm"}));
 
-  EXPECT_EQ(collector.DiscardApp("svm"), 2u);
+  const auto taken = collector.TakeApp("svm");
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].value, 1.0);
+  EXPECT_EQ(taken[1].value, 3.0);
+  EXPECT_TRUE(collector.TakeApp("svm").empty());
   EXPECT_EQ(collector.Apps(), (std::vector<std::string>{"pca"}));
+  // The other app's records stay buffered, oldest-first.
+  const auto pca = collector.SnapshotApp("pca");
+  ASSERT_EQ(pca.size(), 2u);
+  EXPECT_EQ(pca[0].value, 2.0);
+  EXPECT_EQ(pca[1].value, 4.0);
   // Consumed-by-refit removals are not losses.
   EXPECT_EQ(collector.GetStats().dropped, 0u);
-  EXPECT_EQ(collector.GetStats().buffered, 1u);
+  EXPECT_EQ(collector.GetStats().buffered, 2u);
 }
 
 TEST(FeedbackCollectorTest, EncodedBatchesAreAllOrNothing) {
@@ -608,6 +619,42 @@ TEST(OnlineJugglerTest, EncodedIngestAndBackgroundThread) {
   loop.Stop();
   loop.Stop();  // Idempotent.
   EXPECT_EQ(SnapshotOnlineStats().refits_accepted, 1u);
+}
+
+TEST(OnlineJugglerTest, ObservationsIngestedDuringARefitAreNotLost) {
+  ResetOnlineStatsForTest();
+  LoopFixture f("concurrent_ingest");
+  OnlineJuggler::Options options = SmallLoopOptions();
+  options.collector.capacity = 512;  // Small enough for the ring to displace.
+  OnlineJuggler loop(f.registry, nullptr, options);
+
+  // A producer keeps adding while refits run: every record must end up
+  // consumed by a refit attempt, displaced by the ring, or still buffered.
+  const auto batch = TruthObservations(f.truth);
+  std::atomic<bool> done{false};
+  std::thread producer([&] {
+    for (int i = 0; i < 150; ++i) {
+      loop.Observe(batch);
+      // An app the registry does not serve: taken and discarded.
+      loop.Observe({QuickObs("lor", 10.0 + i)});
+      std::this_thread::sleep_for(std::chrono::microseconds(200));
+    }
+    done.store(true);
+  });
+  size_t consumed = 0;
+  size_t attempted = 0;
+  while (!done.load()) {
+    const auto cycle = loop.RunOnce();
+    consumed += cycle.consumed;
+    attempted += cycle.attempted;
+  }
+  producer.join();
+  consumed += loop.RunOnce().consumed;
+
+  const FeedbackCollector::Stats stats = loop.collector().GetStats();
+  EXPECT_EQ(stats.ingested, 150u * (batch.size() + 1));
+  EXPECT_EQ(stats.ingested, stats.dropped + stats.buffered + consumed);
+  EXPECT_GT(attempted, 0u);
 }
 
 TEST(OnlineMetricsTest, MetricsTextCarriesEverySeries) {

@@ -19,6 +19,8 @@
 //
 // Emits SOAK_report.json (per-phase outcomes + verdicts + chaos log) and
 // BENCH_soak.json (sustained-throughput floor, skipped under sanitizers).
+// The trace's request count is fixed, so --time-scale X spreads it over X
+// times the duration: the floor checked is --qps-floor / X.
 // Exit code 0 iff every invariant held.
 
 #include <algorithm>
@@ -717,8 +719,9 @@ int main(int argc, char** argv) {
       total_duration_s > 0.0
           ? static_cast<double>(total_ok) / total_duration_s
           : 0.0;
+  const double effective_floor = flags.qps_floor / flags.time_scale;
   const bool check_floor = !kSanitizerBuild && flags.qps_floor > 0.0;
-  const bool floor_ok = !check_floor || sustained_qps >= flags.qps_floor;
+  const bool floor_ok = !check_floor || sustained_qps >= effective_floor;
   pass = pass && floor_ok;
 
   // SOAK_report.json: the full picture one run produced.
@@ -743,6 +746,8 @@ int main(int argc, char** argv) {
              net::Json::Number(static_cast<double>(flags.seed)))
         .Set("time_scale", net::Json::Number(flags.time_scale))
         .Set("sanitizer", net::Json::Bool(kSanitizerBuild))
+        .Set("qps_floor", net::Json::Number(flags.qps_floor))
+        .Set("effective_qps_floor", net::Json::Number(effective_floor))
         .Set("phases", std::move(phases_json))
         .Set("metrics_invariants", std::move(metrics_json))
         .Set("metrics_scrapes",
@@ -770,6 +775,7 @@ int main(int argc, char** argv) {
         .Set("duration_s", net::Json::Number(total_duration_s))
         .Set("sustained_req_per_s", net::Json::Number(sustained_qps))
         .Set("floor_req_per_s", net::Json::Number(flags.qps_floor))
+        .Set("effective_floor_req_per_s", net::Json::Number(effective_floor))
         .Set("floor_checked", net::Json::Bool(check_floor));
     std::ofstream out(flags.bench);
     out << bench.Dump() << "\n";
@@ -793,8 +799,11 @@ int main(int argc, char** argv) {
   }
   if (!drained) std::printf("  [FAIL] connections did not drain\n");
   if (check_floor) {
-    std::printf("  [%s] sustained %.1f req/s vs floor %.1f\n",
-                floor_ok ? "PASS" : "FAIL", sustained_qps, flags.qps_floor);
+    std::printf(
+        "  [%s] sustained %.1f req/s vs floor %.1f (%.1f at time-scale 1, "
+        "/ %.2g)\n",
+        floor_ok ? "PASS" : "FAIL", sustained_qps, effective_floor,
+        flags.qps_floor, flags.time_scale);
   }
   std::printf("%s\n", pass ? "SOAK OK" : "SOAK FAILED");
   return pass ? 0 : 1;
