@@ -2,14 +2,23 @@
 // of Juggler's algorithmic pieces, plus the ablation the DESIGN.md calls
 // out (metrics derived from instrumentation vs Algorithm 1 runtime).
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include <benchmark/benchmark.h>
 
 #include "core/dataset_metrics.h"
 #include "core/hotspot.h"
+#include "core/juggler.h"
 #include "core/parameter_calibration.h"
 #include "math/linear_model.h"
 #include "math/nnls.h"
 #include "minispark/engine.h"
+#include "net/http.h"
+#include "net/json.h"
+#include "net/recommend_codec.h"
+#include "service/recommendation_service.h"
 #include "workloads/workloads.h"
 
 namespace {
@@ -133,6 +142,98 @@ void BM_CrossValidation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CrossValidation)->Arg(9)->Arg(450)->Unit(benchmark::kMicrosecond);
+
+// The warm recommend path's text codecs, on the serving benchmark's shapes:
+// three questions for each of the five paper workloads (examples, features
+// and iterations inside the benchmark's ranges), their HTTP/1.1 requests as
+// its load generator writes them, and the responses the trained models
+// answer (models trained like the benchmark's registry).
+struct CodecInputs {
+  std::vector<std::string> wires;   ///< Complete HTTP requests.
+  std::vector<std::string> bodies;  ///< Their JSON bodies.
+  std::vector<std::string> apps;
+  std::vector<service::RecommendResponse> responses;
+};
+
+const CodecInputs& Codec() {
+  static const CodecInputs* const inputs = [] {
+    auto* out = new CodecInputs;
+    const minispark::AppParams questions[] = {
+        {4000, 200, 3}, {12000, 900, 5}, {19000, 1800, 9}};
+    for (const auto& w : workloads::AllWorkloads()) {
+      core::JugglerConfig config;
+      config.time_grid = core::TrainingGrid{
+          {0.4 * w.paper_params.examples, 0.7 * w.paper_params.examples,
+           w.paper_params.examples},
+          {0.4 * w.paper_params.features, 0.7 * w.paper_params.features,
+           w.paper_params.features},
+          w.paper_params.iterations};
+      config.memory_reference = w.paper_params;
+      config.run_options = Quiet();
+      const auto trained = core::TrainJuggler(w.name, w.make, config).value();
+      for (const minispark::AppParams& q : questions) {
+        char body[256];
+        std::snprintf(body, sizeof(body),
+                      "{\"app\":\"%s\",\"params\":{\"examples\":%.0f,"
+                      "\"features\":%.0f,\"iterations\":%d}}",
+                      w.name.c_str(), q.examples, q.features, q.iterations);
+        out->bodies.emplace_back(body);
+        out->wires.push_back(
+            "POST /v1/recommend HTTP/1.1\r\nHost: perfbench\r\n"
+            "X-Request-Id: 0000000042\r\nContent-Type: application/json\r\n"
+            "Content-Length: " +
+            std::to_string(out->bodies.back().size()) + "\r\n\r\n" +
+            out->bodies.back());
+        service::RecommendResponse response;
+        response.recommendations =
+            std::make_shared<const std::vector<core::Recommendation>>(
+                trained.trained
+                    .Recommend(q, minispark::PaperCluster(1))
+                    .value());
+        response.cache_hit = true;
+        response.model_version = 1;
+        out->apps.push_back(w.name);
+        out->responses.push_back(std::move(response));
+      }
+    }
+    return out;
+  }();
+  return *inputs;
+}
+
+void BM_HttpParseRecommend(benchmark::State& state) {
+  const CodecInputs& in = Codec();
+  size_t i = 0;
+  for (auto _ : state) {
+    const std::string& wire = in.wires[i++ % in.wires.size()];
+    net::HttpParser parser(net::HttpParser::Limits{});
+    parser.Append(wire.data(), wire.size());
+    auto result = parser.Next();
+    benchmark::DoNotOptimize(result.request.body.size());
+  }
+}
+BENCHMARK(BM_HttpParseRecommend);
+
+void BM_JsonParseRecommend(benchmark::State& state) {
+  const CodecInputs& in = Codec();
+  size_t i = 0;
+  for (auto _ : state) {
+    auto json = net::Json::Parse(in.bodies[i++ % in.bodies.size()]);
+    benchmark::DoNotOptimize(json.ok());
+  }
+}
+BENCHMARK(BM_JsonParseRecommend);
+
+void BM_EncodeResponse(benchmark::State& state) {
+  const CodecInputs& in = Codec();
+  size_t i = 0;
+  for (auto _ : state) {
+    const size_t k = i++ % in.responses.size();
+    std::string text = net::ResponseJson(in.apps[k], in.responses[k]).Dump();
+    benchmark::DoNotOptimize(text.size());
+  }
+}
+BENCHMARK(BM_EncodeResponse);
 
 }  // namespace
 

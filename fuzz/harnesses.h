@@ -32,8 +32,9 @@ namespace juggler::fuzz {
 /// rest is split across Append() calls (0 = one shot, otherwise chunks of
 /// `(byte % 97) + 1` bytes), so framing across TCP segment boundaries is
 /// part of the explored space. Checks: drained parsers keep their buffer
-/// below the configured limits, poisoned parsers hold zero bytes, and every
-/// error maps to 400/413/501.
+/// below the configured limits, poisoned parsers hold zero bytes, every
+/// error maps to 400/413/501, and the split-feed oracle: the same bytes fed
+/// whole yield the same requests, the same error and the same leftover.
 int RunHttpParser(const uint8_t* data, size_t size);
 
 /// Parses the bytes as a JSON document. Accepted documents are run through
@@ -66,7 +67,9 @@ int RunObservationDecoder(const uint8_t* data, size_t size);
 /// in-memory transport — no sockets) and routed through a real
 /// HttpRecommendServer (registry + service trained once at startup) via
 /// HandleFast()/Handle(), exactly as the event loop would. Every response
-/// must serialize to well-formed HTTP/1.1 framing with a known status code.
+/// must serialize to well-formed HTTP/1.1 framing with a known status code,
+/// and every 200 recommend body must reparse with Json::Parse and re-dump
+/// to identical bytes.
 int RunRecommendServer(const uint8_t* data, size_t size);
 
 /// Always-on invariant check: `assert` compiles away under NDEBUG (the

@@ -506,7 +506,7 @@ net::HttpResponse RouterHttpServer::HandleObserve(
     const std::string encoded = online::EncodeObservationBatch(group);
     auto reply = router_->ForwardObserve(app, encoded);
     body.append("{\"app\":");
-    body.append(net::Json::Str(app).Dump());  // Quoted + escaped.
+    net::AppendJsonString(&body, app);
     body.push_back(',');
     if (reply.ok()) {
       body.append("\"reply\":").append(*reply);

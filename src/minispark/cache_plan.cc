@@ -1,7 +1,7 @@
 #include "minispark/cache_plan.h"
 
 #include <cctype>
-#include <cstdio>
+#include <charconv>
 #include <limits>
 
 namespace juggler::minispark {
@@ -36,15 +36,26 @@ std::vector<DatasetId> CachePlan::UnpersistBefore(DatasetId y) const {
 }
 
 std::string CachePlan::ToString() const {
-  if (ops.empty()) return "-";
   std::string out;
-  for (const auto& op : ops) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%s%c(%d)", out.empty() ? "" : " ",
-                  op.kind == CacheOp::Kind::kPersist ? 'p' : 'u', op.dataset);
-    out += buf;
-  }
+  AppendTo(&out);
   return out;
+}
+
+void CachePlan::AppendTo(std::string* out) const {
+  if (ops.empty()) {
+    out->push_back('-');
+    return;
+  }
+  for (size_t i = 0; i < ops.size(); ++i) {
+    if (i > 0) out->push_back(' ');
+    char buf[16];  // "p(" + int + ")": at most 14 bytes.
+    buf[0] = ops[i].kind == CacheOp::Kind::kPersist ? 'p' : 'u';
+    buf[1] = '(';
+    char* end =
+        std::to_chars(buf + 2, buf + sizeof(buf) - 1, ops[i].dataset).ptr;
+    *end++ = ')';
+    out->append(buf, end);
+  }
 }
 
 StatusOr<CachePlan> CachePlan::Parse(const std::string& text) {

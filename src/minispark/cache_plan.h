@@ -44,8 +44,12 @@ struct CachePlan {
   /// before y's first materialization (the u() ops preceding p(y)).
   std::vector<DatasetId> UnpersistBefore(DatasetId y) const;
 
-  /// "p(1) p(2) u(2) p(11)" — the paper's Table 2 notation.
+  /// "p(1) p(2) u(2) p(11)" — the paper's Table 2 notation; "-" for the
+  /// empty plan.
   std::string ToString() const;
+
+  /// Appends ToString()'s text to `out` without a temporary.
+  void AppendTo(std::string* out) const;
 
   /// Parses the Table 2 notation. Accepts whitespace-separated p(i)/u(i).
   static StatusOr<CachePlan> Parse(const std::string& text);

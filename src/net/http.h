@@ -2,7 +2,9 @@
 #define JUGGLER_NET_HTTP_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -17,20 +19,22 @@ struct HttpRequest {
   std::vector<std::pair<std::string, std::string>> headers;
   std::string body;
 
-  /// First header value whose name equals `name` case-insensitively, or
-  /// nullptr.
-  const std::string* FindHeader(const std::string& name) const;
+  /// First header value whose name equals `name` case-insensitively
+  /// (ASCII), or nullptr.
+  const std::string* FindHeader(std::string_view name) const;
 
   /// Request target without the query string ("/v1/apps?x=1" -> "/v1/apps").
   std::string Path() const;
 
-  /// HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close; a Connection header
-  /// of "close" / "keep-alive" overrides either way.
+  /// HTTP/1.1 defaults to keep-alive, HTTP/1.0 to close. Connection is a
+  /// comma-separated token list (RFC 7230 §6.1, across every Connection
+  /// header): a "close" token anywhere closes, else a "keep-alive" token
+  /// keeps the connection open; tokens match case-insensitively.
   bool KeepAlive() const;
 };
 
 /// \brief An HTTP response under construction; serialized by
-/// SerializeResponse().
+/// AppendResponse().
 struct HttpResponse {
   int status = 200;
   std::string content_type = "text/plain; charset=utf-8";
@@ -47,8 +51,12 @@ struct HttpResponse {
 /// rest — still a valid response line).
 const char* StatusReason(int status);
 
-/// Serializes `response` as an HTTP/1.1 response with an explicit
+/// Appends `response` to `out` as an HTTP/1.1 response with an explicit
 /// Content-Length and a Connection header matching `keep_alive`.
+void AppendResponse(std::string* out, const HttpResponse& response,
+                    bool keep_alive);
+
+/// AppendResponse() into a new string.
 std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 
 /// \brief Incremental HTTP/1.1 request parser for one connection.
@@ -66,9 +74,19 @@ std::string SerializeResponse(const HttpResponse& response, bool keep_alive);
 ///    other Transfer-Encoding is rejected with 501 rather than mis-framed,
 ///    and TE + Content-Length together is a 400 (request smuggling vector);
 ///  - size limits: header section and body are each capped, oversize input
-///    yields 413 without buffering the flood;
+///    yields 413 without buffering the flood; each cap bounds a window of
+///    the stream (the head's blank line and every chunk line and chunk must
+///    end inside it), so the verdict never depends on how the bytes were
+///    split across Append() calls;
 ///  - malformed input yields 400 with a one-line reason; the connection
 ///    should then be closed (framing is unrecoverable after a parse error).
+///
+/// Work is linear in the bytes fed, however they are split: the head is
+/// parsed once (as string_views into the buffer, each owned string built
+/// once), a pending body's framing and the chunk decoder's position survive
+/// across Next() calls, every scan for a line end resumes where the last
+/// one stopped, and consumed requests advance a read offset that Append()
+/// compacts away once.
 class HttpParser {
  public:
   struct Limits {
@@ -95,27 +113,51 @@ class HttpParser {
   /// and Append() drops everything: the connection must close, so buffering
   /// the rest of a hostile stream would be unbounded memory growth for
   /// bytes nobody will ever parse.
-  void Append(const char* data, size_t size) {
-    if (failed_) return;
-    buffer_.append(data, size);
-  }
+  void Append(const char* data, size_t size);
 
   /// Extracts the next complete request from the buffer, if any. After
   /// kError the parser is poisoned: framing is lost, every further Next()
   /// reports the same error.
   Result Next();
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  /// Bytes received and not yet consumed by a complete request.
+  size_t buffered_bytes() const { return buffer_.size() - read_; }
 
  private:
-  Result Fail(int status, std::string detail);
+  /// Where the request at `read_` stands. Positions below are offsets into
+  /// `buffer_`.
+  enum class Phase {
+    kHead,       ///< Waiting for the blank line that ends the head.
+    kBody,       ///< Head parsed; waiting for `content_length_` bytes.
+    kChunkSize,  ///< Chunked: the size line at `pos_`.
+    kChunkData,  ///< Chunked: `chunk_size_` data bytes + CRLF at `pos_`.
+    kTrailer,    ///< Chunked: the trailer line at `pos_`.
+  };
 
-  /// Decodes a Transfer-Encoding: chunked body starting at `body_start` in
-  /// the buffer. Consumes through the trailer section on success.
-  Result NextChunked(HttpRequest request, size_t body_start);
+  Result Fail(int status, std::string detail);
+  /// Parses the head [read_, header_end) into `request_` and sets the body
+  /// phase: kError on malformed input, else kNeedMore (the body is next).
+  Result ParseHead(size_t header_end);
+  /// Decodes a Transfer-Encoding: chunked body from `pos_` on, through the
+  /// trailer section.
+  Result NextChunked();
+  /// Hands out `request_`, consuming the buffer through `end`.
+  Result Complete(size_t end);
+  /// Offset of the first `pattern` at or after `from` that ends by `limit`,
+  /// resuming where the previous search of the same line stopped; npos if
+  /// none is buffered yet.
+  size_t Find(std::string_view pattern, size_t from, size_t limit);
 
   Limits limits_;
   std::string buffer_;
+  size_t read_ = 0;  ///< Start of the unconsumed bytes.
+  size_t scan_ = 0;  ///< Where the pending CRLF / blank-line search resumes.
+  Phase phase_ = Phase::kHead;
+  HttpRequest request_;  ///< The request being parsed (head done past kHead).
+  size_t body_start_ = 0;
+  size_t content_length_ = 0;
+  size_t pos_ = 0;         ///< Chunked: start of the current line or data.
+  uint64_t chunk_size_ = 0;
   bool failed_ = false;
   int failed_status_ = 0;
   std::string failed_detail_;

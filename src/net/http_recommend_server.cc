@@ -138,16 +138,15 @@ HttpResponse HttpRecommendServer::HandleRecommend(const HttpRequest& request) {
     requests.push_back(std::move(parsed).value());
   }
   const auto responses = service_->RecommendBatch(requests);
-  Json results = Json::Arr();
+  std::string body = "{\"results\":[";
   for (size_t i = 0; i < responses.size(); ++i) {
-    if (responses[i].ok()) {
-      results.Append(ResponseJson(requests[i].app, *responses[i]));
-    } else {
-      results.Append(ErrorJson(responses[i].status()));
-    }
+    if (i > 0) body.push_back(',');
+    body.append(responses[i].ok()
+                    ? ResponseJson(requests[i].app, *responses[i]).Dump()
+                    : ErrorJson(responses[i].status()).Dump());
   }
-  return HttpResponse::JsonBody(
-      200, Json::Obj().Set("results", std::move(results)).Dump());
+  body.append("]}");
+  return HttpResponse::JsonBody(200, std::move(body));
 }
 
 HttpResponse HttpRecommendServer::HandleObserve(const HttpRequest& request) {

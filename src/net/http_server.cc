@@ -66,7 +66,7 @@ class HttpCodec final : public EventLoopServer::Codec {
         std::optional<HttpResponse> fast =
             codec_->fast_handler_(result_.request);
         if (fast) {
-          *out += SerializeResponse(*fast, keep_alive_);
+          AppendResponse(out, *fast, keep_alive_);
           return Answer::kInline;
         }
       }
@@ -86,17 +86,18 @@ class HttpCodec final : public EventLoopServer::Codec {
     }
 
     void AppendOverload(std::string* out) const override {
-      *out += SerializeResponse(OverloadResponse(), keep_alive_);
+      AppendResponse(out, OverloadResponse(), keep_alive_);
     }
     void AppendProtocolError(std::string* out) const override {
-      *out += SerializeResponse(
+      AppendResponse(
+          out,
           HttpResponse::Text(result_.error_status, result_.error_detail + "\n"),
           /*keep_alive=*/false);
     }
     void AppendSlowRead(std::string* out) const override {
-      *out += SerializeResponse(
-          HttpResponse::Text(408, "request header read timeout\n"),
-          /*keep_alive=*/false);
+      AppendResponse(out,
+                     HttpResponse::Text(408, "request header read timeout\n"),
+                     /*keep_alive=*/false);
     }
 
    private:

@@ -4,7 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 
 #include "common/parse.h"
 
@@ -16,11 +15,35 @@ const std::string kEmptyString;
 const Json::Array kEmptyArray;
 const Json::Object kEmptyObject;
 
-/// Recursive-descent parser over a raw byte range. Error messages carry the
-/// byte offset so malformed request bodies are diagnosable from logs.
-class Parser {
+/// Appends `code_point` to `out` as UTF-8.
+void AppendUtf8(std::string* out, uint32_t code_point) {
+  if (code_point <= 0x7F) {
+    out->push_back(static_cast<char>(code_point));
+  } else if (code_point <= 0x7FF) {
+    out->push_back(static_cast<char>(0xC0 | (code_point >> 6)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  } else if (code_point <= 0xFFFF) {
+    out->push_back(static_cast<char>(0xE0 | (code_point >> 12)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  } else {
+    out->push_back(static_cast<char>(0xF0 | (code_point >> 18)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 12) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
+    out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+  }
+}
+
+}  // namespace
+
+/// Recursive-descent parser over a raw byte range. Every value is filled in
+/// place (members and elements are parsed into their final slot, never
+/// moved) and numbers convert from the text range itself. Error messages
+/// carry the byte offset so malformed request bodies are diagnosable from
+/// logs.
+class Json::Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(std::string_view text) : text_(text) {}
 
   StatusOr<Json> ParseDocument() {
     Json value;
@@ -33,6 +56,10 @@ class Parser {
   }
 
  private:
+  /// Slots reserved when a container gets its first member or element: the
+  /// API's objects have 2-7 members, so most never grow again.
+  static constexpr size_t kInitialCapacity = 4;
+
   Status Error(const std::string& message) const {
     return Status::InvalidArgument("JSON parse error at byte " +
                                    std::to_string(pos_) + ": " + message);
@@ -54,6 +81,7 @@ class Parser {
     return false;
   }
 
+  /// Parses one value into `out`, a fresh null.
   Status ParseValue(Json* out, int depth) {
     SkipWhitespace();
     if (pos_ >= text_.size()) return Error("unexpected end of input");
@@ -69,31 +97,30 @@ class Parser {
       case '[':
         if (depth >= Json::kMaxDepth) return Error("nesting too deep");
         return ParseArray(out, depth);
-      case '"': {
-        std::string s;
-        JUGGLER_RETURN_IF_ERROR(ParseString(&s));
-        *out = Json::Str(std::move(s));
-        return Status::OK();
-      }
+      case '"':
+        out->type_ = Type::kString;
+        return ParseString(&out->string_);
       case 't':
-        return ParseLiteral("true", Json::Bool(true), out);
+        out->type_ = Type::kBool;
+        out->bool_ = true;
+        return ParseLiteral("true");
       case 'f':
-        return ParseLiteral("false", Json::Bool(false), out);
+        out->type_ = Type::kBool;
+        return ParseLiteral("false");
       case 'n':
-        return ParseLiteral("null", Json::Null(), out);
+        return ParseLiteral("null");
       default:
         return ParseNumber(out);
     }
   }
 
-  Status ParseLiteral(const char* literal, Json value, Json* out) {
-    for (const char* p = literal; *p != '\0'; ++p) {
-      if (pos_ >= text_.size() || text_[pos_] != *p) {
-        return Error(std::string("expected '") + literal + "'");
+  Status ParseLiteral(std::string_view literal) {
+    for (const char expected : literal) {
+      if (pos_ >= text_.size() || text_[pos_] != expected) {
+        return Error("expected '" + std::string(literal) + "'");
       }
       ++pos_;
     }
-    *out = std::move(value);
     return Status::OK();
   }
 
@@ -105,8 +132,8 @@ class Parser {
         !(text_[pos_] >= '0' && text_[pos_] <= '9')) {
       return Error("invalid number");
     }
-    // Grammar check first (strtod is laxer than JSON: it accepts hex, inf,
-    // leading '+'), then let strtod produce the value.
+    // Grammar check first (the converter is laxer than JSON: it accepts
+    // "1." and leading zeros), then convert exactly the checked range.
     auto digits = [this] {
       while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9') {
         ++pos_;
@@ -134,29 +161,10 @@ class Parser {
       digits();
       if (pos_ == exp_start) return Error("missing exponent digits");
     }
-    const std::string token = text_.substr(start, pos_ - start);
-    double value = 0.0;
-    if (!ParseFiniteDouble(token, &value)) return Error("number out of range");
-    *out = Json::Number(value);
-    return Status::OK();
-  }
-
-  Status AppendUtf8(std::string* out, uint32_t code_point) {
-    if (code_point <= 0x7F) {
-      out->push_back(static_cast<char>(code_point));
-    } else if (code_point <= 0x7FF) {
-      out->push_back(static_cast<char>(0xC0 | (code_point >> 6)));
-      out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
-    } else if (code_point <= 0xFFFF) {
-      out->push_back(static_cast<char>(0xE0 | (code_point >> 12)));
-      out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
-    } else {
-      out->push_back(static_cast<char>(0xF0 | (code_point >> 18)));
-      out->push_back(static_cast<char>(0x80 | ((code_point >> 12) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | ((code_point >> 6) & 0x3F)));
-      out->push_back(static_cast<char>(0x80 | (code_point & 0x3F)));
+    if (!ParseFiniteDouble(text_.substr(start, pos_ - start), &out->number_)) {
+      return Error("number out of range");
     }
+    out->type_ = Type::kNumber;
     return Status::OK();
   }
 
@@ -185,16 +193,21 @@ class Parser {
     if (!Consume('"')) return Error("expected '\"'");
     out->clear();
     while (true) {
+      // Copy the run of plain bytes before the next quote, backslash or
+      // control byte in one append.
+      const size_t run = pos_;
+      while (pos_ < text_.size()) {
+        const char c = text_[pos_];
+        if (c == '"' || c == '\\' || static_cast<unsigned char>(c) < 0x20) {
+          break;
+        }
+        ++pos_;
+      }
+      out->append(text_.data() + run, pos_ - run);
       if (pos_ >= text_.size()) return Error("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return Status::OK();
-      if (static_cast<unsigned char>(c) < 0x20) {
-        return Error("unescaped control character in string");
-      }
-      if (c != '\\') {
-        out->push_back(c);
-        continue;
-      }
+      if (c != '\\') return Error("unescaped control character in string");
       if (pos_ >= text_.size()) return Error("unterminated escape");
       const char esc = text_[pos_++];
       switch (esc) {
@@ -224,7 +237,7 @@ class Parser {
           } else if (code_point >= 0xDC00 && code_point <= 0xDFFF) {
             return Error("unpaired surrogate");
           }
-          JUGGLER_RETURN_IF_ERROR(AppendUtf8(out, code_point));
+          AppendUtf8(out, code_point);
           break;
         }
         default:
@@ -235,13 +248,13 @@ class Parser {
 
   Status ParseArray(Json* out, int depth) {
     Consume('[');
-    *out = Json::Arr();
+    out->type_ = Type::kArray;
     SkipWhitespace();
     if (Consume(']')) return Status::OK();
+    out->array_.reserve(kInitialCapacity);
     while (true) {
-      Json element;
-      JUGGLER_RETURN_IF_ERROR(ParseValue(&element, depth + 1));
-      out->Append(std::move(element));
+      JUGGLER_RETURN_IF_ERROR(
+          ParseValue(&out->array_.emplace_back(), depth + 1));
       SkipWhitespace();
       if (Consume(']')) return Status::OK();
       if (!Consume(',')) return Error("expected ',' or ']' in array");
@@ -250,74 +263,26 @@ class Parser {
 
   Status ParseObject(Json* out, int depth) {
     Consume('{');
-    *out = Json::Obj();
+    out->type_ = Type::kObject;
     SkipWhitespace();
     if (Consume('}')) return Status::OK();
+    out->object_.reserve(kInitialCapacity);
     while (true) {
       SkipWhitespace();
-      std::string key;
+      auto& [key, value] = out->object_.emplace_back();
       JUGGLER_RETURN_IF_ERROR(ParseString(&key));
       SkipWhitespace();
       if (!Consume(':')) return Error("expected ':' after object key");
-      Json value;
       JUGGLER_RETURN_IF_ERROR(ParseValue(&value, depth + 1));
-      out->Set(std::move(key), std::move(value));
       SkipWhitespace();
       if (Consume('}')) return Status::OK();
       if (!Consume(',')) return Error("expected ',' or '}' in object");
     }
   }
 
-  const std::string& text_;
+  const std::string_view text_;
   size_t pos_ = 0;
 };
-
-void AppendEscaped(std::string* out, const std::string& s) {
-  out->push_back('"');
-  for (const char c : s) {
-    switch (c) {
-      case '"': out->append("\\\""); break;
-      case '\\': out->append("\\\\"); break;
-      case '\b': out->append("\\b"); break;
-      case '\f': out->append("\\f"); break;
-      case '\n': out->append("\\n"); break;
-      case '\r': out->append("\\r"); break;
-      case '\t': out->append("\\t"); break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out->append(buf);
-        } else {
-          out->push_back(c);
-        }
-    }
-  }
-  out->push_back('"');
-}
-
-void AppendNumber(std::string* out, double v) {
-  if (!std::isfinite(v)) {
-    // JSON has no Infinity/NaN; null is the conventional degradation.
-    out->append("null");
-    return;
-  }
-  // Integral values within the double-exact range print without a fraction
-  // ("12000", not "12000.0"); everything else prints in shortest
-  // round-trip form via to_chars.
-  constexpr double kExactIntLimit = 9007199254740992.0;  // 2^53
-  if (v == std::floor(v) && std::fabs(v) < kExactIntLimit) {
-    out->append(std::to_string(static_cast<long long>(v)));
-    return;
-  }
-  char buf[32];
-  const auto result = std::to_chars(buf, buf + sizeof(buf), v);
-  assert(result.ec == std::errc());
-  out->append(buf, result.ptr);
-}
-
-}  // namespace
 
 Json Json::Bool(bool value) {
   Json j;
@@ -364,7 +329,7 @@ const Json::Object& Json::object_items() const {
   return is_object() ? object_ : kEmptyObject;
 }
 
-const Json* Json::Find(const std::string& key) const {
+const Json* Json::Find(std::string_view key) const {
   if (!is_object()) return nullptr;
   for (const auto& [name, value] : object_) {
     if (name == key) return &value;
@@ -372,13 +337,14 @@ const Json* Json::Find(const std::string& key) const {
   return nullptr;
 }
 
-double Json::NumberOr(const std::string& key, double fallback) const {
+double Json::NumberOr(std::string_view key, double fallback) const {
   const Json* found = Find(key);
   return (found != nullptr && found->is_number()) ? found->number_value()
                                                   : fallback;
 }
 
-std::string Json::StringOr(const std::string& key, std::string fallback) const {
+std::string Json::StringOr(std::string_view key,
+                           std::string fallback) const {
   const Json* found = Find(key);
   return (found != nullptr && found->is_string()) ? found->string_value()
                                                   : std::move(fallback);
@@ -396,7 +362,7 @@ Json& Json::Append(Json value) {
   return *this;
 }
 
-StatusOr<Json> Json::Parse(const std::string& text) {
+StatusOr<Json> Json::Parse(std::string_view text) {
   return Parser(text).ParseDocument();
 }
 
@@ -415,10 +381,10 @@ void Json::DumpTo(std::string* out) const {
       out->append(bool_ ? "true" : "false");
       break;
     case Type::kNumber:
-      AppendNumber(out, number_);
+      AppendJsonNumber(out, number_);
       break;
     case Type::kString:
-      AppendEscaped(out, string_);
+      AppendJsonString(out, string_);
       break;
     case Type::kArray: {
       out->push_back('[');
@@ -437,7 +403,7 @@ void Json::DumpTo(std::string* out) const {
       for (const auto& [key, value] : object_) {
         if (!first) out->push_back(',');
         first = false;
-        AppendEscaped(out, key);
+        AppendJsonString(out, key);
         out->push_back(':');
         value.DumpTo(out);
       }
@@ -445,6 +411,51 @@ void Json::DumpTo(std::string* out) const {
       break;
     }
   }
+}
+
+void AppendJsonString(std::string* out, std::string_view s) {
+  static constexpr char kHex[] = "0123456789abcdef";
+  out->push_back('"');
+  size_t run = 0;  // First byte not yet copied to `out`.
+  for (size_t i = 0; i < s.size(); ++i) {
+    const auto c = static_cast<unsigned char>(s[i]);
+    if (c >= 0x20 && c != '"' && c != '\\') continue;
+    out->append(s.data() + run, i - run);
+    run = i + 1;
+    switch (c) {
+      case '"': out->append("\\\""); break;
+      case '\\': out->append("\\\\"); break;
+      case '\b': out->append("\\b"); break;
+      case '\f': out->append("\\f"); break;
+      case '\n': out->append("\\n"); break;
+      case '\r': out->append("\\r"); break;
+      case '\t': out->append("\\t"); break;
+      default:
+        out->append("\\u00");
+        out->push_back(kHex[c >> 4]);
+        out->push_back(kHex[c & 0xF]);
+    }
+  }
+  out->append(s.data() + run, s.size() - run);
+  out->push_back('"');
+}
+
+void AppendJsonNumber(std::string* out, double v) {
+  if (!std::isfinite(v)) {
+    out->append("null");
+    return;
+  }
+  // Integral values within the double-exact range print without a fraction
+  // ("12000", not "12000.0"); everything else prints in shortest
+  // round-trip form.
+  constexpr double kExactIntLimit = 9007199254740992.0;  // 2^53
+  char buf[32];
+  const auto result =
+      v == std::floor(v) && std::fabs(v) < kExactIntLimit
+          ? std::to_chars(buf, buf + sizeof(buf), static_cast<int64_t>(v))
+          : std::to_chars(buf, buf + sizeof(buf), v);
+  assert(result.ec == std::errc());
+  out->append(buf, result.ptr);
 }
 
 }  // namespace juggler::net

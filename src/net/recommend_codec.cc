@@ -155,28 +155,41 @@ StatusOr<service::RecommendRequest> ParseRecommendRequest(const Json& json) {
   return request;
 }
 
-Json ResponseJson(const std::string& app,
-                  const service::RecommendResponse& response) {
-  Json recommendations = Json::Arr();
-  for (const core::Recommendation& r : *response.recommendations) {
-    Json item = Json::Obj();
-    item.Set("schedule_id", Json::Number(r.schedule_id))
-        .Set("plan", Json::Str(r.plan.ToString()))
-        .Set("predicted_bytes", Json::Number(r.predicted_bytes))
-        .Set("machines", Json::Number(r.machines))
-        .Set("predicted_time_ms", Json::Number(r.predicted_time_ms))
-        .Set("predicted_cost_machine_min",
-             Json::Number(r.predicted_cost_machine_min))
-        .Set("objective_score", Json::Number(r.objective_score));
-    recommendations.Append(std::move(item));
+JsonText ResponseJson(const std::string& app,
+                      const service::RecommendResponse& response) {
+  const std::vector<core::Recommendation>& recommendations =
+      *response.recommendations;
+  // About 200 bytes per recommendation; one allocation for typical replies.
+  std::string out;
+  out.reserve(96 + app.size() + 224 * recommendations.size());
+  out.append("{\"app\":");
+  AppendJsonString(&out, app);
+  out.append(response.cache_hit ? ",\"cache_hit\":true"
+                                 : ",\"cache_hit\":false");
+  out.append(",\"model_version\":");
+  AppendJsonNumber(&out, static_cast<double>(response.model_version));
+  out.append(",\"recommendations\":[");
+  for (size_t i = 0; i < recommendations.size(); ++i) {
+    const core::Recommendation& r = recommendations[i];
+    out.append(i == 0 ? "{\"schedule_id\":" : ",{\"schedule_id\":");
+    AppendJsonNumber(&out, r.schedule_id);
+    // The plan notation ("-", "p(1) u(1) p(3)") has no byte to escape.
+    out.append(",\"plan\":\"");
+    r.plan.AppendTo(&out);
+    out.append("\",\"predicted_bytes\":");
+    AppendJsonNumber(&out, r.predicted_bytes);
+    out.append(",\"machines\":");
+    AppendJsonNumber(&out, r.machines);
+    out.append(",\"predicted_time_ms\":");
+    AppendJsonNumber(&out, r.predicted_time_ms);
+    out.append(",\"predicted_cost_machine_min\":");
+    AppendJsonNumber(&out, r.predicted_cost_machine_min);
+    out.append(",\"objective_score\":");
+    AppendJsonNumber(&out, r.objective_score);
+    out.push_back('}');
   }
-  Json out = Json::Obj();
-  out.Set("app", Json::Str(app))
-      .Set("cache_hit", Json::Bool(response.cache_hit))
-      .Set("model_version",
-           Json::Number(static_cast<double>(response.model_version)))
-      .Set("recommendations", std::move(recommendations));
-  return out;
+  out.append("]}");
+  return JsonText(std::move(out));
 }
 
 StatusOr<std::vector<online::Observation>> ParseObservationsJson(

@@ -2,6 +2,7 @@
 #define JUGGLER_NET_RECOMMEND_CODEC_H_
 
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
@@ -43,10 +44,29 @@ Status StatusFromErrorJson(const std::string& payload);
 ///    "machine":{"machine_gb":G}}           // machine optional
 StatusOr<service::RecommendRequest> ParseRecommendRequest(const Json& json);
 
+/// \brief Encoded JSON text from a direct writer. `Dump()` hands it out,
+/// so call sites read the same as for a Json value's Dump().
+class JsonText {
+ public:
+  explicit JsonText(std::string text) : text_(std::move(text)) {}
+  const std::string& Dump() const& { return text_; }
+  std::string Dump() && { return std::move(text_); }
+
+ private:
+  std::string text_;
+};
+
 /// Serializes one recommend response (app echo, cache_hit, model_version,
-/// recommendations array).
-Json ResponseJson(const std::string& app,
-                  const service::RecommendResponse& response);
+/// recommendations array) straight into one reserved string, in the fixed
+/// key order
+///   {"app":..,"cache_hit":..,"model_version":..,"recommendations":[
+///     {"schedule_id":..,"plan":..,"predicted_bytes":..,"machines":..,
+///      "predicted_time_ms":..,"predicted_cost_machine_min":..,
+///      "objective_score":..},...]}
+/// with AppendJsonString/AppendJsonNumber: byte-identical to building the
+/// same members with Json::Obj().Set(...) and calling Dump().
+JsonText ResponseJson(const std::string& app,
+                      const service::RecommendResponse& response);
 
 /// Maps a Status to the HTTP response the API uses (HttpStatusFor + JSON
 /// error body; 503 carries Retry-After).

@@ -9,12 +9,15 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <mutex>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "net/http_recommend_server.h"
 #include "net/http_server.h"
 #include "net/json.h"
+#include "net/recommend_codec.h"
 #include "online/observation.h"
 #include "online/online_loop.h"
 #include "service/model_registry.h"
@@ -918,6 +922,296 @@ TEST(HttpRecommendServerTest, RecommendRejectsInvalidObjectives) {
   EXPECT_EQ(error_of(R"({"cost":"high"})"), "400 INVALID_ARGUMENT");
   EXPECT_EQ(error_of(R"({"cost":-1.0})"), "400 INVALID_ARGUMENT");
   EXPECT_EQ(error_of("{}"), "400 INVALID_ARGUMENT");
+}
+
+// ---------------------------------------------------------------------------
+// Response bytes: the direct writer against golden text and the DOM builder
+// it replaced.
+// ---------------------------------------------------------------------------
+
+/// The DOM builder ResponseJson() used to be, kept as the byte-for-byte
+/// reference for the direct writer.
+Json ReferenceResponseJson(const std::string& app,
+                           const service::RecommendResponse& response) {
+  Json recommendations = Json::Arr();
+  for (const core::Recommendation& r : *response.recommendations) {
+    Json item = Json::Obj();
+    item.Set("schedule_id", Json::Number(r.schedule_id))
+        .Set("plan", Json::Str(r.plan.ToString()))
+        .Set("predicted_bytes", Json::Number(r.predicted_bytes))
+        .Set("machines", Json::Number(r.machines))
+        .Set("predicted_time_ms", Json::Number(r.predicted_time_ms))
+        .Set("predicted_cost_machine_min",
+             Json::Number(r.predicted_cost_machine_min))
+        .Set("objective_score", Json::Number(r.objective_score));
+    recommendations.Append(std::move(item));
+  }
+  Json out = Json::Obj();
+  out.Set("app", Json::Str(app))
+      .Set("cache_hit", Json::Bool(response.cache_hit))
+      .Set("model_version",
+           Json::Number(static_cast<double>(response.model_version)))
+      .Set("recommendations", std::move(recommendations));
+  return out;
+}
+
+core::Recommendation MakeRecommendation(int schedule_id,
+                                        const std::string& plan,
+                                        double predicted_bytes, int machines,
+                                        double time_ms, double cost,
+                                        double score) {
+  core::Recommendation r;
+  r.schedule_id = schedule_id;
+  r.plan = minispark::CachePlan::Parse(plan).value();
+  r.predicted_bytes = predicted_bytes;
+  r.machines = machines;
+  r.predicted_time_ms = time_ms;
+  r.predicted_cost_machine_min = cost;
+  r.objective_score = score;
+  return r;
+}
+
+service::RecommendResponse MakeResponse(
+    std::vector<core::Recommendation> recommendations, bool cache_hit,
+    uint64_t model_version) {
+  service::RecommendResponse response;
+  response.recommendations =
+      std::make_shared<const std::vector<core::Recommendation>>(
+          std::move(recommendations));
+  response.cache_hit = cache_hit;
+  response.model_version = model_version;
+  return response;
+}
+
+TEST(ResponseBytesTest, SinglesMatchGoldenText) {
+  // cache_hit false, the empty plan, integral doubles without a fraction.
+  EXPECT_EQ(
+      ResponseJson("svm", MakeResponse({MakeRecommendation(
+                                           0, "", 1200000000.0, 8, 61234.5,
+                                           12.25, 0.0)},
+                                       /*cache_hit=*/false, 1))
+          .Dump(),
+      R"j({"app":"svm","cache_hit":false,"model_version":1,)j"
+      R"j("recommendations":[{"schedule_id":0,"plan":"-",)j"
+      R"j("predicted_bytes":1200000000,"machines":8,)j"
+      R"j("predicted_time_ms":61234.5,"predicted_cost_machine_min":12.25,)j"
+      R"j("objective_score":0}]})j");
+  // cache_hit true, a Table 2 plan, shortest round-trip doubles, two
+  // recommendations.
+  EXPECT_EQ(
+      ResponseJson(
+          "lor",
+          MakeResponse({MakeRecommendation(3, "p(1) u(1) p(3)", 0.1, 2, 1e-7,
+                                           1.5e300, 1.0 / 3.0),
+                        MakeRecommendation(12, "p(11)", -2.5, -1, 5e-324,
+                                           -0.0, 0.75)},
+                       /*cache_hit=*/true, 42))
+          .Dump(),
+      R"j({"app":"lor","cache_hit":true,"model_version":42,)j"
+      R"j("recommendations":[{"schedule_id":3,"plan":"p(1) u(1) p(3)",)j"
+      R"j("predicted_bytes":0.1,"machines":2,"predicted_time_ms":1e-07,)j"
+      R"j("predicted_cost_machine_min":1.5e+300,)j"
+      R"j("objective_score":0.3333333333333333},)j"
+      R"j({"schedule_id":12,"plan":"p(11)","predicted_bytes":-2.5,)j"
+      R"j("machines":-1,"predicted_time_ms":5e-324,)j"
+      R"j("predicted_cost_machine_min":0,"objective_score":0.75}]})j");
+  // No recommendations at all.
+  EXPECT_EQ(ResponseJson("pca", MakeResponse({}, false, 0)).Dump(),
+            R"j({"app":"pca","cache_hit":false,"model_version":0,)j"
+            R"j("recommendations":[]})j");
+}
+
+TEST(ResponseBytesTest, NonFiniteAndLargeIntegralNumbersMatchGoldenText) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // JSON has no spelling for NaN or infinity: they encode as null.
+  EXPECT_EQ(ResponseJson("svm", MakeResponse({MakeRecommendation(
+                                                 1, "p(2)", nan, 3, inf,
+                                                 -inf, nan)},
+                                             true, 5))
+                .Dump(),
+            R"j({"app":"svm","cache_hit":true,"model_version":5,)j"
+            R"j("recommendations":[{"schedule_id":1,"plan":"p(2)",)j"
+            R"j("predicted_bytes":null,"machines":3,"predicted_time_ms":null,)j"
+            R"j("predicted_cost_machine_min":null,"objective_score":null}]})j");
+  // Integral doubles print as integers below 2^53 and in shortest
+  // round-trip form from 2^53 on; model versions beyond 2^53 round like
+  // any double.
+  EXPECT_EQ(ResponseJson("svm",
+                         MakeResponse({MakeRecommendation(
+                                          2147483647, "u(2147483647)",
+                                          9007199254740991.0, -2147483647 - 1,
+                                          -9007199254740991.0,
+                                          9007199254740992.0,
+                                          1152921504606846976.0)},
+                                      false, (uint64_t{1} << 53) + 3))
+                .Dump(),
+            R"j({"app":"svm","cache_hit":false,)j"
+            R"j("model_version":9007199254740996,)j"
+            R"j("recommendations":[{"schedule_id":2147483647,)j"
+            R"j("plan":"u(2147483647)","predicted_bytes":9007199254740991,)j"
+            R"j("machines":-2147483648,"predicted_time_ms":-9007199254740991,)j"
+            R"j("predicted_cost_machine_min":9007199254740992,)j"
+            R"j("objective_score":1152921504606846976}]})j");
+  EXPECT_EQ(ResponseJson("svm", MakeResponse({MakeRecommendation(
+                                                 0, "", 1e22, 0, -1e22,
+                                                 123456789012345678.0, 0)},
+                                             false, ~uint64_t{0}))
+                .Dump(),
+            R"j({"app":"svm","cache_hit":false,)j"
+            R"j("model_version":18446744073709551616,)j"
+            R"j("recommendations":[{"schedule_id":0,"plan":"-",)j"
+            R"j("predicted_bytes":1e+22,"machines":0,)j"
+            R"j("predicted_time_ms":-1e+22,)j"
+            R"j("predicted_cost_machine_min":123456789012345680,)j"
+            R"j("objective_score":0}]})j");
+}
+
+TEST(ResponseBytesTest, AppNamesAreEscapedLikeTheDom) {
+  const std::string app = std::string("q\"b\\s/") + '\x01' + '\x1f' + '\x7f' +
+                          "\b\f\n\r\t " + "\xc3\xa9\xf0\x9f\x98\x80";
+  const std::string encoded =
+      ResponseJson(app, MakeResponse({}, false, 1)).Dump();
+  EXPECT_EQ(encoded,
+            std::string(R"j({"app":"q\"b\\s/\u0001\u001f)j") + '\x7f' +
+                R"j(\b\f\n\r\t )j" + "\xc3\xa9\xf0\x9f\x98\x80" +
+                R"j(","cache_hit":false,"model_version":1,)j"
+                R"j("recommendations":[]})j");
+  auto reparsed = Json::Parse(encoded);
+  ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
+  EXPECT_EQ(reparsed->StringOr("app", ""), app);
+}
+
+TEST(ResponseBytesTest, ErrorResponsesMatchGoldenWire) {
+  const auto wire = [](const std::string& head, const std::string& body) {
+    return "HTTP/1.1 " + head +
+           "\r\nContent-Type: application/json\r\nContent-Length: " +
+           std::to_string(body.size()) + "\r\nConnection: keep-alive\r\n";
+  };
+  const std::string bad =
+      R"j({"error":{"code":"INVALID_ARGUMENT","message":"bad \"x\"\n"}})j";
+  EXPECT_EQ(SerializeResponse(
+                ErrorResponse(Status::InvalidArgument("bad \"x\"\n")), true),
+            wire("400 Bad Request", bad) + "\r\n" + bad);
+  const std::string missing =
+      R"j({"error":{"code":"NOT_FOUND","message":"no route for /x"}})j";
+  EXPECT_EQ(SerializeResponse(
+                ErrorResponse(Status::NotFound("no route for /x")), true),
+            wire("404 Not Found", missing) + "\r\n" + missing);
+  const std::string method =
+      R"j({"error":{"code":"INVALID_ARGUMENT",)j"
+      R"j("message":"method not allowed; use POST"}})j";
+  EXPECT_EQ(SerializeResponse(MethodNotAllowed("POST"), true),
+            wire("405 Method Not Allowed", method) + "Allow: POST\r\n\r\n" +
+                method);
+  const std::string busy =
+      R"j({"error":{"code":"RESOURCE_EXHAUSTED","message":"queue full"}})j";
+  const std::string busy_wire = wire("503 Service Unavailable", busy) +
+                                "Retry-After: 1\r\n\r\n" + busy;
+  EXPECT_EQ(SerializeResponse(
+                ErrorResponse(Status::ResourceExhausted("queue full")), true),
+            busy_wire);
+  // AppendResponse writes the same bytes after whatever `out` holds.
+  std::string out = "previous reply";
+  AppendResponse(&out, ErrorResponse(Status::ResourceExhausted("queue full")),
+                 true);
+  EXPECT_EQ(out, "previous reply" + busy_wire);
+}
+
+TEST(ResponseBytesTest, BatchMixingOkAndErrorSlotsMatchesTheDom) {
+  RecommendFixture f("batch_bytes");
+  const std::string body = std::string(R"j({"requests":[)j") + kSvmBody +
+                           R"j(,{"app":"nope","params":)j"
+                           R"j({"examples":100,"features":10}},)j" +
+                           kSvmBody + "]}";
+  auto svm = ParseRecommendRequest(*Json::Parse(kSvmBody));
+  ASSERT_TRUE(svm.ok());
+  auto nope = ParseRecommendRequest(*Json::Parse(
+      R"j({"app":"nope","params":{"examples":100,"features":10}})j"));
+  ASSERT_TRUE(nope.ok());
+  // Warm the key first, so both svm slots are cache hits with known bytes.
+  auto answer = f.service->Recommend(*svm);
+  ASSERT_TRUE(answer.ok());
+  answer->cache_hit = true;
+  const Status unknown = f.service->Recommend(*nope).status();
+  ASSERT_FALSE(unknown.ok());
+
+  const HttpResponse response =
+      f.server->Handle(MakeRequest("POST", "/v1/recommend", body));
+  ASSERT_EQ(response.status, 200) << response.body;
+  EXPECT_EQ(response.content_type, "application/json");
+  const std::string expected =
+      Json::Obj()
+          .Set("results", Json::Arr()
+                              .Append(ReferenceResponseJson("svm", *answer))
+                              .Append(ErrorJson(unknown))
+                              .Append(ReferenceResponseJson("svm", *answer)))
+          .Dump();
+  EXPECT_EQ(response.body, expected);
+}
+
+TEST(ResponseBytesTest, WriterMatchesTheDomOnRandomResponses) {
+  std::mt19937_64 rng(20261017);
+  const auto pick = [&rng](size_t n) {
+    return static_cast<size_t>(rng() % n);
+  };
+  const std::vector<double> specials = {
+      0.0, -0.0, 1.0, -1.0, 0.5, 1e-300, 5e-324, 2.2250738585072014e-308,
+      1.7976931348623157e308, 9007199254740991.0, 9007199254740992.0,
+      std::ldexp(1.0, 60), -9007199254740992.0, 1e15, 1e16, 1e21, 1e22,
+      std::numeric_limits<double>::infinity(),
+      -std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  const auto number = [&]() -> double {
+    switch (pick(4)) {
+      case 0:
+        return specials[pick(specials.size())];
+      case 1:  // Integral, up to past 2^53.
+        return static_cast<double>(rng() >> pick(64)) *
+               (pick(2) == 0 ? 1.0 : -1.0);
+      case 2: {  // Any bit pattern (NaNs and subnormals included).
+        const uint64_t bits = rng();
+        double value;
+        std::memcpy(&value, &bits, sizeof(value));
+        return value;
+      }
+      default:  // Serving-shaped magnitudes with fractions.
+        return std::uniform_real_distribution<double>(-1e6, 1e12)(rng);
+    }
+  };
+  const std::string alphabet =
+      std::string("svmlorpca_-.\"\\/ \x01\x1f\x7f\b\f\n\r\t") +
+      "\xc3\xa9\xf0\x9f\x98\x80";
+  for (int iteration = 0; iteration < 2000; ++iteration) {
+    std::string app;
+    const size_t app_size = pick(12);
+    for (size_t i = 0; i < app_size; ++i) {
+      app += alphabet[pick(alphabet.size())];
+    }
+    std::vector<core::Recommendation> recommendations(pick(7));
+    for (core::Recommendation& r : recommendations) {
+      r.schedule_id = static_cast<int>(static_cast<int32_t>(rng()));
+      for (size_t op = pick(5); op > 0; --op) {
+        const auto dataset = static_cast<minispark::DatasetId>(
+            pick(2) == 0 ? pick(20) : static_cast<int32_t>(rng()));
+        r.plan.ops.push_back(pick(2) == 0
+                                 ? minispark::CacheOp::Persist(dataset)
+                                 : minispark::CacheOp::Unpersist(dataset));
+      }
+      r.predicted_bytes = number();
+      r.machines = static_cast<int>(pick(2) == 0 ? pick(64)
+                                                 : static_cast<int32_t>(rng()));
+      r.predicted_time_ms = number();
+      r.predicted_cost_machine_min = number();
+      r.objective_score = number();
+    }
+    const uint64_t version = pick(2) == 0 ? pick(100) : rng();
+    const service::RecommendResponse response =
+        MakeResponse(std::move(recommendations), pick(2) == 0, version);
+    ASSERT_EQ(ResponseJson(app, response).Dump(),
+              ReferenceResponseJson(app, response).Dump())
+        << "iteration " << iteration;
+  }
 }
 
 }  // namespace
