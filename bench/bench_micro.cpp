@@ -3,7 +3,14 @@
 // out (metrics derived from instrumentation vs Algorithm 1 runtime).
 
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <filesystem>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <benchmark/benchmark.h>
@@ -15,9 +22,12 @@
 #include "math/linear_model.h"
 #include "math/nnls.h"
 #include "minispark/engine.h"
+#include "core/serialization.h"
 #include "net/http.h"
+#include "net/http_recommend_server.h"
 #include "net/json.h"
 #include "net/recommend_codec.h"
+#include "service/model_registry.h"
 #include "service/recommendation_service.h"
 #include "workloads/workloads.h"
 
@@ -153,6 +163,8 @@ struct CodecInputs {
   std::vector<std::string> bodies;  ///< Their JSON bodies.
   std::vector<std::string> apps;
   std::vector<service::RecommendResponse> responses;
+  /// Each workload's trained model as a registry artifact, by app name.
+  std::vector<std::pair<std::string, std::string>> artifacts;
 };
 
 const CodecInputs& Codec() {
@@ -171,6 +183,11 @@ const CodecInputs& Codec() {
       config.memory_reference = w.paper_params;
       config.run_options = Quiet();
       const auto trained = core::TrainJuggler(w.name, w.make, config).value();
+      std::ostringstream artifact;
+      if (!core::SaveTrainedJuggler(trained.trained, artifact).ok()) {
+        std::abort();
+      }
+      out->artifacts.emplace_back(w.name, artifact.str());
       for (const minispark::AppParams& q : questions) {
         char body[256];
         std::snprintf(body, sizeof(body),
@@ -234,6 +251,60 @@ void BM_EncodeResponse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EncodeResponse);
+
+// The worst request the event loop answers inline: a recommend batch that
+// fills net::kInlineBodyBytes with distinct cold questions across the five
+// apps, so every slot is a model evaluation. Each iteration asks new
+// questions (nothing hits the cache) through HttpRecommendServer::HandleFast:
+// JSON parse, one evaluation per slot, the spliced reply.
+void BM_InlineBatchAtCap(benchmark::State& state) {
+  namespace fs = std::filesystem;
+  const CodecInputs& in = Codec();
+  const fs::path dir = fs::temp_directory_path() / "juggler_bench_inline_cap";
+  fs::create_directories(dir);
+  for (const auto& [app, artifact] : in.artifacts) {
+    std::ofstream(dir / (app + ".model")) << artifact;
+  }
+  auto registry = std::make_shared<service::ModelRegistry>(dir.string());
+  if (!registry->Refresh().ok()) std::abort();
+  auto service = std::make_shared<service::RecommendationService>(
+      registry, service::RecommendationService::Options{});
+  net::HttpRecommendServer server(registry, service,
+                                  net::HttpRecommendServer::Options{});
+  net::HttpRequest request;
+  request.method = "POST";
+  request.target = "/v1/recommend";
+  request.version = "HTTP/1.1";
+  int64_t question = 0;
+  size_t slots = 0;
+  for (auto _ : state) {
+    state.PauseTiming();
+    request.body = "{\"requests\":[";
+    slots = 0;
+    for (;;) {
+      char slot[160];
+      const std::string& app = in.artifacts[slots % in.artifacts.size()].first;
+      std::snprintf(slot, sizeof(slot),
+                    "{\"app\":\"%s\",\"params\":{\"examples\":%lld,"
+                    "\"features\":%lld,\"iterations\":5}}",
+                    app.c_str(), static_cast<long long>(4000 + question % 15000),
+                    static_cast<long long>(200 + question / 15000 % 1600));
+      const size_t next = request.body.size() + (slots > 0) + std::strlen(slot);
+      if (next + 2 > net::kInlineBodyBytes) break;
+      if (slots > 0) request.body.push_back(',');
+      request.body.append(slot);
+      ++slots;
+      ++question;
+    }
+    request.body.append("]}");
+    state.ResumeTiming();
+    auto answer = server.HandleFast(request);
+    if (!answer.has_value() || answer->status != 200) std::abort();
+    benchmark::DoNotOptimize(answer->body.size());
+  }
+  state.counters["slots"] = static_cast<double>(slots);
+}
+BENCHMARK(BM_InlineBatchAtCap)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -20,14 +20,16 @@
 //   --handler-threads N HTTP/RPC handler threads         (default 4)
 //   --eval-delay-ms N   artificial delay before each evaluation, on
 //                       whichever thread evaluates — the event loop for
-//                       single HTTP recommends and resident kRecommend
-//                       frames (testing backpressure; default 0)
+//                       HTTP recommends up to 4 KiB and resident
+//                       kRecommend frames (testing backpressure; default 0)
 //   --stdin             REPL on stdin instead of the HTTP server
 //
-// Recommends are evaluated where they arrive: HTTP singles and kRecommend
-// frames whose model is resident on the event loop, batches and lazy loads
-// on a handler thread. The router forwards singles from its event loop over
-// pipelined shard connections. The warm-up workers serve only
+// Recommends are evaluated where they arrive: HTTP singles and batches and
+// kRecommend frames whose models are resident, with bodies up to 4 KiB
+// (net::kInlineBodyBytes), on the event loop, as is observation ingest;
+// larger bodies and lazy loads on a handler thread. The router forwards
+// recommends and observations from its event loop over pipelined shard
+// connections, every batch slot at once. The warm-up workers serve only
 // RecommendationService::RecommendAsync(), which no serving path calls.
 //
 // Online-adaptation flags (standalone and shard roles):

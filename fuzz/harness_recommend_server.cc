@@ -3,6 +3,7 @@
 #include <fstream>
 #include <memory>
 #include <string>
+#include <string_view>
 
 #include "core/juggler.h"
 #include "core/serialization.h"
@@ -57,7 +58,7 @@ struct ServerFixture {
         registry, service_options);
     net::HttpRecommendServer::Options server_options;
     server_options.http.limits.max_header_bytes = 2048;
-    server_options.http.limits.max_body_bytes = 4096;
+    server_options.http.limits.max_body_bytes = net::kInlineBodyBytes;
     // Online ingest enabled (refit thread not started) so POST /v1/observe
     // reaches the JSON observation decoder instead of 503ing at the door.
     online = std::make_shared<online::OnlineJuggler>(
@@ -75,6 +76,17 @@ ServerFixture& Fixture() {
   return fixture;
 }
 
+/// `body` with every "cache_hit":false rewritten to true.
+std::string NormaliseCacheHit(std::string body) {
+  static constexpr std::string_view kMiss = "\"cache_hit\":false";
+  static constexpr std::string_view kHit = "\"cache_hit\":true";
+  for (size_t at = body.find(kMiss); at != std::string::npos;
+       at = body.find(kMiss, at + kHit.size())) {
+    body.replace(at, kMiss.size(), kHit);
+  }
+  return body;
+}
+
 }  // namespace
 
 int RunRecommendServer(const uint8_t* data, size_t size) {
@@ -83,7 +95,7 @@ int RunRecommendServer(const uint8_t* data, size_t size) {
 
   net::HttpParser::Limits limits;
   limits.max_header_bytes = 2048;
-  limits.max_body_bytes = 4096;
+  limits.max_body_bytes = net::kInlineBodyBytes;
   net::HttpParser parser(limits);
 
   // First byte picks the Append() chunking, as in RunHttpParser, so the
@@ -104,6 +116,19 @@ int RunRecommendServer(const uint8_t* data, size_t size) {
       // Exactly the event-loop contract: try the inline fast path, fall
       // through to the handler-pool path.
       auto fast = fixture.server->HandleFast(request);
+      if (fast.has_value() && request.method == "POST" &&
+          request.Path() == "/v1/recommend") {
+        // Oracle: an inline answer is the pool answer. Bodies here are
+        // capped at 4 KiB, so every batch takes the inline path. The pool
+        // call can hit the cache the inline one filled, so cache_hit is
+        // normalised.
+        const net::HttpResponse pooled = fixture.server->Handle(request);
+        JUGGLER_FUZZ_CHECK(pooled.status == fast->status,
+                           "inline and pool answers share a status");
+        JUGGLER_FUZZ_CHECK(
+            NormaliseCacheHit(pooled.body) == NormaliseCacheHit(fast->body),
+            "inline and pool answers share their bytes");
+      }
       const net::HttpResponse response =
           fast.has_value() ? *std::move(fast)
                            : fixture.server->Handle(request);

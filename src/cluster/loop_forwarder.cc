@@ -7,28 +7,45 @@
 
 namespace juggler::cluster {
 
-net::HttpResponse ForwardedRecommendResponse(StatusOr<std::string> reply) {
-  if (!reply.ok()) return net::ErrorResponse(reply.status());
-  return net::HttpResponse::JsonBody(200, std::move(reply).value());
-}
-
-void LoopForwarder::Forward(const std::string& route_key, std::string payload,
+void LoopForwarder::Forward(ForwardPlan plan,
                             const net::HttpServer::Reply& reply) {
-  Attempt(Call{router_->KeyWalk(route_key, rpc::FrameType::kRecommend),
-               std::move(payload), reply});
+  const size_t legs = plan.legs.size();
+  if (legs == 0) {
+    reply(JoinReplies(plan, {}));
+    return;
+  }
+  auto fanout = std::make_shared<Fanout>(Fanout{
+      std::move(plan),
+      std::vector<StatusOr<std::string>>(legs,
+                                         Status::Internal("leg not settled")),
+      legs, reply});
+  for (size_t leg = 0; leg < legs; ++leg) {
+    Attempt(Call{router_->KeyWalk(fanout->plan.legs[leg].route_key,
+                                  fanout->plan.type),
+                 fanout, leg});
+  }
 }
 
 void LoopForwarder::Attempt(Call call) {
   const std::optional<size_t> next = call.walk.Next();
   if (!next.has_value()) {
-    call.reply(ForwardedRecommendResponse(call.walk.Exhausted()));
+    Complete(call, call.walk.Exhausted());
     return;
   }
   call.shard = *next;
   call.start = Clock::now();
   const uint64_t id = next_id_++;
-  PickChannel(*next)->Send(call.walk.type(), id, call.payload);
+  PickChannel(*next)->Send(call.walk.type(), id,
+                           call.fanout->plan.legs[call.leg].payload);
   calls_.emplace(id, std::move(call));
+}
+
+void LoopForwarder::Complete(const Call& call, StatusOr<std::string> result) {
+  Fanout& fanout = *call.fanout;
+  fanout.results[call.leg] = std::move(result);
+  if (--fanout.pending == 0) {
+    fanout.reply(JoinReplies(fanout.plan, std::move(fanout.results)));
+  }
 }
 
 rpc::RpcChannel* LoopForwarder::PickChannel(size_t shard) {
@@ -100,7 +117,7 @@ void LoopForwarder::Settle() {
     std::optional<StatusOr<std::string>> result =
         call.walk.Finish(call.shard, std::move(outcome.reply), call.start);
     if (result.has_value()) {
-      call.reply(ForwardedRecommendResponse(*std::move(result)));
+      Complete(call, *std::move(result));
     } else {
       Attempt(std::move(call));  // Reroute.
     }

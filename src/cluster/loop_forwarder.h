@@ -18,13 +18,16 @@
 
 namespace juggler::cluster {
 
-/// The HTTP answer to a forwarded recommend: the shard's reply document
-/// verbatim (200), or the walk's error. Both router paths use it.
-net::HttpResponse ForwardedRecommendResponse(StatusOr<std::string> reply);
-
-/// \brief The router's loop path: forwards recommend singles from the HTTP
-/// event loop over pipelined, non-blocking JRPC connections registered in
-/// the same poller — no handler-pool hop and no thread parked per call.
+/// \brief The router's loop path: forwards planned requests (recommend
+/// singles and batches, observations) from the HTTP event loop over
+/// pipelined, non-blocking JRPC connections registered in the same poller —
+/// no handler-pool hop and no thread parked per call.
+///
+/// A plan fans out: each leg gets its own Router::Walk (failover per leg)
+/// and all legs are in flight at once, so a batch costs about one shard
+/// round trip, and slots on a hung shard cost one `rpc_timeout_ms` together.
+/// When the last leg settles, JoinReplies() builds the client's reply — the
+/// join the blocking path uses too. A single is a fan-out of one.
 ///
 /// It is the RouterHttpServer's EventLoopServer::LoopAgent and runs on the
 /// loop thread only. Each shard gets up to `max_clients_per_shard`
@@ -38,10 +41,10 @@ class LoopForwarder final : public net::EventLoopServer::LoopAgent {
  public:
   explicit LoopForwarder(Router* router) : router_(router) {}
 
-  /// Forwards one validated single recommend, routed by `route_key`;
-  /// `reply` gets the answer later, on the loop thread.
-  void Forward(const std::string& route_key, std::string payload,
-               const net::HttpServer::Reply& reply);
+  /// Sends every leg of `plan`; `reply` gets the joined answer once the
+  /// last leg settles, on the loop thread (right away for a plan with no
+  /// legs).
+  void Forward(ForwardPlan plan, const net::HttpServer::Reply& reply);
 
   void OnStart(net::Poller* poller) override;
   void OnEvent(const net::Poller::Event& event) override;
@@ -51,17 +54,29 @@ class LoopForwarder final : public net::EventLoopServer::LoopAgent {
  private:
   using Clock = std::chrono::steady_clock;
 
+  /// One client request in flight: its plan (the legs' payloads, kept for
+  /// reroutes), the legs' results so far, and how many are still open.
+  struct Fanout {
+    ForwardPlan plan;
+    std::vector<StatusOr<std::string>> results;
+    size_t pending = 0;
+    net::HttpServer::Reply reply;
+  };
+
+  /// One leg's walk; while an attempt is in flight, keyed by its request id.
   struct Call {
     Router::Walk walk;
-    std::string payload;  ///< The request body, kept for a reroute.
-    net::HttpServer::Reply reply;
+    std::shared_ptr<Fanout> fanout;
+    size_t leg = 0;
     size_t shard = 0;  ///< Shard of the attempt in flight.
     Clock::time_point start{};
   };
 
-  /// Sends `call` to the walk's next shard, or answers it when the walk is
-  /// exhausted.
+  /// Sends `call` to the walk's next shard, or settles its leg when the walk
+  /// is exhausted.
   void Attempt(Call call);
+  /// Records a leg's result; the last one answers the client.
+  static void Complete(const Call& call, StatusOr<std::string> result);
   rpc::RpcChannel* PickChannel(size_t shard);
   /// Finishes the attempts in `outcomes_`: answer, or reroute.
   void Settle();

@@ -245,14 +245,10 @@ StatusOr<std::string> Router::RunWalk(Walk walk, const std::string& payload) {
   return walk.Exhausted();
 }
 
-StatusOr<std::string> Router::ForwardRecommend(const std::string& route_key,
-                                               const std::string& payload) {
-  return RunWalk(KeyWalk(route_key, rpc::FrameType::kRecommend), payload);
-}
-
-StatusOr<std::string> Router::ForwardObserve(const std::string& route_key,
-                                             const std::string& payload) {
-  return RunWalk(KeyWalk(route_key, rpc::FrameType::kObserve), payload);
+StatusOr<std::string> Router::Forward(rpc::FrameType type,
+                                      const std::string& route_key,
+                                      const std::string& payload) {
+  return RunWalk(KeyWalk(route_key, type), payload);
 }
 
 StatusOr<std::string> Router::CallAny(rpc::FrameType type,
@@ -330,6 +326,98 @@ void Router::ProbeLoop() {
   }
 }
 
+// ---- ForwardPlan: planning and joining, shared by both transports ----------
+
+StatusOr<ForwardPlan> PlanRecommend(const std::string& body) {
+  // The router validates before forwarding: a 400 must not cost a network
+  // hop, and the parse yields the fields the route key hashes over.
+  auto json = net::Json::Parse(body);
+  if (!json.ok()) return json.status();
+  ForwardPlan plan;
+  const net::Json* batch =
+      json->is_object() ? json->Find("requests") : nullptr;
+  if (batch == nullptr) {
+    auto route_key = SingleRouteKey(*json);
+    if (!route_key.ok()) return route_key.status();
+    plan.legs.push_back({std::move(route_key).value(), body});
+    return plan;
+  }
+  if (!batch->is_array()) {
+    return Status::InvalidArgument("'requests' must be an array");
+  }
+  // Validate every slot up front (same all-or-nothing 400 contract as the
+  // standalone server), then route each to its own shard.
+  plan.join = ForwardPlan::Join::kResults;
+  plan.legs.reserve(batch->array_items().size());
+  for (size_t i = 0; i < batch->array_items().size(); ++i) {
+    const net::Json& slot = batch->array_items()[i];
+    auto route_key = SingleRouteKey(slot);
+    if (!route_key.ok()) {
+      return Status::InvalidArgument("requests[" + std::to_string(i) +
+                                     "]: " + route_key.status().message());
+    }
+    plan.legs.push_back({std::move(route_key).value(), slot.Dump()});
+  }
+  return plan;
+}
+
+StatusOr<ForwardPlan> PlanObserve(const std::string& body) {
+  if (body.empty()) return Status::InvalidArgument("empty observation body");
+  // Accept both wire forms the standalone server does, then decode so the
+  // batch can be re-grouped: one app's observations must all reach the one
+  // shard that serves (and can refit) that app.
+  StatusOr<std::vector<online::Observation>> observations =
+      Status::InvalidArgument("unparsed");
+  if (body.size() >= sizeof(online::kObservationMagic) &&
+      body.compare(0, sizeof(online::kObservationMagic),
+                   online::kObservationMagic,
+                   sizeof(online::kObservationMagic)) == 0) {
+    observations = online::DecodeObservationBatch(body);
+  } else {
+    auto json = net::Json::Parse(body);
+    if (!json.ok()) return json.status();
+    observations = net::ParseObservationsJson(*json);
+  }
+  if (!observations.ok()) return observations.status();
+
+  std::map<std::string, std::vector<online::Observation>> by_app;
+  for (online::Observation& o : *observations) {
+    by_app[o.app].push_back(std::move(o));
+  }
+  ForwardPlan plan;
+  plan.type = rpc::FrameType::kObserve;
+  plan.join = ForwardPlan::Join::kShards;
+  plan.legs.reserve(by_app.size());
+  for (const auto& [app, group] : by_app) {
+    plan.legs.push_back({app, online::EncodeObservationBatch(group)});
+  }
+  return plan;
+}
+
+net::HttpResponse JoinReplies(const ForwardPlan& plan,
+                              std::vector<StatusOr<std::string>> replies) {
+  if (plan.join == ForwardPlan::Join::kSingle) {
+    if (!replies[0].ok()) return net::ErrorResponse(replies[0].status());
+    return net::HttpResponse::JsonBody(200, std::move(replies[0]).value());
+  }
+  // Replies are raw JSON documents; splice them rather than reparse.
+  const bool results = plan.join == ForwardPlan::Join::kResults;
+  std::string body = results ? "{\"results\":[" : "{\"shards\":[";
+  for (size_t i = 0; i < replies.size(); ++i) {
+    if (i > 0) body.push_back(',');
+    if (!results) {
+      body.append("{\"app\":");
+      net::AppendJsonString(&body, plan.legs[i].route_key);
+      body.append(replies[i].ok() ? ",\"reply\":" : ",\"error\":");
+    }
+    body.append(replies[i].ok() ? *replies[i]
+                                : net::ErrorJson(replies[i].status()).Dump());
+    if (!results) body.push_back('}');
+  }
+  body.append("]}");
+  return net::HttpResponse::JsonBody(200, std::move(body));
+}
+
 // ---- RouterHttpServer ------------------------------------------------------
 
 RouterHttpServer::RouterHttpServer(Router* router, const Options& options)
@@ -365,24 +453,22 @@ std::optional<net::HttpResponse> RouterHttpServer::HandleFast(
 
 bool RouterHttpServer::ForwardOnLoop(const net::HttpRequest& request,
                                      const net::HttpServer::Reply& reply) {
-  if (request.method != "POST" || request.Path() != "/v1/recommend") {
+  // The one inline rule, before any parse: a large body goes to the pool
+  // whatever it holds.
+  if (request.method != "POST" ||
+      request.body.size() > net::kInlineBodyBytes) {
     return false;
   }
-  // The router validates before forwarding: a 400 must not cost a network
-  // hop, and the parse yields the fields the route key hashes over.
-  auto json = net::Json::Parse(request.body);
-  if (!json.ok()) {
-    reply(net::ErrorResponse(json.status()));
+  const std::string path = request.Path();
+  if (path != "/v1/recommend" && path != "/v1/observe") return false;
+  StatusOr<ForwardPlan> plan = path == "/v1/recommend"
+                                   ? PlanRecommend(request.body)
+                                   : PlanObserve(request.body);
+  if (!plan.ok()) {
+    reply(net::ErrorResponse(plan.status()));
     return true;
   }
-  // Batches fan out slot by slot over the blocking transport (pool path).
-  if (json->is_object() && json->Find("requests") != nullptr) return false;
-  auto route_key = SingleRouteKey(*json);
-  if (!route_key.ok()) {
-    reply(net::ErrorResponse(route_key.status()));
-    return true;
-  }
-  forwarder_->Forward(*route_key, request.body, reply);
+  forwarder_->Forward(std::move(plan).value(), reply);
   return true;
 }
 
@@ -401,11 +487,11 @@ net::HttpResponse RouterHttpServer::Handle(const net::HttpRequest& request) {
   }
   if (path == "/v1/recommend") {
     if (request.method != "POST") return net::MethodNotAllowed("POST");
-    return HandleRecommend(request);
+    return RunPlan(PlanRecommend(request.body));
   }
   if (path == "/v1/observe") {
     if (request.method != "POST") return net::MethodNotAllowed("POST");
-    return HandleObserve(request);
+    return RunPlan(PlanObserve(request.body));
   }
   if (path == "/v1/apps") {
     if (request.method != "GET") return net::MethodNotAllowed("GET");
@@ -425,99 +511,14 @@ net::HttpResponse RouterHttpServer::Handle(const net::HttpRequest& request) {
       Status::NotFound("no route for " + request.method + " " + path));
 }
 
-net::HttpResponse RouterHttpServer::HandleRecommend(
-    const net::HttpRequest& request) {
-  auto json = net::Json::Parse(request.body);
-  if (!json.ok()) return net::ErrorResponse(json.status());
-
-  const net::Json* batch =
-      json->is_object() ? json->Find("requests") : nullptr;
-  if (batch == nullptr) {
-    // Same validation as the loop path (ForwardOnLoop), same bytes forwarded:
-    // the request body verbatim.
-    auto route_key = SingleRouteKey(*json);
-    if (!route_key.ok()) return net::ErrorResponse(route_key.status());
-    return ForwardedRecommendResponse(
-        router_->ForwardRecommend(*route_key, request.body));
+net::HttpResponse RouterHttpServer::RunPlan(StatusOr<ForwardPlan> plan) {
+  if (!plan.ok()) return net::ErrorResponse(plan.status());
+  std::vector<StatusOr<std::string>> replies;
+  replies.reserve(plan->legs.size());
+  for (const ForwardPlan::Leg& leg : plan->legs) {
+    replies.push_back(router_->Forward(plan->type, leg.route_key, leg.payload));
   }
-
-  if (!batch->is_array()) {
-    return net::ErrorResponse(
-        Status::InvalidArgument("'requests' must be an array"));
-  }
-  // Validate every slot up front (same all-or-nothing 400 contract as the
-  // standalone server), then route each to its own shard.
-  std::vector<std::string> route_keys;
-  route_keys.reserve(batch->array_items().size());
-  for (size_t i = 0; i < batch->array_items().size(); ++i) {
-    auto route_key = SingleRouteKey(batch->array_items()[i]);
-    if (!route_key.ok()) {
-      return net::ErrorResponse(
-          Status::InvalidArgument("requests[" + std::to_string(i) +
-                                  "]: " + route_key.status().message()));
-    }
-    route_keys.push_back(std::move(route_key).value());
-  }
-  // Replies are raw JSON documents; splice them rather than reparse.
-  std::string body = "{\"results\":[";
-  for (size_t i = 0; i < route_keys.size(); ++i) {
-    if (i > 0) body.push_back(',');
-    auto reply = router_->ForwardRecommend(
-        route_keys[i], batch->array_items()[i].Dump());
-    body.append(reply.ok() ? *reply
-                           : net::ErrorJson(reply.status()).Dump());
-  }
-  body.append("]}");
-  return net::HttpResponse::JsonBody(200, std::move(body));
-}
-
-net::HttpResponse RouterHttpServer::HandleObserve(
-    const net::HttpRequest& request) {
-  if (request.body.empty()) {
-    return net::ErrorResponse(
-        Status::InvalidArgument("empty observation body"));
-  }
-  // Accept both wire forms the standalone server does, then decode so the
-  // batch can be re-grouped: one app's observations must all reach the one
-  // shard that serves (and can refit) that app.
-  StatusOr<std::vector<online::Observation>> observations =
-      Status::InvalidArgument("unparsed");
-  if (request.body.size() >= sizeof(online::kObservationMagic) &&
-      request.body.compare(0, sizeof(online::kObservationMagic),
-                           online::kObservationMagic,
-                           sizeof(online::kObservationMagic)) == 0) {
-    observations = online::DecodeObservationBatch(request.body);
-  } else {
-    auto json = net::Json::Parse(request.body);
-    if (!json.ok()) return net::ErrorResponse(json.status());
-    observations = net::ParseObservationsJson(*json);
-  }
-  if (!observations.ok()) return net::ErrorResponse(observations.status());
-
-  std::map<std::string, std::vector<online::Observation>> by_app;
-  for (online::Observation& o : *observations) {
-    by_app[o.app].push_back(std::move(o));
-  }
-  std::string body = "{\"shards\":[";
-  bool first = true;
-  for (auto& [app, group] : by_app) {
-    if (!first) body.push_back(',');
-    first = false;
-    const std::string encoded = online::EncodeObservationBatch(group);
-    auto reply = router_->ForwardObserve(app, encoded);
-    body.append("{\"app\":");
-    net::AppendJsonString(&body, app);
-    body.push_back(',');
-    if (reply.ok()) {
-      body.append("\"reply\":").append(*reply);
-    } else {
-      body.append("\"error\":")
-          .append(net::ErrorJson(reply.status()).Dump());
-    }
-    body.push_back('}');
-  }
-  body.append("]}");
-  return net::HttpResponse::JsonBody(200, std::move(body));
+  return JoinReplies(*plan, std::move(replies));
 }
 
 net::HttpResponse RouterHttpServer::HandleApps() {
@@ -613,8 +614,9 @@ std::string RouterHttpServer::MetricsText() const {
                     static_cast<double>(http.requests));
   net::AppendHeader(&out, "juggler_http_fast_path_total", "counter",
                     "HTTP requests answered without a handler-pool hop: "
-                    "probes on the event loop, and recommend singles "
-                    "forwarded to their shard from the event loop.");
+                    "probes on the event loop, and recommend singles, "
+                    "batches and observations forwarded to their shards "
+                    "from the event loop (bodies up to 4 KiB).");
   net::AppendSample(&out, "juggler_http_fast_path_total", "", "",
                     static_cast<double>(http.fast_path));
   net::AppendHeader(&out, "juggler_http_overload_rejected_total", "counter",

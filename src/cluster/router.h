@@ -32,9 +32,11 @@ class LoopForwarder;
 /// for it and whose lazy registry has its model resident.
 ///
 /// Two transports share one forwarding policy (`Walk`): the blocking one
-/// below (pooled RpcClients; batches, observe, apps, reload, and the public
-/// ForwardRecommend) and the router's loop path (`LoopForwarder`: pipelined
-/// RpcChannels on the HTTP event loop; single recommends).
+/// below (pooled RpcClients; apps, reload, bodies over
+/// net::kInlineBodyBytes, RouterHttpServer::Handle(), and the public
+/// Forward calls) and the router's loop path (`LoopForwarder`: pipelined
+/// RpcChannels on the HTTP event loop; recommends and observations). Both
+/// run the same ForwardPlan.
 ///
 /// Failure model:
 ///  - a background prober pings every shard on a fixed cadence over one
@@ -79,18 +81,19 @@ class Router {
   [[nodiscard]] Status Start();
   void Stop();
 
-  /// Routes one single-recommend request (JSON payload) by `route_key`.
-  /// Returns the shard's reply payload verbatim, or the reconstructed
-  /// Status of a kError reply / all-shards-down transport failure.
-  [[nodiscard]] StatusOr<std::string> ForwardRecommend(
-      const std::string& route_key, const std::string& payload);
+  /// Routes one `type` frame (kRecommend or kObserve) by `route_key` over
+  /// the blocking transport. Returns the shard's reply payload verbatim, or
+  /// the reconstructed Status of a kError reply / all-shards-down transport
+  /// failure.
+  [[nodiscard]] StatusOr<std::string> Forward(rpc::FrameType type,
+                                              const std::string& route_key,
+                                              const std::string& payload);
 
-  /// Routes one observation batch (online binary wire format) by
-  /// `route_key` — the application name, so an app's observations land on
-  /// the shard whose registry serves its model and whose online loop can
-  /// refit it. Same failover discipline as ForwardRecommend.
-  [[nodiscard]] StatusOr<std::string> ForwardObserve(
-      const std::string& route_key, const std::string& payload);
+  /// Forward() of one single-recommend request (JSON payload).
+  [[nodiscard]] StatusOr<std::string> ForwardRecommend(
+      const std::string& route_key, const std::string& payload) {
+    return Forward(rpc::FrameType::kRecommend, route_key, payload);
+  }
 
   /// Sends `type` to the first healthy shard (any shard can answer
   /// fleet-level metadata like kApps). Same failover as ForwardRecommend.
@@ -214,16 +217,55 @@ class Router {
   std::atomic<uint64_t> probes_{0};
 };
 
+/// \brief What one client request asks of the shards, planned once from its
+/// body: the shard calls ("legs") that answer it and how their replies join
+/// into the HTTP reply. Both transports run the same plan — the blocking
+/// path leg by leg, the loop path all legs at once — and join with
+/// JoinReplies(), so they cannot drift in bytes.
+struct ForwardPlan {
+  enum class Join {
+    kSingle,   ///< One recommend: the shard's reply document verbatim.
+    kResults,  ///< A batch: {"results":[reply or error, ...]} in slot order.
+    kShards,   ///< Observations: {"shards":[{"app":..,"reply"|"error":..}]}.
+  };
+  struct Leg {
+    /// Ring key: the slot's prediction-cache key, or the app of an
+    /// observation group (so it reaches the shard that refits that app).
+    std::string route_key;
+    std::string payload;  ///< The frame payload, verbatim.
+  };
+  rpc::FrameType type = rpc::FrameType::kRecommend;
+  Join join = Join::kSingle;
+  std::vector<Leg> legs;
+};
+
+/// Validates a POST /v1/recommend body and plans it: a single forwards the
+/// body verbatim; a batch forwards each slot to its own shard, and one
+/// malformed slot fails the whole request (400, no network hop).
+StatusOr<ForwardPlan> PlanRecommend(const std::string& body);
+
+/// Decodes a POST /v1/observe body (either wire form) and plans one kObserve
+/// leg per application, in app order, each re-encoded in the binary form.
+StatusOr<ForwardPlan> PlanObserve(const std::string& body);
+
+/// The HTTP reply to `plan` from its legs' results, positionally aligned
+/// with plan.legs.
+net::HttpResponse JoinReplies(const ForwardPlan& plan,
+                              std::vector<StatusOr<std::string>> replies);
+
 /// \brief The HTTP face of the cluster: the standalone server's API, with
 /// every recommend forwarded to a shard instead of evaluated in-process.
 ///
 /// Endpoints (same wire shapes as HttpRecommendServer; a known path with
 /// the wrong method answers 405 with Allow):
-///   POST /v1/recommend   routed by consistent hash; singles are forwarded
-///                        from the event loop (LoopForwarder), batches
-///                        route per slot from the handler pool
+///   POST /v1/recommend   routed by consistent hash; a batch routes each
+///                        slot to its own shard
 ///   POST /v1/observe     observations grouped by app, each group routed to
 ///                        the app's shard as a kObserve frame
+///                        (both forwarded from the event loop by the
+///                        LoopForwarder, every leg in flight at once, when
+///                        the body is at most net::kInlineBodyBytes; from
+///                        the handler pool, leg by leg, otherwise)
 ///   GET  /v1/apps        answered by the first healthy shard
 ///   POST /v1/reload      broadcast to every shard; per-shard results
 ///   GET  /livez          200 whenever the router process serves
@@ -257,12 +299,14 @@ class RouterHttpServer {
   /// Event-loop fast path: the GET health probes, which must answer even
   /// while every handler thread waits on a slow shard.
   std::optional<net::HttpResponse> HandleFast(const net::HttpRequest& request);
-  /// Event-loop deferred path: takes valid recommend singles and forwards
-  /// them through `forwarder_`; declines batches.
+  /// Event-loop deferred path: plans recommends and observations of at
+  /// most net::kInlineBodyBytes and forwards them through `forwarder_`;
+  /// declines larger bodies and every other route.
   bool ForwardOnLoop(const net::HttpRequest& request,
                      const net::HttpServer::Reply& reply);
-  net::HttpResponse HandleRecommend(const net::HttpRequest& request);
-  net::HttpResponse HandleObserve(const net::HttpRequest& request);
+  /// The blocking path of a plan: its legs one after another, then the
+  /// same join.
+  net::HttpResponse RunPlan(StatusOr<ForwardPlan> plan);
   net::HttpResponse HandleApps();
   net::HttpResponse HandleReload();
 

@@ -1,5 +1,6 @@
 #include "cluster/shard_server.h"
 
+#include "net/event_loop_server.h"
 #include "net/json.h"
 #include "net/recommend_codec.h"
 
@@ -55,8 +56,17 @@ rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
 
 std::optional<rpc::RpcFrame> ShardServer::HandleFast(
     const rpc::RpcFrame& request) {
-  if (request.type != rpc::FrameType::kRecommend) return std::nullopt;
-  return HandleRecommend(request, /*resident_only=*/true);
+  // The one inline rule, before any parse: a large payload goes to the
+  // pool whatever it holds.
+  if (request.payload.size() > net::kInlineBodyBytes) return std::nullopt;
+  switch (request.type) {
+    case rpc::FrameType::kRecommend:
+      return HandleRecommend(request, /*resident_only=*/true);
+    case rpc::FrameType::kObserve:
+      return HandleObserve(request);
+    default:
+      return std::nullopt;
+  }
 }
 
 std::optional<rpc::RpcFrame> ShardServer::HandleRecommend(

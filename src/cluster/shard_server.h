@@ -32,12 +32,13 @@ namespace juggler::cluster {
 ///                  FAILED_PRECONDITION when the shard runs without --online)
 ///   anything else -> kError INVALID_ARGUMENT
 ///
-/// Where frames run: kPing, and every kRecommend whose model is resident
-/// (a cache hit or a microsecond evaluation, through
-/// RecommendationService::RecommendIfResident) or that fails validation,
-/// is answered inline on the shard's event loop (HandleFast). A recommend
-/// that needs a lazy model load, kObserve, kApps and kReload go to the
-/// handler pool (Handle).
+/// Where frames run: kPing, and every frame with a payload of at most
+/// net::kInlineBodyBytes that is a kRecommend whose model is resident (a
+/// cache hit or a microsecond evaluation, through
+/// RecommendationService::RecommendIfResident) or fails validation, or a
+/// kObserve, is answered inline on the shard's event loop (HandleFast). A
+/// recommend that needs a lazy model load, a larger payload, kApps and
+/// kReload go to the handler pool (Handle).
 class ShardServer {
  public:
   struct Options {
@@ -62,7 +63,9 @@ class ShardServer {
   rpc::RpcFrame Handle(const rpc::RpcFrame& request);
 
   /// Event-loop fast path: the answer to a kRecommend that needs no model
-  /// load, or nullopt to fall through to Handle() on the pool.
+  /// load or to a kObserve, or nullopt (a payload over
+  /// net::kInlineBodyBytes, a lazy load, another type) to fall through to
+  /// Handle() on the pool.
   std::optional<rpc::RpcFrame> HandleFast(const rpc::RpcFrame& request);
 
  private:

@@ -20,6 +20,17 @@
 
 namespace juggler::net {
 
+/// The one size rule for loop-thread answers, on both edges, checked before
+/// any parse: a request whose HTTP body or JRPC payload is at most this many
+/// bytes may be answered on the event loop (when its work is resident); a
+/// larger one goes to the handler pool, whatever it holds. The worst inline
+/// request at the cap is a recommend batch of distinct cold slots, every one
+/// a model evaluation: 56-57 slots take 0.17-0.24 ms of loop time (~4 µs a
+/// slot; bench_micro BM_InlineBatchAtCap, 4-vCPU VM), under a quarter of a
+/// 1 ms p99 target. Typical batches (~0.7 KB, 8 slots) and observation
+/// bodies (~1 KB) fit well under it.
+inline constexpr size_t kInlineBodyBytes = 4096;
+
 /// \brief Non-blocking TCP server core shared by both network edges (the
 /// HTTP API and the JRPC shard port): one event-loop thread (epoll, poll
 /// fallback) for all connection I/O plus a bounded handler pool for request
@@ -80,7 +91,10 @@ class EventLoopServer {
     uint64_t active = 0;             ///< Currently open connections.
     uint64_t requests = 0;           ///< Complete requests decoded.
     /// Answered on the loop thread without a handler-pool hop: inline, or
-    /// deferred and completed by the loop (router forwards).
+    /// deferred and completed by the loop (router forwards). On the HTTP
+    /// edges that is probes, resident recommend singles and batches, and
+    /// observations; on the JRPC edge pings, resident kRecommend and
+    /// kObserve frames.
     uint64_t fast_path = 0;
     uint64_t overload_rejected = 0;  ///< Overload replies (queue or conns).
     uint64_t parse_errors = 0;       ///< Protocol errors (connection closed).

@@ -41,6 +41,9 @@ HttpResponse HttpRecommendServer::ReadinessResponse() const {
 
 std::optional<HttpResponse> HttpRecommendServer::HandleFast(
     const HttpRequest& request) {
+  // The one inline rule, before any parse: a large body goes to the pool
+  // whatever it holds.
+  if (request.body.size() > kInlineBodyBytes) return std::nullopt;
   const std::string path = request.Path();
   if (path == "/livez" && request.method == "GET") {
     return HttpResponse::Text(200, "ok\n");
@@ -48,25 +51,16 @@ std::optional<HttpResponse> HttpRecommendServer::HandleFast(
   if ((path == "/healthz" || path == "/readyz") && request.method == "GET") {
     return ReadinessResponse();
   }
-  if (path != "/v1/recommend" || request.method != "POST") {
-    return std::nullopt;
+  if (request.method != "POST") return std::nullopt;
+  // Resident recommends, singles and batches, are answered right here on
+  // the event-loop thread: cache hits, and evaluations of a few
+  // microseconds each. A slot whose lazy model needs loading from disk
+  // sends the whole request to the handler pool.
+  if (path == "/v1/recommend") {
+    return HandleRecommend(request, /*resident_only=*/true);
   }
-  // Singles whose model is resident are answered right here on the
-  // event-loop thread: a cache hit, or an evaluation of about a microsecond.
-  // A lazy model that needs loading from disk, and batches (a 1 MB body can
-  // carry thousands of slots), fall through to the handler pool.
-  auto json = Json::Parse(request.body);
-  if (!json.ok()) return ErrorResponse(json.status());  // 400, no pool hop.
-  if (json->is_object() && json->Find("requests") != nullptr) {
-    return std::nullopt;
-  }
-  auto parsed = ParseRecommendRequest(*json);
-  if (!parsed.ok()) return ErrorResponse(parsed.status());
-  auto answer = service_->RecommendIfResident(*parsed);
-  if (!answer.has_value()) return std::nullopt;  // Needs a lazy load.
-  if (!answer->ok()) return ErrorResponse(answer->status());
-  return HttpResponse::JsonBody(
-      200, ResponseJson(parsed->app, **answer).Dump());
+  if (path == "/v1/observe") return HandleObserve(request);
+  return std::nullopt;
 }
 
 HttpResponse HttpRecommendServer::Handle(const HttpRequest& request) {
@@ -81,7 +75,7 @@ HttpResponse HttpRecommendServer::Handle(const HttpRequest& request) {
   }
   if (path == "/v1/recommend") {
     if (request.method != "POST") return MethodNotAllowed("POST");
-    return HandleRecommend(request);
+    return *HandleRecommend(request, /*resident_only=*/false);
   }
   if (path == "/v1/observe") {
     if (request.method != "POST") return MethodNotAllowed("POST");
@@ -104,7 +98,8 @@ HttpResponse HttpRecommendServer::Handle(const HttpRequest& request) {
   return ErrorResponse(Status::NotFound("no route for " + path));
 }
 
-HttpResponse HttpRecommendServer::HandleRecommend(const HttpRequest& request) {
+std::optional<HttpResponse> HttpRecommendServer::HandleRecommend(
+    const HttpRequest& request, bool resident_only) {
   auto json = Json::Parse(request.body);
   if (!json.ok()) return ErrorResponse(json.status());
 
@@ -113,10 +108,16 @@ HttpResponse HttpRecommendServer::HandleRecommend(const HttpRequest& request) {
   if (batch == nullptr) {
     auto parsed = ParseRecommendRequest(*json);
     if (!parsed.ok()) return ErrorResponse(parsed.status());
-    auto response = service_->Recommend(*parsed);
-    if (!response.ok()) return ErrorResponse(response.status());
-    return HttpResponse::JsonBody(200,
-                                  ResponseJson(parsed->app, *response).Dump());
+    std::optional<StatusOr<service::RecommendResponse>> response;
+    if (resident_only) {
+      response = service_->RecommendIfResident(*parsed);
+      if (!response.has_value()) return std::nullopt;  // Needs a lazy load.
+    } else {
+      response = service_->Recommend(*parsed);
+    }
+    if (!response->ok()) return ErrorResponse(response->status());
+    return HttpResponse::JsonBody(
+        200, ResponseJson(parsed->app, **response).Dump());
   }
 
   // Batch: every element must be well-formed (a malformed element is a
@@ -137,7 +138,14 @@ HttpResponse HttpRecommendServer::HandleRecommend(const HttpRequest& request) {
     }
     requests.push_back(std::move(parsed).value());
   }
-  const auto responses = service_->RecommendBatch(requests);
+  std::vector<StatusOr<service::RecommendResponse>> responses;
+  if (resident_only) {
+    auto resident = service_->RecommendBatchIfResident(requests);
+    if (!resident.has_value()) return std::nullopt;  // Needs a lazy load.
+    responses = *std::move(resident);
+  } else {
+    responses = service_->RecommendBatch(requests);
+  }
   std::string body = "{\"results\":[";
   for (size_t i = 0; i < responses.size(); ++i) {
     if (i > 0) body.push_back(',');
@@ -327,7 +335,9 @@ std::string HttpRecommendServer::MetricsText() const {
   AppendSample(&out, "juggler_http_requests_total", "", "",
                static_cast<double>(http.requests));
   AppendHeader(&out, "juggler_http_fast_path_total", "counter",
-               "HTTP requests answered inline on the event loop.");
+               "HTTP requests answered inline on the event loop: probes, "
+               "recommend singles and batches whose models are resident, "
+               "and observation ingest (bodies up to 4 KiB).");
   AppendSample(&out, "juggler_http_fast_path_total", "", "",
                static_cast<double>(http.fast_path));
   AppendHeader(&out, "juggler_http_overload_rejected_total", "counter",

@@ -43,12 +43,14 @@ namespace juggler::net {
 /// dispatch queue is full (the ResourceExhausted contract, verbatim at the
 /// edge). Any ResourceExhausted a handler returns maps to the same 503.
 ///
-/// Fast path: probes and every /v1/recommend single whose model is resident
-/// are answered on the event-loop thread by
-/// RecommendationService::RecommendIfResident() — a cache hit, or a cold
-/// key evaluated inline (about a microsecond). Only batches, other routes
-/// and lazy models that must be loaded from disk take the handler pool; the
-/// loop never parses an artifact.
+/// Fast path: a request whose body is at most kInlineBodyBytes is answered
+/// on the event-loop thread when its work is resident — the probes, every
+/// /v1/recommend single or batch whose models are all in memory (through
+/// RecommendationService::RecommendIfResident() and
+/// RecommendBatchIfResident(): cache hits, or cold keys evaluated inline at
+/// a few microseconds each), and /v1/observe ingest. Only larger bodies,
+/// the admin routes and lazy models that must be loaded from disk take the
+/// handler pool; the loop never parses an artifact.
 class HttpRecommendServer {
  public:
   struct Options {
@@ -91,16 +93,20 @@ class HttpRecommendServer {
   /// exercise routes without a socket.
   HttpResponse Handle(const HttpRequest& request);
 
-  /// Event-loop fast path: answers the probes and recommend singles whose
-  /// model is resident inline; nullopt (batches, other routes, a lazy model
-  /// not yet loaded) falls through to Handle() on the pool.
+  /// Event-loop fast path: answers the probes, resident recommends (singles
+  /// and batches) and observation ingest inline; nullopt (a body over
+  /// kInlineBodyBytes, other routes, a lazy model not yet loaded) falls
+  /// through to Handle() on the pool.
   std::optional<HttpResponse> HandleFast(const HttpRequest& request);
 
   /// The Prometheus exposition text served at /metrics.
   std::string MetricsText() const;
 
  private:
-  HttpResponse HandleRecommend(const HttpRequest& request);
+  /// The recommend answer path of both HandleFast (`resident_only`:
+  /// nullopt when any model it needs is not in memory) and Handle.
+  std::optional<HttpResponse> HandleRecommend(const HttpRequest& request,
+                                              bool resident_only);
   HttpResponse HandleObserve(const HttpRequest& request);
   HttpResponse HandleApps() const;
   HttpResponse HandleReload();

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <string_view>
+#include <unordered_set>
 #include <utility>
 
 #include "common/lock_diag.h"
@@ -27,33 +29,40 @@ FeedbackCollector::FeedbackCollector(const Options& options)
                                       lockdiag::kRankLeaf)) {}
 
 bool FeedbackCollector::Add(Observation observation) {
-  if (!Valid(observation)) {
-    dropped_.fetch_add(1, std::memory_order_relaxed);
-    RecordDropped(1);
-    return false;
-  }
-  size_t displaced = 0;
-  {
-    MutexLock lock(mu_);
-    while (buffer_.size() >= capacity_) {
-      buffer_.pop_front();
-      ++displaced;
-    }
-    buffer_.push_back(std::move(observation));
-  }
-  ingested_.fetch_add(1, std::memory_order_relaxed);
-  RecordIngested(1);
-  if (displaced > 0) {
-    dropped_.fetch_add(displaced, std::memory_order_relaxed);
-    RecordDropped(displaced);
-  }
-  return true;
+  std::vector<Observation> one;
+  one.push_back(std::move(observation));
+  return AddAll(std::move(one)) == 1;
 }
 
 size_t FeedbackCollector::AddAll(std::vector<Observation> batch) {
+  // Validate outside the lock, keeping arrival order, then append the whole
+  // batch under one hold: the event loops ingest here, so the hold stays a
+  // few deque pushes long.
   size_t accepted = 0;
-  for (Observation& o : batch) {
-    if (Add(std::move(o))) ++accepted;
+  for (size_t i = 0; i < batch.size(); ++i) {
+    if (!Valid(batch[i])) continue;
+    if (i != accepted) batch[accepted] = std::move(batch[i]);
+    ++accepted;
+  }
+  const size_t invalid = batch.size() - accepted;
+  size_t displaced = 0;
+  {
+    MutexLock lock(mu_);
+    for (size_t i = 0; i < accepted; ++i) {
+      while (buffer_.size() >= capacity_) {
+        buffer_.pop_front();
+        ++displaced;
+      }
+      buffer_.push_back(std::move(batch[i]));
+    }
+  }
+  if (accepted > 0) {
+    ingested_.fetch_add(accepted, std::memory_order_relaxed);
+    RecordIngested(accepted);
+  }
+  if (invalid + displaced > 0) {
+    dropped_.fetch_add(invalid + displaced, std::memory_order_relaxed);
+    RecordDropped(invalid + displaced);
   }
   return accepted;
 }
@@ -92,13 +101,16 @@ std::vector<Observation> FeedbackCollector::TakeApp(const std::string& app) {
 }
 
 std::vector<std::string> FeedbackCollector::Apps() const {
+  // Copy each distinct name once, not every buffered record's.
   std::vector<std::string> out;
   {
     MutexLock lock(mu_);
-    for (const Observation& o : buffer_) out.push_back(o.app);
+    std::unordered_set<std::string_view> seen;
+    for (const Observation& o : buffer_) {
+      if (seen.insert(o.app).second) out.push_back(o.app);
+    }
   }
   std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 

@@ -45,7 +45,8 @@ class FeedbackCollector {
   /// are rejected and counted as dropped). Returns true when buffered.
   bool Add(Observation observation);
 
-  /// Adds a batch; returns how many were buffered.
+  /// Adds a batch; returns how many were buffered. Validation runs outside
+  /// the lock and the valid records are appended in one lock hold.
   size_t AddAll(std::vector<Observation> batch);
 
   /// Decodes one wire-format batch (see observation.h) and buffers it.

@@ -11,12 +11,12 @@ namespace juggler::rpc {
 
 /// \brief Synchronous JRPC client: one connection, one request in flight.
 ///
-/// It serves the router's blocking routes — batches, observe, apps, reload,
-/// and the public Router::ForwardRecommend — from a small pool per shard
-/// (checkout/checkin), and its prober, one kept client per shard; a single
-/// client never needs internal locking — it is NOT thread-safe. Recommend
-/// singles from the router's event loop use the non-blocking, pipelined
-/// RpcChannel instead.
+/// It serves the router's blocking routes — bodies over the inline cap,
+/// apps, reload, and the public Router::Forward calls — from a small pool
+/// per shard (checkout/checkin), and its prober, one kept client per shard;
+/// a single client never needs internal locking — it is NOT thread-safe.
+/// Recommends and observations forwarded from the router's event loop use
+/// the non-blocking, pipelined RpcChannel instead.
 ///
 /// Failure model: any transport problem (dial failure, deadline, peer close,
 /// protocol error) closes the connection and surfaces as a non-OK Status —

@@ -16,7 +16,8 @@ namespace juggler::rpc {
 ///  - kPing is answered inline on the loop thread (health probes must not
 ///    queue behind model evaluations);
 ///  - the optional FastHandler may answer any other frame inline on the
-///    loop thread (the shard's resident-model recommends);
+///    loop thread (the shard's resident-model recommends and its
+///    observation ingest, payloads up to net::kInlineBodyBytes);
 ///  - every other frame runs the Handler on the pool. Either way the reply
 ///    is sent with the request's id stamped in;
 ///  - a full dispatch queue answers kError RESOURCE_EXHAUSTED immediately —

@@ -146,16 +146,39 @@ std::future<StatusOr<RecommendResponse>> RecommendationService::RecommendAsync(
 
 std::vector<StatusOr<RecommendResponse>> RecommendationService::RecommendBatch(
     const std::vector<RecommendRequest>& requests) {
+  return *AnswerBatch(requests, /*resident_only=*/false);
+}
+
+std::optional<std::vector<StatusOr<RecommendResponse>>>
+RecommendationService::RecommendBatchIfResident(
+    const std::vector<RecommendRequest>& requests) {
+  return AnswerBatch(requests, /*resident_only=*/true);
+}
+
+std::optional<std::vector<StatusOr<RecommendResponse>>>
+RecommendationService::AnswerBatch(
+    const std::vector<RecommendRequest>& requests, bool resident_only) {
   // Group identical questions so each unique key is evaluated exactly once,
-  // then fan the shared answer back out to every duplicate slot.
+  // then fan the shared answer back out to every duplicate slot. Every slot
+  // resolves before anything is answered, so a resident-only batch that
+  // needs a load declines with nothing evaluated or counted.
   struct Group {
+    ModelRegistry::Resolved resolved;
     size_t first_index = 0;
     std::vector<size_t> indices;
   };
   std::unordered_map<std::string, Group> groups;
   std::vector<Status> resolve_errors(requests.size(), Status::OK());
   for (size_t i = 0; i < requests.size(); ++i) {
-    auto resolved = registry_->Resolve(requests[i].app);
+    StatusOr<ModelRegistry::Resolved> resolved =
+        Status::Internal("slot not resolved");
+    if (resident_only) {
+      auto resident = registry_->ResolveResident(requests[i].app);
+      if (!resident.has_value()) return std::nullopt;  // Needs a lazy load.
+      resolved = *std::move(resident);
+    } else {
+      resolved = registry_->Resolve(requests[i].app);
+    }
     if (!resolved.ok()) {
       resolve_errors[i] = resolved.status();
       continue;
@@ -164,7 +187,10 @@ std::vector<StatusOr<RecommendResponse>> RecommendationService::RecommendBatch(
         requests[i].app, resolved->version, requests[i].params,
         requests[i].machine_type, requests[i].objective);
     auto [it, inserted] = groups.try_emplace(std::move(key));
-    if (inserted) it->second.first_index = i;
+    if (inserted) {
+      it->second.resolved = std::move(resolved).value();
+      it->second.first_index = i;
+    }
     it->second.indices.push_back(i);
   }
 
@@ -176,7 +202,8 @@ std::vector<StatusOr<RecommendResponse>> RecommendationService::RecommendBatch(
                              : resolve_errors[i]);
   }
   for (const auto& [key, group] : groups) {
-    StatusOr<RecommendResponse> result = Recommend(requests[group.first_index]);
+    StatusOr<RecommendResponse> result =
+        Answer(group.resolved, requests[group.first_index], Clock::now());
     for (size_t index : group.indices) {
       results[index] = result;  // Duplicates share the answer snapshot.
     }

@@ -145,6 +145,14 @@ class RecommendationService {
   std::vector<StatusOr<RecommendResponse>> RecommendBatch(
       const std::vector<RecommendRequest>& requests);
 
+  /// RecommendBatch() for callers that must not block on disk (the event
+  /// loop): the same answers and accounting, with every slot resolved by
+  /// ModelRegistry::ResolveResident(). Returns nullopt, with no slot
+  /// evaluated and nothing counted, when any slot's model would have to be
+  /// loaded first.
+  std::optional<std::vector<StatusOr<RecommendResponse>>>
+  RecommendBatchIfResident(const std::vector<RecommendRequest>& requests);
+
   Stats GetStats() const EXCLUDES(apps_mu_);
 
   ModelRegistry& registry() { return *registry_; }
@@ -171,6 +179,13 @@ class RecommendationService {
   [[nodiscard]] StatusOr<RecommendResponse> Answer(
       const ModelRegistry::Resolved& resolved, const RecommendRequest& request,
       std::chrono::steady_clock::time_point start);
+
+  /// The one batch path behind RecommendBatch() and
+  /// RecommendBatchIfResident(): resolve every slot first (`resident_only`:
+  /// nullopt as soon as one needs a load), then one Answer() per distinct
+  /// question against the snapshot its slots resolved.
+  std::optional<std::vector<StatusOr<RecommendResponse>>> AnswerBatch(
+      const std::vector<RecommendRequest>& requests, bool resident_only);
 
   // Nearly mutex-free: shared state is atomics plus the lock-free
   // LatencyHistogram; `apps_mu_` only guards per-app node creation (first

@@ -9,6 +9,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
@@ -32,6 +33,8 @@
 #include "net/http.h"
 #include "net/json.h"
 #include "net/recommend_codec.h"
+#include "online/observation.h"
+#include "online/online_loop.h"
 #include "rpc/rpc_client.h"
 #include "service/model_registry.h"
 #include "service/prediction_cache.h"
@@ -153,6 +156,8 @@ const core::TrainedJuggler& SvmModel() {
 struct Shard {
   std::shared_ptr<service::ModelRegistry> registry;
   std::shared_ptr<service::RecommendationService> service;
+  /// Null unless the fixture runs online shards.
+  std::shared_ptr<online::OnlineJuggler> online;
   std::unique_ptr<ShardServer> server;
 };
 
@@ -163,11 +168,13 @@ struct ClusterFixture {
   std::unique_ptr<RouterHttpServer> http;
 
   /// `tune` adjusts the router's options last (extra shard addresses,
-  /// timeouts).
+  /// timeouts). `online_shards` gives every shard an online loop (its
+  /// refit thread not started), so kObserve frames are buffered.
   explicit ClusterFixture(
       const std::string& test_name, size_t shard_count = 2,
       int probe_interval_ms = 50,
-      const std::function<void(Router::Options*)>& tune = nullptr) {
+      const std::function<void(Router::Options*)>& tune = nullptr,
+      bool online_shards = false) {
     dir = fs::path(testing::TempDir()) / ("cluster_" + test_name);
     fs::remove_all(dir);
     fs::create_directories(dir);
@@ -189,6 +196,11 @@ struct ClusterFixture {
           shard->registry, service::RecommendationService::Options{});
       ShardServer::Options sopts;
       sopts.rpc.num_handler_threads = 2;
+      if (online_shards) {
+        shard->online = std::make_shared<online::OnlineJuggler>(
+            shard->registry, shard->service, online::OnlineJuggler::Options{});
+        sopts.online = shard->online;
+      }
       shard->server = std::make_unique<ShardServer>(shard->registry,
                                                     shard->service, sopts);
       EXPECT_TRUE(shard->server->Start().ok());
@@ -297,6 +309,23 @@ class HttpClient {
 std::string SvmBody(int examples) {
   return std::string(R"({"app":"svm","params":{"examples":)") +
          std::to_string(examples) + R"(,"features":3000,"iterations":5}})";
+}
+
+/// The JSON form of an observation body: `per_app` run-time records for
+/// each of `apps`.
+std::string ObservationBody(const std::vector<std::string>& apps,
+                            int per_app) {
+  std::string body = "[";
+  for (const std::string& app : apps) {
+    for (int i = 0; i < per_app; ++i) {
+      if (body.size() > 1) body += ",";
+      body += R"({"kind":"run_time","app":")" + app +
+              R"(","target":1,"params":{"examples":)" +
+              std::to_string(12000 + 1000 * i) +
+              R"(,"features":3000,"iterations":5},"value":800.0})";
+    }
+  }
+  return body + "]";
 }
 
 /// The router's route key for a single-recommend body.
@@ -720,14 +749,93 @@ TEST(RouterLoopTest, ValidationErrorsAndBatchesKeepTheirAnswers) {
 
   const std::string batch = R"({"requests":[)" + std::string(kSvmBody) +
                             "," + SvmBody(24000) + "]}";
+  const auto batch_request = MakeRequest("POST", "/v1/recommend", batch);
+  ASSERT_EQ(f.http->Handle(batch_request).status, 200);  // Warm both slots.
   const auto http_before = f.http->http_stats();
   const auto batched = client.Call("POST", "/v1/recommend", batch);
   ASSERT_EQ(batched.status, 200) << batched.body;
   auto json = net::Json::Parse(batched.body);
   ASSERT_TRUE(json.ok());
   EXPECT_EQ(json->Find("results")->array_items().size(), 2u);
-  EXPECT_EQ(f.http->http_stats().fast_path, http_before.fast_path)
-      << "batches take the pool path";
+  EXPECT_EQ(batched.body, f.http->Handle(batch_request).body);
+  EXPECT_EQ(f.http->http_stats().fast_path, http_before.fast_path + 1)
+      << "batches are forwarded from the loop, not the pool";
+
+  // The inline rule holds on the router too: a body at the cap is
+  // forwarded from the loop, one byte more goes to the pool. Same answer.
+  std::string at_cap = kSvmBody;
+  at_cap.append(net::kInlineBodyBytes - at_cap.size(), ' ');
+  const std::string over_cap = at_cap + " ";
+  const auto before_cap = f.http->http_stats();
+  const auto inline_reply = client.Call("POST", "/v1/recommend", at_cap);
+  ASSERT_EQ(inline_reply.status, 200) << inline_reply.body;
+  EXPECT_EQ(f.http->http_stats().fast_path, before_cap.fast_path + 1);
+  const auto pooled_reply = client.Call("POST", "/v1/recommend", over_cap);
+  ASSERT_EQ(pooled_reply.status, 200) << pooled_reply.body;
+  EXPECT_EQ(f.http->http_stats().fast_path, before_cap.fast_path + 1)
+      << "one byte over the cap takes the pool";
+  EXPECT_EQ(pooled_reply.body, inline_reply.body);  // Both warm by now.
+
+  // A malformed slot is the same 400, answered on the loop with no hop.
+  const std::string malformed =
+      R"({"requests":[)" + std::string(kSvmBody) + R"(,{"params":{}}]})";
+  const auto bad_batch = client.Call("POST", "/v1/recommend", malformed);
+  EXPECT_EQ(bad_batch.status, 400);
+  EXPECT_EQ(bad_batch.body,
+            f.http->Handle(MakeRequest("POST", "/v1/recommend", malformed))
+                .body);
+}
+
+TEST(RouterLoopTest, SpanningBatchesAndMultiAppObservationsMatchHandle) {
+  ClusterFixture f("loop_fanout", /*shard_count=*/2, /*probe_interval_ms=*/50,
+                   nullptr, /*online_shards=*/true);
+  // A batch whose slots land on both shards.
+  std::vector<size_t> owners;
+  std::string batch = R"({"requests":[)";
+  for (int i = 0; i < 32 && owners.size() < 6; ++i) {
+    const std::string body = SvmBody(12000 + 250 * i);
+    const size_t owner = f.router->ring().Owner(RouteKeyOf(body));
+    if (std::count(owners.begin(), owners.end(), owner) >= 3) continue;
+    batch += (owners.empty() ? "" : ",") + body;
+    owners.push_back(owner);
+  }
+  batch += "]}";
+  ASSERT_EQ(owners.size(), 6u) << "keys must span both shards";
+  const auto batch_request = MakeRequest("POST", "/v1/recommend", batch);
+  ASSERT_EQ(f.http->Handle(batch_request).status, 200);  // Warm every slot.
+
+  HttpClient client(f.StartHttp());
+  const auto before = f.router->GetShardStats();
+  const auto batched = client.Call("POST", "/v1/recommend", batch);
+  ASSERT_EQ(batched.status, 200) << batched.body;
+  const auto after = f.router->GetShardStats();
+  EXPECT_EQ(after[0].requests - before[0].requests, 3u);
+  EXPECT_EQ(after[1].requests - before[1].requests, 3u);
+  EXPECT_EQ(batched.body, f.http->Handle(batch_request).body);
+
+  // An observation body for two apps owned by different shards: one
+  // kObserve leg each, joined in app order.
+  std::vector<std::string> apps(2);
+  for (int i = 0; i < 64 && (apps[0].empty() || apps[1].empty()); ++i) {
+    const std::string app = "app" + std::to_string(i);
+    std::string& slot = apps[f.router->ring().Owner(app)];
+    if (slot.empty()) slot = app;
+  }
+  ASSERT_FALSE(apps[0].empty() || apps[1].empty());
+  const std::string observations = ObservationBody(apps, 3);
+  const auto observed = client.Call("POST", "/v1/observe", observations);
+  ASSERT_EQ(observed.status, 200) << observed.body;
+  for (size_t s = 0; s < 2; ++s) {
+    EXPECT_EQ(f.shards[s]->online->collector().GetStats().ingested, 3u) << s;
+    // Drain, so the pool path's reply reports the same buffered counts.
+    EXPECT_EQ(f.shards[s]->online->collector().TakeApp(apps[s]).size(), 3u);
+  }
+  EXPECT_NE(observed.body.find("\"accepted\":3"), std::string::npos)
+      << observed.body;
+  EXPECT_EQ(observed.body,
+            f.http->Handle(MakeRequest("POST", "/v1/observe", observations))
+                .body);
+  EXPECT_EQ(f.router->reroutes(), 0u);
 }
 
 TEST(RouterLoopChaosTest, KillingTheOwnerWithCallsInFlightReroutesThem) {
@@ -815,6 +923,58 @@ TEST(RouterLoopChaosTest, HungShardTimesOutAndReroutesWhileTheLoopServes) {
   const auto stats = f.router->GetShardStats();
   EXPECT_GE(stats[1].errors, 1u);
   EXPECT_FALSE(stats[1].healthy);
+}
+
+TEST(RouterLoopChaosTest, BatchSlotsOnAHungShardShareOneDeadline) {
+  SilentShard silent;
+  // As above: the hung shard (index 1) still looks healthy, so its slots are
+  // sent to it and only their call deadline gets them out.
+  ClusterFixture f("loop_hung_batch", /*shard_count=*/1,
+                   /*probe_interval_ms=*/5000, [&](Router::Options* options) {
+                     options->shards.push_back(silent.address());
+                     options->rpc_timeout_ms = 200;
+                     options->connect_timeout_ms = 1500;
+                   });
+  constexpr size_t kHung = 4;
+  constexpr size_t kLive = 2;
+  size_t hung = 0;
+  size_t live = 0;
+  std::string batch = R"({"requests":[)";
+  for (int i = 0; i < 128 && (hung < kHung || live < kLive); ++i) {
+    const std::string body = SvmBody(12000 + 100 * i);
+    const bool on_hung = f.router->ring().Owner(RouteKeyOf(body)) == 1;
+    if (on_hung ? hung == kHung : live == kLive) continue;
+    batch += (hung + live == 0 ? "" : ",") + body;
+    ++(on_hung ? hung : live);
+  }
+  batch += "]}";
+  ASSERT_EQ(hung, kHung);
+  ASSERT_EQ(live, kLive);
+  HttpClient client(f.StartHttp());
+
+  const auto start = std::chrono::steady_clock::now();
+  const auto reply = client.Call("POST", "/v1/recommend", batch);
+  const auto elapsed = std::chrono::duration_cast<std::chrono::milliseconds>(
+      std::chrono::steady_clock::now() - start);
+  ASSERT_EQ(reply.status, 200) << reply.body;
+  auto json = net::Json::Parse(reply.body);
+  ASSERT_TRUE(json.ok()) << reply.body;
+  const auto& results = json->Find("results")->array_items();
+  ASSERT_EQ(results.size(), kHung + kLive);
+  for (const auto& result : results) {
+    EXPECT_NE(result.Find("recommendations"), nullptr) << result.Dump();
+  }
+  // Every hung slot was in flight at once: they cost one deadline together,
+  // not one each.
+  EXPECT_GE(elapsed.count(), 190);
+  EXPECT_LT(elapsed.count(), 2 * 200 + 200);
+  // Each hung slot failed on the hung shard and rerouted; the live slots
+  // were answered by their owner on the first attempt.
+  EXPECT_EQ(f.router->reroutes(), kHung);
+  const auto stats = f.router->GetShardStats();
+  EXPECT_EQ(stats[1].errors, kHung);
+  EXPECT_EQ(stats[0].errors, 0u);
+  EXPECT_EQ(stats[0].requests, kHung + kLive);
 }
 
 TEST(RouterLoopChaosTest, OnlyAHungShardFailsAfterTheDeadline) {
@@ -922,6 +1082,52 @@ TEST(ShardServerTest, ResidentRecommendsAreAnsweredOnTheShardLoop) {
   rpc::RpcFrame apps;
   apps.type = rpc::FrameType::kApps;
   EXPECT_FALSE(shard.HandleFast(apps).has_value());
+}
+
+TEST(ShardServerTest, ObserveFramesAreAnsweredOnTheShardLoop) {
+  ClusterFixture f("shard_observe", /*shard_count=*/1,
+                   /*probe_interval_ms=*/50, nullptr, /*online_shards=*/true);
+  f.router->Stop();  // No probes: the shard's counters see only this test.
+  ShardServer& shard = *f.shards[0]->server;
+  const online::FeedbackCollector& collector =
+      f.shards[0]->online->collector();
+  rpc::RpcClient::Options options;
+  options.port = shard.port();
+  rpc::RpcClient client(options);
+
+  online::Observation obs;
+  obs.kind = online::ObservationKind::kRunTime;
+  obs.app = "svm";
+  obs.target = 1;
+  obs.params = minispark::AppParams{12000, 3000, 5};
+  obs.value = 812.5;
+  const auto start = shard.rpc_stats();
+  auto reply = client.Call(rpc::FrameType::kObserve,
+                           online::EncodeObservationBatch({obs, obs}));
+  ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+  ASSERT_EQ(reply->type, rpc::FrameType::kObserveReply) << reply->payload;
+  EXPECT_EQ(reply->payload, R"({"accepted":2,"buffered":2})");
+  EXPECT_EQ(shard.rpc_stats().fast_path, start.fast_path + 1)
+      << "kObserve is ingested on the shard's event loop";
+  EXPECT_EQ(collector.GetStats().ingested, 2u);
+
+  // Malformed bytes are the same kError inline, and nothing is kept.
+  auto bad = client.Call(rpc::FrameType::kObserve, "JOBSgarbage");
+  ASSERT_TRUE(bad.ok());
+  EXPECT_EQ(bad->type, rpc::FrameType::kError);
+  EXPECT_EQ(shard.rpc_stats().fast_path, start.fast_path + 2);
+  EXPECT_EQ(collector.GetStats().ingested, 2u);
+
+  // Past the inline cap a frame goes to the pool, whatever it holds.
+  rpc::RpcFrame large;
+  large.type = rpc::FrameType::kObserve;
+  large.payload = online::EncodeObservationBatch(
+      std::vector<online::Observation>(200, obs));
+  ASSERT_GT(large.payload.size(), net::kInlineBodyBytes);
+  EXPECT_FALSE(shard.HandleFast(large).has_value());
+  EXPECT_EQ(collector.GetStats().ingested, 2u);
+  EXPECT_EQ(shard.Handle(large).type, rpc::FrameType::kObserveReply);
+  EXPECT_EQ(collector.GetStats().ingested, 202u);
 }
 
 }  // namespace

@@ -655,10 +655,83 @@ TEST(HttpRecommendServerTest, BatchReportsServiceErrorsPerSlot) {
   EXPECT_EQ(malformed.status, 400);
   EXPECT_NE(malformed.body.find("requests[0]"), std::string::npos);
 
-  // Batches never take the fast path.
+  // Resident batches are answered inline on the event loop, with the bytes
+  // the pool path returns (both warm here: cache_hit is part of the bytes).
+  const auto fast =
+      f.server->HandleFast(MakeRequest("POST", "/v1/recommend", body));
+  ASSERT_TRUE(fast.has_value());
+  EXPECT_EQ(fast->status, 200);
+  EXPECT_EQ(fast->body,
+            f.server->Handle(MakeRequest("POST", "/v1/recommend", body)).body);
+  // The all-or-nothing 400 is the same inline too.
+  const auto fast_malformed = f.server->HandleFast(MakeRequest(
+      "POST", "/v1/recommend", R"({"requests":[{"app":"svm"}]})"));
+  ASSERT_TRUE(fast_malformed.has_value());
+  EXPECT_EQ(fast_malformed->status, 400);
+  EXPECT_EQ(fast_malformed->body, malformed.body);
+}
+
+TEST(HttpRecommendServerTest, InlineRuleIsTheBodySizeCap) {
+  RecommendFixture f("inline_cap", /*with_online=*/true);
+  // Whitespace pads a body to an exact size without changing what it asks.
+  const auto padded = [](std::string body, size_t size) {
+    body.append(size - body.size(), ' ');
+    return body;
+  };
+  const std::string batch = std::string(R"({"requests":[)") + kSvmBody + "," +
+                            kSvmBody + "]}";
+  for (const std::string& body : {std::string(kSvmBody), batch}) {
+    const auto at_cap = MakeRequest("POST", "/v1/recommend",
+                                    padded(body, kInlineBodyBytes));
+    const auto over_cap = MakeRequest("POST", "/v1/recommend",
+                                      padded(body, kInlineBodyBytes + 1));
+    ASSERT_EQ(f.server->Handle(at_cap).status, 200);  // Warm the key.
+    const auto inline_answer = f.server->HandleFast(at_cap);
+    ASSERT_TRUE(inline_answer.has_value()) << "a body at the cap is inline";
+    EXPECT_EQ(inline_answer->body, f.server->Handle(at_cap).body);
+    EXPECT_FALSE(f.server->HandleFast(over_cap).has_value())
+        << "one byte over the cap goes to the pool";
+    EXPECT_EQ(f.server->Handle(over_cap).body, inline_answer->body);
+  }
+  // The rule comes before any parse: an oversized garbage body is not a
+  // loop-thread 400, and an oversized observation is not ingested inline.
+  EXPECT_FALSE(f.server
+                   ->HandleFast(MakeRequest("POST", "/v1/recommend",
+                                            padded("not json",
+                                                   kInlineBodyBytes + 1)))
+                   .has_value());
   EXPECT_FALSE(
-      f.server->HandleFast(MakeRequest("POST", "/v1/recommend", body))
+      f.server
+          ->HandleFast(MakeRequest("POST", "/v1/observe",
+                                   padded("[]", kInlineBodyBytes + 1)))
           .has_value());
+  EXPECT_EQ(f.online->collector().GetStats().ingested, 0u);
+}
+
+TEST(HttpRecommendServerTest, BatchWithALazySlotDeclinesTheFastPath) {
+  service::ModelRegistry::Options lazy;
+  lazy.lazy_load = true;
+  RecommendFixture f("lazy_batch", /*with_online=*/false, lazy);
+  const auto request = MakeRequest(
+      "POST", "/v1/recommend",
+      std::string(R"({"requests":[)") + kSvmBody +
+          R"(,{"app":"nope","params":{"examples":100,"features":10}}]})");
+
+  // One slot's model is not resident: the whole batch goes to the pool,
+  // with nothing loaded, evaluated or counted on the loop.
+  EXPECT_FALSE(f.server->HandleFast(request).has_value());
+  EXPECT_EQ(f.registry->loaded_models(), 0u);
+  const auto stats = f.service->GetStats();
+  EXPECT_TRUE(stats.per_app.empty());
+  EXPECT_EQ(stats.evaluations, 0u);
+  EXPECT_EQ(stats.cache.misses, 0u);
+
+  // The pool loads it; from then on the batch is answered inline.
+  ASSERT_EQ(f.server->Handle(request).status, 200);
+  EXPECT_EQ(f.registry->loaded_models(), 1u);
+  const auto fast = f.server->HandleFast(request);
+  ASSERT_TRUE(fast.has_value());
+  EXPECT_EQ(fast->body, f.server->Handle(request).body);
 }
 
 TEST(HttpRecommendServerTest, AppsAndReloadRoutes) {
@@ -786,11 +859,26 @@ TEST(HttpRecommendServerTest, ObserveIngestsJsonBodies) {
   EXPECT_EQ(json->NumberOr("ingested", -1), 1);
   EXPECT_EQ(json->NumberOr("dropped", -1), 0);
   EXPECT_EQ(json->NumberOr("buffered", -1), 1);
-  // Observation ingest never takes the fast path (it mutates the collector).
-  EXPECT_FALSE(
-      f.server
-          ->HandleFast(MakeRequest("POST", "/v1/observe", kObservationJson))
-          .has_value());
+  // Observation ingest is answered inline on the event loop too: the same
+  // decoder, the same collector.
+  const auto fast =
+      f.server->HandleFast(MakeRequest("POST", "/v1/observe", kObservationJson));
+  ASSERT_TRUE(fast.has_value());
+  ASSERT_EQ(fast->status, 200) << fast->body;
+  auto fast_json = Json::Parse(fast->body);
+  ASSERT_TRUE(fast_json.ok());
+  EXPECT_EQ(fast_json->NumberOr("ingested", -1), 2);
+  EXPECT_EQ(fast_json->NumberOr("buffered", -1), 2);
+  EXPECT_EQ(f.online->collector().GetStats().ingested, 2u);
+  // A malformed body is the same 400 inline as on the pool.
+  const auto fast_bad =
+      f.server->HandleFast(MakeRequest("POST", "/v1/observe", "not json"));
+  ASSERT_TRUE(fast_bad.has_value());
+  EXPECT_EQ(fast_bad->status, 400);
+  EXPECT_EQ(fast_bad->body,
+            f.server->Handle(MakeRequest("POST", "/v1/observe", "not json"))
+                .body);
+  EXPECT_EQ(f.online->collector().GetStats().ingested, 2u);
 }
 
 TEST(HttpRecommendServerTest, ObserveIngestsBinaryBodies) {

@@ -776,6 +776,57 @@ TEST(RecommendationServiceTest, BatchDedupsAndMatchesSequential) {
             results[3]->recommendations.get());
 }
 
+TEST(RecommendationServiceTest, ResidentBatchDeclinesOnALazySlotCountingNothing) {
+  const fs::path dir = MakeModelDir("batch_resident");
+  SaveModel(TrainSmall("svm"), dir / "svm.model");
+  SaveModel(TrainSmall("pca"), dir / "pca.model");
+  ModelRegistry::Options lazy;
+  lazy.lazy_load = true;
+  auto registry = std::make_shared<ModelRegistry>(dir.string(), lazy);
+  ASSERT_TRUE(registry->Refresh().ok());
+  RecommendationService service(registry, RecommendationService::Options{});
+  const RecommendRequest pca{"pca", AppParams{12000, 3000, 5}, PaperCluster(1),
+                             {}};
+  ASSERT_TRUE(service.Recommend(SvmRequest(12000, 3000)).ok());  // Loads svm.
+  const RecommendationService::Stats before = service.GetStats();
+
+  // svm is resident, pca is not: the whole batch declines before any slot
+  // is answered, so not even the resident slots move a counter.
+  const std::vector<RecommendRequest> batch = {
+      SvmRequest(12000, 3000), SvmRequest(24000, 6000), pca,
+      RecommendRequest{"nope", AppParams{1, 1, 1}, PaperCluster(1), {}}};
+  EXPECT_FALSE(service.RecommendBatchIfResident(batch).has_value());
+  const RecommendationService::Stats after = service.GetStats();
+  EXPECT_EQ(after.evaluations, before.evaluations);
+  EXPECT_EQ(after.cache.hits, before.cache.hits);
+  EXPECT_EQ(after.cache.misses, before.cache.misses);
+  EXPECT_EQ(after.per_app.at("svm").requests,
+            before.per_app.at("svm").requests);
+  EXPECT_EQ(after.per_app.count("pca"), 0u);
+  EXPECT_EQ(registry->loaded_models(), 1u) << "the loop never parses";
+
+  // Once every model is resident, the same batch is answered with
+  // RecommendBatch()'s answers (the first call loads pca and fills the
+  // cache, so both see the same hits from here on).
+  const auto loaded = service.RecommendBatch(batch);
+  const auto resident = service.RecommendBatchIfResident(batch);
+  ASSERT_TRUE(resident.has_value());
+  const auto pooled = service.RecommendBatch(batch);
+  ASSERT_EQ(resident->size(), batch.size());
+  ASSERT_EQ(loaded.size(), batch.size());
+  for (size_t i = 0; i < batch.size(); ++i) {
+    ASSERT_EQ((*resident)[i].ok(), pooled[i].ok()) << i;
+    if (!pooled[i].ok()) {
+      EXPECT_EQ((*resident)[i].status().code(), StatusCode::kNotFound);
+      continue;
+    }
+    EXPECT_TRUE((*resident)[i]->cache_hit) << i;
+    EXPECT_EQ((*resident)[i]->recommendations.get(),
+              pooled[i]->recommendations.get())
+        << "slot " << i << " shares the cached answer";
+  }
+}
+
 TEST(RecommendationServiceTest, FullQueueShedsWithResourceExhausted) {
   std::mutex mu;
   std::condition_variable cv;

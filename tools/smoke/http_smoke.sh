@@ -73,15 +73,21 @@ METRICS="$(curl -s "$BASE/metrics")" || fail "/metrics did not answer"
 grep -q 'juggler_requests_total{app="svm"}' <<< "$METRICS" \
   || fail "/metrics is missing the per-app series"
 
-# Saturation: singles never queue, but batches take the handler pool — 1
-# handler thread + 1 dispatch slot + 400ms evaluations. 8 distinct cold
-# batches in parallel must produce at least one immediate 503 — and every
-# request must get *some* HTTP answer (shed at the edge, never hung/dropped).
+# Saturation: requests with bodies up to 4 KiB (kInlineBodyBytes) are
+# answered on the event loop and never queue, but larger ones take the
+# handler pool — 1 handler thread + 1 dispatch slot + 400ms evaluations.
+# Each batch repeats its one cold question 80 times (~4.6 KB): over the cap,
+# yet one evaluation, since a batch answers identical slots once. 8 distinct
+# cold batches in parallel must produce at least one immediate 503 — and
+# every request must get *some* HTTP answer (shed at the edge, never
+# hung/dropped).
 echo "== saturation =="
 CODES=""
 CURL_PIDS=()
 for i in $(seq 1 8); do
-  Q="{\"requests\":[{\"app\":\"svm\",\"params\":{\"examples\":$((20000 + i)),\"features\":4000}}]}"
+  SLOT="{\"app\":\"svm\",\"params\":{\"examples\":$((20000 + i)),\"features\":4000}}"
+  Q="{\"requests\":[$SLOT$(printf ",$SLOT%.0s" $(seq 2 80))]}"
+  [ "${#Q}" -gt 4096 ] || fail "saturation batch is not over the inline cap"
   curl -s -o /dev/null -w '%{http_code}\n' --max-time 20 \
     -X POST -d "$Q" "$BASE/v1/recommend" >>"$WORKDIR/codes.txt" &
   CURL_PIDS+=("$!")
