@@ -4,9 +4,9 @@
 // the optimization stages, 43 for prediction).
 //
 // Also the offline entry of the perf-trajectory series: wall-clock fit time
-// per workload is persisted to BENCH_fit.json (same flat-JSON shape as
-// bench_cluster's BENCH_cluster.json) so CI tracks training cost across
-// commits, with in-binary acceptance floors on the replicated savings.
+// per workload is persisted to BENCH_fit.json (one flat JSON object, the
+// shape BENCH_sim.json shares) so CI tracks training cost across commits,
+// with in-binary acceptance floors on the replicated savings.
 
 #include <chrono>
 #include <filesystem>
@@ -126,8 +126,7 @@ int main(int argc, char** argv) {
   std::printf("\nfit wall clock: %.3f s total, %.3f s slowest workload\n",
               fit_wall_s, fit_wall_max_s);
 
-  // Persisted perf trajectory: one flat JSON document per run (the same
-  // shape bench_cluster writes to BENCH_cluster.json).
+  // Persisted perf trajectory: one flat JSON document per run.
   {
     std::ofstream out(output_json);
     char json[384];

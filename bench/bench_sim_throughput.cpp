@@ -1,9 +1,9 @@
 // Engine throughput — how many simulated tasks per wall-clock second the
 // minispark engine executes. Everything upstream (training grids, sweeps,
 // the serving tier's evaluations) is bounded by this number, so it gets its
-// own perf-trajectory entry: results are persisted to BENCH_sim.json (the
-// same flat-JSON shape as bench_cluster's BENCH_cluster.json), with an
-// in-binary acceptance floor.
+// own perf-trajectory entry: results are persisted to BENCH_sim.json (one
+// flat JSON object, the shape BENCH_fit.json shares), with an in-binary
+// acceptance floor.
 //
 //   bench_sim_throughput [rounds] [out-json]
 //
@@ -86,8 +86,7 @@ int main(int argc, char** argv) {
   std::printf("runs/s:             %10.1f\n", runs_per_s);
   std::printf("time compression:   %10.0fx real time\n", time_compression);
 
-  // Persisted perf trajectory: one flat JSON document per run (the same
-  // shape bench_cluster writes to BENCH_cluster.json).
+  // Persisted perf trajectory: one flat JSON document per run.
   {
     std::ofstream out(output_json);
     char json[320];

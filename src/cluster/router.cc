@@ -600,44 +600,11 @@ std::string RouterHttpServer::MetricsText() const {
   net::AppendSample(&out, "juggler_router_healthy_shards", "", "",
                     static_cast<double>(router_->healthy_shards()));
 
-  net::AppendHeader(&out, "juggler_http_connections_accepted_total",
-                    "counter", "TCP connections accepted.");
-  net::AppendSample(&out, "juggler_http_connections_accepted_total", "", "",
-                    static_cast<double>(http.accepted));
-  net::AppendHeader(&out, "juggler_http_connections_active", "gauge",
-                    "TCP connections currently open.");
-  net::AppendSample(&out, "juggler_http_connections_active", "", "",
-                    static_cast<double>(http.active));
-  net::AppendHeader(&out, "juggler_http_requests_total", "counter",
-                    "HTTP requests parsed.");
-  net::AppendSample(&out, "juggler_http_requests_total", "", "",
-                    static_cast<double>(http.requests));
-  net::AppendHeader(&out, "juggler_http_fast_path_total", "counter",
-                    "HTTP requests answered without a handler-pool hop: "
-                    "probes on the event loop, and recommend singles, "
-                    "batches and observations forwarded to their shards "
-                    "from the event loop (bodies up to 4 KiB).");
-  net::AppendSample(&out, "juggler_http_fast_path_total", "", "",
-                    static_cast<double>(http.fast_path));
-  net::AppendHeader(&out, "juggler_http_overload_rejected_total", "counter",
-                    "HTTP requests answered 503 by the dispatch-queue "
-                    "guard.");
-  net::AppendSample(&out, "juggler_http_overload_rejected_total", "", "",
-                    static_cast<double>(http.overload_rejected));
-  net::AppendHeader(&out, "juggler_http_parse_errors_total", "counter",
-                    "HTTP protocol errors (400/413/501).");
-  net::AppendSample(&out, "juggler_http_parse_errors_total", "", "",
-                    static_cast<double>(http.parse_errors));
-  net::AppendHeader(&out, "juggler_http_slow_read_closed_total", "counter",
-                    "Connections answered 408 and closed for stalling "
-                    "mid-request (header-read deadline).");
-  net::AppendSample(&out, "juggler_http_slow_read_closed_total", "", "",
-                    static_cast<double>(http.slow_read_closed));
-  net::AppendHeader(&out, "juggler_http_slow_write_closed_total", "counter",
-                    "Connections closed for not draining the response "
-                    "(write deadline).");
-  net::AppendSample(&out, "juggler_http_slow_write_closed_total", "", "",
-                    static_cast<double>(http.slow_write_closed));
+  net::AppendHttpMetrics(
+      &out, http,
+      "HTTP requests answered without a handler-pool hop: probes on the "
+      "event loop, and recommend singles, batches and observations "
+      "forwarded to their shards from the event loop (bodies up to 4 KiB).");
 
   online::AppendOnlineMetrics(&out);
   net::AppendLockMetrics(&out);

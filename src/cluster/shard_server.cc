@@ -42,9 +42,12 @@ rpc::RpcFrame ShardServer::Handle(const rpc::RpcFrame& request) {
     case rpc::FrameType::kRecommend:
       return *HandleRecommend(request, /*resident_only=*/false);
     case rpc::FrameType::kApps:
-      return HandleApps();
+      return Reply(rpc::FrameType::kAppsReply, net::AppsJson(*registry_));
     case rpc::FrameType::kReload:
-      return HandleReload();
+      if (Status status = registry_->Refresh(); !status.ok()) {
+        return ErrorFrame(status);
+      }
+      return Reply(rpc::FrameType::kReloadReply, net::ReloadJson(*registry_));
     case rpc::FrameType::kObserve:
       return HandleObserve(request);
     default:
@@ -104,38 +107,6 @@ rpc::RpcFrame ShardServer::HandleObserve(const rpc::RpcFrame& request) {
                           after.ingested - before.ingested)))
       .Set("buffered", net::Json::Number(static_cast<double>(after.buffered)));
   return Reply(rpc::FrameType::kObserveReply, out.Dump());
-}
-
-rpc::RpcFrame ShardServer::HandleApps() const {
-  net::Json apps = net::Json::Arr();
-  for (const std::string& name : registry_->AppNames()) {
-    apps.Append(net::Json::Str(name));
-  }
-  net::Json out = net::Json::Obj();
-  out.Set("version",
-          net::Json::Number(static_cast<double>(registry_->version())))
-      .Set("apps", std::move(apps));
-  return Reply(rpc::FrameType::kAppsReply, out.Dump());
-}
-
-rpc::RpcFrame ShardServer::HandleReload() {
-  if (Status status = registry_->Refresh(); !status.ok()) {
-    return ErrorFrame(status);
-  }
-  const auto refresh = registry_->last_refresh();
-  net::Json stats = net::Json::Obj();
-  stats
-      .Set("scanned", net::Json::Number(static_cast<double>(refresh.scanned)))
-      .Set("parsed", net::Json::Number(static_cast<double>(refresh.parsed)))
-      .Set("reused", net::Json::Number(static_cast<double>(refresh.reused)))
-      .Set("removed", net::Json::Number(static_cast<double>(refresh.removed)))
-      .Set("failed", net::Json::Number(static_cast<double>(refresh.failed)));
-  net::Json out = net::Json::Obj();
-  out.Set("version",
-          net::Json::Number(static_cast<double>(registry_->version())))
-      .Set("models", net::Json::Number(static_cast<double>(registry_->size())))
-      .Set("refresh", std::move(stats));
-  return Reply(rpc::FrameType::kReloadReply, out.Dump());
 }
 
 }  // namespace juggler::cluster

@@ -74,8 +74,6 @@ class ShardServer {
   std::optional<rpc::RpcFrame> HandleRecommend(const rpc::RpcFrame& request,
                                                bool resident_only);
   rpc::RpcFrame HandleObserve(const rpc::RpcFrame& request);
-  rpc::RpcFrame HandleApps() const;
-  rpc::RpcFrame HandleReload();
 
   std::shared_ptr<service::ModelRegistry> registry_;
   std::shared_ptr<service::RecommendationService> service_;

@@ -83,11 +83,14 @@ HttpResponse HttpRecommendServer::Handle(const HttpRequest& request) {
   }
   if (path == "/v1/apps") {
     if (request.method != "GET") return MethodNotAllowed("GET");
-    return HandleApps();
+    return HttpResponse::JsonBody(200, AppsJson(*registry_));
   }
   if (path == "/v1/reload") {
     if (request.method != "POST") return MethodNotAllowed("POST");
-    return HandleReload();
+    if (Status status = registry_->Refresh(); !status.ok()) {
+      return ErrorResponse(status);
+    }
+    return HttpResponse::JsonBody(200, ReloadJson(*registry_));
   }
   if (path == "/metrics") {
     if (request.method != "GET") return MethodNotAllowed("GET");
@@ -193,35 +196,6 @@ HttpResponse HttpRecommendServer::HandleObserve(const HttpRequest& request) {
   return HttpResponse::JsonBody(200, out.Dump());
 }
 
-HttpResponse HttpRecommendServer::HandleApps() const {
-  Json apps = Json::Arr();
-  for (const std::string& name : registry_->AppNames()) {
-    apps.Append(Json::Str(name));
-  }
-  Json out = Json::Obj();
-  out.Set("version", Json::Number(static_cast<double>(registry_->version())))
-      .Set("apps", std::move(apps));
-  return HttpResponse::JsonBody(200, out.Dump());
-}
-
-HttpResponse HttpRecommendServer::HandleReload() {
-  if (Status status = registry_->Refresh(); !status.ok()) {
-    return ErrorResponse(status);
-  }
-  const auto refresh = registry_->last_refresh();
-  Json stats = Json::Obj();
-  stats.Set("scanned", Json::Number(static_cast<double>(refresh.scanned)))
-      .Set("parsed", Json::Number(static_cast<double>(refresh.parsed)))
-      .Set("reused", Json::Number(static_cast<double>(refresh.reused)))
-      .Set("removed", Json::Number(static_cast<double>(refresh.removed)))
-      .Set("failed", Json::Number(static_cast<double>(refresh.failed)));
-  Json out = Json::Obj();
-  out.Set("version", Json::Number(static_cast<double>(registry_->version())))
-      .Set("models", Json::Number(static_cast<double>(registry_->size())))
-      .Set("refresh", std::move(stats));
-  return HttpResponse::JsonBody(200, out.Dump());
-}
-
 std::string HttpRecommendServer::MetricsText() const {
   const service::RecommendationService::Stats stats = service_->GetStats();
   const HttpServer::Stats http = server_.GetStats();
@@ -322,46 +296,10 @@ std::string HttpRecommendServer::MetricsText() const {
                  static_cast<double>(count));
   }
 
-  AppendHeader(&out, "juggler_http_connections_accepted_total", "counter",
-               "TCP connections accepted.");
-  AppendSample(&out, "juggler_http_connections_accepted_total", "", "",
-               static_cast<double>(http.accepted));
-  AppendHeader(&out, "juggler_http_connections_active", "gauge",
-               "TCP connections currently open.");
-  AppendSample(&out, "juggler_http_connections_active", "", "",
-               static_cast<double>(http.active));
-  AppendHeader(&out, "juggler_http_requests_total", "counter",
-               "HTTP requests parsed.");
-  AppendSample(&out, "juggler_http_requests_total", "", "",
-               static_cast<double>(http.requests));
-  AppendHeader(&out, "juggler_http_fast_path_total", "counter",
-               "HTTP requests answered inline on the event loop: probes, "
-               "recommend singles and batches whose models are resident, "
-               "and observation ingest (bodies up to 4 KiB).");
-  AppendSample(&out, "juggler_http_fast_path_total", "", "",
-               static_cast<double>(http.fast_path));
-  AppendHeader(&out, "juggler_http_overload_rejected_total", "counter",
-               "HTTP requests answered 503 by the dispatch-queue guard.");
-  AppendSample(&out, "juggler_http_overload_rejected_total", "", "",
-               static_cast<double>(http.overload_rejected));
-  AppendHeader(&out, "juggler_http_parse_errors_total", "counter",
-               "HTTP protocol errors (400/413/501).");
-  AppendSample(&out, "juggler_http_parse_errors_total", "", "",
-               static_cast<double>(http.parse_errors));
-  AppendHeader(&out, "juggler_http_idle_closed_total", "counter",
-               "Connections closed by the idle sweeper.");
-  AppendSample(&out, "juggler_http_idle_closed_total", "", "",
-               static_cast<double>(http.idle_closed));
-  AppendHeader(&out, "juggler_http_slow_read_closed_total", "counter",
-               "Connections answered 408 for stalling mid-request "
-               "(header-read deadline).");
-  AppendSample(&out, "juggler_http_slow_read_closed_total", "", "",
-               static_cast<double>(http.slow_read_closed));
-  AppendHeader(&out, "juggler_http_slow_write_closed_total", "counter",
-               "Connections closed for not draining the response "
-               "(write deadline).");
-  AppendSample(&out, "juggler_http_slow_write_closed_total", "", "",
-               static_cast<double>(http.slow_write_closed));
+  AppendHttpMetrics(&out, http,
+                    "HTTP requests answered inline on the event loop: probes, "
+                    "recommend singles and batches whose models are "
+                    "resident, and observation ingest (bodies up to 4 KiB).");
 
   AppendHeader(&out, "juggler_ready", "gauge",
                "Readiness as served by /readyz: 1 when accepting work, 0 "

@@ -108,8 +108,6 @@ class HttpRecommendServer {
   std::optional<HttpResponse> HandleRecommend(const HttpRequest& request,
                                               bool resident_only);
   HttpResponse HandleObserve(const HttpRequest& request);
-  HttpResponse HandleApps() const;
-  HttpResponse HandleReload();
   HttpResponse ReadinessResponse() const;
 
   std::shared_ptr<service::ModelRegistry> registry_;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/lock_diag.h"
+#include "net/event_loop_server.h"
 
 namespace juggler::net {
 
@@ -78,6 +79,43 @@ inline void AppendHeader(std::string* out, const char* name, const char* type,
                          const char* help) {
   out->append("# HELP ").append(name).append(" ").append(help).append("\n");
   out->append("# TYPE ").append(name).append(" ").append(type).append("\n");
+}
+
+/// The HTTP transport series (`juggler_http_*`) of one event-loop front
+/// end. Every HTTP edge (standalone server, cluster router) exports the same
+/// names and help texts; only `fast_path_help` differs, because what an edge
+/// answers on its loop differs.
+inline void AppendHttpMetrics(std::string* out,
+                              const EventLoopServer::Stats& http,
+                              const char* fast_path_help) {
+  const auto series = [out](const char* name, const char* type,
+                            const char* help, uint64_t value) {
+    AppendHeader(out, name, type, help);
+    AppendSample(out, name, "", "", static_cast<double>(value));
+  };
+  series("juggler_http_connections_accepted_total", "counter",
+         "TCP connections accepted.", http.accepted);
+  series("juggler_http_connections_active", "gauge",
+         "TCP connections currently open.", http.active);
+  series("juggler_http_requests_total", "counter", "HTTP requests parsed.",
+         http.requests);
+  series("juggler_http_fast_path_total", "counter", fast_path_help,
+         http.fast_path);
+  series("juggler_http_overload_rejected_total", "counter",
+         "HTTP requests answered 503 by the dispatch-queue guard.",
+         http.overload_rejected);
+  series("juggler_http_parse_errors_total", "counter",
+         "HTTP protocol errors (400/413/501).", http.parse_errors);
+  series("juggler_http_idle_closed_total", "counter",
+         "Connections closed by the idle sweeper.", http.idle_closed);
+  series("juggler_http_slow_read_closed_total", "counter",
+         "Connections answered 408 and closed for stalling mid-request "
+         "(header-read deadline).",
+         http.slow_read_closed);
+  series("juggler_http_slow_write_closed_total", "counter",
+         "Connections closed for not draining the response (write "
+         "deadline).",
+         http.slow_write_closed);
 }
 
 /// Per-mutex lock pressure (common/lock_diag.h), one `lock="<class>"` series

@@ -274,6 +274,32 @@ StatusOr<std::vector<online::Observation>> ParseObservationsJson(
   return out;
 }
 
+std::string AppsJson(const service::ModelRegistry& registry) {
+  Json apps = Json::Arr();
+  for (const std::string& name : registry.AppNames()) {
+    apps.Append(Json::Str(name));
+  }
+  Json out = Json::Obj();
+  out.Set("version", Json::Number(static_cast<double>(registry.version())))
+      .Set("apps", std::move(apps));
+  return out.Dump();
+}
+
+std::string ReloadJson(const service::ModelRegistry& registry) {
+  const auto refresh = registry.last_refresh();
+  Json stats = Json::Obj();
+  stats.Set("scanned", Json::Number(static_cast<double>(refresh.scanned)))
+      .Set("parsed", Json::Number(static_cast<double>(refresh.parsed)))
+      .Set("reused", Json::Number(static_cast<double>(refresh.reused)))
+      .Set("removed", Json::Number(static_cast<double>(refresh.removed)))
+      .Set("failed", Json::Number(static_cast<double>(refresh.failed)));
+  Json out = Json::Obj();
+  out.Set("version", Json::Number(static_cast<double>(registry.version())))
+      .Set("models", Json::Number(static_cast<double>(registry.size())))
+      .Set("refresh", std::move(stats));
+  return out.Dump();
+}
+
 HttpResponse ErrorResponse(const Status& status) {
   const int http_status = HttpStatusFor(status.code());
   HttpResponse response =

@@ -9,6 +9,7 @@
 #include "net/http.h"
 #include "net/json.h"
 #include "online/observation.h"
+#include "service/model_registry.h"
 #include "service/recommendation_service.h"
 
 namespace juggler::net {
@@ -67,6 +68,17 @@ class JsonText {
 /// same members with Json::Obj().Set(...) and calling Dump().
 JsonText ResponseJson(const std::string& app,
                       const service::RecommendResponse& response);
+
+/// The registry listing every edge serves (GET /v1/apps, a shard's kApps
+/// reply; the router forwards a shard's verbatim):
+///   {"version":V,"apps":["lir",...]}
+std::string AppsJson(const service::ModelRegistry& registry);
+
+/// What the registry's last refresh did, served after a successful
+/// POST /v1/reload (a shard's kReload reply):
+///   {"version":V,"models":N,"refresh":{"scanned":N,"parsed":N,
+///    "reused":N,"removed":N,"failed":N}}
+std::string ReloadJson(const service::ModelRegistry& registry);
 
 /// Maps a Status to the HTTP response the API uses (HttpStatusFor + JSON
 /// error body; 503 carries Retry-After).

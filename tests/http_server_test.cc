@@ -19,6 +19,7 @@
 #include <mutex>
 #include <random>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -431,22 +432,33 @@ INSTANTIATE_TEST_SUITE_P(Backends, HttpServerTest, ::testing::Bool(),
 // HttpRecommendServer routes (no sockets: Handle/HandleFast/MetricsText).
 // ---------------------------------------------------------------------------
 
+/// A model of `app` fitted on a small noise-free grid.
+core::TrainedJuggler TrainSmallModel(const std::string& app) {
+  const auto w = workloads::GetWorkload(app).value();
+  core::JugglerConfig config;
+  config.time_grid = core::TrainingGrid{{4000, 8000, 16000},
+                                        {1000, 2000, 4000},
+                                        /*iterations=*/5};
+  config.memory_reference = w.paper_params;
+  config.run_options.noise_sigma = 0.0;
+  config.run_options.straggler_prob = 0.0;
+  auto training = core::TrainJuggler(app, w.make, config);
+  EXPECT_TRUE(training.ok()) << training.status().ToString();
+  return std::move(training)->trained;
+}
+
 /// One small svm model, trained once for the whole suite (training dominates
 /// test runtime; the routes under test only read it).
 const core::TrainedJuggler& SvmModel() {
-  static const core::TrainedJuggler* const model = [] {
-    const auto w = workloads::GetWorkload("svm").value();
-    core::JugglerConfig config;
-    config.time_grid = core::TrainingGrid{{4000, 8000, 16000},
-                                          {1000, 2000, 4000},
-                                          /*iterations=*/5};
-    config.memory_reference = w.paper_params;
-    config.run_options.noise_sigma = 0.0;
-    config.run_options.straggler_prob = 0.0;
-    auto training = core::TrainJuggler("svm", w.make, config);
-    EXPECT_TRUE(training.ok()) << training.status().ToString();
-    return new core::TrainedJuggler(std::move(training)->trained);
-  }();
+  static const auto* const model =
+      new core::TrainedJuggler(TrainSmallModel("svm"));
+  return *model;
+}
+
+/// A second app, for tests that spread traffic over more than one model.
+const core::TrainedJuggler& LirModel() {
+  static const auto* const model =
+      new core::TrainedJuggler(TrainSmallModel("lir"));
   return *model;
 }
 
@@ -732,6 +744,107 @@ TEST(HttpRecommendServerTest, BatchWithALazySlotDeclinesTheFastPath) {
   const auto fast = f.server->HandleFast(request);
   ASSERT_TRUE(fast.has_value());
   EXPECT_EQ(fast->body, f.server->Handle(request).body);
+}
+
+/// `body` with every "cache_hit":false rewritten to true: an answer that
+/// filled the cache and one read from it then compare equal.
+std::string NormaliseCacheHit(std::string body) {
+  static constexpr std::string_view kMiss = "\"cache_hit\":false";
+  static constexpr std::string_view kHit = "\"cache_hit\":true";
+  for (size_t at = body.find(kMiss); at != std::string::npos;
+       at = body.find(kMiss, at + kHit.size())) {
+    body.replace(at, kMiss.size(), kHit);
+  }
+  return body;
+}
+
+TEST(HttpRecommendServerTest, ConcurrentClientsGetTheBytesHandleReturns) {
+  RecommendFixture f("concurrent_clients");
+  {
+    std::ofstream out(f.dir / "lir.model");
+    ASSERT_TRUE(core::SaveTrainedJuggler(LirModel(), out).ok());
+  }
+  ASSERT_TRUE(f.registry->Refresh().ok());
+  ASSERT_EQ(f.registry->size(), 2u);
+  const auto body_for = [](const std::string& app, int examples) {
+    return R"({"app":")" + app + R"(","params":{"examples":)" +
+           std::to_string(examples) + R"(,"features":3000,"iterations":5}})";
+  };
+
+  // Warm singles (answered once up front), and two batches over both apps:
+  // one under the inline cap, and one padded past it, which takes the pool.
+  std::vector<std::string> warm;
+  for (const char* app : {"svm", "lir"}) {
+    for (int i = 0; i < 3; ++i) {
+      warm.push_back(body_for(app, 12000 + 1000 * i));
+    }
+  }
+  for (const std::string& body : warm) {
+    ASSERT_EQ(f.server->Handle(MakeRequest("POST", "/v1/recommend", body))
+                  .status,
+              200);
+  }
+  const std::string batch = R"({"requests":[)" + warm[0] + "," + warm[3] +
+                            "," + body_for("svm", 50000) + "," +
+                            body_for("lir", 50000) + "]}";
+  ASSERT_LE(batch.size(), kInlineBodyBytes);
+  std::string pooled_batch = batch;
+  pooled_batch.append(kInlineBodyBytes + 1 - batch.size(), ' ');
+
+  ASSERT_TRUE(f.server->Start().ok());
+  const auto before = f.server->http_stats();
+  constexpr int kClients = 8;
+  constexpr int kPerClient = 50;
+  std::atomic<int> pooled{0};
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> clients;
+  for (int c = 0; c < kClients; ++c) {
+    clients.emplace_back([&, c] {
+      TestClient client(f.server->port());
+      for (int i = 0; i < kPerClient; ++i) {
+        std::string body;
+        switch (i % 5) {
+          case 0:  // Cold: first seen here, evaluated on the loop.
+            body = body_for(i % 2 == 0 ? "svm" : "lir",
+                            60000 + 100 * (c * kPerClient + i));
+            break;
+          case 1:
+          case 2:
+            body = warm[static_cast<size_t>(c + i) % warm.size()];
+            break;
+          case 3:
+            body = batch;
+            break;
+          default:
+            body = pooled_batch;
+            pooled.fetch_add(1);
+            break;
+        }
+        client.Send("POST /v1/recommend HTTP/1.1\r\nHost: t\r\n"
+                    "Content-Length: " +
+                    std::to_string(body.size()) + "\r\n\r\n" + body);
+        const std::string reply = client.ReadResponse();
+        const HttpResponse expected =
+            f.server->Handle(MakeRequest("POST", "/v1/recommend", body));
+        if (StatusOf(reply) != 200 || expected.status != 200 ||
+            NormaliseCacheHit(BodyOf(reply)) !=
+                NormaliseCacheHit(expected.body)) {
+          mismatches.fetch_add(1);
+        }
+      }
+    });
+  }
+  for (auto& client : clients) client.join();
+  EXPECT_EQ(mismatches.load(), 0);
+
+  constexpr uint64_t kTotal = kClients * kPerClient;
+  const auto after = f.server->http_stats();
+  EXPECT_EQ(after.requests - before.requests, kTotal);
+  EXPECT_EQ(after.fast_path - before.fast_path,
+            kTotal - static_cast<uint64_t>(pooled.load()))
+      << "only the padded batches take the pool";
+  EXPECT_EQ(after.overload_rejected, before.overload_rejected);
+  f.server->Stop();
 }
 
 TEST(HttpRecommendServerTest, AppsAndReloadRoutes) {
@@ -1168,6 +1281,15 @@ TEST(ResponseBytesTest, AppNamesAreEscapedLikeTheDom) {
   auto reparsed = Json::Parse(encoded);
   ASSERT_TRUE(reparsed.ok()) << reparsed.status().ToString();
   EXPECT_EQ(reparsed->StringOr("app", ""), app);
+}
+
+TEST(ResponseBytesTest, AppsAndReloadDocumentsMatchGoldenText) {
+  RecommendFixture f("apps_reload_bytes");
+  EXPECT_EQ(f.server->Handle(MakeRequest("GET", "/v1/apps")).body,
+            R"({"version":1,"apps":["svm"]})");
+  EXPECT_EQ(f.server->Handle(MakeRequest("POST", "/v1/reload")).body,
+            R"({"version":1,"models":1,"refresh":{"scanned":1,"parsed":0,)"
+            R"("reused":1,"removed":0,"failed":0}})");
 }
 
 TEST(ResponseBytesTest, ErrorResponsesMatchGoldenWire) {
