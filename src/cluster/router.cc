@@ -301,9 +301,9 @@ size_t Router::healthy_shards() const {
 }
 
 void Router::ProbeLoop() {
-  // One kept connection per shard; a probe redials only after a failure
-  // (Ping() closes the connection on any error). Probes borrow the connect
-  // timeout: a shard that cannot answer a ping quickly counts as down.
+  // One kept connection per shard; a probe redials only after a transport
+  // failure closed it. Probes borrow the connect timeout: a shard that
+  // cannot answer a ping quickly counts as down.
   std::vector<std::unique_ptr<rpc::RpcClient>> clients;
   for (size_t index = 0; index < shards_.size(); ++index) {
     clients.push_back(std::make_unique<rpc::RpcClient>(
@@ -368,10 +368,7 @@ StatusOr<ForwardPlan> PlanObserve(const std::string& body) {
   // shard that serves (and can refit) that app.
   StatusOr<std::vector<online::Observation>> observations =
       Status::InvalidArgument("unparsed");
-  if (body.size() >= sizeof(online::kObservationMagic) &&
-      body.compare(0, sizeof(online::kObservationMagic),
-                   online::kObservationMagic,
-                   sizeof(online::kObservationMagic)) == 0) {
+  if (online::IsObservationBatch(body)) {
     observations = online::DecodeObservationBatch(body);
   } else {
     auto json = net::Json::Parse(body);

@@ -31,8 +31,9 @@ class LoopForwarder;
 /// so a recurring question always lands on the shard whose cache is warm
 /// for it and whose lazy registry has its model resident.
 ///
-/// Two transports share one forwarding policy (`Walk`): the blocking one
-/// below (pooled RpcClients; apps, reload, bodies over
+/// Two transports share one forwarding policy (`Walk`) and one connection
+/// type (`rpc::RpcChannel`): the blocking one below (pooled RpcClients,
+/// each driving one channel on its own poller; apps, reload, bodies over
 /// net::kInlineBodyBytes, RouterHttpServer::Handle(), and the public
 /// Forward calls) and the router's loop path (`LoopForwarder`: pipelined
 /// RpcChannels on the HTTP event loop; recommends and observations). Both
@@ -61,7 +62,8 @@ class Router {
     /// Distinct shards tried per request (owner + failovers).
     size_t max_attempts = 3;
     int probe_interval_ms = 250;
-    /// Idle RpcClients kept per shard for reuse.
+    /// Per shard: the idle RpcClients the blocking path keeps for reuse,
+    /// and the most RpcChannels the loop path opens (at least one).
     size_t max_clients_per_shard = 8;
     rpc::FrameDecoder::Limits limits;
   };
@@ -140,7 +142,7 @@ class Router {
     std::atomic<uint64_t> errors{0};
     service::LatencyHistogram latency;
     /// Lock class "cluster.Router.shard_pool" (rank cluster=14): guards only
-    /// the checkout/return vector. RpcClient Dial/Call/close all happen with
+    /// the checkout/return vector. RpcClient calls and closes all happen with
     /// the lock released (the `blocking-under-lock` lint rule enforces this).
     Mutex pool_mu ACQUIRED_AFTER(lockdiag::kNetOrder);
     std::vector<std::unique_ptr<rpc::RpcClient>> pool GUARDED_BY(pool_mu);

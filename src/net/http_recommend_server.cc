@@ -6,6 +6,7 @@
 #include "net/json.h"
 #include "net/prometheus.h"
 #include "net/recommend_codec.h"
+#include "online/observation.h"
 #include "online/online_metrics.h"
 
 namespace juggler::net {
@@ -170,10 +171,7 @@ HttpResponse HttpRecommendServer::HandleObserve(const HttpRequest& request) {
   }
   // Binary batches carry the wire magic; everything else is parsed as the
   // JSON form and re-encoded, so both paths cross the same binary decoder.
-  if (request.body.size() >= sizeof(online::kObservationMagic) &&
-      request.body.compare(0, sizeof(online::kObservationMagic),
-                           online::kObservationMagic,
-                           sizeof(online::kObservationMagic)) == 0) {
+  if (online::IsObservationBatch(request.body)) {
     if (Status added = online_->ObserveEncoded(request.body); !added.ok()) {
       return ErrorResponse(added);
     }

@@ -87,6 +87,13 @@ inline constexpr size_t kObservationRecordFixedBytes = 52;
 inline constexpr size_t kMaxAppBytes = 256;
 inline constexpr size_t kMaxObservationsPerBatch = 65536;
 
+/// True when `bytes` starts with kObservationMagic: the binary wire form
+/// rather than JSON. Says nothing about whether the rest decodes.
+inline bool IsObservationBatch(std::string_view bytes) {
+  return bytes.substr(0, sizeof(kObservationMagic)) ==
+         std::string_view(kObservationMagic, sizeof(kObservationMagic));
+}
+
 /// Serializes a batch. Records that could not round-trip (app empty or over
 /// kMaxAppBytes, non-finite numbers) are skipped rather than emitted as
 /// undecodable bytes.

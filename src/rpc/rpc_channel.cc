@@ -1,5 +1,6 @@
 #include "rpc/rpc_channel.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "net/socket_util.h"
@@ -152,6 +153,15 @@ void RpcChannel::CheckDeadlines(Clock::time_point now,
                          std::to_string(options_.call_timeout_ms) + " ms"),
          outcomes);
   }
+}
+
+RpcChannel::Clock::time_point RpcChannel::next_deadline() const {
+  Clock::time_point next = Clock::time_point::max();
+  if (connecting_) next = connect_deadline_;
+  if (fd_ >= 0 && !pending_.empty()) {
+    next = std::min(next, pending_.begin()->second);
+  }
+  return next;
 }
 
 void RpcChannel::Fail(const Status& status, std::vector<Outcome>* outcomes) {

@@ -11,7 +11,6 @@
 #include "common/status.h"
 #include "net/poller.h"
 #include "rpc/frame.h"
-#include "rpc/rpc_client.h"
 
 namespace juggler::rpc {
 
@@ -19,24 +18,35 @@ namespace juggler::rpc {
 /// loop: connect, write and read never block, any number of calls are in
 /// flight at once, and replies are matched to calls by request id.
 ///
-/// Loop-thread only. The channel adds and removes its own descriptor with
-/// the loop's poller; the owner hands that descriptor's events to OnEvent()
+/// Not thread-safe. The channel adds and removes its own descriptor with
+/// its owner's poller; the owner hands that descriptor's events to OnEvent()
 /// and calls Flush() and CheckDeadlines() once per loop iteration. Results
 /// are appended to an `Outcome` list instead of being called back, so the
 /// owner handles them (and may Send() again) with the channel consistent.
 ///
-/// Failure model, as RpcClient's: a transport problem — dial failure or
-/// timeout, a call past its deadline, peer close, a framing error or an
-/// unknown reply id — closes the connection and fails every call in flight
-/// on it (kAborted for deadlines, kInternal otherwise). A shard answers one
-/// connection's frames in order, so the calls behind a stuck one are stuck
-/// too. The next Flush() with queued calls redials.
+/// The router's event loop drives its channels this way; RpcClient drives
+/// one on a private poller to make blocking calls.
+///
+/// Failure model: a transport problem — dial failure or timeout, a call
+/// past its deadline, peer close, a framing error or an unknown reply id —
+/// closes the connection and fails every call in flight on it (kAborted
+/// for deadlines, kInternal otherwise); the caller treats that as "shard
+/// unreachable". A kError frame is an application answer, not a failure.
+/// A shard answers one connection's frames in order, so the calls behind a
+/// stuck one are stuck too. The next Flush() with queued calls redials.
 class RpcChannel {
  public:
   using Clock = std::chrono::steady_clock;
-  /// RpcClient's connection settings; `call_timeout_ms` is the deadline of
-  /// one call, from Send() to its reply.
-  using Options = RpcClient::Options;
+
+  struct Options {
+    std::string host = "127.0.0.1";
+    uint16_t port = 0;
+    int connect_timeout_ms = 1'000;
+    /// Deadline of one call, from Send() to its reply. Must cover a cold
+    /// model evaluation on the shard.
+    int call_timeout_ms = 5'000;
+    FrameDecoder::Limits limits;
+  };
 
   /// A reply frame (kError included: an application answer), or the
   /// transport failure that ended the call.
@@ -64,6 +74,11 @@ class RpcChannel {
 
   /// Fails the connection when its dial or its oldest call is overdue.
   void CheckDeadlines(Clock::time_point now, std::vector<Outcome>* outcomes);
+
+  /// The earliest time CheckDeadlines() can fail the connection: the dial's
+  /// or the oldest call's deadline; Clock::time_point::max() when neither
+  /// runs.
+  Clock::time_point next_deadline() const;
 
   /// True while Send() queued bytes that Flush() has not tried yet.
   bool dirty() const { return dirty_; }

@@ -1,144 +1,41 @@
 #include "rpc/rpc_client.h"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
-
-#include "net/socket_util.h"
+#include <vector>
 
 namespace juggler::rpc {
 
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int RemainingMs(Clock::time_point deadline) {
-  const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
-                        deadline - Clock::now())
-                        .count();
-  return left > 0 ? static_cast<int>(left) : 0;
-}
-
-}  // namespace
-
-Status RpcClient::Connect() {
-  if (fd_ >= 0) return Status::OK();
-  auto fd = net::ConnectTcp(options_.host, options_.port,
-                            options_.connect_timeout_ms);
-  if (!fd.ok()) return fd.status();
-  fd_ = *fd;
-  decoder_ = FrameDecoder(options_.limits);  // Fresh framing per connection.
-  return Status::OK();
-}
-
-void RpcClient::Close() {
-  net::CloseFd(fd_);
-  fd_ = -1;
-}
-
-Status RpcClient::SendAll(const std::string& bytes, int deadline_ms) {
-  const auto deadline = Clock::now() + std::chrono::milliseconds(deadline_ms);
-  size_t sent = 0;
-  while (sent < bytes.size()) {
-    auto n = net::WriteSome(fd_, bytes.data() + sent, bytes.size() - sent);
-    if (!n.ok()) return n.status();
-    if (*n > 0) {
-      sent += static_cast<size_t>(*n);
-      continue;
-    }
-    // Socket buffer full: wait for writability within the budget.
-    auto ready = net::WaitFd(fd_, /*want_write=*/true, RemainingMs(deadline));
-    if (!ready.ok()) return ready.status();
-    if (!*ready) {
-      return Status::Aborted("rpc send to " + options_.host + ":" +
-                             std::to_string(options_.port) + " timed out");
-    }
-  }
-  return Status::OK();
-}
-
-StatusOr<RpcFrame> RpcClient::Call(FrameType type, std::string payload) {
-  return CallWithTimeout(type, std::move(payload), options_.call_timeout_ms);
-}
-
-StatusOr<RpcFrame> RpcClient::CallWithTimeout(FrameType type,
-                                              std::string payload,
-                                              int timeout_ms) {
-  if (Status status = Connect(); !status.ok()) return status;
-
-  RpcFrame request;
-  request.type = type;
-  request.request_id = next_request_id_++;
-  request.payload = std::move(payload);
-
-  const auto deadline = Clock::now() + std::chrono::milliseconds(timeout_ms);
-  if (Status status = SendAll(EncodeFrame(request), timeout_ms);
-      !status.ok()) {
-    Close();
-    return status;
-  }
-
-  char buffer[16384];
+StatusOr<RpcFrame> RpcClient::Call(FrameType type, std::string_view payload) {
+  const uint64_t id = next_request_id_++;
+  std::vector<RpcChannel::Outcome> outcomes;
+  std::vector<net::Poller::Event> events;
+  channel_.Send(type, id, payload);
+  channel_.Flush(&outcomes);
   for (;;) {
-    FrameDecoder::Result result = decoder_.Next();
-    if (result.state == FrameDecoder::State::kError) {
-      Close();
-      return Status::Internal("rpc protocol error from " + options_.host +
-                              ":" + std::to_string(options_.port) + ": " +
-                              result.error_detail);
+    // Other ids belong to a call abandoned when Wait() failed.
+    for (RpcChannel::Outcome& outcome : outcomes) {
+      if (outcome.request_id == id) return std::move(outcome.reply);
     }
-    if (result.state == FrameDecoder::State::kReady) {
-      if (result.frame.request_id != request.request_id) {
-        // Single request in flight: anything else on the stream means the
-        // two ends disagree about framing. Unrecoverable.
-        Close();
-        return Status::Internal("rpc response id mismatch from " +
-                                options_.host + ":" +
-                                std::to_string(options_.port));
-      }
-      return std::move(result.frame);
-    }
-
-    const int remaining = RemainingMs(deadline);
-    auto ready = net::WaitFd(fd_, /*want_write=*/false, remaining);
-    if (!ready.ok()) {
-      Close();
-      return ready.status();
-    }
-    if (!*ready) {
-      Close();
-      return Status::Aborted("rpc call to " + options_.host + ":" +
-                             std::to_string(options_.port) +
-                             " timed out after " + std::to_string(timeout_ms) +
-                             " ms");
-    }
-    auto n = net::ReadSome(fd_, buffer, sizeof(buffer));
-    if (!n.ok()) {
-      Close();
-      return n.status();
-    }
-    if (*n == 0) {
-      Close();
-      return Status::Internal("rpc peer " + options_.host + ":" +
-                              std::to_string(options_.port) +
-                              " closed mid-response");
-    }
-    if (*n > 0) decoder_.Append(buffer, static_cast<size_t>(*n));
-    // *n < 0 (EAGAIN despite readiness) simply loops back to WaitFd.
+    outcomes.clear();
+    // This call is in flight, so its deadline bounds the wait.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        channel_.next_deadline() - RpcChannel::Clock::now());
+    Status waited = poller_->Wait(
+        static_cast<int>(std::max<int64_t>(wait.count(), 0)), &events);
+    if (!waited.ok()) return waited;
+    for (const auto& event : events) channel_.OnEvent(event, &outcomes);
+    channel_.CheckDeadlines(RpcChannel::Clock::now(), &outcomes);
   }
 }
 
 Status RpcClient::Ping() {
-  // Probes borrow the connect timeout: a shard that cannot answer a ping
-  // quickly is treated as down even if long calls would still be in budget.
-  auto reply =
-      CallWithTimeout(FrameType::kPing, "", options_.connect_timeout_ms);
+  auto reply = Call(FrameType::kPing, "");
   if (!reply.ok()) return reply.status();
-  if (reply->type != FrameType::kPong) {
-    Close();
-    return Status::Internal("ping answered with frame type " +
-                            std::to_string(static_cast<int>(reply->type)));
-  }
-  return Status::OK();
+  if (reply->type == FrameType::kPong) return Status::OK();
+  return Status::Internal("ping answered with frame type " +
+                          std::to_string(static_cast<int>(reply->type)));
 }
 
 }  // namespace juggler::rpc

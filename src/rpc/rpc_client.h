@@ -2,72 +2,52 @@
 #define JUGGLER_RPC_RPC_CLIENT_H_
 
 #include <cstdint>
-#include <string>
+#include <memory>
+#include <string_view>
 
-#include "common/status.h"
-#include "rpc/frame.h"
+#include "rpc/rpc_channel.h"
 
 namespace juggler::rpc {
 
-/// \brief Synchronous JRPC client: one connection, one request in flight.
+/// \brief Blocking JRPC client: one RpcChannel driven on a private poll(2)
+/// poller, one call in flight at a time.
 ///
-/// It serves the router's blocking routes — bodies over the inline cap,
-/// apps, reload, and the public Router::Forward calls — from a small pool
-/// per shard (checkout/checkin), and its prober, one kept client per shard;
-/// a single client never needs internal locking — it is NOT thread-safe.
-/// Recommends and observations forwarded from the router's event loop use
-/// the non-blocking, pipelined RpcChannel instead.
+/// The router's blocking routes (bodies over the inline cap, apps, reload
+/// and the public Router::Forward calls) borrow these from a small pool per
+/// shard, and its prober keeps one per shard. Not thread-safe: one thread
+/// uses a client at a time.
 ///
-/// Failure model: any transport problem (dial failure, deadline, peer close,
-/// protocol error) closes the connection and surfaces as a non-OK Status —
-/// the caller treats that as "shard unreachable" and reroutes. Timeouts are
-/// kAborted; everything else kInternal. Application-level errors arrive as
-/// an OK transport result carrying a kError frame, which is returned to the
-/// caller untouched (no reroute: the shard is healthy, the request is not).
+/// Call() queues one frame and turns the channel's loop (wait, read, check
+/// deadlines) until its outcome arrives, so the failure model is the
+/// channel's: a transport problem closes the connection and comes back as a
+/// non-OK Status (kAborted for deadlines, kInternal otherwise), and the next
+/// Call() redials. A kError frame comes back as an OK result.
 class RpcClient {
  public:
-  struct Options {
-    std::string host = "127.0.0.1";
-    uint16_t port = 0;
-    int connect_timeout_ms = 1'000;
-    /// Budget for one Call(): send + wait + receive. Must cover a cold model
-    /// evaluation on the shard.
-    int call_timeout_ms = 5'000;
-    FrameDecoder::Limits limits;
-  };
+  using Options = RpcChannel::Options;
 
-  explicit RpcClient(const Options& options) : options_(options) {}
-  ~RpcClient() { Close(); }
+  explicit RpcClient(const Options& options)
+      : poller_(net::Poller::Create(/*force_poll=*/true)),
+        channel_(options, poller_.get()) {}
 
   RpcClient(const RpcClient&) = delete;
   RpcClient& operator=(const RpcClient&) = delete;
 
-  /// Dials if not already connected. Idempotent; Call() invokes it lazily.
-  [[nodiscard]] Status Connect();
+  /// Sends one frame and blocks for its reply: at most `call_timeout_ms`,
+  /// with a dial bounded by `connect_timeout_ms` inside it.
+  [[nodiscard]] StatusOr<RpcFrame> Call(FrameType type,
+                                        std::string_view payload);
 
-  /// Sends one frame and blocks for its response (request ids are matched;
-  /// a mismatch is a protocol error that closes the connection).
-  [[nodiscard]] StatusOr<RpcFrame> Call(FrameType type, std::string payload);
-
-  /// Health probe: kPing must come back kPong within the connect timeout
-  /// (probes must be fast even when calls are allowed to be slow).
+  /// Health probe: Call(kPing) must come back kPong.
   [[nodiscard]] Status Ping();
 
-  void Close();
-  bool connected() const { return fd_ >= 0; }
+  bool connected() const { return channel_.fd() >= 0; }
 
  private:
-  [[nodiscard]] StatusOr<RpcFrame> CallWithTimeout(FrameType type,
-                                                   std::string payload,
-                                                   int timeout_ms);
-
-  /// Writes all of `bytes` before `deadline_ms` elapses from now.
-  [[nodiscard]] Status SendAll(const std::string& bytes, int deadline_ms);
-
-  const Options options_;
-  int fd_ = -1;
+  /// Declared before the channel, which unregisters its fd on destruction.
+  std::unique_ptr<net::Poller> poller_;
+  RpcChannel channel_;
   uint64_t next_request_id_ = 1;
-  FrameDecoder decoder_{FrameDecoder::Limits{}};
 };
 
 }  // namespace juggler::rpc

@@ -672,6 +672,15 @@ TEST(RouterChaosTest, FailoverReroutesTheDeadOwnersKeysToTheSurvivor) {
   ASSERT_LT(owner, 2u);
   const size_t survivor = 1 - owner;
 
+  // The prober pings both shards once right at Start(). Let that round end
+  // before the owner dies: if it ran late it would mark the owner down, and
+  // the request would skip it instead of observing the failure.
+  const auto probed_by =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (f.router->probes() < 2 &&
+         std::chrono::steady_clock::now() < probed_by) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   f.shards[owner]->server->Stop();
 
   const auto before = f.router->GetShardStats();

@@ -340,6 +340,31 @@ TEST(LintBlockingUnderLock, AllowsBlockingAfterScopeCloses) {
                        "blocking-under-lock"));
 }
 
+TEST(LintBlockingUnderLock, PingAndRouterForwardAreRoundTrips) {
+  const std::string bad =
+      "void Foo::Probe() {\n"
+      "  MutexLock lock(mu_);\n"
+      "  healthy_ = client->Ping().ok();\n"
+      "  auto reply = router->Forward(type, key, payload);\n"
+      "}\n";
+  const auto findings = LintFile("src/cluster/foo.cc", bad);
+  EXPECT_EQ(CountRule(findings, "blocking-under-lock"), 2);
+  EXPECT_EQ(findings[0].line, 3);
+  EXPECT_EQ(findings[1].line, 4);
+
+  const std::string good =
+      "void Foo::Probe() {\n"
+      "  {\n"
+      "    MutexLock lock(mu_);\n"
+      "    ++probes_;\n"
+      "  }\n"
+      "  healthy_ = client->Ping().ok();\n"
+      "  auto reply = router->Forward(type, key, payload);\n"
+      "}\n";
+  EXPECT_FALSE(HasRule(LintFile("src/cluster/foo.cc", good),
+                       "blocking-under-lock"));
+}
+
 TEST(LintBlockingUnderLock, CondVarWaitIsExemptAndNolintSuppresses) {
   const std::string wait_ok =
       "void F() {\n"

@@ -528,7 +528,7 @@ TEST_P(RpcLoopbackTest, ServerStopUnblocksClients) {
   ASSERT_TRUE(server.Start().ok());
 
   RpcClient client(ClientOptions(server.port()));
-  ASSERT_TRUE(client.Connect().ok());
+  ASSERT_TRUE(client.Ping().ok());
   std::thread stopper([&] {
     std::this_thread::sleep_for(std::chrono::milliseconds(10));
     server.Stop();
@@ -537,6 +537,32 @@ TEST_P(RpcLoopbackTest, ServerStopUnblocksClients) {
   // transport error — it must not hang.
   (void)client.Call(FrameType::kRecommend, "during-shutdown");
   stopper.join();
+}
+
+TEST_P(RpcLoopbackTest, ClientRedialsAfterThePeerRestarts) {
+  // The prober's recovery path: one kept client, redialled only after a
+  // failure closed its connection.
+  auto server = std::make_unique<RpcServer>(BaseOptions(), EchoHandler());
+  ASSERT_TRUE(server->Start().ok());
+  const uint16_t port = server->port();
+  RpcClient client(ClientOptions(port));
+  ASSERT_TRUE(client.Ping().ok());
+
+  server->Stop();
+  EXPECT_FALSE(client.Ping().ok());
+  EXPECT_FALSE(client.connected());
+
+  // The listener sets SO_REUSEADDR, so a new server takes the same port.
+  RpcServer::Options options = BaseOptions();
+  options.port = port;
+  server = std::make_unique<RpcServer>(options, EchoHandler());
+  ASSERT_TRUE(server->Start().ok());
+  ASSERT_EQ(server->port(), port);
+  const Status pinged = client.Ping();
+  EXPECT_TRUE(pinged.ok()) << pinged.ToString();
+  EXPECT_TRUE(client.connected());
+  EXPECT_EQ(server->GetStats().accepted, 1u);
+  server->Stop();
 }
 
 TEST_P(RpcLoopbackTest, FastHandlerRepliesInlineWithTheRequestId) {
