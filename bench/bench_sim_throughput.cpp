@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
   // Sanitizer builds exist to catch bugs, not to measure time.
   std::printf("(sanitizer build: tasks/s acceptance check skipped)\n");
 #else
-  if (tasks_per_s < 10000.0) {
-    std::fprintf(stderr, "FAIL: %.0f tasks/s < 10000 acceptance floor\n",
+  if (tasks_per_s < 100000.0) {
+    std::fprintf(stderr, "FAIL: %.0f tasks/s < 100000 acceptance floor\n",
                  tasks_per_s);
     return 1;
   }

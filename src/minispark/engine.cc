@@ -45,6 +45,33 @@ namespace {
 /// typed error, not a hang.
 constexpr int kMaxRecoveryDepth = 16;
 
+/// A set of partition indices of one dataset, as a bitmap. It grows on
+/// demand rather than being sized to the dataset's partition count: a narrow
+/// dataset inherits only its first parent's count (DagBuilder::AddNarrow),
+/// so the engine may ask any other parent for a partition past its own.
+class PartitionSet {
+ public:
+  /// Adds `partition`; false if it was already present.
+  bool Insert(int partition) {
+    const auto p = static_cast<size_t>(partition);
+    if (p >= bits_.size()) bits_.resize(p + 1, 0);
+    if (bits_[p] != 0) return false;
+    bits_[p] = 1;
+    return true;
+  }
+
+  /// Removes `partition`; false if it was absent.
+  bool Erase(int partition) {
+    const auto p = static_cast<size_t>(partition);
+    if (p >= bits_.size() || bits_[p] == 0) return false;
+    bits_[p] = 0;
+    return true;
+  }
+
+ private:
+  std::vector<char> bits_;
+};
+
 /// A physical stage: the unit Spark schedules. Tasks of a stage compute
 /// partitions of `terminal`, pipelining all narrow transformations in
 /// `members` (deepest-first), starting from either source data, shuffle
@@ -71,6 +98,47 @@ struct Piece {
   bool from_cache = false;
 };
 
+/// What one partition of a dataset costs, computed once per run with the
+/// same expressions ResolveChain would evaluate per task.
+struct PartitionCost {
+  double bytes = 0.0;          ///< Produced partition size.
+  double cache_read_ms = 0.0;  ///< Reading the partition from the cache.
+  /// Computing it: a source scan, a narrow transformation's compute, or a
+  /// wide one's shuffle read plus aggregation.
+  double compute_ms = 0.0;
+};
+
+/// The partition costs of every dataset of `app` on `cluster`, indexed by
+/// DatasetId.
+std::vector<PartitionCost> PartitionCosts(const Application& app,
+                                          const ClusterConfig& cluster) {
+  std::vector<PartitionCost> costs;
+  costs.reserve(app.datasets.size());
+  for (const Dataset& ds : app.datasets) {
+    PartitionCost cost;
+    cost.bytes = ds.PartitionBytes();
+    cost.cache_read_ms = ds.PartitionBytes() / cluster.cache_bandwidth;
+    switch (ds.kind) {
+      case TransformKind::kSource:
+        cost.compute_ms = ds.PartitionBytes() / cluster.disk_bandwidth;
+        break;
+      case TransformKind::kWide: {
+        double in_bytes = 0.0;
+        for (DatasetId p : ds.parents) in_bytes += app.dataset(p).bytes;
+        in_bytes /= ds.num_partitions;
+        cost.compute_ms = in_bytes / cluster.network_bandwidth +
+                          ds.PartitionComputeMs() / cluster.cpu_speed;
+        break;
+      }
+      case TransformKind::kNarrow:
+        cost.compute_ms = ds.PartitionComputeMs() / cluster.cpu_speed;
+        break;
+    }
+    costs.push_back(cost);
+  }
+  return costs;
+}
+
 struct MachineState {
   explicit MachineState(const ClusterConfig& cluster)
       : mem(cluster.UnifiedMemoryPerMachine(), cluster.MinStoragePerMachine()),
@@ -91,12 +159,16 @@ class RunState {
         options_(options),
         fault_plan_(options.faults),
         rng_(options.seed),
+        costs_(PartitionCosts(app, cluster)),
         ever_stored_(static_cast<size_t>(app.num_datasets())),
         lost_pending_(static_cast<size_t>(app.num_datasets())),
         materialized_(static_cast<size_t>(app.num_datasets()), false),
         persisted_(static_cast<size_t>(app.num_datasets()), false),
         drop_with_(static_cast<size_t>(app.num_datasets())),
-        machine_ready_ms_(static_cast<size_t>(cluster.num_machines), 0.0) {
+        shuffle_hosts_(static_cast<size_t>(app.num_datasets()), 0),
+        machine_ready_ms_(static_cast<size_t>(cluster.num_machines), 0.0),
+        stats_(static_cast<size_t>(app.num_datasets())),
+        stats_touched_(static_cast<size_t>(app.num_datasets()), false) {
     for (DatasetId d : plan.PersistedDatasets()) {
       persisted_[static_cast<size_t>(d)] = true;
       drop_with_[static_cast<size_t>(d)] = plan.UnpersistBefore(d);
@@ -144,9 +216,15 @@ class RunState {
   void ApplyExecutorLosses(int job_index, int stage_id, double now_ms);
 
   /// Recursively resolves the cost of obtaining partition `partition` of
-  /// dataset `d` on machine `m`, appending cost pieces in evaluation order.
-  void ResolveChain(DatasetId d, int partition, MachineState& machine,
-                    std::vector<Piece>* pieces);
+  /// dataset `d` on machine `m`, appending cost pieces to `pieces_` in
+  /// evaluation order.
+  void ResolveChain(DatasetId d, int partition, MachineState& machine);
+
+  /// The stats of `d`, which RunResult::dataset_stats then reports.
+  DatasetCacheStats& StatsOf(DatasetId d) {
+    stats_touched_[static_cast<size_t>(d)] = true;
+    return stats_[static_cast<size_t>(d)];
+  }
 
   bool FullyCached(DatasetId d) const {
     int blocks = 0;
@@ -165,14 +243,17 @@ class RunState {
   FaultPlan fault_plan_;
   Rng rng_;
 
+  const std::vector<PartitionCost> costs_;  ///< Indexed by DatasetId.
   std::vector<MachineState> machines_;
+  /// The cost pieces of the task being run; one buffer for the whole run.
+  std::vector<Piece> pieces_;
   /// ever_stored_[d] holds partition indices of d that were cached at some
   /// point (distinguishes first materialization from eviction recompute).
-  std::vector<std::set<int>> ever_stored_;
+  std::vector<PartitionSet> ever_stored_;
   /// lost_pending_[d]: partitions dropped by executor loss and not yet
   /// recomputed — the recompute that clears an entry counts as
   /// `partitions_recomputed_after_loss`.
-  std::vector<std::set<int>> lost_pending_;
+  std::vector<PartitionSet> lost_pending_;
   std::vector<bool> materialized_;
   /// Dynamic persist state: true while p(d) is in effect; cleared when a
   /// u(d) op triggers (an unpersisted dataset is never re-stored).
@@ -180,10 +261,12 @@ class RunState {
   /// drop_with_[y]: datasets to unpersist while y first materializes.
   std::vector<std::vector<DatasetId>> drop_with_;
 
-  /// Shuffle-output bookkeeping for stage re-execution: which machines host
-  /// the map outputs of each completed shuffle-writing stage (keyed by the
-  /// stage's terminal dataset), and which of those hosts have died since.
-  std::map<DatasetId, std::set<int>> shuffle_hosts_;
+  /// Shuffle-output bookkeeping for stage re-execution, keyed by the
+  /// terminal dataset of each completed shuffle-writing stage: machines
+  /// 0..shuffle_hosts_[d]-1 host its map outputs (task t runs on machine
+  /// t % num_machines; 0 means no output yet), and shuffle_lost_hosts_[d]
+  /// holds those hosts that have died since.
+  std::vector<int> shuffle_hosts_;
   std::map<DatasetId, std::set<int>> shuffle_lost_hosts_;
 
   /// Absolute time before which a machine's cores accept no tasks (executor
@@ -193,8 +276,10 @@ class RunState {
   double now_ms_ = 0.0;
   int next_stage_id_ = 0;
 
-  // Aggregated stats.
-  std::map<DatasetId, DatasetCacheStats> stats_;
+  // Aggregated stats. stats_touched_[d] marks the datasets that
+  // RunResult::dataset_stats reports (those whose stats were ever updated).
+  std::vector<DatasetCacheStats> stats_;
+  std::vector<bool> stats_touched_;
   int64_t hits_ = 0;
   int64_t recomputes_ = 0;
   int64_t tasks_retried_ = 0;
@@ -253,72 +338,53 @@ void RunState::BuildStages(DatasetId target, std::vector<Stage>* stages) {
   create(target);
 }
 
-void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine,
-                            std::vector<Piece>* pieces) {
-  const Dataset& ds = app_.dataset(d);
+void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine) {
+  const PartitionCost& cost = costs_[static_cast<size_t>(d)];
   const BlockId bid{d, partition};
   const bool persisted = persisted_[static_cast<size_t>(d)];
 
   if (persisted && machine.mem.TouchBlock(bid)) {
     ++hits_;
-    ++stats_[d].hits;
-    pieces->push_back(Piece{d, TransformPart::kMain,
-                            ds.PartitionBytes() / cluster_.cache_bandwidth,
-                            ds.PartitionBytes(), true});
+    ++StatsOf(d).hits;
+    pieces_.push_back(Piece{d, TransformPart::kMain, cost.cache_read_ms,
+                            cost.bytes, true});
     return;
   }
 
-  switch (ds.kind) {
-    case TransformKind::kSource:
-      pieces->push_back(Piece{d, TransformPart::kMain,
-                              ds.PartitionBytes() / cluster_.disk_bandwidth,
-                              ds.PartitionBytes(), false});
-      break;
-    case TransformKind::kWide: {
-      double in_bytes = 0.0;
-      for (DatasetId p : ds.parents) in_bytes += app_.dataset(p).bytes;
-      in_bytes /= ds.num_partitions;
-      const double ms = in_bytes / cluster_.network_bandwidth +
-                        ds.PartitionComputeMs() / cluster_.cpu_speed;
-      pieces->push_back(Piece{d, TransformPart::kShuffleRead, ms,
-                              ds.PartitionBytes(), false});
-      break;
-    }
-    case TransformKind::kNarrow: {
-      for (DatasetId p : ds.parents) ResolveChain(p, partition, machine, pieces);
-      pieces->push_back(Piece{d, TransformPart::kMain,
-                              ds.PartitionComputeMs() / cluster_.cpu_speed,
-                              ds.PartitionBytes(), false});
-      break;
-    }
+  // A source is scanned and a wide dataset reads its shuffle input; a
+  // narrow one first obtains the same partition of every parent.
+  const Dataset& ds = app_.dataset(d);
+  if (ds.kind == TransformKind::kNarrow) {
+    for (DatasetId p : ds.parents) ResolveChain(p, partition, machine);
   }
+  pieces_.push_back(Piece{d,
+                          ds.kind == TransformKind::kWide
+                              ? TransformPart::kShuffleRead
+                              : TransformPart::kMain,
+                          cost.compute_ms, cost.bytes, false});
 
   if (persisted) {
-    auto& stored_set = ever_stored_[static_cast<size_t>(d)];
-    const bool was_cached_before = stored_set.count(partition) > 0;
-    if (was_cached_before) {
+    DatasetCacheStats& stats = StatsOf(d);
+    const bool first_store =
+        ever_stored_[static_cast<size_t>(d)].Insert(partition);
+    if (!first_store) {
       // This partition had been cached and was evicted or lost: the read is
       // a recomputation (paper §1's 97x-slower case). Recomputation walks
       // the same lineage as the first materialization, so the rebuilt
       // partition is bit-identical in size and provenance to the original.
       ++recomputes_;
-      ++stats_[d].recomputes;
-      auto& lost_set = lost_pending_[static_cast<size_t>(d)];
-      if (auto lost_it = lost_set.find(partition); lost_it != lost_set.end()) {
+      ++stats.recomputes;
+      if (lost_pending_[static_cast<size_t>(d)].Erase(partition)) {
         // Specifically a failure-driven recompute (executor loss), not a
         // memory-pressure one.
         ++recomputed_after_loss_;
-        ++stats_[d].recomputed_after_loss;
-        lost_set.erase(lost_it);
+        ++stats.recomputed_after_loss;
       }
     }
-    if (machine.mem.StoreBlock(bid, ds.PartitionBytes())) {
-      ++stats_[d].stored;
+    if (machine.mem.StoreBlock(bid, cost.bytes)) {
+      ++stats.stored;
     }
-    if (!was_cached_before) {
-      stored_set.insert(partition);
-      ++stats_[d].distinct_cached;
-    }
+    if (first_store) ++stats.distinct_cached;
     // Block-wise unpersist: as this dataset's partitions materialize, the
     // corresponding partitions of the datasets scheduled for u() before it
     // are dropped, so the two never fully coexist (the §5.1 cost is
@@ -344,12 +410,13 @@ void RunState::ApplyExecutorLosses(int job_index, int stage_id,
         machine_ready_ms_[m], now_ms + cluster_.executor_relaunch_ms);
     for (const BlockId& b : machines_[m].mem.LoseAllBlocks()) {
       ++partitions_lost_;
-      ++stats_[b.dataset].lost;
-      lost_pending_[static_cast<size_t>(b.dataset)].insert(b.partition);
+      ++StatsOf(b.dataset).lost;
+      lost_pending_[static_cast<size_t>(b.dataset)].Insert(b.partition);
     }
-    for (const auto& [terminal, hosts] : shuffle_hosts_) {
-      if (hosts.count(static_cast<int>(m)) > 0) {
-        shuffle_lost_hosts_[terminal].insert(static_cast<int>(m));
+    for (size_t terminal = 0; terminal < shuffle_hosts_.size(); ++terminal) {
+      if (static_cast<int>(m) < shuffle_hosts_[terminal]) {
+        shuffle_lost_hosts_[static_cast<DatasetId>(terminal)].insert(
+            static_cast<int>(m));
       }
     }
   }
@@ -499,15 +566,15 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
       }
     }
 
-    std::vector<Piece> pieces;
-    ResolveChain(stage.terminal, t, machine, &pieces);
+    pieces_.clear();
+    ResolveChain(stage.terminal, t, machine);
     for (const auto& [wide_child, bytes] : stage.shuffle_writes) {
-      pieces.push_back(Piece{wide_child, TransformPart::kShuffleWrite,
-                             bytes / cluster_.disk_bandwidth, 0.0, false});
+      pieces_.push_back(Piece{wide_child, TransformPart::kShuffleWrite,
+                              bytes / cluster_.disk_bandwidth, 0.0, false});
     }
 
     double work_ms = 0.0;
-    for (const Piece& piece : pieces) work_ms += piece.ms;
+    for (const Piece& piece : pieces_) work_ms += piece.ms;
 
     double scale = spill_factor[static_cast<size_t>(machine_index)];
     if (options_.noise_sigma > 0.0) scale *= rng_.Jitter(options_.noise_sigma);
@@ -541,7 +608,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     const double task_start = cursor;
     cursor += cluster_.task_overhead_ms;
     if (profile_) {
-      for (const Piece& piece : pieces) {
+      for (const Piece& piece : pieces_) {
         const double dur = piece.ms * scale;
         profile_->AddTransform(TransformRecord{job_index, stage_id, t,
                                                piece.dataset, piece.part,
@@ -620,9 +687,8 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
   // A full execution of a shuffle-writing stage (re)establishes its map
   // outputs on the machines that ran its tasks.
   if (!stage.shuffle_writes.empty() && only_machines == nullptr) {
-    std::set<int> hosts;
-    for (int t = 0; t < num_tasks; ++t) hosts.insert(MachineFor(t));
-    shuffle_hosts_[stage.terminal] = std::move(hosts);
+    shuffle_hosts_[static_cast<size_t>(stage.terminal)] =
+        std::min(num_tasks, cluster_.num_machines);
     shuffle_lost_hosts_.erase(stage.terminal);
   }
 
@@ -701,30 +767,30 @@ RunResult RunState::Finish() {
   // Distinct evictions per dataset, collected from every machine's memory
   // manager (evictions and rejections both count: the partition is not in
   // memory when next needed).
-  std::map<DatasetId, std::set<int>> evicted;
+  std::vector<PartitionSet> evicted(stats_.size());
   for (const auto& m : machines_) {
     result.blocks_evicted += m.mem.blocks_evicted();
     result.store_rejections += m.mem.store_rejections();
     result.peak_execution_bytes =
         std::max(result.peak_execution_bytes, m.mem.peak_execution_used());
     for (const BlockId& b : m.mem.evicted_blocks()) {
-      evicted[b.dataset].insert(b.partition);
+      if (evicted[static_cast<size_t>(b.dataset)].Insert(b.partition)) {
+        ++StatsOf(b.dataset).distinct_evicted;
+      }
     }
   }
-  for (auto& [dataset, partitions] : evicted) {
-    stats_[dataset].distinct_evicted =
-        static_cast<int64_t>(partitions.size());
-  }
-  for (int d = 0; d < app_.num_datasets(); ++d) {
-    if (!persisted_[static_cast<size_t>(d)]) continue;
-    auto it = stats_.find(d);
-    if (it == stats_.end()) continue;
-    it->second.persisted_at_end = true;
-    for (const auto& m : machines_) {
-      it->second.resident_at_end += m.mem.NumBlocksOf(d);
+  for (size_t d = 0; d < stats_.size(); ++d) {
+    if (!stats_touched_[d]) continue;
+    DatasetCacheStats& stats = stats_[d];
+    if (persisted_[d]) {
+      stats.persisted_at_end = true;
+      for (const auto& m : machines_) {
+        stats.resident_at_end += m.mem.NumBlocksOf(static_cast<DatasetId>(d));
+      }
     }
+    result.dataset_stats.emplace_hint(result.dataset_stats.end(),
+                                      static_cast<DatasetId>(d), stats);
   }
-  result.dataset_stats = std::move(stats_);
   result.profile = std::move(profile_);
   return result;
 }

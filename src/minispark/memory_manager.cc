@@ -48,7 +48,10 @@ bool UnifiedMemoryManager::StoreBlock(BlockId id, double bytes) {
     }
   }
   lru_.push_back(Block{id, bytes});
-  index_[id] = std::prev(lru_.end());
+  index_.emplace(id, std::prev(lru_.end()));
+  const auto d = static_cast<size_t>(id.dataset);
+  if (d >= blocks_of_.size()) blocks_of_.resize(d + 1, 0);
+  ++blocks_of_[d];
   storage_used_ += bytes;
   ++blocks_stored_;
   return true;
@@ -62,15 +65,22 @@ bool UnifiedMemoryManager::TouchBlock(BlockId id) {
 }
 
 bool UnifiedMemoryManager::HasBlock(BlockId id) const {
-  return index_.count(id) > 0;
+  return index_.contains(id);
+}
+
+UnifiedMemoryManager::LruList::iterator UnifiedMemoryManager::Remove(
+    LruList::iterator block) {
+  --blocks_of_[static_cast<size_t>(block->id.dataset)];
+  index_.erase(block->id);
+  return lru_.erase(block);
 }
 
 void UnifiedMemoryManager::DropDataset(DatasetId dataset) {
-  for (auto it = lru_.begin(); it != lru_.end();) {
+  // The walk ends at the dataset's last block.
+  for (auto it = lru_.begin(); it != lru_.end() && NumBlocksOf(dataset) > 0;) {
     if (it->id.dataset == dataset) {
       storage_used_ -= it->bytes;
-      index_.erase(it->id);
-      it = lru_.erase(it);
+      it = Remove(it);
     } else {
       ++it;
     }
@@ -82,8 +92,7 @@ void UnifiedMemoryManager::DropBlock(BlockId id) {
   auto it = index_.find(id);
   if (it == index_.end()) return;
   storage_used_ = std::max(0.0, storage_used_ - it->second->bytes);
-  lru_.erase(it->second);
-  index_.erase(it);
+  Remove(it->second);
 }
 
 std::vector<BlockId> UnifiedMemoryManager::LoseAllBlocks() {
@@ -93,23 +102,19 @@ std::vector<BlockId> UnifiedMemoryManager::LoseAllBlocks() {
   blocks_lost_ += static_cast<int64_t>(lru_.size());
   lru_.clear();
   index_.clear();
+  std::fill(blocks_of_.begin(), blocks_of_.end(), 0);
   storage_used_ = 0.0;
   return lost;
-}
-
-int UnifiedMemoryManager::NumBlocksOf(DatasetId dataset) const {
-  int n = 0;
-  for (const auto& [id, _] : index_) {
-    if (id.dataset == dataset) ++n;
-  }
-  return n;
 }
 
 bool UnifiedMemoryManager::EvictFor(double bytes, DatasetId protect,
                                     double floor) {
   double freed = 0.0;
+  // Blocks the walk may still evict. Once none is left, the rest of the list
+  // belongs to `protect` and would only be skipped.
+  size_t evictable = lru_.size() - static_cast<size_t>(NumBlocksOf(protect));
   auto it = lru_.begin();
-  while (it != lru_.end() && freed < bytes && storage_used_ > floor) {
+  while (evictable > 0 && freed < bytes && storage_used_ > floor) {
     if (it->id.dataset == protect) {
       ++it;
       continue;
@@ -118,8 +123,8 @@ bool UnifiedMemoryManager::EvictFor(double bytes, DatasetId protect,
     storage_used_ -= it->bytes;
     ++blocks_evicted_;
     evicted_blocks_.push_back(it->id);
-    index_.erase(it->id);
-    it = lru_.erase(it);
+    it = Remove(it);
+    --evictable;
   }
   storage_used_ = std::max(0.0, storage_used_);
   return freed >= bytes;

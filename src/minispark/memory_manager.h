@@ -1,9 +1,10 @@
 #ifndef JUGGLER_MINISPARK_MEMORY_MANAGER_H_
 #define JUGGLER_MINISPARK_MEMORY_MANAGER_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <list>
-#include <map>
+#include <unordered_map>
 #include <vector>
 
 #include "minispark/types.h"
@@ -16,6 +17,15 @@ struct BlockId {
   int partition = 0;
 
   friend auto operator<=>(const BlockId&, const BlockId&) = default;
+};
+
+struct BlockIdHash {
+  size_t operator()(const BlockId& id) const noexcept {
+    const uint64_t key =
+        (static_cast<uint64_t>(static_cast<uint32_t>(id.dataset)) << 32) |
+        static_cast<uint32_t>(id.partition);
+    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> 16);
+  }
 };
 
 /// \brief Per-executor unified memory manager (paper §2.2, Figure 3).
@@ -79,7 +89,10 @@ class UnifiedMemoryManager {
   int num_blocks() const { return static_cast<int>(index_.size()); }
 
   /// Distinct blocks of `dataset` currently cached.
-  int NumBlocksOf(DatasetId dataset) const;
+  int NumBlocksOf(DatasetId dataset) const {
+    const auto d = static_cast<size_t>(dataset);
+    return d < blocks_of_.size() ? blocks_of_[d] : 0;
+  }
 
   /// All blocks evicted (or rejected) since construction, for cache-stat
   /// aggregation. Unpersisted (dropped) blocks are not included.
@@ -97,6 +110,10 @@ class UnifiedMemoryManager {
   /// storage drop below `floor`. Returns true if the space was freed.
   bool EvictFor(double bytes, DatasetId protect, double floor);
 
+  /// Removes a cached block from the index and the LRU list; returns the
+  /// list position after it.
+  LruList::iterator Remove(LruList::iterator block);
+
   double unified_;
   double min_storage_;
   double storage_used_ = 0.0;
@@ -104,7 +121,10 @@ class UnifiedMemoryManager {
   double peak_execution_used_ = 0.0;
 
   LruList lru_;  // front = least recently used.
-  std::map<BlockId, LruList::iterator> index_;
+  /// Nothing reads the index in key order; the LRU list carries the order.
+  std::unordered_map<BlockId, LruList::iterator, BlockIdHash> index_;
+  /// blocks_of_[d]: blocks of dataset d in `lru_` (grown on first store).
+  std::vector<int> blocks_of_;
 
   int64_t blocks_stored_ = 0;
   int64_t blocks_evicted_ = 0;

@@ -122,11 +122,14 @@ void EventLoopServer::LoopMain() {
     }
     for (const Poller::Event& event : events) {
       if (event.fd == wake_read_fd_) {
+        // A short read drained the pipe; anything written since wakes the
+        // next wait (both backends are level-triggered).
         char drain[64];
         ssize_t n;
         do {
           n = ::read(wake_read_fd_, drain, sizeof(drain));
-        } while (n > 0 || (n < 0 && errno == EINTR));
+        } while (n == static_cast<ssize_t>(sizeof(drain)) ||
+                 (n < 0 && errno == EINTR));
         continue;
       }
       if (event.fd == listen_fd_) {
@@ -234,6 +237,10 @@ void EventLoopServer::HandleConnectionEvent(const Poller::Event& event,
         conn->read_paused = true;
         break;
       }
+      // A short read took everything queued; the poller reports later
+      // bytes, or the peer's EOF, on the next wait. RpcChannel::ReadReplies
+      // stops on the same rule.
+      if (static_cast<size_t>(*n) < sizeof(buffer)) break;
     }
     PumpRequests(conn);
   }

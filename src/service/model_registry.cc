@@ -1,5 +1,7 @@
 #include "service/model_registry.h"
 
+#include <sys/stat.h>
+
 #include <chrono>
 #include <cstdint>
 #include <filesystem>
@@ -81,28 +83,25 @@ Status ModelRegistry::RefreshImpl() {
     next_snapshot->artifacts.emplace(path.string(), std::move(artifact));
   };
   for (const fs::path& path : paths) {
-    const auto mtime = fs::last_write_time(path, ec);
-    const uintmax_t size = fs::file_size(path, ec);
-    if (ec) {
+    struct stat st {};
+    if (::stat(path.c_str(), &st) != 0) {
       // Likely deleted between the directory listing and the stat; treat
       // like any other broken artifact rather than poisoning the refresh.
-      ec.clear();
       degrade(path, Artifact{}, next.get());
       continue;
     }
     Artifact artifact;
-    artifact.mtime_ns = static_cast<int64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            mtime.time_since_epoch())
-            .count());
-    artifact.file_size = static_cast<uint64_t>(size);
+    artifact.stamp.mtime_ns =
+        static_cast<int64_t>(st.st_mtim.tv_sec) * 1000000000 +
+        st.st_mtim.tv_nsec;
+    artifact.stamp.size = static_cast<uint64_t>(st.st_size);
+    artifact.stamp.inode = static_cast<uint64_t>(st.st_ino);
 
     // Unchanged fingerprint: carry the parsed model over by pointer; the
     // file is not opened at all.
     const auto old_it = previous->artifacts.find(path.string());
     if (old_it != previous->artifacts.end() &&
-        old_it->second.mtime_ns == artifact.mtime_ns &&
-        old_it->second.file_size == artifact.file_size) {
+        old_it->second.stamp == artifact.stamp) {
       if (old_it->second.placeholder) {
         // A remembered never-parsed failure, file untouched: carry the
         // placeholder, nothing to serve and nothing new to report.
@@ -177,8 +176,7 @@ Status ModelRegistry::RefreshImpl() {
           (fs::path(directory_) / (it->first + kModelSuffix)).string();
       const auto art = snapshot_->artifacts.find(path);
       if (art == snapshot_->artifacts.end() || art->second.placeholder ||
-          art->second.mtime_ns != it->second.mtime_ns ||
-          art->second.file_size != it->second.file_size) {
+          art->second.stamp != it->second.stamp) {
         it = loaded_.erase(it);
       } else {
         ++it;
@@ -249,9 +247,7 @@ ModelRegistry::ResolveInMemory(const std::string& app,
   MutexLock lock(mu_);
   EnforceLimitsLocked(now);
   const auto loaded = loaded_.find(app);
-  if (loaded == loaded_.end() ||
-      loaded->second.mtime_ns != art->second.mtime_ns ||
-      loaded->second.file_size != art->second.file_size) {
+  if (loaded == loaded_.end() || loaded->second.stamp != art->second.stamp) {
     return std::nullopt;
   }
   loaded->second.last_use = now;
@@ -284,8 +280,7 @@ StatusOr<ModelRegistry::Resolved> ModelRegistry::LoadLazy(
   LoadedModel entry;
   entry.model = std::make_shared<const core::TrainedJuggler>(
       std::move(trained).value());
-  entry.mtime_ns = artifact.mtime_ns;
-  entry.file_size = artifact.file_size;
+  entry.stamp = artifact.stamp;
   const auto now = std::chrono::steady_clock::now();
   entry.last_use = now;
   auto model = entry.model;

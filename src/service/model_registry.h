@@ -39,7 +39,7 @@ namespace juggler::service {
 ///    registry: `Lookup()` grabs a `shared_ptr` to the current snapshot, so
 ///    in-flight requests keep using the model they resolved even while a
 ///    `Refresh()` replaces it.
-///  - Refresh is incremental: artifacts whose (mtime, size) fingerprint is
+///  - Refresh is incremental: artifacts whose (mtime, size, inode) stamp is
 ///    unchanged since the previous snapshot are carried over by pointer —
 ///    the file is not re-read or re-parsed. `last_refresh()` reports what
 ///    the last scan actually did (parsed vs. reused vs. removed).
@@ -149,6 +149,19 @@ class ModelRegistry {
   const std::string& directory() const { return directory_; }
 
  private:
+  /// The on-disk fingerprint of an artifact, read by one stat(2). The inode
+  /// is part of it because ModelPublisher renames a fresh file into place:
+  /// a publish of the same size that lands on the same mtime tick (coarse
+  /// kernel timestamps, or a filesystem with 1-2 s granularity) still reads
+  /// as a change.
+  struct FileStamp {
+    int64_t mtime_ns = 0;
+    uint64_t size = 0;
+    uint64_t inode = 0;
+
+    friend bool operator==(const FileStamp&, const FileStamp&) = default;
+  };
+
   /// One loaded artifact plus the on-disk fingerprint it was parsed from.
   /// An unchanged fingerprint on the next scan reuses `model` untouched.
   /// In lazy mode `model` stays null (registered, loaded on demand);
@@ -157,8 +170,7 @@ class ModelRegistry {
   struct Artifact {
     std::string app;
     std::shared_ptr<const core::TrainedJuggler> model;
-    int64_t mtime_ns = 0;
-    uint64_t file_size = 0;
+    FileStamp stamp;
     bool placeholder = false;
   };
 
@@ -174,8 +186,7 @@ class ModelRegistry {
   /// (stale fingerprints force a re-parse) and its recency for LRU/TTL.
   struct LoadedModel {
     std::shared_ptr<const core::TrainedJuggler> model;
-    int64_t mtime_ns = 0;
-    uint64_t file_size = 0;
+    FileStamp stamp;
     std::chrono::steady_clock::time_point last_use;
   };
 

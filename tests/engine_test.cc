@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
+#include <vector>
 
 #include "common/units.h"
 #include "minispark/engine.h"
@@ -273,6 +277,243 @@ TEST(EngineTest, SvmAreaShape) {
   EXPECT_GT(min_idx, 0u);           // Not cheapest on one machine (area A).
   EXPECT_LT(min_idx, costs.size() - 1);  // Not cheapest at max (area B).
   EXPECT_GT(costs.front(), 1.5 * *min_it);
+}
+
+/// FNV-1a over every reported field, in order. Doubles enter by bit
+/// pattern, so "identical" means identical to the last bit.
+class Digest {
+ public:
+  void Add(uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      hash_ = (hash_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+    }
+  }
+  void Add(int64_t v) { Add(static_cast<uint64_t>(v)); }
+  void Add(int v) { Add(static_cast<uint64_t>(static_cast<int64_t>(v))); }
+  void Add(bool v) { Add(static_cast<uint64_t>(v)); }
+  void Add(double v) { Add(std::bit_cast<uint64_t>(v)); }
+  void Add(const std::string& s) {
+    Add(static_cast<uint64_t>(s.size()));
+    for (char c : s) Add(static_cast<uint64_t>(static_cast<unsigned char>(c)));
+  }
+  void Add(TransformKind k) { Add(static_cast<int>(k)); }
+  void Add(TransformPart p) { Add(static_cast<int>(p)); }
+
+  void Add(const StatusOr<RunResult>& run) {
+    Add(static_cast<int>(run.status().code()));
+    if (!run.ok()) {
+      Add(run.status().message());
+      return;
+    }
+    const RunResult& r = *run;
+    Add(r.app_name);
+    Add(r.machines);
+    Add(r.duration_ms);
+    Add(r.cache_hits);
+    Add(r.cache_recomputes);
+    Add(r.blocks_evicted);
+    Add(r.store_rejections);
+    Add(r.peak_execution_bytes);
+    Add(r.tasks_retried);
+    Add(r.stages_reexecuted);
+    Add(r.executors_lost);
+    Add(r.partitions_lost);
+    Add(r.partitions_recomputed_after_loss);
+    Add(r.speculative_launched);
+    Add(r.speculative_wins);
+    Add(static_cast<uint64_t>(r.dataset_stats.size()));
+    for (const auto& [id, s] : r.dataset_stats) {
+      Add(id);
+      Add(s.hits);
+      Add(s.recomputes);
+      Add(s.stored);
+      Add(s.distinct_cached);
+      Add(s.distinct_evicted);
+      Add(s.resident_at_end);
+      Add(s.persisted_at_end);
+      Add(s.lost);
+      Add(s.recomputed_after_loss);
+    }
+    Add(r.profile != nullptr);
+    if (r.profile == nullptr) return;
+    const ProfilingDb& db = *r.profile;
+    Add(db.machines());
+    Add(db.cores_per_machine());
+    Add(static_cast<uint64_t>(db.transforms().size()));
+    for (const TransformRecord& t : db.transforms()) {
+      Add(t.job);
+      Add(t.stage);
+      Add(t.task_index);
+      Add(t.dataset);
+      Add(t.part);
+      Add(t.start_ms);
+      Add(t.finish_ms);
+      Add(t.partition_bytes);
+      Add(t.from_cache);
+    }
+    Add(static_cast<uint64_t>(db.tasks().size()));
+    for (const TaskRecord& t : db.tasks()) {
+      Add(t.job);
+      Add(t.stage);
+      Add(t.task_index);
+      Add(t.machine);
+      Add(t.start_ms);
+      Add(t.finish_ms);
+      Add(t.attempt);
+      Add(t.speculative);
+      Add(t.failed);
+    }
+    Add(static_cast<uint64_t>(db.stages().size()));
+    for (const StageRecord& s : db.stages()) {
+      Add(s.job);
+      Add(s.stage);
+      Add(s.terminal);
+      Add(s.num_tasks);
+    }
+    Add(static_cast<uint64_t>(db.jobs().size()));
+    for (const JobRecord& j : db.jobs()) {
+      Add(j.job);
+      Add(j.name);
+      Add(j.target);
+      Add(j.start_ms);
+      Add(j.finish_ms);
+    }
+    Add(static_cast<uint64_t>(db.datasets().size()));
+    for (const DatasetRecord& d : db.datasets()) {
+      Add(d.id);
+      Add(d.name);
+      Add(d.kind);
+      Add(static_cast<uint64_t>(d.parents.size()));
+      for (DatasetId p : d.parents) Add(p);
+      Add(d.num_partitions);
+    }
+  }
+
+  uint64_t value() const { return hash_; }
+
+ private:
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
+
+/// Totals over a grid of runs, to show that the digest covers the paths it
+/// is meant to pin (eviction, loss recovery, retries, speculation).
+struct Coverage {
+  int64_t ok_runs = 0;
+  int64_t evicted = 0;
+  int64_t recomputes = 0;
+  int64_t lost = 0;
+  int64_t recomputed_after_loss = 0;
+  int64_t retried = 0;
+  int64_t reexecuted = 0;
+  int64_t speculative_wins = 0;
+
+  void Add(const StatusOr<RunResult>& run) {
+    if (!run.ok()) return;
+    ++ok_runs;
+    evicted += run->blocks_evicted;
+    recomputes += run->cache_recomputes;
+    lost += run->partitions_lost;
+    recomputed_after_loss += run->partitions_recomputed_after_loss;
+    retried += run->tasks_retried;
+    reexecuted += run->stages_reexecuted;
+    speculative_wins += run->speculative_wins;
+  }
+};
+
+/// Instrumented, with the default task noise and stragglers; `faulty` adds
+/// every kind of scheduled fault the engine recovers from.
+RunOptions GoldenOptions(bool faulty) {
+  RunOptions o;
+  o.instrument = true;
+  if (faulty) {
+    o.faults.seed = 7;
+    o.faults.task_failure_prob = 0.05;
+    o.faults.executor_loss_prob = 0.03;
+    o.faults.straggler_prob = 0.05;
+    o.faults.speculation = true;
+  }
+  return o;
+}
+
+/// A narrow dataset inherits only its first parent's partition count, so
+/// "joined" (8 partitions) asks its 3- and 2-partition parents for
+/// partitions they do not have. Every one of them is persisted.
+Application UnevenParentsApp() {
+  DagBuilder b("uneven-parents");
+  const DatasetId big = b.AddSource("big", MiB(512), 8);
+  const DatasetId small = b.AddSource("small", MiB(96), 3);
+  const DatasetId shuffled = b.AddWide("shuffled", {small}, MiB(64), 50.0, 2);
+  const DatasetId joined =
+      b.AddNarrow("joined", {big, small, shuffled}, MiB(600), 400.0, MiB(16));
+  for (int i = 0; i < 5; ++i) {
+    const DatasetId use =
+        b.AddNarrow("use" + std::to_string(i), {joined}, MiB(1), 10.0);
+    const DatasetId agg =
+        b.AddWide("agg" + std::to_string(i), {use}, 1024, 1.0, 1);
+    b.AddJob("iter" + std::to_string(i), agg, 1024);
+  }
+  return std::move(b).Build();
+}
+
+// The digests below were recorded from the engine before its per-run state
+// became dense. Any change to what a run reports changes them.
+TEST(EngineGoldenTest, WorkloadGridIsBitIdentical) {
+  Digest digest;
+  Coverage coverage;
+  for (const auto& w : workloads::AllWorkloads()) {
+    const Application app = w.make(w.paper_params);
+    for (const CachePlan& plan : {app.default_plan, CachePlan{}}) {
+      for (int machines : {1, 4}) {
+        for (bool faulty : {false, true}) {
+          const auto run = Engine(GoldenOptions(faulty))
+                               .Run(app, PaperCluster(machines), plan);
+          digest.Add(run);
+          coverage.Add(run);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(coverage.ok_runs, 40);
+  EXPECT_GT(coverage.evicted, 0);
+  EXPECT_GT(coverage.recomputes, 0);
+  EXPECT_GT(coverage.lost, 0);
+  EXPECT_GT(coverage.recomputed_after_loss, 0);
+  EXPECT_GT(coverage.retried, 0);
+  EXPECT_GT(coverage.reexecuted, 0);
+  EXPECT_GT(coverage.speculative_wins, 0);
+  EXPECT_EQ(digest.value(), 0xd99f3aa169f1dc5bULL);
+}
+
+TEST(EngineGoldenTest, UnevenParentPartitionCountsAreBitIdentical) {
+  const Application app = UnevenParentsApp();
+  const CachePlan keep_all{{CacheOp::Persist(1), CacheOp::Persist(2),
+                            CacheOp::Persist(3)}};
+  const CachePlan drop_small{{CacheOp::Persist(1), CacheOp::Persist(2),
+                              CacheOp::Unpersist(1), CacheOp::Persist(3)}};
+  Digest digest;
+  Coverage coverage;
+  for (const CachePlan& plan : {keep_all, drop_small, CachePlan{}}) {
+    for (int machines : {1, 4}) {
+      for (bool faulty : {false, true}) {
+        const auto run = Engine(GoldenOptions(faulty))
+                             .Run(app, SmallCluster(machines, GiB(1)), plan);
+        digest.Add(run);
+        coverage.Add(run);
+      }
+    }
+  }
+  EXPECT_EQ(coverage.ok_runs, 12);
+  EXPECT_GT(coverage.evicted, 0);
+  EXPECT_GT(coverage.lost, 0);
+  EXPECT_EQ(digest.value(), 0x8ff414b669cde583ULL);
+
+  // The trap itself: "small" has 3 partitions, and all 8 of "joined"'s
+  // partition indices were cached under its id.
+  const auto run = Engine(GoldenOptions(false))
+                       .Run(app, SmallCluster(1, GiB(1)), keep_all);
+  ASSERT_TRUE(run.ok());
+  EXPECT_EQ(app.dataset(1).num_partitions, 3);
+  EXPECT_EQ(run->dataset_stats.at(1).distinct_cached, 8);
 }
 
 }  // namespace

@@ -100,6 +100,9 @@ class TestClient {
     }
   }
 
+  /// Half-closes the connection: no more requests, replies still readable.
+  void ShutdownWrite() { ASSERT_EQ(::shutdown(fd_, SHUT_WR), 0); }
+
   /// Hard-closes the client side immediately (mid-conversation teardown).
   void CloseNow() {
     if (fd_ >= 0) {
@@ -214,6 +217,28 @@ TEST_P(HttpServerTest, PipelinedRequestsAnswerInOrder) {
   client.Send(SimpleGet("/first") + SimpleGet("/second"));
   EXPECT_EQ(BodyOf(client.ReadResponse()), "GET /first");
   EXPECT_EQ(BodyOf(client.ReadResponse()), "GET /second");
+  server.Stop();
+}
+
+TEST_P(HttpServerTest, HalfClosedClientGetsEveryPipelinedReplyThenEof) {
+  HttpServer server(
+      BaseOptions(), EchoHandler(),
+      [](const HttpRequest& request) -> std::optional<HttpResponse> {
+        if (request.Path() == "/fast") return HttpResponse::Text(200, "fast");
+        return std::nullopt;
+      });
+  ASSERT_TRUE(server.Start().ok());
+
+  TestClient client(server.port());
+  // Both requests and the FIN arrive together: the server's first read is
+  // short and stops there; the EOF comes on the next wait, after which the
+  // connection closes only once both replies are written.
+  client.Send(SimpleGet("/fast") + SimpleGet("/slow"));
+  client.ShutdownWrite();
+  EXPECT_EQ(BodyOf(client.ReadResponse()), "fast");
+  EXPECT_EQ(BodyOf(client.ReadResponse()), "GET /slow");
+  EXPECT_TRUE(client.ReadEof());
+  EXPECT_EQ(server.GetStats().requests, 2u);
   server.Stop();
 }
 

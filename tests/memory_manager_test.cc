@@ -168,5 +168,62 @@ TEST_P(MemoryManagerPropertyTest, InvariantsHoldUnderRandomOps) {
 INSTANTIATE_TEST_SUITE_P(RandomOps, MemoryManagerPropertyTest,
                          ::testing::Range(0, 20));
 
+/// The per-dataset block counts behind NumBlocksOf() agree with the blocks
+/// actually cached, through stores, evictions, drops and executor loss.
+class BlockCountPropertyTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(BlockCountPropertyTest, CountsMatchTheCachedBlocks) {
+  constexpr int kDatasets = 4;
+  constexpr int kPartitions = 8;
+  Rng rng(static_cast<uint64_t>(GetParam()) * 104729 + 11);
+  const double unified = rng.Uniform(1000, 10000);
+  UnifiedMemoryManager mem(unified, rng.Uniform(0, unified / 2));
+  double exec_held = 0.0;
+
+  for (int step = 0; step < 300; ++step) {
+    const BlockId id{static_cast<DatasetId>(rng.UniformInt(kDatasets)),
+                     static_cast<int>(rng.UniformInt(kPartitions))};
+    switch (rng.UniformInt(7)) {
+      case 0:
+      case 1:
+        mem.StoreBlock(id, rng.Uniform(50, unified / 4));
+        break;
+      case 2:
+        mem.TouchBlock(id);
+        break;
+      case 3:
+        exec_held += mem.AcquireExecution(rng.Uniform(0, unified / 2));
+        break;
+      case 4:
+        mem.ReleaseExecution(exec_held);
+        exec_held = 0.0;
+        break;
+      case 5:
+        if (rng.Bernoulli(0.5)) {
+          mem.DropBlock(id);
+        } else {
+          mem.DropDataset(id.dataset);
+        }
+        break;
+      case 6:
+        if (rng.Bernoulli(0.1)) mem.LoseAllBlocks();
+        break;
+    }
+    int total = 0;
+    for (DatasetId d = 0; d < kDatasets; ++d) {
+      int cached = 0;
+      for (int p = 0; p < kPartitions; ++p) cached += mem.HasBlock({d, p});
+      ASSERT_EQ(mem.NumBlocksOf(d), cached) << "dataset " << d;
+      total += cached;
+    }
+    ASSERT_EQ(mem.num_blocks(), total);
+  }
+  EXPECT_EQ(mem.NumBlocksOf(kDatasets + 10), 0);
+  EXPECT_EQ(mem.NumBlocksOf(kInvalidDataset), 0);
+}
+
+INSTANTIATE_TEST_SUITE_P(RandomOps, BlockCountPropertyTest,
+                         ::testing::Range(0, 20));
+
 }  // namespace
 }  // namespace juggler::minispark

@@ -8,6 +8,8 @@
 #include <atomic>
 #include <filesystem>
 #include <fstream>
+#include <optional>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -170,6 +172,69 @@ TEST(RegistryPublishTest, SwapsRaceCleanlyWithLazyEviction) {
   stop.store(true, std::memory_order_relaxed);
   for (std::thread& t : readers) t.join();
   EXPECT_GT(registry->evictions(), 0u);
+}
+
+std::string ArtifactBytes(const TrainedJuggler& model) {
+  std::ostringstream out;
+  EXPECT_TRUE(core::SaveTrainedJuggler(model, out).ok());
+  return out.str();
+}
+
+/// A publish that keeps the artifact's size and lands on the very mtime of
+/// the file it replaces (a coarse timestamp tick does this) must still read
+/// as a new artifact: the publisher renames a fresh file into place, so the
+/// inode differs.
+void ExpectSameSizeSameMtimePublishServes(bool lazy) {
+  const fs::path dir = MakeModelDir(lazy ? "same_stamp_lazy" : "same_stamp");
+  const fs::path artifact = dir / "svm.model";
+  const TrainedJuggler old_model = TrainSmall("svm");
+  const std::string old_bytes = ArtifactBytes(old_model);
+  // Scaling every time coefficient by a power of two keeps its mantissa, so
+  // one of these scales gives different bytes of the same length.
+  std::optional<TrainedJuggler> new_model;
+  for (double scale : {2.0, 4.0, 0.5, 8.0, 0.25, 16.0, 0.125}) {
+    TrainedJuggler candidate = Variant(old_model, scale);
+    const std::string bytes = ArtifactBytes(candidate);
+    if (bytes.size() == old_bytes.size() && bytes != old_bytes) {
+      new_model.emplace(std::move(candidate));
+      break;
+    }
+  }
+  ASSERT_TRUE(new_model.has_value()) << "no same-size variant found";
+
+  ModelPublisher publisher(dir.string());
+  ASSERT_TRUE(publisher.Publish(old_model).ok());
+  const fs::file_time_type stamp = fs::last_write_time(artifact);
+
+  service::ModelRegistry::Options options;
+  options.lazy_load = lazy;
+  service::ModelRegistry registry(dir.string(), options);
+  ASSERT_TRUE(registry.Refresh().ok());
+  const uint64_t version = registry.version();
+  auto before = registry.Resolve("svm");
+  ASSERT_TRUE(before.ok()) << before.status().ToString();
+  ASSERT_EQ(before->model->time_models().front().coefficients(),
+            old_model.time_models().front().coefficients());
+
+  ASSERT_TRUE(publisher.Publish(*new_model).ok());
+  fs::last_write_time(artifact, stamp);
+  ASSERT_EQ(fs::file_size(artifact), old_bytes.size());
+  ASSERT_EQ(fs::last_write_time(artifact), stamp);
+
+  ASSERT_TRUE(registry.Refresh().ok());
+  EXPECT_GT(registry.version(), version);
+  auto after = registry.Resolve("svm");
+  ASSERT_TRUE(after.ok()) << after.status().ToString();
+  EXPECT_EQ(after->model->time_models().front().coefficients(),
+            new_model->time_models().front().coefficients());
+}
+
+TEST(RegistryPublishTest, SameSizeSameMtimePublishServesEager) {
+  ExpectSameSizeSameMtimePublishServes(/*lazy=*/false);
+}
+
+TEST(RegistryPublishTest, SameSizeSameMtimePublishServesLazy) {
+  ExpectSameSizeSameMtimePublishServes(/*lazy=*/true);
 }
 
 }  // namespace
