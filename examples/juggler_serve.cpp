@@ -28,8 +28,10 @@
 // kRecommend frames whose models are resident, with bodies up to 4 KiB
 // (net::kInlineBodyBytes), on the event loop, as is observation ingest;
 // larger bodies and lazy loads on a handler thread. The router forwards
-// recommends and observations from its event loop over pipelined shard
-// connections, every batch slot at once. The warm-up workers serve only
+// recommends, observations, apps and reloads from its event loop over
+// pipelined shard connections, every batch slot at once; a body over 4 KiB
+// takes a handler thread, which runs the same forwarder on a private
+// poller. The warm-up workers serve only
 // RecommendationService::RecommendAsync(), which no serving path calls.
 //
 // Online-adaptation flags (standalone and shard roles):

@@ -1,5 +1,6 @@
 #include "cluster/loop_forwarder.h"
 
+#include <algorithm>
 #include <optional>
 #include <utility>
 
@@ -7,22 +8,38 @@
 
 namespace juggler::cluster {
 
+namespace {
+
+/// Most RpcChannels one forwarder opens to one shard (the shard answers a
+/// connection's frames in order, so more channels means more in parallel).
+constexpr size_t kMaxChannelsPerShard = 8;
+
+}  // namespace
+
 void LoopForwarder::Forward(ForwardPlan plan,
                             const net::HttpServer::Reply& reply) {
-  const size_t legs = plan.legs.size();
-  if (legs == 0) {
-    reply(JoinReplies(plan, {}));
-    return;
-  }
-  auto fanout = std::make_shared<Fanout>(Fanout{
-      std::move(plan),
-      std::vector<StatusOr<std::string>>(legs,
-                                         Status::Internal("leg not settled")),
-      legs, reply});
+  auto fanout = std::make_shared<Fanout>();
+  fanout->owned = std::move(plan);
+  fanout->plan = &fanout->owned;
+  fanout->reply = reply;
+  Start(fanout);
+}
+
+void LoopForwarder::Forward(const ForwardPlan& plan,
+                            std::vector<StatusOr<std::string>>* results) {
+  auto fanout = std::make_shared<Fanout>();
+  fanout->plan = &plan;
+  fanout->out = results;
+  Start(fanout);
+}
+
+void LoopForwarder::Start(const std::shared_ptr<Fanout>& fanout) {
+  const size_t legs = fanout->plan->legs.size();
+  fanout->results.assign(legs, Status::Internal("leg not settled"));
+  fanout->pending = legs;
+  if (legs == 0) Deliver(*fanout);
   for (size_t leg = 0; leg < legs; ++leg) {
-    Attempt(Call{router_->KeyWalk(fanout->plan.legs[leg].route_key,
-                                  fanout->plan.type),
-                 fanout, leg});
+    Attempt(Call{router_->LegWalk(*fanout->plan, leg), fanout, leg});
   }
 }
 
@@ -36,16 +53,22 @@ void LoopForwarder::Attempt(Call call) {
   call.start = Clock::now();
   const uint64_t id = next_id_++;
   PickChannel(*next)->Send(call.walk.type(), id,
-                           call.fanout->plan.legs[call.leg].payload);
+                           call.fanout->plan->legs[call.leg].payload);
   calls_.emplace(id, std::move(call));
 }
 
 void LoopForwarder::Complete(const Call& call, StatusOr<std::string> result) {
   Fanout& fanout = *call.fanout;
   fanout.results[call.leg] = std::move(result);
-  if (--fanout.pending == 0) {
-    fanout.reply(JoinReplies(fanout.plan, std::move(fanout.results)));
+  if (--fanout.pending == 0) Deliver(fanout);
+}
+
+void LoopForwarder::Deliver(Fanout& fanout) {
+  if (fanout.out != nullptr) {
+    *fanout.out = std::move(fanout.results);
+    return;
   }
+  (*fanout.reply)(JoinReplies(*fanout.plan, std::move(fanout.results)));
 }
 
 rpc::RpcChannel* LoopForwarder::PickChannel(size_t shard) {
@@ -56,16 +79,24 @@ rpc::RpcChannel* LoopForwarder::PickChannel(size_t shard) {
       best = channel.get();
     }
   }
-  const size_t cap = router_->options_.max_clients_per_shard == 0
-                         ? 1
-                         : router_->options_.max_clients_per_shard;
-  if (best == nullptr || (best->in_flight() > 0 && channels.size() < cap)) {
+  if (best == nullptr ||
+      (best->in_flight() > 0 && channels.size() < kMaxChannelsPerShard)) {
     channels.push_back(std::make_unique<rpc::RpcChannel>(
         router_->ClientOptions(shard, router_->options_.rpc_timeout_ms),
         poller_));
     best = channels.back().get();
   }
   return best;
+}
+
+LoopForwarder::Clock::time_point LoopForwarder::next_deadline() const {
+  Clock::time_point next = Clock::time_point::max();
+  for (const auto& channels : channels_) {
+    for (const auto& channel : channels) {
+      next = std::min(next, channel->next_deadline());
+    }
+  }
+  return next;
 }
 
 void LoopForwarder::OnStart(net::Poller* poller) {

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -18,33 +19,50 @@
 
 namespace juggler::cluster {
 
-/// \brief The router's loop path: forwards planned requests (recommend
-/// singles and batches, observations) from the HTTP event loop over
-/// pipelined, non-blocking JRPC connections registered in the same poller —
-/// no handler-pool hop and no thread parked per call.
+/// \brief The router's one transport: forwards planned requests (recommend
+/// singles and batches, observations, apps, reload) over pipelined,
+/// non-blocking JRPC connections registered in its owner's poller — no
+/// thread parked per call.
 ///
 /// A plan fans out: each leg gets its own Router::Walk (failover per leg)
 /// and all legs are in flight at once, so a batch costs about one shard
 /// round trip, and slots on a hung shard cost one `rpc_timeout_ms` together.
-/// When the last leg settles, JoinReplies() builds the client's reply — the
-/// join the blocking path uses too. A single is a fan-out of one.
+/// A single is a fan-out of one.
 ///
-/// It is the RouterHttpServer's EventLoopServer::LoopAgent and runs on the
-/// loop thread only. Each shard gets up to `max_clients_per_shard`
-/// RpcChannels: a call takes an idle one, or opens another while all are
-/// busy and the cap allows, else the least busy. Calls queue during a batch
-/// of events and leave in one write per channel after it. Policy —
-/// preference order, health, reroute, kError mapping, per-shard stats — is
-/// Router::Walk, shared with the blocking path; a call past `rpc_timeout_ms`
-/// is a transport failure like any other.
+/// Two owners drive it, on one thread each. The RouterHttpServer's event
+/// loop runs one as its EventLoopServer::LoopAgent; when the last leg of a
+/// plan settles, JoinReplies() builds the client's reply. A blocking caller
+/// (Router::ForwardAndWait) runs one on a private poller, turning it until
+/// idle(), and takes the legs' results.
+///
+/// Each shard gets up to eight RpcChannels per forwarder: a call takes an
+/// idle one, or opens another while all are busy, else the least busy.
+/// Calls queue during a batch of events and leave in one write per channel
+/// after it. Policy — preference order, health, reroute, kError mapping,
+/// per-shard stats — is Router::Walk; a call past `rpc_timeout_ms` is a
+/// transport failure like any other.
 class LoopForwarder final : public net::EventLoopServer::LoopAgent {
  public:
+  using Clock = std::chrono::steady_clock;
+
   explicit LoopForwarder(Router* router) : router_(router) {}
 
   /// Sends every leg of `plan`; `reply` gets the joined answer once the
-  /// last leg settles, on the loop thread (right away for a plan with no
+  /// last leg settles, on the owner's thread (right away for a plan with no
   /// legs).
   void Forward(ForwardPlan plan, const net::HttpServer::Reply& reply);
+
+  /// Sends every leg of `plan`, which must outlive the legs; once the last
+  /// settles, `*results` holds their results, aligned with plan.legs, and
+  /// idle() turns true.
+  void Forward(const ForwardPlan& plan,
+               std::vector<StatusOr<std::string>>* results);
+
+  /// True while no call is in flight.
+  bool idle() const { return calls_.empty(); }
+  /// The earliest deadline of a dial or call in flight (time_point::max()
+  /// when none runs): AfterEvents() past it settles a call.
+  Clock::time_point next_deadline() const;
 
   void OnStart(net::Poller* poller) override;
   void OnEvent(const net::Poller::Event& event) override;
@@ -52,15 +70,17 @@ class LoopForwarder final : public net::EventLoopServer::LoopAgent {
   void OnStop() override;
 
  private:
-  using Clock = std::chrono::steady_clock;
-
   /// One client request in flight: its plan (the legs' payloads, kept for
-  /// reroutes), the legs' results so far, and how many are still open.
+  /// reroutes), the legs' results so far, how many are still open, and
+  /// where the results go — the loop path's reply, or the blocking caller's
+  /// vector.
   struct Fanout {
-    ForwardPlan plan;
+    ForwardPlan owned;  ///< The loop path's plan.
+    const ForwardPlan* plan = nullptr;  ///< `owned`, or the blocking caller's.
     std::vector<StatusOr<std::string>> results;
     size_t pending = 0;
-    net::HttpServer::Reply reply;
+    std::optional<net::HttpServer::Reply> reply;
+    std::vector<StatusOr<std::string>>* out = nullptr;
   };
 
   /// One leg's walk; while an attempt is in flight, keyed by its request id.
@@ -72,11 +92,15 @@ class LoopForwarder final : public net::EventLoopServer::LoopAgent {
     Clock::time_point start{};
   };
 
+  /// Starts every leg of `fanout`'s plan.
+  void Start(const std::shared_ptr<Fanout>& fanout);
   /// Sends `call` to the walk's next shard, or settles its leg when the walk
   /// is exhausted.
   void Attempt(Call call);
-  /// Records a leg's result; the last one answers the client.
+  /// Records a leg's result; the last one delivers the plan's results.
   static void Complete(const Call& call, StatusOr<std::string> result);
+  /// Hands the settled results to the reply (joined) or the caller.
+  static void Deliver(Fanout& fanout);
   rpc::RpcChannel* PickChannel(size_t shard);
   /// Finishes the attempts in `outcomes_`: answer, or reroute.
   void Settle();

@@ -10,15 +10,24 @@
 #include "common/parse.h"
 #include "common/thread_name.h"
 #include "net/json.h"
+#include "net/poller.h"
 #include "online/observation.h"
 #include "online/online_metrics.h"
 #include "net/prometheus.h"
 #include "net/recommend_codec.h"
+#include "rpc/rpc_client.h"
 #include "service/prediction_cache.h"
 
 namespace juggler::cluster {
 
 namespace {
+
+/// Ring points per shard.
+constexpr size_t kVirtualNodes = 64;
+/// Distinct shards a keyed leg tries (owner + failovers).
+constexpr size_t kMaxAttempts = 3;
+/// Idle blocking forwarders kept for reuse, with their shard connections.
+constexpr size_t kMaxIdleForwarders = 8;
 
 double ElapsedUs(std::chrono::steady_clock::time_point start) {
   return std::chrono::duration_cast<std::chrono::duration<double, std::micro>>(
@@ -80,14 +89,23 @@ StatusOr<std::unique_ptr<Router>> Router::Create(const Options& options) {
   return router;
 }
 
-Router::Shard::Shard()
-    : pool_mu(lockdiag::RegisterLockClass("cluster.Router.shard_pool",
-                                          lockdiag::kRankCluster)) {}
+/// A blocking caller's private event loop: a poll(2) poller and the
+/// LoopForwarder whose channels it watches. One caller at a time.
+struct Router::BlockingForwarder {
+  explicit BlockingForwarder(Router* router)
+      : poller(net::Poller::Create(/*force_poll=*/true)), forwarder(router) {
+    forwarder.OnStart(poller.get());
+  }
+  /// Declared before the forwarder, whose channels unregister from it.
+  std::unique_ptr<net::Poller> poller;
+  LoopForwarder forwarder;
+};
 
 Router::Router(const Options& options)
     : options_(options),
-      ring_(options.shards.size(),
-            options.virtual_nodes == 0 ? 1 : options.virtual_nodes) {}
+      ring_(options.shards.size(), kVirtualNodes),
+      idle_mu_(lockdiag::RegisterLockClass("cluster.Router.idle_forwarders",
+                                           lockdiag::kRankCluster)) {}
 
 Router::~Router() { Stop(); }
 
@@ -106,17 +124,6 @@ void Router::Stop() {
   stop_.store(true);
   if (prober_.joinable()) prober_.join();
   started_.store(false);
-  for (auto& shard : shards_) {
-    // Swap the pool out and let the RpcClient destructors run close() after
-    // the lock is released: destroying connections is a syscall, and holding
-    // pool_mu across it would stall a concurrent checkout (and trip the
-    // blocking-under-lock discipline this file advertises).
-    std::vector<std::unique_ptr<rpc::RpcClient>> drained;
-    {
-      MutexLock lock(shard->pool_mu);
-      drained.swap(shard->pool);
-    }
-  }
 }
 
 // ---- Walk: the forwarding policy -------------------------------------------
@@ -155,11 +162,18 @@ std::optional<size_t> Router::Walk::Next() {
 std::optional<StatusOr<std::string>> Router::Walk::Finish(
     size_t index, StatusOr<rpc::RpcFrame> reply,
     std::chrono::steady_clock::time_point start) {
-  router_->RecordAttempt(index, reply.ok(), start);
+  Shard& shard = *router_->shards_[index];
+  shard.requests.fetch_add(1, std::memory_order_relaxed);
   if (!reply.ok()) {
+    // The connection is gone and the shard is suspect; the prober flips
+    // `healthy` back once pings succeed again.
+    shard.errors.fetch_add(1, std::memory_order_relaxed);
+    shard.healthy.store(false, std::memory_order_relaxed);
     last_ = reply.status();
     return std::nullopt;  // Reroute: next shard in the order.
   }
+  shard.latency.Record(ElapsedUs(start));
+  shard.healthy.store(true, std::memory_order_relaxed);
   if (reply->type == rpc::FrameType::kError) {
     return StatusOr<std::string>(net::StatusFromErrorJson(reply->payload));
   }
@@ -172,36 +186,28 @@ std::optional<StatusOr<std::string>> Router::Walk::Finish(
 }
 
 Status Router::Walk::Exhausted() const {
+  if (type_ == rpc::FrameType::kReload) return last_;
   return Status::ResourceExhausted("all shards failed: " + last_.message());
 }
 
-Router::Walk Router::KeyWalk(const std::string& route_key,
-                             rpc::FrameType type) {
-  const size_t attempts =
-      options_.max_attempts == 0 ? 1 : options_.max_attempts;
-  return Walk(this, ring_.Preference(route_key, attempts), type);
-}
-
-void Router::RecordAttempt(size_t index, bool transport_ok,
-                           std::chrono::steady_clock::time_point start) {
-  Shard& shard = *shards_[index];
-  shard.requests.fetch_add(1, std::memory_order_relaxed);
-  if (!transport_ok) {
-    // The connection is gone and the shard is suspect; the prober flips
-    // `healthy` back once pings succeed again.
-    shard.errors.fetch_add(1, std::memory_order_relaxed);
-    shard.healthy.store(false, std::memory_order_relaxed);
-    return;
+Router::Walk Router::LegWalk(const ForwardPlan& plan, size_t leg) {
+  std::vector<size_t> order;
+  if (plan.type == rpc::FrameType::kReload) {
+    order.push_back(leg);
+  } else if (plan.type == rpc::FrameType::kApps) {
+    order.resize(shards_.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+  } else {
+    order = ring_.Preference(plan.legs[leg].route_key, kMaxAttempts);
   }
-  shard.latency.Record(ElapsedUs(start));
-  shard.healthy.store(true, std::memory_order_relaxed);
+  return Walk(this, std::move(order), plan.type);
 }
 
-// ---- The blocking transport ------------------------------------------------
+// ---- The blocking entry points -------------------------------------------
 
-rpc::RpcClient::Options Router::ClientOptions(size_t index,
-                                              int call_timeout_ms) const {
-  rpc::RpcClient::Options options;
+rpc::RpcChannel::Options Router::ClientOptions(size_t index,
+                                               int call_timeout_ms) const {
+  rpc::RpcChannel::Options options;
   options.host = shards_[index]->host;
   options.port = shards_[index]->port;
   options.connect_timeout_ms = options_.connect_timeout_ms;
@@ -210,71 +216,47 @@ rpc::RpcClient::Options Router::ClientOptions(size_t index,
   return options;
 }
 
-StatusOr<rpc::RpcFrame> Router::CallShard(size_t index, rpc::FrameType type,
-                                          const std::string& payload) {
-  Shard& shard = *shards_[index];
-  std::unique_ptr<rpc::RpcClient> client;
+std::vector<StatusOr<std::string>> Router::ForwardAndWait(
+    const ForwardPlan& plan) {
+  std::unique_ptr<BlockingForwarder> borrowed;
   {
-    MutexLock lock(shard.pool_mu);
-    if (!shard.pool.empty()) {
-      client = std::move(shard.pool.back());
-      shard.pool.pop_back();
+    MutexLock lock(idle_mu_);
+    if (!idle_.empty()) {
+      borrowed = std::move(idle_.back());
+      idle_.pop_back();
     }
   }
-  if (client == nullptr) {
-    client = std::make_unique<rpc::RpcClient>(
-        ClientOptions(index, options_.rpc_timeout_ms));
+  if (borrowed == nullptr) {
+    borrowed = std::make_unique<BlockingForwarder>(this);
   }
-  auto reply = client->Call(type, payload);
-  // A transport failure closed the connection: drop the client.
-  if (!reply.ok()) return reply.status();
-  MutexLock lock(shard.pool_mu);
-  if (shard.pool.size() < options_.max_clients_per_shard) {
-    shard.pool.push_back(std::move(client));
+  // The event loop's turn, on the private poller: flush, wait for
+  // readiness or the next deadline, hand the events over, repeat.
+  std::vector<StatusOr<std::string>> results;
+  LoopForwarder& forwarder = borrowed->forwarder;
+  forwarder.Forward(plan, &results);
+  std::vector<net::Poller::Event> events;
+  for (forwarder.AfterEvents(); !forwarder.idle(); forwarder.AfterEvents()) {
+    // A call is in flight, so its deadline bounds the wait.
+    const auto wait = std::chrono::ceil<std::chrono::milliseconds>(
+        forwarder.next_deadline() - std::chrono::steady_clock::now());
+    Status waited = borrowed->poller->Wait(
+        static_cast<int>(std::max<int64_t>(wait.count(), 0)), &events);
+    if (!waited.ok()) {
+      // The forwarder still holds the calls: it goes, with them.
+      return std::vector<StatusOr<std::string>>(plan.legs.size(), waited);
+    }
+    for (const net::Poller::Event& event : events) forwarder.OnEvent(event);
   }
-  return reply;
-}
-
-StatusOr<std::string> Router::RunWalk(Walk walk, const std::string& payload) {
-  while (const std::optional<size_t> index = walk.Next()) {
-    const auto start = std::chrono::steady_clock::now();
-    std::optional<StatusOr<std::string>> result =
-        walk.Finish(*index, CallShard(*index, walk.type(), payload), start);
-    if (result.has_value()) return *std::move(result);
-  }
-  return walk.Exhausted();
-}
-
-StatusOr<std::string> Router::Forward(rpc::FrameType type,
-                                      const std::string& route_key,
-                                      const std::string& payload) {
-  return RunWalk(KeyWalk(route_key, type), payload);
-}
-
-StatusOr<std::string> Router::CallAny(rpc::FrameType type,
-                                      const std::string& payload) {
-  std::vector<size_t> order(shards_.size());
-  std::iota(order.begin(), order.end(), size_t{0});
-  return RunWalk(Walk(this, std::move(order), type), payload);
-}
-
-std::vector<Router::BroadcastResult> Router::Broadcast(
-    rpc::FrameType type, const std::string& payload) {
-  std::vector<BroadcastResult> results;
-  results.reserve(shards_.size());
-  for (size_t index = 0; index < shards_.size(); ++index) {
-    const auto start = std::chrono::steady_clock::now();
-    auto reply = CallShard(index, type, payload);
-    RecordAttempt(index, reply.ok(), start);
-    StatusOr<std::string> outcome =
-        !reply.ok() ? StatusOr<std::string>(reply.status())
-        : reply->type == rpc::FrameType::kError
-            ? StatusOr<std::string>(net::StatusFromErrorJson(reply->payload))
-            : StatusOr<std::string>(std::move(reply->payload));
-    results.push_back(
-        BroadcastResult{shards_[index]->address, std::move(outcome)});
-  }
+  MutexLock lock(idle_mu_);
+  if (idle_.size() < kMaxIdleForwarders) idle_.push_back(std::move(borrowed));
   return results;
+}
+
+StatusOr<std::string> Router::ForwardRecommend(const std::string& route_key,
+                                               const std::string& payload) {
+  ForwardPlan plan;
+  plan.legs.push_back({route_key, payload});
+  return std::move(ForwardAndWait(plan)[0]);
 }
 
 std::vector<Router::ShardStats> Router::GetShardStats() const {
@@ -399,11 +381,14 @@ net::HttpResponse JoinReplies(const ForwardPlan& plan,
   }
   // Replies are raw JSON documents; splice them rather than reparse.
   const bool results = plan.join == ForwardPlan::Join::kResults;
+  const char* const label = plan.type == rpc::FrameType::kReload
+                                ? "{\"shard\":"
+                                : "{\"app\":";
   std::string body = results ? "{\"results\":[" : "{\"shards\":[";
   for (size_t i = 0; i < replies.size(); ++i) {
     if (i > 0) body.push_back(',');
     if (!results) {
-      body.append("{\"app\":");
+      body.append(label);
       net::AppendJsonString(&body, plan.legs[i].route_key);
       body.append(replies[i].ok() ? ",\"reply\":" : ",\"error\":");
     }
@@ -448,100 +433,67 @@ std::optional<net::HttpResponse> RouterHttpServer::HandleFast(
   return std::nullopt;
 }
 
+std::optional<StatusOr<ForwardPlan>> RouterHttpServer::Plan(
+    const net::HttpRequest& request, const std::string& path) const {
+  const bool post = request.method == "POST";
+  if (post && path == "/v1/recommend") return PlanRecommend(request.body);
+  if (post && path == "/v1/observe") return PlanObserve(request.body);
+  ForwardPlan plan;
+  if (request.method == "GET" && path == "/v1/apps") {
+    plan.type = rpc::FrameType::kApps;
+    plan.legs.push_back({});
+    return plan;
+  }
+  if (post && path == "/v1/reload") {
+    plan.type = rpc::FrameType::kReload;
+    plan.join = ForwardPlan::Join::kShards;
+    for (const std::string& address : router_->shard_addresses()) {
+      plan.legs.push_back({address, ""});
+    }
+    return plan;
+  }
+  return std::nullopt;
+}
+
 bool RouterHttpServer::ForwardOnLoop(const net::HttpRequest& request,
                                      const net::HttpServer::Reply& reply) {
   // The one inline rule, before any parse: a large body goes to the pool
   // whatever it holds.
-  if (request.method != "POST" ||
-      request.body.size() > net::kInlineBodyBytes) {
-    return false;
-  }
-  const std::string path = request.Path();
-  if (path != "/v1/recommend" && path != "/v1/observe") return false;
-  StatusOr<ForwardPlan> plan = path == "/v1/recommend"
-                                   ? PlanRecommend(request.body)
-                                   : PlanObserve(request.body);
-  if (!plan.ok()) {
-    reply(net::ErrorResponse(plan.status()));
+  if (request.body.size() > net::kInlineBodyBytes) return false;
+  std::optional<StatusOr<ForwardPlan>> plan = Plan(request, request.Path());
+  if (!plan.has_value()) return false;
+  if (!plan->ok()) {
+    reply(net::ErrorResponse(plan->status()));
     return true;
   }
-  forwarder_->Forward(std::move(plan).value(), reply);
+  forwarder_->Forward(std::move(*plan).value(), reply);
   return true;
 }
 
 net::HttpResponse RouterHttpServer::Handle(const net::HttpRequest& request) {
   const std::string path = request.Path();
-  if (path == "/livez") {
-    if (request.method != "GET") return net::MethodNotAllowed("GET");
-    return net::HttpResponse::Text(200, "ok\n");
+  if (std::optional<StatusOr<ForwardPlan>> plan = Plan(request, path)) {
+    if (!plan->ok()) return net::ErrorResponse(plan->status());
+    return JoinReplies(**plan, router_->ForwardAndWait(**plan));
   }
-  if (path == "/healthz" || path == "/readyz") {
-    if (request.method != "GET") return net::MethodNotAllowed("GET");
-    return router_->healthy_shards() > 0
-               ? net::HttpResponse::Text(200, "ok\n")
-               : net::ErrorResponse(
-                     Status::FailedPrecondition("no healthy shards"));
+  if (std::optional<net::HttpResponse> fast = HandleFast(request)) {
+    return *std::move(fast);
   }
-  if (path == "/v1/recommend") {
-    if (request.method != "POST") return net::MethodNotAllowed("POST");
-    return RunPlan(PlanRecommend(request.body));
-  }
-  if (path == "/v1/observe") {
-    if (request.method != "POST") return net::MethodNotAllowed("POST");
-    return RunPlan(PlanObserve(request.body));
-  }
-  if (path == "/v1/apps") {
-    if (request.method != "GET") return net::MethodNotAllowed("GET");
-    return HandleApps();
-  }
-  if (path == "/v1/reload") {
-    if (request.method != "POST") return net::MethodNotAllowed("POST");
-    return HandleReload();
-  }
-  if (path == "/metrics") {
-    if (request.method != "GET") return net::MethodNotAllowed("GET");
+  if (request.method == "GET" && path == "/metrics") {
     net::HttpResponse response = net::HttpResponse::Text(200, MetricsText());
     response.content_type = "text/plain; version=0.0.4; charset=utf-8";
     return response;
   }
+  if (path == "/v1/recommend" || path == "/v1/observe" ||
+      path == "/v1/reload") {
+    return net::MethodNotAllowed("POST");
+  }
+  if (path == "/v1/apps" || path == "/livez" || path == "/healthz" ||
+      path == "/readyz" || path == "/metrics") {
+    return net::MethodNotAllowed("GET");
+  }
   return net::ErrorResponse(
       Status::NotFound("no route for " + request.method + " " + path));
-}
-
-net::HttpResponse RouterHttpServer::RunPlan(StatusOr<ForwardPlan> plan) {
-  if (!plan.ok()) return net::ErrorResponse(plan.status());
-  std::vector<StatusOr<std::string>> replies;
-  replies.reserve(plan->legs.size());
-  for (const ForwardPlan::Leg& leg : plan->legs) {
-    replies.push_back(router_->Forward(plan->type, leg.route_key, leg.payload));
-  }
-  return JoinReplies(*plan, std::move(replies));
-}
-
-net::HttpResponse RouterHttpServer::HandleApps() {
-  auto reply = router_->CallAny(rpc::FrameType::kApps, "");
-  if (!reply.ok()) return net::ErrorResponse(reply.status());
-  return net::HttpResponse::JsonBody(200, std::move(reply).value());
-}
-
-net::HttpResponse RouterHttpServer::HandleReload() {
-  const auto results = router_->Broadcast(rpc::FrameType::kReload, "");
-  std::string body = "{\"shards\":[";
-  for (size_t i = 0; i < results.size(); ++i) {
-    if (i > 0) body.push_back(',');
-    body.append("{\"shard\":\"");
-    body.append(results[i].address);  // host:port — no JSON escapes needed.
-    body.append("\",");
-    if (results[i].reply.ok()) {
-      body.append("\"reply\":").append(*results[i].reply);
-    } else {
-      body.append("\"error\":")
-          .append(net::ErrorJson(results[i].reply.status()).Dump());
-    }
-    body.push_back('}');
-  }
-  body.append("]}");
-  return net::HttpResponse::JsonBody(200, std::move(body));
 }
 
 std::string RouterHttpServer::MetricsText() const {
@@ -600,7 +552,7 @@ std::string RouterHttpServer::MetricsText() const {
   net::AppendHttpMetrics(
       &out, http,
       "HTTP requests answered without a handler-pool hop: probes on the "
-      "event loop, and recommend singles, batches and observations "
+      "event loop, and recommends, observations, apps and reloads "
       "forwarded to their shards from the event loop (bodies up to 4 KiB).");
 
   online::AppendOnlineMetrics(&out);

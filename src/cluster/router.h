@@ -17,12 +17,41 @@
 #include "net/http.h"
 #include "net/http_server.h"
 #include "rpc/frame.h"
-#include "rpc/rpc_client.h"
+#include "rpc/rpc_channel.h"
 #include "service/metrics.h"
 
 namespace juggler::cluster {
 
 class LoopForwarder;
+
+/// \brief What one client request asks of the shards, planned once from its
+/// route and body: the shard calls ("legs") that answer it and how their
+/// replies join into the HTTP reply. The router's one transport
+/// (LoopForwarder) sends every leg at once — from the event loop, or from a
+/// blocking caller's private loop (Router::ForwardAndWait) — and
+/// JoinReplies() builds the reply either way.
+///
+/// The frame type picks each leg's shards (Router::LegWalk): a kApps leg
+/// may ask every shard in index order, kReload leg i goes to shard i only,
+/// and every other leg walks its route_key's ring preference order.
+struct ForwardPlan {
+  enum class Join {
+    kSingle,   ///< One leg: its reply document verbatim (recommend, apps).
+    kResults,  ///< A batch: {"results":[reply or error, ...]} in slot order.
+    kShards,   ///< Observations and reload: {"shards":[{"app"|"shard":
+               ///< route_key, "reply"|"error":..}]}.
+  };
+  struct Leg {
+    /// Ring key: the slot's prediction-cache key, or the app of an
+    /// observation group (so it reaches the shard that refits that app). A
+    /// reload leg carries its shard's address here instead.
+    std::string route_key;
+    std::string payload;  ///< The frame payload, verbatim.
+  };
+  rpc::FrameType type = rpc::FrameType::kRecommend;
+  Join join = Join::kSingle;
+  std::vector<Leg> legs;
+};
 
 /// \brief Consistent-hash router over a fixed fleet of JRPC shards.
 ///
@@ -31,13 +60,11 @@ class LoopForwarder;
 /// so a recurring question always lands on the shard whose cache is warm
 /// for it and whose lazy registry has its model resident.
 ///
-/// Two transports share one forwarding policy (`Walk`) and one connection
-/// type (`rpc::RpcChannel`): the blocking one below (pooled RpcClients,
-/// each driving one channel on its own poller; apps, reload, bodies over
-/// net::kInlineBodyBytes, RouterHttpServer::Handle(), and the public
-/// Forward calls) and the router's loop path (`LoopForwarder`: pipelined
-/// RpcChannels on the HTTP event loop; recommends and observations). Both
-/// run the same ForwardPlan.
+/// One transport carries every forwarded request: a LoopForwarder, which
+/// sends a ForwardPlan's legs over pipelined `rpc::RpcChannel`s, all in
+/// flight at once, under one forwarding policy (`Walk`). The router's HTTP
+/// event loop runs one; ForwardAndWait() runs the same class on a private
+/// poller for blocking callers (RouterHttpServer::Handle(), ForwardRecommend).
 ///
 /// Failure model:
 ///  - a background prober pings every shard on a fixed cadence over one
@@ -56,15 +83,9 @@ class Router {
   struct Options {
     /// Backend addresses, "host:port" each. Order defines shard indices.
     std::vector<std::string> shards;
-    size_t virtual_nodes = 64;
     int rpc_timeout_ms = 5'000;
     int connect_timeout_ms = 1'000;
-    /// Distinct shards tried per request (owner + failovers).
-    size_t max_attempts = 3;
     int probe_interval_ms = 250;
-    /// Per shard: the idle RpcClients the blocking path keeps for reuse,
-    /// and the most RpcChannels the loop path opens (at least one).
-    size_t max_clients_per_shard = 8;
     rpc::FrameDecoder::Limits limits;
   };
 
@@ -83,32 +104,17 @@ class Router {
   [[nodiscard]] Status Start();
   void Stop();
 
-  /// Routes one `type` frame (kRecommend or kObserve) by `route_key` over
-  /// the blocking transport. Returns the shard's reply payload verbatim, or
-  /// the reconstructed Status of a kError reply / all-shards-down transport
-  /// failure.
-  [[nodiscard]] StatusOr<std::string> Forward(rpc::FrameType type,
-                                              const std::string& route_key,
-                                              const std::string& payload);
+  /// Forwards every leg of `plan` and blocks until the last one settles.
+  /// Returns the legs' results, aligned with plan.legs: a reply payload
+  /// verbatim, or the Status of a kError reply or transport failure. Each
+  /// caller borrows an idle {private poller, LoopForwarder} pair, whose
+  /// shard connections stay open for the next.
+  [[nodiscard]] std::vector<StatusOr<std::string>> ForwardAndWait(
+      const ForwardPlan& plan);
 
-  /// Forward() of one single-recommend request (JSON payload).
+  /// ForwardAndWait() of one single-recommend request (JSON payload).
   [[nodiscard]] StatusOr<std::string> ForwardRecommend(
-      const std::string& route_key, const std::string& payload) {
-    return Forward(rpc::FrameType::kRecommend, route_key, payload);
-  }
-
-  /// Sends `type` to the first healthy shard (any shard can answer
-  /// fleet-level metadata like kApps). Same failover as ForwardRecommend.
-  [[nodiscard]] StatusOr<std::string> CallAny(rpc::FrameType type,
-                                              const std::string& payload);
-
-  /// One broadcast result per shard, in shard order.
-  struct BroadcastResult {
-    std::string address;
-    StatusOr<std::string> reply;
-  };
-  std::vector<BroadcastResult> Broadcast(rpc::FrameType type,
-                                         const std::string& payload);
+      const std::string& route_key, const std::string& payload);
 
   /// Point-in-time per-shard counters for /metrics.
   struct ShardStats {
@@ -126,6 +132,10 @@ class Router {
   uint64_t probes() const { return probes_.load(std::memory_order_relaxed); }
   size_t healthy_shards() const;
   size_t shard_count() const { return shards_.size(); }
+  /// Shard addresses in index order.
+  const std::vector<std::string>& shard_addresses() const {
+    return options_.shards;
+  }
 
   const HashRing& ring() const { return ring_; }
 
@@ -133,7 +143,6 @@ class Router {
   friend class LoopForwarder;
 
   struct Shard {
-    Shard();
     std::string address;
     std::string host;
     uint16_t port = 0;
@@ -141,21 +150,16 @@ class Router {
     std::atomic<uint64_t> requests{0};
     std::atomic<uint64_t> errors{0};
     service::LatencyHistogram latency;
-    /// Lock class "cluster.Router.shard_pool" (rank cluster=14): guards only
-    /// the checkout/return vector. RpcClient calls and closes all happen with
-    /// the lock released (the `blocking-under-lock` lint rule enforces this).
-    Mutex pool_mu ACQUIRED_AFTER(lockdiag::kNetOrder);
-    std::vector<std::unique_ptr<rpc::RpcClient>> pool GUARDED_BY(pool_mu);
   };
 
-  /// \brief One request's walk over candidate shards: the forwarding policy
-  /// both transports share. Next() yields the healthy candidates in order,
-  /// then — as a last resort, the prober's view may be a probe interval
-  /// stale — the unhealthy ones, never a shard twice, counting every attempt
-  /// after the first as a reroute. Finish() books the attempt in the shard's
-  /// stats and health and maps its reply: a transport failure or an
-  /// unexpected frame moves on; a kError reply ends the walk with its Status
-  /// (the shard answered — a second shard would say the same, slower).
+  /// \brief One leg's walk over candidate shards: the forwarding policy.
+  /// Next() yields the healthy candidates in order, then — as a last
+  /// resort, the prober's view may be a probe interval stale — the
+  /// unhealthy ones, never a shard twice, counting every attempt after the
+  /// first as a reroute. Finish() books the attempt in the shard's stats
+  /// and health and maps its reply: a transport failure or an unexpected
+  /// frame moves on; a kError reply ends the walk with its Status (the
+  /// shard answered — a second shard would say the same, slower).
   class Walk {
    public:
     Walk(Router* router, std::vector<size_t> order, rpc::FrameType type);
@@ -173,7 +177,8 @@ class Router {
         std::chrono::steady_clock::time_point start);
 
     /// The result once Next() ran out: transient by construction (every
-    /// failure was transport-level), so 503-shaped.
+    /// failure was transport-level), so 503-shaped — but a reload, pinned
+    /// to one shard, gets that shard's failure as it came.
     Status Exhausted() const;
 
    private:
@@ -187,23 +192,14 @@ class Router {
     Status last_ = Status::ResourceExhausted("no shard reachable");
   };
 
-  /// The walk for a keyed request: the key's ring preference order.
-  Walk KeyWalk(const std::string& route_key, rpc::FrameType type);
+  /// A blocking caller's private poller and the LoopForwarder it drives.
+  struct BlockingForwarder;
 
-  /// Books one attempt's outcome in shard `index`'s counters and health.
-  void RecordAttempt(size_t index, bool transport_ok,
-                     std::chrono::steady_clock::time_point start);
+  /// The walk of leg `leg` of `plan`, by the plan's frame type.
+  Walk LegWalk(const ForwardPlan& plan, size_t leg);
 
-  rpc::RpcClient::Options ClientOptions(size_t index,
-                                        int call_timeout_ms) const;
-
-  /// The blocking transport: checkout (or dial) a pooled client, call, and
-  /// return the client to the pool — or drop it on a transport failure.
-  StatusOr<rpc::RpcFrame> CallShard(size_t index, rpc::FrameType type,
-                                    const std::string& payload);
-
-  /// Runs `walk` to its end over the blocking transport.
-  StatusOr<std::string> RunWalk(Walk walk, const std::string& payload);
+  rpc::RpcChannel::Options ClientOptions(size_t index,
+                                         int call_timeout_ms) const;
 
   void ProbeLoop();
 
@@ -211,34 +207,19 @@ class Router {
   std::vector<std::unique_ptr<Shard>> shards_;
   HashRing ring_;
 
+  /// Lock class "cluster.Router.idle_forwarders" (rank cluster=14): guards
+  /// only the checkout/return vector. Forwarding and closing connections
+  /// happen with the lock released (the `blocking-under-lock` lint rule
+  /// enforces this).
+  Mutex idle_mu_ ACQUIRED_AFTER(lockdiag::kNetOrder);
+  std::vector<std::unique_ptr<BlockingForwarder>> idle_ GUARDED_BY(idle_mu_);
+
   std::thread prober_;
   std::atomic<bool> started_{false};
   std::atomic<bool> stop_{false};
 
   std::atomic<uint64_t> reroutes_{0};
   std::atomic<uint64_t> probes_{0};
-};
-
-/// \brief What one client request asks of the shards, planned once from its
-/// body: the shard calls ("legs") that answer it and how their replies join
-/// into the HTTP reply. Both transports run the same plan — the blocking
-/// path leg by leg, the loop path all legs at once — and join with
-/// JoinReplies(), so they cannot drift in bytes.
-struct ForwardPlan {
-  enum class Join {
-    kSingle,   ///< One recommend: the shard's reply document verbatim.
-    kResults,  ///< A batch: {"results":[reply or error, ...]} in slot order.
-    kShards,   ///< Observations: {"shards":[{"app":..,"reply"|"error":..}]}.
-  };
-  struct Leg {
-    /// Ring key: the slot's prediction-cache key, or the app of an
-    /// observation group (so it reaches the shard that refits that app).
-    std::string route_key;
-    std::string payload;  ///< The frame payload, verbatim.
-  };
-  rpc::FrameType type = rpc::FrameType::kRecommend;
-  Join join = Join::kSingle;
-  std::vector<Leg> legs;
 };
 
 /// Validates a POST /v1/recommend body and plans it: a single forwards the
@@ -264,16 +245,17 @@ net::HttpResponse JoinReplies(const ForwardPlan& plan,
 ///                        slot to its own shard
 ///   POST /v1/observe     observations grouped by app, each group routed to
 ///                        the app's shard as a kObserve frame
-///                        (both forwarded from the event loop by the
-///                        LoopForwarder, every leg in flight at once, when
-///                        the body is at most net::kInlineBodyBytes; from
-///                        the handler pool, leg by leg, otherwise)
 ///   GET  /v1/apps        answered by the first healthy shard
-///   POST /v1/reload      broadcast to every shard; per-shard results
+///   POST /v1/reload      sent to every shard; per-shard results
 ///   GET  /livez          200 whenever the router process serves
 ///   GET  /healthz        200 while >=1 shard is healthy, else 503
 ///   GET  /readyz         alias for /healthz (readiness == routable fleet)
 ///   GET  /metrics        router + per-shard series, Prometheus text
+///
+/// The four forwarded routes are planned by one function and sent by the
+/// LoopForwarder, every leg in flight at once: from the event loop when the
+/// body is at most net::kInlineBodyBytes, else from the handler pool through
+/// Handle() and Router::ForwardAndWait().
 class RouterHttpServer {
  public:
   struct Options {
@@ -290,27 +272,26 @@ class RouterHttpServer {
   const std::string& backend() const { return server_.backend(); }
   net::HttpServer::Stats http_stats() const { return server_.GetStats(); }
 
-  /// Full routing of one request over the blocking transport (the
-  /// handler-pool path). Public so tests can exercise routes without a
-  /// socket.
+  /// Full routing of one request, blocking (the handler-pool path): plan,
+  /// Router::ForwardAndWait(), JoinReplies(). Public so tests can exercise
+  /// routes without a socket.
   net::HttpResponse Handle(const net::HttpRequest& request);
 
   std::string MetricsText() const;
 
  private:
+  /// The plan of a forwarded route (recommend, observe, apps, reload) with
+  /// its method, or its 400; nullopt for every other request.
+  std::optional<StatusOr<ForwardPlan>> Plan(const net::HttpRequest& request,
+                                            const std::string& path) const;
   /// Event-loop fast path: the GET health probes, which must answer even
   /// while every handler thread waits on a slow shard.
   std::optional<net::HttpResponse> HandleFast(const net::HttpRequest& request);
-  /// Event-loop deferred path: plans recommends and observations of at
-  /// most net::kInlineBodyBytes and forwards them through `forwarder_`;
-  /// declines larger bodies and every other route.
+  /// Event-loop deferred path: plans forwarded routes whose body is at most
+  /// net::kInlineBodyBytes and sends them through `forwarder_`; declines
+  /// larger bodies and every other request.
   bool ForwardOnLoop(const net::HttpRequest& request,
                      const net::HttpServer::Reply& reply);
-  /// The blocking path of a plan: its legs one after another, then the
-  /// same join.
-  net::HttpResponse RunPlan(StatusOr<ForwardPlan> plan);
-  net::HttpResponse HandleApps();
-  net::HttpResponse HandleReload();
 
   Router* router_;  ///< Not owned; outlives the server.
   std::unique_ptr<LoopForwarder> forwarder_;  ///< Loop-thread state.

@@ -130,7 +130,7 @@ class CAPABILITY("lock-rank") LockRankAnchor {
 };
 
 extern LockRankAnchor kNetOrder;       ///< rank 10: event-loop completion lists
-extern LockRankAnchor kClusterOrder;   ///< rank 14: router shard pools
+extern LockRankAnchor kClusterOrder;   ///< rank 14: router idle forwarders
 extern LockRankAnchor kServiceOrder;   ///< rank 20: thread pool, app counters
 extern LockRankAnchor kRegistryOrder;  ///< rank 30: model registry snapshot
 extern LockRankAnchor kCacheOrder;     ///< rank 40: prediction cache shards

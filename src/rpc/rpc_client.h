@@ -12,9 +12,7 @@ namespace juggler::rpc {
 /// \brief Blocking JRPC client: one RpcChannel driven on a private poll(2)
 /// poller, one call in flight at a time.
 ///
-/// The router's blocking routes (bodies over the inline cap, apps, reload
-/// and the public Router::Forward calls) borrow these from a small pool per
-/// shard, and its prober keeps one per shard. Not thread-safe: one thread
+/// The router's prober keeps one per shard. Not thread-safe: one thread
 /// uses a client at a time.
 ///
 /// Call() queues one frame and turns the channel's loop (wait, read, check

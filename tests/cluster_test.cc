@@ -1,8 +1,9 @@
 // Tests for the src/cluster subsystem: HashRing properties (spread,
 // stability, failover order), the ShardServer frame protocol and its inline
 // answers, and the Router + RouterHttpServer end-to-end paths over real
-// loopback RPC — the blocking Handle() path and the event-loop forwarding
-// path — including the reroute-on-shard-kill chaos tests (ctest -L chaos).
+// loopback RPC — the blocking Handle() entry point and the event loop, which
+// forward through the same LoopForwarder — including the
+// reroute-on-shard-kill chaos tests (ctest -L chaos).
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -534,10 +535,10 @@ TEST(RouterTest, AppsAndReloadAndMetricsRoutes) {
             std::string::npos);
   EXPECT_NE(metrics.body.find("juggler_router_healthy_shards"),
             std::string::npos);
-  // Lock-pressure series: the router's shard pools are named lock classes,
-  // so their counters must surface here.
+  // Lock-pressure series: the router's idle blocking forwarders sit behind
+  // a named lock class, so its counters must surface here.
   EXPECT_NE(metrics.body.find("juggler_lock_acquisitions_total{lock="
-                              "\"cluster.Router.shard_pool\"}"),
+                              "\"cluster.Router.idle_forwarders\"}"),
             std::string::npos)
       << metrics.body;
   EXPECT_NE(metrics.body.find("juggler_lock_hold_seconds_total"),
@@ -693,6 +694,38 @@ TEST(RouterChaosTest, FailoverReroutesTheDeadOwnersKeysToTheSurvivor) {
       << "the dead owner was tried first and failed transport-wise";
   EXPECT_EQ(after[survivor].requests, before[survivor].requests + 1);
   EXPECT_FALSE(after[owner].healthy);
+}
+
+TEST(RouterChaosTest, ReloadWithAShardDownReportsThatShardsOwnError) {
+  ClusterFixture f("reload_down");
+  const std::string live = "127.0.0.1:" +
+                           std::to_string(f.shards[0]->server->port());
+  const std::string dead = "127.0.0.1:" +
+                           std::to_string(f.shards[1]->server->port());
+  // Killed before any request: the router has no connection to it.
+  f.shards[1]->server->Stop();
+  rpc::RpcFrame reload;
+  reload.type = rpc::FrameType::kReload;
+  const std::string live_reply = f.shards[0]->server->Handle(reload).payload;
+  // A reload is pinned to each shard: the dead one's entry is its own dial
+  // failure, not a failover walk's "all shards failed" summary.
+  const std::string expected =
+      R"({"shards":[{"shard":")" + live + R"(","reply":)" + live_reply +
+      R"(},{"shard":")" + dead +
+      R"(","error":{"error":{"code":"INTERNAL","message":"connect )" + dead +
+      R"(: Connection refused"}}}]})";
+
+  const auto handled = f.http->Handle(MakeRequest("POST", "/v1/reload"));
+  EXPECT_EQ(handled.status, 200);
+  EXPECT_EQ(handled.body, expected);
+  HttpClient client(f.StartHttp());
+  const auto looped = client.Call("POST", "/v1/reload");
+  EXPECT_EQ(looped.status, 200);
+  EXPECT_EQ(looped.body, expected);
+  EXPECT_EQ(f.router->reroutes(), 0u) << "a reload never reroutes";
+  const auto stats = f.router->GetShardStats();
+  EXPECT_EQ(stats[1].errors, 2u);
+  EXPECT_EQ(stats[0].errors, 0u);
 }
 
 TEST(RouterChaosTest, AllShardsDownIs503ShapedAndHealthzGoesRed) {
@@ -874,6 +907,45 @@ TEST(RouterLoopTest, ValidationErrorsAndBatchesKeepTheirAnswers) {
   EXPECT_EQ(bad_batch.body,
             f.http->Handle(MakeRequest("POST", "/v1/recommend", malformed))
                 .body);
+}
+
+TEST(RouterLoopTest, AppsAndReloadAreForwardedFromTheLoop) {
+  ClusterFixture f("loop_admin");
+  // Golden documents, built from the shards' own replies: apps from the
+  // first shard (index order), reload from every shard, joined by address.
+  rpc::RpcFrame apps;
+  apps.type = rpc::FrameType::kApps;
+  rpc::RpcFrame reload;
+  reload.type = rpc::FrameType::kReload;
+  const std::string expected_apps = f.shards[0]->server->Handle(apps).payload;
+  std::string expected_reload = R"({"shards":[)";
+  for (size_t s = 0; s < f.shards.size(); ++s) {
+    expected_reload += std::string(s == 0 ? "" : ",") + R"({"shard":"127.0.0.1:)" +
+                       std::to_string(f.shards[s]->server->port()) +
+                       R"(","reply":)" +
+                       f.shards[s]->server->Handle(reload).payload + "}";
+  }
+  expected_reload += "]}";
+
+  const auto handled_apps = f.http->Handle(MakeRequest("GET", "/v1/apps"));
+  ASSERT_EQ(handled_apps.status, 200) << handled_apps.body;
+  EXPECT_EQ(handled_apps.body, expected_apps);
+  const auto handled_reload =
+      f.http->Handle(MakeRequest("POST", "/v1/reload"));
+  ASSERT_EQ(handled_reload.status, 200) << handled_reload.body;
+  EXPECT_EQ(handled_reload.body, expected_reload);
+
+  HttpClient client(f.StartHttp());
+  const auto before = f.http->http_stats();
+  const auto looped_apps = client.Call("GET", "/v1/apps");
+  EXPECT_EQ(looped_apps.status, 200);
+  EXPECT_EQ(looped_apps.body, expected_apps);
+  const auto looped_reload = client.Call("POST", "/v1/reload");
+  EXPECT_EQ(looped_reload.status, 200);
+  EXPECT_EQ(looped_reload.body, expected_reload);
+  EXPECT_EQ(f.http->http_stats().fast_path, before.fast_path + 2)
+      << "apps and reload are forwarded from the loop, not the pool";
+  EXPECT_EQ(f.router->reroutes(), 0u);
 }
 
 TEST(RouterLoopTest, SpanningBatchesAndMultiAppObservationsMatchHandle) {

@@ -122,6 +122,28 @@ TEST(LintNakedNew, AllowsDeletedMembersMakeUniqueAndNonSrc) {
                        "naked-new"));
 }
 
+TEST(LintNakedNew, DigitSeparatorsDoNotOpenCharLiterals) {
+  // Numbers with digit separators, then comments that say "new": the
+  // separators' apostrophes must not be read as quotes, or the quoting goes
+  // out of step and an apostrophe in a later comment turns its text into
+  // code.
+  for (const std::string ok : {
+           "constexpr int kMillion = 1'000'000;  // a new cap\n",
+           "constexpr long kBillion = 1'000'000'000;\n"
+           "// The registry's new snapshot\n",
+           "constexpr int kThousand = 1'000;\n"
+           "// it's new\n",
+           "constexpr double kStep = 0x1'0p-4;  // isn't new\n",
+           "const char kQuote = '\\'';  // it's new\n",
+       }) {
+    EXPECT_FALSE(HasRule(LintFile("src/core/foo.cc", ok), "naked-new")) << ok;
+  }
+  // A real `new` after a separated number is still found.
+  EXPECT_TRUE(HasRule(
+      LintFile("src/core/foo.cc", "int n = 1'000; auto* p = new Foo();\n"),
+      "naked-new"));
+}
+
 // ---------------------------------------------------------------------------
 // raw-sync-primitive
 // ---------------------------------------------------------------------------
@@ -360,6 +382,29 @@ TEST(LintBlockingUnderLock, PingAndRouterForwardAreRoundTrips) {
       "  }\n"
       "  healthy_ = client->Ping().ok();\n"
       "  auto reply = router->Forward(type, key, payload);\n"
+      "}\n";
+  EXPECT_FALSE(HasRule(LintFile("src/cluster/foo.cc", good),
+                       "blocking-under-lock"));
+}
+
+TEST(LintBlockingUnderLock, ForwardAndWaitIsARoundTrip) {
+  const std::string bad =
+      "void Foo::Reload() {\n"
+      "  MutexLock lock(mu_);\n"
+      "  auto results = router->ForwardAndWait(plan);\n"
+      "}\n";
+  const auto findings = LintFile("src/cluster/foo.cc", bad);
+  EXPECT_EQ(CountRule(findings, "blocking-under-lock"), 1);
+  ASSERT_FALSE(findings.empty());
+  EXPECT_EQ(findings[0].line, 3);
+
+  const std::string good =
+      "void Foo::Reload() {\n"
+      "  {\n"
+      "    MutexLock lock(mu_);\n"
+      "    ++reloads_;\n"
+      "  }\n"
+      "  auto results = router->ForwardAndWait(plan);\n"
       "}\n";
   EXPECT_FALSE(HasRule(LintFile("src/cluster/foo.cc", good),
                        "blocking-under-lock"));

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -80,8 +82,12 @@ std::vector<Observation> TruthObservations(const TrainedJuggler& truth,
   return out;
 }
 
+/// A fresh directory for `test_name`, private to this process: two
+/// processes running one test binary at once must not clear each other's.
 fs::path MakeModelDir(const std::string& test_name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("online_" + test_name);
+  const fs::path dir =
+      fs::path(testing::TempDir()) /
+      ("online_" + test_name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -52,9 +54,12 @@ TrainedJuggler Variant(const TrainedJuggler& model, double scale) {
                         model.memory(), std::move(scaled));
 }
 
+/// A fresh directory for `test_name`, private to this process: two
+/// processes running one test binary at once must not clear each other's.
 fs::path MakeModelDir(const std::string& test_name) {
   const fs::path dir =
-      fs::path(testing::TempDir()) / ("publish_" + test_name);
+      fs::path(testing::TempDir()) /
+      ("publish_" + test_name + "_" + std::to_string(::getpid()));
   fs::remove_all(dir);
   fs::create_directories(dir);
   return dir;

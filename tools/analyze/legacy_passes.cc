@@ -364,8 +364,8 @@ class BlockingUnderLockPass final : public Pass {
         // File I/O entry points.
         "fopen", "ifstream", "ofstream", "fstream",
         // Repo blocking entry points: RPC round-trips and registry file I/O.
-        "Call", "CallAny", "Broadcast", "Ping", "Forward", "Dial", "Resolve",
-        "Lookup", "Refresh", "ForwardRecommend",
+        "Call", "Ping", "Forward", "Dial", "Resolve", "Lookup", "Refresh",
+        "ForwardRecommend", "ForwardAndWait",
     };
     const auto is_banned = [](const std::string& ident) {
       for (const char* token : kBanned) {

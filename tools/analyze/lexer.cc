@@ -48,6 +48,20 @@ size_t SkipRawString(const std::string& s, size_t i, int* line) {
   return end + closer.size();
 }
 
+/// One past the end of the number literal starting at `i`: 0x1F,
+/// 1'000'000, 1.5e-3 and suffixes, digit separators included.
+size_t SkipNumber(const std::string& s, size_t i) {
+  size_t j = i;
+  while (j < s.size() &&
+         (IsIdentChar(s[j]) || s[j] == '.' || s[j] == '\'' ||
+          ((s[j] == '+' || s[j] == '-') && j > i &&
+           (s[j - 1] == 'e' || s[j - 1] == 'E' || s[j - 1] == 'p' ||
+            s[j - 1] == 'P')))) {
+    ++j;
+  }
+  return j;
+}
+
 }  // namespace
 
 bool IsIdentChar(char c) {
@@ -138,14 +152,7 @@ std::vector<Token> Lex(const std::string& content) {
 
     // Number (covers 0x1F, 1'000'000, 1.5e-3, trailing suffixes).
     if (IsDigit(c) || (c == '.' && IsDigit(next))) {
-      size_t j = i;
-      while (j < n && (IsIdentChar(content[j]) || content[j] == '.' ||
-                       content[j] == '\'' ||
-                       ((content[j] == '+' || content[j] == '-') && j > i &&
-                        (content[j - 1] == 'e' || content[j - 1] == 'E' ||
-                         content[j - 1] == 'p' || content[j - 1] == 'P')))) {
-        ++j;
-      }
+      const size_t j = SkipNumber(content, i);
       tokens.push_back(
           Token{TokenKind::kNumber, content.substr(i, j - i), line});
       i = j;
@@ -221,6 +228,10 @@ std::string StripCommentsAndStrings(const std::string& content) {
             }
             i = after - 1;
           }
+        } else if ((IsDigit(c) || (c == '.' && IsDigit(next))) &&
+                   (i == 0 || !IsIdentChar(content[i - 1]))) {
+          // A number is code, and its digit separators are not quotes.
+          i = SkipNumber(content, i) - 1;
         } else if (c == '"') {
           state = State::kString;
         } else if (c == '\'') {

@@ -296,10 +296,12 @@ class ClusterStack : public Stack {
   }
 
   void ReloadModels() override {
-    for (const auto& result :
-         router_->Broadcast(rpc::FrameType::kReload, "")) {
-      (void)result;  // Best effort: downed shards are expected to fail.
-    }
+    // Best effort: downed shards report their failure in the reply.
+    net::HttpRequest reload;
+    reload.method = "POST";
+    reload.target = "/v1/reload";
+    reload.version = "HTTP/1.1";
+    (void)http_->Handle(reload);
   }
 
   void Stop() override {
