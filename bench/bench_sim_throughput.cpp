@@ -7,15 +7,21 @@
 //
 //   bench_sim_throughput [rounds] [out-json]
 //
-// Each round runs every workload's default plan at its paper parameters,
-// instrumented, so the per-run task counts come from the profile the engine
-// actually collected rather than a side calculation.
+// Each round runs every workload's default plan at its paper parameters
+// twice: instrumented, so the per-run task counts come from the profile the
+// engine actually collected rather than a side calculation, and
+// uninstrumented (no profile), the path Juggler's training runs take. The
+// apps are built once, outside the clock, so both rates time the engine
+// alone. The uninstrumented rate divides the instrumented pass's task count
+// by its own time: both passes run the same apps with the same seeds, and a
+// run's tasks do not depend on instrumentation.
 
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <vector>
 
 #include "bench/bench_common.h"
 
@@ -33,16 +39,18 @@ int main(int argc, char** argv) {
   }
 
   std::printf("== Simulation engine throughput ==\n");
-  const auto all = workloads::AllWorkloads();
+  std::vector<minispark::Application> apps;
+  for (const auto& w : workloads::AllWorkloads()) {
+    apps.push_back(w.make(w.paper_params));
+  }
+  const minispark::ClusterConfig cluster = minispark::PaperCluster(4);
 
   minispark::RunOptions options = ActualRunOptions();
   options.instrument = true;
 
   // Warmup: one untimed pass (first-touch allocations, page faults).
-  for (const auto& w : all) {
-    minispark::Engine engine(options);
-    auto r = engine.Run(w.make(w.paper_params), minispark::PaperCluster(4),
-                        w.make(w.paper_params).default_plan);
+  for (const auto& app : apps) {
+    auto r = minispark::Engine(options).Run(app, cluster, app.default_plan);
     if (!r.ok()) {
       std::fprintf(stderr, "FAIL: warmup run failed: %s\n",
                    r.status().ToString().c_str());
@@ -50,30 +58,42 @@ int main(int argc, char** argv) {
     }
   }
 
+  // One timed pass: every app `rounds` times, round r with seed 42 + r.
+  // Returns the wall seconds; `on_run` sees each run's result.
+  const auto timed_pass = [&](bool instrument, auto&& on_run) {
+    options.instrument = instrument;
+    const auto start = std::chrono::steady_clock::now();
+    for (int round = 0; round < rounds; ++round) {
+      options.seed = 42 + static_cast<uint64_t>(round);
+      for (const auto& app : apps) {
+        auto r = minispark::Engine(options).Run(app, cluster, app.default_plan);
+        if (!r.ok() || (instrument && r->profile == nullptr)) {
+          std::fprintf(stderr, "FAIL: run of %s failed\n", app.name.c_str());
+          std::exit(1);
+        }
+        on_run(*r);
+      }
+    }
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         start)
+        .count();
+  };
+
   int64_t total_tasks = 0;
   int64_t total_runs = 0;
   double simulated_ms = 0.0;
-  const auto start = std::chrono::steady_clock::now();
-  for (int round = 0; round < rounds; ++round) {
-    for (const auto& w : all) {
-      options.seed = 42 + static_cast<uint64_t>(round);
-      minispark::Engine engine(options);
-      auto r = engine.Run(w.make(w.paper_params), minispark::PaperCluster(4),
-                          w.make(w.paper_params).default_plan);
-      if (!r.ok() || r->profile == nullptr) {
-        std::fprintf(stderr, "FAIL: instrumented run of %s failed\n",
-                     w.name.c_str());
-        return 1;
-      }
-      total_tasks += static_cast<int64_t>(r->profile->tasks().size());
-      simulated_ms += r->duration_ms;
-      ++total_runs;
-    }
-  }
   const double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
+      timed_pass(true, [&](const minispark::RunResult& r) {
+        total_tasks += static_cast<int64_t>(r.profile->tasks().size());
+        simulated_ms += r.duration_ms;
+        ++total_runs;
+      });
+  const double plain_elapsed_s =
+      timed_pass(false, [](const minispark::RunResult&) {});
+
   const double tasks_per_s = static_cast<double>(total_tasks) / elapsed_s;
+  const double plain_tasks_per_s =
+      static_cast<double>(total_tasks) / plain_elapsed_s;
   const double runs_per_s = static_cast<double>(total_runs) / elapsed_s;
   // How much faster than real time the simulation runs: simulated
   // machine-time executed per wall second.
@@ -83,20 +103,23 @@ int main(int argc, char** argv) {
               static_cast<long long>(total_runs),
               static_cast<long long>(total_tasks), elapsed_s);
   std::printf("simulated tasks/s:  %10.0f\n", tasks_per_s);
+  std::printf("uninstrumented:     %10.0f tasks/s (%.3f s)\n",
+              plain_tasks_per_s, plain_elapsed_s);
   std::printf("runs/s:             %10.1f\n", runs_per_s);
   std::printf("time compression:   %10.0fx real time\n", time_compression);
 
   // Persisted perf trajectory: one flat JSON document per run.
   {
     std::ofstream out(output_json);
-    char json[320];
+    char json[384];
     std::snprintf(json, sizeof(json),
                   "{\"bench\":\"sim\",\"rounds\":%d,\"runs\":%lld,"
                   "\"tasks\":%lld,\"wall_s\":%.3f,\"tasks_per_s\":%.0f,"
+                  "\"uninstrumented_tasks_per_s\":%.0f,"
                   "\"runs_per_s\":%.1f,\"time_compression\":%.0f}\n",
                   rounds, static_cast<long long>(total_runs),
                   static_cast<long long>(total_tasks), elapsed_s, tasks_per_s,
-                  runs_per_s, time_compression);
+                  plain_tasks_per_s, runs_per_s, time_compression);
     out << json;
     if (!out) {
       std::fprintf(stderr, "FAIL: cannot write %s\n", output_json.c_str());

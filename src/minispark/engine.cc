@@ -1,7 +1,6 @@
 #include "minispark/engine.h"
 
 #include <algorithm>
-#include <functional>
 #include <map>
 #include <set>
 #include <vector>
@@ -88,8 +87,8 @@ struct Stage {
   std::vector<std::pair<DatasetId, double>> shuffle_writes;
 };
 
-/// One cost piece of a task, in evaluation order. Pieces become profiling
-/// records when instrumenting.
+/// One cost piece of a task, in evaluation order. Only instrumented runs
+/// record pieces, as profiling records; the others only sum their ms.
 struct Piece {
   DatasetId dataset = kInvalidDataset;
   TransformPart part = TransformPart::kMain;
@@ -146,6 +145,10 @@ struct MachineState {
 
   UnifiedMemoryManager mem;
   std::vector<double> core_free_ms;
+  /// The running stage's execution memory granted on this machine, and the
+  /// compute multiplier its shortfall causes (spilling).
+  double granted = 0.0;
+  double spill_factor = 1.0;
 };
 
 /// Whole-run mutable state threaded through job/stage execution.
@@ -155,22 +158,22 @@ class RunState {
            const CachePlan& plan, const RunOptions& options)
       : app_(app),
         cluster_(cluster),
-        plan_(plan),
         options_(options),
         fault_plan_(options.faults),
         rng_(options.seed),
         costs_(PartitionCosts(app, cluster)),
         ever_stored_(static_cast<size_t>(app.num_datasets())),
         lost_pending_(static_cast<size_t>(app.num_datasets())),
-        materialized_(static_cast<size_t>(app.num_datasets()), false),
-        persisted_(static_cast<size_t>(app.num_datasets()), false),
+        materialized_(static_cast<size_t>(app.num_datasets()), 0),
+        persisted_(static_cast<size_t>(app.num_datasets()), 0),
         drop_with_(static_cast<size_t>(app.num_datasets())),
+        stage_of_(static_cast<size_t>(app.num_datasets()), -1),
         shuffle_hosts_(static_cast<size_t>(app.num_datasets()), 0),
         machine_ready_ms_(static_cast<size_t>(cluster.num_machines), 0.0),
         stats_(static_cast<size_t>(app.num_datasets())),
-        stats_touched_(static_cast<size_t>(app.num_datasets()), false) {
+        stats_touched_(static_cast<size_t>(app.num_datasets()), 0) {
     for (DatasetId d : plan.PersistedDatasets()) {
-      persisted_[static_cast<size_t>(d)] = true;
+      persisted_[static_cast<size_t>(d)] = 1;
       drop_with_[static_cast<size_t>(d)] = plan.UnpersistBefore(d);
     }
     machines_.reserve(static_cast<size_t>(cluster.num_machines));
@@ -192,17 +195,26 @@ class RunState {
 
  private:
   [[nodiscard]] Status ExecuteJob(int job_index);
-  void BuildStages(DatasetId target, std::vector<Stage>* stages);
+
+  /// Plans the job computing `target` into `stages_` (the target's stage
+  /// first) and `stage_of_`.
+  void BuildStages(DatasetId target);
+
+  /// Returns the stage whose terminal is `root`, creating it (and, through
+  /// its wide members, its parent stages) if the job has none yet.
+  int CreateStage(DatasetId root);
+
+  /// Appends stage `s`'s parent stages, then `s`, to `order`, skipping
+  /// stages already placed (`placed`, indexed by stage).
+  void OrderStages(int s, std::vector<char>* placed, std::vector<int>* order);
 
   /// Executes one stage at a named point: assigns a fresh stage id, fires
   /// the fault plan's executor losses for it, re-executes parents whose
   /// shuffle output was lost, then runs the tasks. Returns the stage end
   /// time, or kAborted (task attempts exhausted / recovery cascade too
   /// deep).
-  [[nodiscard]] StatusOr<double> ExecuteStage(
-      const std::vector<Stage>& stages, int stage_index,
-      const std::map<DatasetId, int>& by_terminal, int job_index,
-      double start_ms, int depth);
+  [[nodiscard]] StatusOr<double> ExecuteStage(int stage_index, int job_index,
+                                              double start_ms, int depth);
 
   /// Runs the stage's tasks (all of them, or — on a re-execution — only the
   /// tasks whose shuffle output lived on `only_machines`).
@@ -216,13 +228,20 @@ class RunState {
   void ApplyExecutorLosses(int job_index, int stage_id, double now_ms);
 
   /// Recursively resolves the cost of obtaining partition `partition` of
-  /// dataset `d` on machine `m`, appending cost pieces to `pieces_` in
-  /// evaluation order.
+  /// dataset `d` on machine `m`, adding each cost piece to the task in
+  /// evaluation order (AddPiece).
   void ResolveChain(DatasetId d, int partition, MachineState& machine);
+
+  /// Adds a cost piece to the task being run: its ms to `work_ms_`, and the
+  /// piece itself to `pieces_` when instrumenting.
+  void AddPiece(const Piece& piece) {
+    work_ms_ += piece.ms;
+    if (profile_) pieces_.push_back(piece);
+  }
 
   /// The stats of `d`, which RunResult::dataset_stats then reports.
   DatasetCacheStats& StatsOf(DatasetId d) {
-    stats_touched_[static_cast<size_t>(d)] = true;
+    stats_touched_[static_cast<size_t>(d)] = 1;
     return stats_[static_cast<size_t>(d)];
   }
 
@@ -238,14 +257,15 @@ class RunState {
 
   const Application& app_;
   const ClusterConfig& cluster_;
-  const CachePlan& plan_;
   const RunOptions& options_;
   FaultPlan fault_plan_;
   Rng rng_;
 
   const std::vector<PartitionCost> costs_;  ///< Indexed by DatasetId.
   std::vector<MachineState> machines_;
-  /// The cost pieces of the task being run; one buffer for the whole run.
+  /// The work of the task being run, summed in evaluation order, and its
+  /// cost pieces when instrumenting (one buffer for the whole run).
+  double work_ms_ = 0.0;
   std::vector<Piece> pieces_;
   /// ever_stored_[d] holds partition indices of d that were cached at some
   /// point (distinguishes first materialization from eviction recompute).
@@ -254,12 +274,18 @@ class RunState {
   /// recomputed — the recompute that clears an entry counts as
   /// `partitions_recomputed_after_loss`.
   std::vector<PartitionSet> lost_pending_;
-  std::vector<bool> materialized_;
-  /// Dynamic persist state: true while p(d) is in effect; cleared when a
+  std::vector<char> materialized_;
+  /// Dynamic persist state: set while p(d) is in effect; cleared when a
   /// u(d) op triggers (an unpersisted dataset is never re-stored).
-  std::vector<bool> persisted_;
+  std::vector<char> persisted_;
   /// drop_with_[y]: datasets to unpersist while y first materializes.
   std::vector<std::vector<DatasetId>> drop_with_;
+
+  /// The current job's stages; its target's stage is stages_[0].
+  std::vector<Stage> stages_;
+  /// stage_of_[d]: the index in stages_ of the stage whose terminal is d,
+  /// or -1.
+  std::vector<int> stage_of_;
 
   /// Shuffle-output bookkeeping for stage re-execution, keyed by the
   /// terminal dataset of each completed shuffle-writing stage: machines
@@ -279,7 +305,7 @@ class RunState {
   // Aggregated stats. stats_touched_[d] marks the datasets that
   // RunResult::dataset_stats reports (those whose stats were ever updated).
   std::vector<DatasetCacheStats> stats_;
-  std::vector<bool> stats_touched_;
+  std::vector<char> stats_touched_;
   int64_t hits_ = 0;
   int64_t recomputes_ = 0;
   int64_t tasks_retried_ = 0;
@@ -293,61 +319,71 @@ class RunState {
   std::shared_ptr<ProfilingDb> profile_;
 };
 
-void RunState::BuildStages(DatasetId target, std::vector<Stage>* stages) {
-  std::map<DatasetId, int> stage_of_terminal;
+void RunState::BuildStages(DatasetId target) {
+  for (const Stage& stage : stages_) {
+    stage_of_[static_cast<size_t>(stage.terminal)] = -1;
+  }
+  stages_.clear();
+  CreateStage(target);
+}
 
-  std::function<int(DatasetId)> create = [&](DatasetId root) -> int {
-    if (auto it = stage_of_terminal.find(root); it != stage_of_terminal.end()) {
-      return it->second;
-    }
-    const int index = static_cast<int>(stages->size());
-    stages->push_back(Stage{});
-    stage_of_terminal[root] = index;
-    (*stages)[static_cast<size_t>(index)].terminal = root;
+int RunState::CreateStage(DatasetId root) {
+  if (const int existing = stage_of_[static_cast<size_t>(root)];
+      existing >= 0) {
+    return existing;
+  }
+  const int index = static_cast<int>(stages_.size());
+  stages_.push_back(Stage{});
+  stage_of_[static_cast<size_t>(root)] = index;
+  stages_[static_cast<size_t>(index)].terminal = root;
 
-    std::vector<DatasetId> stack = {root};
-    std::set<DatasetId> visited = {root};
-    while (!stack.empty()) {
-      const DatasetId id = stack.back();
-      stack.pop_back();
-      (*stages)[static_cast<size_t>(index)].members.push_back(id);
-      const Dataset& ds = app_.dataset(id);
-      if (ds.kind == TransformKind::kWide) {
-        // The wide dataset reads shuffle output; its parents terminate
-        // parent stages. If the wide dataset is fully cached, Spark skips
-        // the parent stages entirely.
-        if (plan_.IsPersisted(id) && FullyCached(id)) continue;
-        for (DatasetId p : ds.parents) {
-          const int parent_index = create(p);
-          Stage& self = (*stages)[static_cast<size_t>(index)];
-          self.parent_stage_terminals.push_back(
-              (*stages)[static_cast<size_t>(parent_index)].terminal);
-          // Parent stage writes this wide child's shuffle input.
-          (*stages)[static_cast<size_t>(parent_index)].shuffle_writes.push_back(
-              {id, app_.dataset(p).PartitionBytes()});
-        }
-      } else {
-        for (DatasetId p : ds.parents) {
-          if (visited.insert(p).second) stack.push_back(p);
+  // This stage's own walk: a dataset two stages pipeline is a member of
+  // both. Creating a parent stage may grow stages_, so it is indexed anew.
+  std::vector<DatasetId> stack = {root};
+  std::vector<char> visited(static_cast<size_t>(app_.num_datasets()), 0);
+  visited[static_cast<size_t>(root)] = 1;
+  while (!stack.empty()) {
+    const DatasetId id = stack.back();
+    stack.pop_back();
+    stages_[static_cast<size_t>(index)].members.push_back(id);
+    const Dataset& ds = app_.dataset(id);
+    if (ds.kind == TransformKind::kWide) {
+      // The wide dataset reads shuffle output; its parents terminate
+      // parent stages. If the wide dataset is fully cached, Spark skips
+      // the parent stages entirely.
+      if (persisted_[static_cast<size_t>(id)] != 0 && FullyCached(id)) {
+        continue;
+      }
+      for (DatasetId p : ds.parents) {
+        const int parent_index = CreateStage(p);
+        Stage& parent = stages_[static_cast<size_t>(parent_index)];
+        stages_[static_cast<size_t>(index)].parent_stage_terminals.push_back(
+            parent.terminal);
+        // Parent stage writes this wide child's shuffle input.
+        parent.shuffle_writes.push_back({id, app_.dataset(p).PartitionBytes()});
+      }
+    } else {
+      for (DatasetId p : ds.parents) {
+        if (visited[static_cast<size_t>(p)] == 0) {
+          visited[static_cast<size_t>(p)] = 1;
+          stack.push_back(p);
         }
       }
     }
-    return index;
-  };
-
-  create(target);
+  }
+  return index;
 }
 
 void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine) {
   const PartitionCost& cost = costs_[static_cast<size_t>(d)];
   const BlockId bid{d, partition};
-  const bool persisted = persisted_[static_cast<size_t>(d)];
+  const bool persisted = persisted_[static_cast<size_t>(d)] != 0;
 
   if (persisted && machine.mem.TouchBlock(bid)) {
     ++hits_;
     ++StatsOf(d).hits;
-    pieces_.push_back(Piece{d, TransformPart::kMain, cost.cache_read_ms,
-                            cost.bytes, true});
+    AddPiece(Piece{d, TransformPart::kMain, cost.cache_read_ms, cost.bytes,
+                   true});
     return;
   }
 
@@ -357,11 +393,10 @@ void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine) {
   if (ds.kind == TransformKind::kNarrow) {
     for (DatasetId p : ds.parents) ResolveChain(p, partition, machine);
   }
-  pieces_.push_back(Piece{d,
-                          ds.kind == TransformKind::kWide
-                              ? TransformPart::kShuffleRead
-                              : TransformPart::kMain,
-                          cost.compute_ms, cost.bytes, false});
+  AddPiece(Piece{d,
+                 ds.kind == TransformKind::kWide ? TransformPart::kShuffleRead
+                                                 : TransformPart::kMain,
+                 cost.compute_ms, cost.bytes, false});
 
   if (persisted) {
     DatasetCacheStats& stats = StatsOf(d);
@@ -422,10 +457,8 @@ void RunState::ApplyExecutorLosses(int job_index, int stage_id,
   }
 }
 
-StatusOr<double> RunState::ExecuteStage(
-    const std::vector<Stage>& stages, int stage_index,
-    const std::map<DatasetId, int>& by_terminal, int job_index,
-    double start_ms, int depth) {
+StatusOr<double> RunState::ExecuteStage(int stage_index, int job_index,
+                                        double start_ms, int depth) {
   if (depth > kMaxRecoveryDepth) {
     return Status::Aborted(
         "stage recovery cascade exceeded depth " +
@@ -433,7 +466,7 @@ StatusOr<double> RunState::ExecuteStage(
         std::to_string(job_index) +
         " (executor losses keep destroying re-executed shuffle output)");
   }
-  const Stage& stage = stages[static_cast<size_t>(stage_index)];
+  const Stage& stage = stages_[static_cast<size_t>(stage_index)];
   const int stage_id = next_stage_id_++;
 
   // Fire the fault plan's losses scheduled at this named point, *before*
@@ -448,12 +481,12 @@ StatusOr<double> RunState::ExecuteStage(
       continue;
     }
     ++stages_reexecuted_;
-    const int parent_index = by_terminal.at(pt);
+    const int parent_index = stage_of_[static_cast<size_t>(pt)];
     const int parent_stage_id = next_stage_id_++;
     ApplyExecutorLosses(job_index, parent_stage_id, start_ms);
     // A loss fired during the re-submission may have grown the lost set of
     // the parent's own parents; recover those first.
-    const Stage& parent = stages[static_cast<size_t>(parent_index)];
+    const Stage& parent = stages_[static_cast<size_t>(parent_index)];
     for (DatasetId grand : parent.parent_stage_terminals) {
       const auto grand_it = shuffle_lost_hosts_.find(grand);
       if (grand_it == shuffle_lost_hosts_.end() || grand_it->second.empty()) {
@@ -461,8 +494,8 @@ StatusOr<double> RunState::ExecuteStage(
       }
       // Delegate to a full recursive execution of the grandparent repair by
       // re-running this loop's machinery one level down.
-      auto repaired = ExecuteStage(stages, parent_index, by_terminal,
-                                   job_index, start_ms, depth + 1);
+      auto repaired =
+          ExecuteStage(parent_index, job_index, start_ms, depth + 1);
       if (!repaired.ok()) return repaired.status();
       start_ms = *repaired;
       break;
@@ -499,11 +532,11 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
   // cleaned up after the stage.
   std::vector<DatasetId> cleanup;
   for (DatasetId member : stage.members) {
-    if (!persisted_[static_cast<size_t>(member)]) continue;
-    if (materialized_[static_cast<size_t>(member)]) continue;
-    materialized_[static_cast<size_t>(member)] = true;
+    if (persisted_[static_cast<size_t>(member)] == 0) continue;
+    if (materialized_[static_cast<size_t>(member)] != 0) continue;
+    materialized_[static_cast<size_t>(member)] = 1;
     for (DatasetId drop : drop_with_[static_cast<size_t>(member)]) {
-      persisted_[static_cast<size_t>(drop)] = false;
+      persisted_[static_cast<size_t>(drop)] = 0;
       cleanup.push_back(drop);
     }
   }
@@ -515,15 +548,15 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     exec_per_task = std::max(
         exec_per_task, app_.dataset(member).exec_memory_per_task_bytes);
   }
-  std::vector<double> granted(machines_.size(), 0.0);
-  std::vector<double> spill_factor(machines_.size(), 1.0);
-  for (size_t m = 0; m < machines_.size(); ++m) {
+  for (MachineState& machine : machines_) {
+    machine.granted = 0.0;
+    machine.spill_factor = 1.0;
     const double want =
         exec_per_task * static_cast<double>(cluster_.cores_per_machine);
     if (want <= 0.0) continue;
-    granted[m] = machines_[m].mem.AcquireExecution(want);
-    const double shortfall = (want - granted[m]) / want;
-    spill_factor[m] = 1.0 + options_.spill_compute_penalty * shortfall;
+    machine.granted = machine.mem.AcquireExecution(want);
+    const double shortfall = (want - machine.granted) / want;
+    machine.spill_factor = 1.0 + options_.spill_compute_penalty * shortfall;
   }
 
   for (size_t m = 0; m < machines_.size(); ++m) {
@@ -566,17 +599,16 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
       }
     }
 
+    work_ms_ = 0.0;
     pieces_.clear();
     ResolveChain(stage.terminal, t, machine);
     for (const auto& [wide_child, bytes] : stage.shuffle_writes) {
-      pieces_.push_back(Piece{wide_child, TransformPart::kShuffleWrite,
-                              bytes / cluster_.disk_bandwidth, 0.0, false});
+      AddPiece(Piece{wide_child, TransformPart::kShuffleWrite,
+                     bytes / cluster_.disk_bandwidth, 0.0, false});
     }
+    const double work_ms = work_ms_;
 
-    double work_ms = 0.0;
-    for (const Piece& piece : pieces_) work_ms += piece.ms;
-
-    double scale = spill_factor[static_cast<size_t>(machine_index)];
+    double scale = machine.spill_factor;
     if (options_.noise_sigma > 0.0) scale *= rng_.Jitter(options_.noise_sigma);
     if (options_.straggler_prob > 0.0 &&
         rng_.Bernoulli(options_.straggler_prob)) {
@@ -630,8 +662,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
         machines_.size() > 1) {
       const double clean_ms =
           cluster_.task_overhead_ms +
-          work_ms * spill_factor[static_cast<size_t>(machine_index)] *
-              instr_factor;
+          work_ms * machine.spill_factor * instr_factor;
       const double detect_ms =
           task_start + clean_ms * options_.faults.speculation_multiplier;
       if (task_finish > detect_ms) {
@@ -646,7 +677,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
           ++speculative_launched_;
           const double spec_finish =
               spec_start + cluster_.task_overhead_ms +
-              work_ms * spill_factor[spec_machine] * instr_factor;
+              work_ms * machines_[spec_machine].spill_factor * instr_factor;
           if (spec_finish < task_finish) {
             ++speculative_wins_;
             effective_finish = spec_finish;
@@ -677,8 +708,8 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     for (double core : m.core_free_ms) end_ms = std::max(end_ms, core);
   }
 
-  for (size_t m = 0; m < machines_.size(); ++m) {
-    if (granted[m] > 0.0) machines_[m].mem.ReleaseExecution(granted[m]);
+  for (MachineState& machine : machines_) {
+    if (machine.granted > 0.0) machine.mem.ReleaseExecution(machine.granted);
   }
   for (DatasetId drop : cleanup) {
     for (auto& m : machines_) m.mem.DropDataset(drop);
@@ -701,33 +732,30 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
   return end_ms;
 }
 
+void RunState::OrderStages(int s, std::vector<char>* placed,
+                           std::vector<int>* order) {
+  if ((*placed)[static_cast<size_t>(s)] != 0) return;
+  (*placed)[static_cast<size_t>(s)] = 1;
+  for (DatasetId pt : stages_[static_cast<size_t>(s)].parent_stage_terminals) {
+    OrderStages(stage_of_[static_cast<size_t>(pt)], placed, order);
+  }
+  order->push_back(s);
+}
+
 Status RunState::ExecuteJob(int job_index) {
   const Job& job = app_.jobs[static_cast<size_t>(job_index)];
   const double job_start = now_ms_;
 
-  std::vector<Stage> stages;
-  BuildStages(job.target, &stages);
+  BuildStages(job.target);
 
   // Topological order: parents before children. Stage creation pushes a
   // child before its parents, so execute in dependency order via DFS.
   std::vector<int> order;
-  std::vector<char> state(stages.size(), 0);  // 0=unseen 1=visiting 2=done
-  std::map<DatasetId, int> by_terminal;
-  for (size_t i = 0; i < stages.size(); ++i) by_terminal[stages[i].terminal] = static_cast<int>(i);
-  std::function<void(int)> visit = [&](int s) {
-    if (state[static_cast<size_t>(s)]) return;
-    state[static_cast<size_t>(s)] = 1;
-    for (DatasetId pt : stages[static_cast<size_t>(s)].parent_stage_terminals) {
-      visit(by_terminal.at(pt));
-    }
-    state[static_cast<size_t>(s)] = 2;
-    order.push_back(s);
-  };
-  visit(0);
+  std::vector<char> placed(stages_.size(), 0);
+  OrderStages(0, &placed, &order);
 
   for (int s : order) {
-    auto end = ExecuteStage(stages, s, by_terminal, job_index, now_ms_,
-                            /*depth=*/0);
+    auto end = ExecuteStage(s, job_index, now_ms_, /*depth=*/0);
     if (!end.ok()) return end.status();
     now_ms_ = *end;
   }
@@ -780,9 +808,9 @@ RunResult RunState::Finish() {
     }
   }
   for (size_t d = 0; d < stats_.size(); ++d) {
-    if (!stats_touched_[d]) continue;
+    if (stats_touched_[d] == 0) continue;
     DatasetCacheStats& stats = stats_[d];
-    if (persisted_[d]) {
+    if (persisted_[d] != 0) {
       stats.persisted_at_end = true;
       for (const auto& m : machines_) {
         stats.resident_at_end += m.mem.NumBlocksOf(static_cast<DatasetId>(d));

@@ -27,9 +27,9 @@ void UnifiedMemoryManager::ReleaseExecution(double bytes) {
 }
 
 bool UnifiedMemoryManager::StoreBlock(BlockId id, double bytes) {
-  if (auto it = index_.find(id); it != index_.end()) {
+  if (const int32_t node = Find(id); node != kNone) {
     // Already cached; treat as a touch.
-    lru_.splice(lru_.end(), lru_, it->second);
+    MoveToBack(node);
     return true;
   }
   const double cap = unified_ - execution_used_;
@@ -47,61 +47,123 @@ bool UnifiedMemoryManager::StoreBlock(BlockId id, double bytes) {
       return false;
     }
   }
-  lru_.push_back(Block{id, bytes});
-  index_.emplace(id, std::prev(lru_.end()));
+  int32_t node = free_;
+  if (node != kNone) {
+    free_ = nodes_[static_cast<size_t>(node)].next;
+  } else {
+    node = static_cast<int32_t>(nodes_.size());
+    nodes_.emplace_back();
+  }
+  nodes_[static_cast<size_t>(node)].id = id;
+  nodes_[static_cast<size_t>(node)].bytes = bytes;
+  LinkBack(node);
   const auto d = static_cast<size_t>(id.dataset);
-  if (d >= blocks_of_.size()) blocks_of_.resize(d + 1, 0);
+  const auto p = static_cast<size_t>(id.partition);
+  if (d >= slot_.size()) {
+    slot_.resize(d + 1);
+    blocks_of_.resize(d + 1, 0);
+  }
+  if (p >= slot_[d].size()) slot_[d].resize(p + 1, kNone);
+  slot_[d][p] = node;
   ++blocks_of_[d];
+  ++num_blocks_;
   storage_used_ += bytes;
   ++blocks_stored_;
   return true;
 }
 
 bool UnifiedMemoryManager::TouchBlock(BlockId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return false;
-  lru_.splice(lru_.end(), lru_, it->second);
+  const int32_t node = Find(id);
+  if (node == kNone) return false;
+  MoveToBack(node);
   return true;
 }
 
 bool UnifiedMemoryManager::HasBlock(BlockId id) const {
-  return index_.contains(id);
+  return Find(id) != kNone;
 }
 
-UnifiedMemoryManager::LruList::iterator UnifiedMemoryManager::Remove(
-    LruList::iterator block) {
-  --blocks_of_[static_cast<size_t>(block->id.dataset)];
-  index_.erase(block->id);
-  return lru_.erase(block);
+void UnifiedMemoryManager::LinkBack(int32_t node) {
+  Node& n = nodes_[static_cast<size_t>(node)];
+  n.prev = tail_;
+  n.next = kNone;
+  if (tail_ != kNone) {
+    nodes_[static_cast<size_t>(tail_)].next = node;
+  } else {
+    head_ = node;
+  }
+  tail_ = node;
+}
+
+void UnifiedMemoryManager::Unlink(int32_t node) {
+  const Node& n = nodes_[static_cast<size_t>(node)];
+  if (n.prev != kNone) {
+    nodes_[static_cast<size_t>(n.prev)].next = n.next;
+  } else {
+    head_ = n.next;
+  }
+  if (n.next != kNone) {
+    nodes_[static_cast<size_t>(n.next)].prev = n.prev;
+  } else {
+    tail_ = n.prev;
+  }
+}
+
+void UnifiedMemoryManager::MoveToBack(int32_t node) {
+  if (node == tail_) return;
+  Unlink(node);
+  LinkBack(node);
+}
+
+int32_t UnifiedMemoryManager::Remove(int32_t node) {
+  Node& n = nodes_[static_cast<size_t>(node)];
+  const int32_t next = n.next;
+  const auto d = static_cast<size_t>(n.id.dataset);
+  --blocks_of_[d];
+  --num_blocks_;
+  slot_[d][static_cast<size_t>(n.id.partition)] = kNone;
+  Unlink(node);
+  n.next = free_;
+  free_ = node;
+  return next;
 }
 
 void UnifiedMemoryManager::DropDataset(DatasetId dataset) {
   // The walk ends at the dataset's last block.
-  for (auto it = lru_.begin(); it != lru_.end() && NumBlocksOf(dataset) > 0;) {
-    if (it->id.dataset == dataset) {
-      storage_used_ -= it->bytes;
-      it = Remove(it);
+  for (int32_t node = head_; node != kNone && NumBlocksOf(dataset) > 0;) {
+    const Node& n = nodes_[static_cast<size_t>(node)];
+    if (n.id.dataset == dataset) {
+      storage_used_ -= n.bytes;
+      node = Remove(node);
     } else {
-      ++it;
+      node = n.next;
     }
   }
   storage_used_ = std::max(0.0, storage_used_);
 }
 
 void UnifiedMemoryManager::DropBlock(BlockId id) {
-  auto it = index_.find(id);
-  if (it == index_.end()) return;
-  storage_used_ = std::max(0.0, storage_used_ - it->second->bytes);
-  Remove(it->second);
+  const int32_t node = Find(id);
+  if (node == kNone) return;
+  storage_used_ =
+      std::max(0.0, storage_used_ - nodes_[static_cast<size_t>(node)].bytes);
+  Remove(node);
 }
 
 std::vector<BlockId> UnifiedMemoryManager::LoseAllBlocks() {
   std::vector<BlockId> lost;
-  lost.reserve(lru_.size());
-  for (const Block& block : lru_) lost.push_back(block.id);
-  blocks_lost_ += static_cast<int64_t>(lru_.size());
-  lru_.clear();
-  index_.clear();
+  lost.reserve(static_cast<size_t>(num_blocks_));
+  for (int32_t node = head_; node != kNone;
+       node = nodes_[static_cast<size_t>(node)].next) {
+    const BlockId id = nodes_[static_cast<size_t>(node)].id;
+    lost.push_back(id);
+    slot_[static_cast<size_t>(id.dataset)][static_cast<size_t>(id.partition)] =
+        kNone;
+  }
+  blocks_lost_ += num_blocks_;
+  nodes_.clear();
+  head_ = tail_ = free_ = kNone;
+  num_blocks_ = 0;
   std::fill(blocks_of_.begin(), blocks_of_.end(), 0);
   storage_used_ = 0.0;
   return lost;
@@ -112,18 +174,19 @@ bool UnifiedMemoryManager::EvictFor(double bytes, DatasetId protect,
   double freed = 0.0;
   // Blocks the walk may still evict. Once none is left, the rest of the list
   // belongs to `protect` and would only be skipped.
-  size_t evictable = lru_.size() - static_cast<size_t>(NumBlocksOf(protect));
-  auto it = lru_.begin();
+  int evictable = num_blocks_ - NumBlocksOf(protect);
+  int32_t node = head_;
   while (evictable > 0 && freed < bytes && storage_used_ > floor) {
-    if (it->id.dataset == protect) {
-      ++it;
+    const Node& n = nodes_[static_cast<size_t>(node)];
+    if (n.id.dataset == protect) {
+      node = n.next;
       continue;
     }
-    freed += it->bytes;
-    storage_used_ -= it->bytes;
+    freed += n.bytes;
+    storage_used_ -= n.bytes;
     ++blocks_evicted_;
-    evicted_blocks_.push_back(it->id);
-    it = Remove(it);
+    evicted_blocks_.push_back(n.id);
+    node = Remove(node);
     --evictable;
   }
   storage_used_ = std::max(0.0, storage_used_);

@@ -3,8 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
-#include <unordered_map>
 #include <vector>
 
 #include "minispark/types.h"
@@ -19,15 +17,6 @@ struct BlockId {
   friend auto operator<=>(const BlockId&, const BlockId&) = default;
 };
 
-struct BlockIdHash {
-  size_t operator()(const BlockId& id) const noexcept {
-    const uint64_t key =
-        (static_cast<uint64_t>(static_cast<uint32_t>(id.dataset)) << 32) |
-        static_cast<uint32_t>(id.partition);
-    return static_cast<size_t>((key * 0x9e3779b97f4a7c15ULL) >> 16);
-  }
-};
-
 /// \brief Per-executor unified memory manager (paper §2.2, Figure 3).
 ///
 /// Mirrors Spark's UnifiedMemoryManager semantics:
@@ -38,6 +27,13 @@ struct BlockIdHash {
 ///    own blocks are never evicted to admit more of the same dataset,
 ///    matching Spark's BlockManager rule);
 ///  - a block larger than what can be freed is simply not cached.
+///
+/// The LRU order is a list of nodes in one vector, linked by int32 indices,
+/// with removed nodes kept on a free list for the next store. Blocks are
+/// found through a slot table indexed by (dataset, partition) that grows on
+/// demand (a partition index may run past its dataset's partition count), so
+/// a lookup, touch or drop never hashes or allocates, and a store allocates
+/// only while the table or the node vector is still growing.
 class UnifiedMemoryManager {
  public:
   UnifiedMemoryManager(double unified_bytes, double min_storage_bytes);
@@ -86,7 +82,7 @@ class UnifiedMemoryManager {
   int64_t blocks_evicted() const { return blocks_evicted_; }
   int64_t blocks_lost() const { return blocks_lost_; }
   int64_t store_rejections() const { return store_rejections_; }
-  int num_blocks() const { return static_cast<int>(index_.size()); }
+  int num_blocks() const { return num_blocks_; }
 
   /// Distinct blocks of `dataset` currently cached.
   int NumBlocksOf(DatasetId dataset) const {
@@ -99,20 +95,40 @@ class UnifiedMemoryManager {
   const std::vector<BlockId>& evicted_blocks() const { return evicted_blocks_; }
 
  private:
-  struct Block {
+  static constexpr int32_t kNone = -1;
+
+  /// A cached block's node in the LRU list; `prev`/`next` are node indices
+  /// (kNone at the ends). A free node's `next` links the free list.
+  struct Node {
     BlockId id;
-    double bytes;
+    double bytes = 0.0;
+    int32_t prev = kNone;
+    int32_t next = kNone;
   };
-  using LruList = std::list<Block>;
+
+  /// The node holding `id`, or kNone.
+  int32_t Find(BlockId id) const {
+    const auto d = static_cast<size_t>(id.dataset);
+    const auto p = static_cast<size_t>(id.partition);
+    if (d >= slot_.size() || p >= slot_[d].size()) return kNone;
+    return slot_[d][p];
+  }
+
+  /// Appends `node` at the most recently used end.
+  void LinkBack(int32_t node);
+  /// Takes `node` out of the LRU list (it stays allocated).
+  void Unlink(int32_t node);
+  /// Moves a cached block to the most recently used end.
+  void MoveToBack(int32_t node);
 
   /// Evicts LRU blocks until at least `bytes` are free for storage, skipping
   /// blocks of `protect` (kInvalidDataset protects nothing) and never letting
   /// storage drop below `floor`. Returns true if the space was freed.
   bool EvictFor(double bytes, DatasetId protect, double floor);
 
-  /// Removes a cached block from the index and the LRU list; returns the
-  /// list position after it.
-  LruList::iterator Remove(LruList::iterator block);
+  /// Removes a cached block from the slot table and the LRU list and frees
+  /// its node; returns the node after it.
+  int32_t Remove(int32_t node);
 
   double unified_;
   double min_storage_;
@@ -120,10 +136,15 @@ class UnifiedMemoryManager {
   double execution_used_ = 0.0;
   double peak_execution_used_ = 0.0;
 
-  LruList lru_;  // front = least recently used.
-  /// Nothing reads the index in key order; the LRU list carries the order.
-  std::unordered_map<BlockId, LruList::iterator, BlockIdHash> index_;
-  /// blocks_of_[d]: blocks of dataset d in `lru_` (grown on first store).
+  std::vector<Node> nodes_;
+  int32_t head_ = kNone;  // Least recently used.
+  int32_t tail_ = kNone;  // Most recently used.
+  int32_t free_ = kNone;  // Free-list head.
+  int num_blocks_ = 0;
+  /// slot_[d][p]: the node of block (d, p), or kNone. Rows grow to the
+  /// largest partition index stored, which may exceed the dataset's count.
+  std::vector<std::vector<int32_t>> slot_;
+  /// blocks_of_[d]: cached blocks of dataset d (grown on first store).
   std::vector<int> blocks_of_;
 
   int64_t blocks_stored_ = 0;

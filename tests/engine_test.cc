@@ -420,11 +420,12 @@ struct Coverage {
   }
 };
 
-/// Instrumented, with the default task noise and stragglers; `faulty` adds
-/// every kind of scheduled fault the engine recovers from.
-RunOptions GoldenOptions(bool faulty) {
+/// Instrumented (unless `instrument` is false), with the default task noise
+/// and stragglers; `faulty` adds every kind of scheduled fault the engine
+/// recovers from.
+RunOptions GoldenOptions(bool faulty, bool instrument = true) {
   RunOptions o;
-  o.instrument = true;
+  o.instrument = instrument;
   if (faulty) {
     o.faults.seed = 7;
     o.faults.task_failure_prob = 0.05;
@@ -484,6 +485,37 @@ TEST(EngineGoldenTest, WorkloadGridIsBitIdentical) {
   EXPECT_EQ(digest.value(), 0xd99f3aa169f1dc5bULL);
 }
 
+// The same grid on the path the training stages take: no profile, default
+// RunOptions otherwise. Nothing is recorded per piece here, so this pins the
+// task durations the engine sums without the profiler's records.
+TEST(EngineGoldenTest, UninstrumentedGridIsBitIdentical) {
+  Digest digest;
+  Coverage coverage;
+  for (const auto& w : workloads::AllWorkloads()) {
+    const Application app = w.make(w.paper_params);
+    for (const CachePlan& plan : {app.default_plan, CachePlan{}}) {
+      for (int machines : {1, 4}) {
+        for (bool faulty : {false, true}) {
+          const auto run =
+              Engine(GoldenOptions(faulty, /*instrument=*/false))
+                  .Run(app, PaperCluster(machines), plan);
+          ASSERT_TRUE(run.ok()) << run.status().ToString();
+          EXPECT_EQ(run->profile, nullptr);
+          digest.Add(run);
+          coverage.Add(run);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(coverage.ok_runs, 40);
+  EXPECT_GT(coverage.evicted, 0);
+  EXPECT_GT(coverage.recomputes, 0);
+  EXPECT_GT(coverage.lost, 0);
+  EXPECT_GT(coverage.retried, 0);
+  EXPECT_GT(coverage.speculative_wins, 0);
+  EXPECT_EQ(digest.value(), 0xa1c891de6a54e19aULL);
+}
+
 TEST(EngineGoldenTest, UnevenParentPartitionCountsAreBitIdentical) {
   const Application app = UnevenParentsApp();
   const CachePlan keep_all{{CacheOp::Persist(1), CacheOp::Persist(2),
@@ -514,6 +546,37 @@ TEST(EngineGoldenTest, UnevenParentPartitionCountsAreBitIdentical) {
   ASSERT_TRUE(run.ok());
   EXPECT_EQ(app.dataset(1).num_partitions, 3);
   EXPECT_EQ(run->dataset_stats.at(1).distinct_cached, 8);
+}
+
+/// "x" (narrow, over a source) is pipelined both by the shuffle-map stage
+/// under "w" and, through "y", by the final stage. The final stage's walk
+/// reaches "w" (creating the map stage, whose walk visits "x") before it
+/// reaches "x" through "y". `y_exec` is "y"'s execution memory per task.
+Application SharedNarrowApp(double y_exec) {
+  DagBuilder b("shared-narrow");
+  const DatasetId src = b.AddSource("src", MiB(64), 4);
+  const DatasetId x = b.AddNarrow("x", {src}, MiB(64), 100.0, MiB(512));
+  const DatasetId w = b.AddWide("w", {x}, MiB(8), 10.0, 4);
+  const DatasetId y = b.AddNarrow("y", {x}, MiB(8), 10.0, y_exec);
+  const DatasetId r = b.AddNarrow("r", {y, w}, MiB(1), 1.0);
+  b.AddJob("job", r, 1024);
+  return std::move(b).Build();
+}
+
+// Each stage walks its own narrow chain: "x" is a member of the final stage
+// too, so that stage reserves x's execution memory and spills as if "y"
+// needed it itself. A walk that shared its visited marks with the map stage
+// would drop "x" from the final stage and run it without the spill.
+TEST(EngineTest, EachStageReservesTheMemoryOfEveryDatasetItPipelines) {
+  const ClusterConfig cluster = SmallCluster(1, GiB(1));
+  const auto shared = Engine(Deterministic())
+                          .Run(SharedNarrowApp(0.0), cluster, CachePlan{});
+  const auto own = Engine(Deterministic())
+                       .Run(SharedNarrowApp(MiB(512)), cluster, CachePlan{});
+  ASSERT_TRUE(shared.ok());
+  ASSERT_TRUE(own.ok());
+  EXPECT_EQ(shared->duration_ms, own->duration_ms);
+  EXPECT_EQ(shared->peak_execution_bytes, own->peak_execution_bytes);
 }
 
 }  // namespace
