@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
-#include <map>
+#include <span>
 #include <set>
 
 namespace juggler::core {
@@ -117,19 +117,12 @@ std::vector<long long> CountComputations(const MergedDag& dag) {
   return counts;
 }
 
-struct TaskKey {
-  int job;
-  int stage;
-  int task;
-  friend auto operator<=>(const TaskKey&, const TaskKey&) = default;
-};
-
-struct GroupKey {
-  DatasetId dataset;
-  TransformPart part;
-  int job;
-  int stage;
-  friend auto operator<=>(const GroupKey&, const GroupKey&) = default;
+/// One task's transform records, [begin, end) of ProfilingDb::transforms(),
+/// with the bounds its last task record reports.
+struct TaskSpan {
+  int stage, task;
+  size_t begin, end;
+  double start_ms, finish_ms;
 };
 
 }  // namespace
@@ -141,97 +134,104 @@ StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
   }
   const MergedDag dag = BuildMergedDag(db);
   const std::vector<long long> counts = CountComputations(dag);
+  const size_t num_datasets = dag.datasets.size();
+  const auto& records = db.transforms();
+  const auto& tasks = db.tasks();
 
-  // Task boundaries, for the three ENT cases of Eq. 2.
-  std::map<TaskKey, std::pair<double, double>> task_bounds;
-  for (const auto& t : db.tasks()) {
-    task_bounds[{t.job, t.stage, t.task_index}] = {t.start_ms, t.finish_ms};
-  }
-  std::map<int, int> stage_tasks;  // stage id -> #tasks.
-  for (const auto& s : db.stages()) stage_tasks[s.stage] = s.num_tasks;
-
-  // Index transform records per task in evaluation order to find each
-  // record's position (first / middle / last).
-  std::map<TaskKey, std::vector<const TransformRecord*>> per_task;
-  for (const auto& r : db.transforms()) {
-    per_task[{r.job, r.stage, r.task_index}].push_back(&r);
-  }
-  for (auto& [key, records] : per_task) {
-    std::sort(records.begin(), records.end(),
-              [](const TransformRecord* a, const TransformRecord* b) {
-                return a->start_ms < b->start_ms;
-              });
-  }
-
-  // ENT samples per (dataset, part, job, stage) group.
-  std::map<GroupKey, std::vector<double>> groups;
-  for (const auto& [key, records] : per_task) {
-    const auto bounds_it = task_bounds.find(key);
-    if (bounds_it == task_bounds.end()) {
+  // A task's transform records are contiguous and in evaluation order, which
+  // gives each one's position (first / middle / last) for the ENT cases of
+  // Eq. 2. Its task records (failed attempts, speculative copy, winner) come
+  // in the same task order; the last one holds the task's bounds.
+  std::vector<TaskSpan> spans;
+  std::vector<std::vector<double>> partition_bytes(num_datasets);  // NaN: none
+  size_t t = 0;
+  for (size_t begin = 0, end; begin < records.size(); begin = end) {
+    const TransformRecord& first = records[begin];
+    const auto same_task = [&first](const auto& r) {
+      return r.job == first.job && r.stage == first.stage &&
+             r.task_index == first.task_index;
+    };
+    for (end = begin; end < records.size() && same_task(records[end]); ++end) {
+      const TransformRecord& r = records[end];
+      if (r.dataset < 0 || static_cast<size_t>(r.dataset) >= num_datasets) {
+        return Status::Internal("transform record of an unknown dataset");
+      }
+      if (r.part == TransformPart::kShuffleWrite) continue;
+      auto& parts = partition_bytes[static_cast<size_t>(r.dataset)];
+      const auto p = static_cast<size_t>(r.task_index);
+      if (p >= parts.size()) parts.resize(p + 1, std::nan(""));
+      if (std::isnan(parts[p])) parts[p] = r.partition_bytes;
+    }
+    while (t < tasks.size() && !same_task(tasks[t])) ++t;
+    while (t + 1 < tasks.size() && same_task(tasks[t + 1])) ++t;
+    if (t == tasks.size()) {
       return Status::Internal("transform record without task record");
     }
-    const auto [task_start, task_finish] = bounds_it->second;
-    for (size_t i = 0; i < records.size(); ++i) {
-      const TransformRecord& r = *records[i];
-      if (r.from_cache) continue;  // Cache reads are not computations.
-      double ent;
-      if (i == 0) {
-        ent = r.finish_ms - task_start;  // Case 1: first in task.
-      } else if (i + 1 == records.size()) {
-        ent = task_finish - r.start_ms;  // Case 2: last in task.
-      } else {
-        ent = r.finish_ms - r.start_ms;  // Case 3: between transformations.
-      }
-      groups[{r.dataset, r.part, r.job, r.stage}].push_back(ent);
-    }
+    spans.push_back(TaskSpan{first.stage, first.task_index, begin, end,
+                             tasks[t].start_ms, tasks[t].finish_ms});
+  }
+  // Stage ids are unique in a run and rise with jobs, but a re-executed
+  // parent stage is emitted before the child stage that found its shuffle
+  // output gone.
+  std::sort(spans.begin(), spans.end(), [](const auto& a, const auto& b) {
+    return std::pair(a.stage, a.task) < std::pair(b.stage, b.task);
+  });
+  std::vector<int> stage_tasks;  // Stage id -> #tasks, or -1.
+  for (const auto& s : db.stages()) {
+    const auto id = static_cast<size_t>(s.stage);
+    if (id >= stage_tasks.size()) stage_tasks.resize(id + 1, -1);
+    stage_tasks[id] = s.num_tasks;
   }
 
-  // ET per group (Eq. 2), then averaged per (dataset, part) across
-  // occurrences; wide datasets sum write + read parts (Eq. 3).
-  std::map<std::pair<DatasetId, TransformPart>, std::pair<double, int>> part_et;
+  // ENTs are summed per (dataset, part) over one stage's tasks, giving that
+  // stage's ET (Eq. 2); ETs are averaged per (dataset, part) across stages,
+  // and wide datasets add write and read parts (Eq. 3). Slots: dataset*3+part.
+  std::vector<std::pair<double, int>> ent(num_datasets * 3, {0.0, 0});
+  std::vector<std::pair<double, int>> et(ent.size(), {0.0, 0});
+  std::vector<size_t> stage_slots;
   const int total_cores = std::max(1, db.total_cores());
-  for (const auto& [key, ents] : groups) {
-    double sum = 0.0;
-    for (double e : ents) sum += e;
-    const auto tasks_it = stage_tasks.find(key.stage);
-    const int n_tasks =
-        tasks_it != stage_tasks.end() ? tasks_it->second
-                                      : static_cast<int>(ents.size());
-    const double waves =
-        std::ceil(static_cast<double>(n_tasks) / total_cores);
-    const double et = (sum / static_cast<double>(ents.size())) * waves;
-    auto& [acc, n] = part_et[{key.dataset, key.part}];
-    acc += et;
-    ++n;
-  }
-
-  // Dataset sizes: per partition, first observed occurrence (any part that
-  // reports bytes).
-  std::map<DatasetId, std::map<int, double>> partition_bytes;
-  for (const auto& r : db.transforms()) {
-    if (r.part == TransformPart::kShuffleWrite) continue;
-    auto& parts = partition_bytes[r.dataset];
-    parts.emplace(r.task_index, r.partition_bytes);
+  for (size_t s = 0; s < spans.size(); ++s) {
+    const TaskSpan& span = spans[s];
+    for (size_t i = span.begin; i < span.end; ++i) {
+      const TransformRecord& r = records[i];
+      if (r.from_cache) continue;  // Cache reads are not computations.
+      const size_t slot =
+          static_cast<size_t>(r.dataset) * 3 + static_cast<size_t>(r.part);
+      auto& [sum, n] = ent[slot];
+      if (n++ == 0) stage_slots.push_back(slot);
+      if (i == span.begin) {
+        sum += r.finish_ms - span.start_ms;  // Case 1: first in task.
+      } else if (i + 1 == span.end) {
+        sum += span.finish_ms - r.start_ms;  // Case 2: last in task.
+      } else {
+        sum += r.finish_ms - r.start_ms;  // Case 3: between transformations.
+      }
+    }
+    if (s + 1 < spans.size() && spans[s + 1].stage == span.stage) continue;
+    const auto id = static_cast<size_t>(span.stage);
+    for (size_t slot : stage_slots) {
+      const auto [sum, n] = ent[slot];
+      const double n_tasks =
+          id < stage_tasks.size() && stage_tasks[id] >= 0 ? stage_tasks[id] : n;
+      const double waves = std::ceil(n_tasks / total_cores);
+      et[slot].first += (sum / static_cast<double>(n)) * waves;
+      ++et[slot].second;
+      ent[slot] = {0.0, 0};
+    }
+    stage_slots.clear();
   }
 
   std::vector<DatasetMetric> metrics;
-  metrics.reserve(dag.datasets.size());
+  metrics.reserve(num_datasets);
   for (const auto& d : dag.datasets) {
-    DatasetMetric m;
-    m.id = d.id;
-    m.name = d.name;
-    m.computations = counts[static_cast<size_t>(d.id)];
-    if (auto it = partition_bytes.find(d.id); it != partition_bytes.end()) {
-      for (const auto& [partition, bytes] : it->second) m.size_bytes += bytes;
+    const auto id = static_cast<size_t>(d.id);
+    DatasetMetric m{d.id, d.name, counts[id], 0.0, 0.0};
+    for (double bytes : partition_bytes[id]) {
+      if (!std::isnan(bytes)) m.size_bytes += bytes;
     }
-    double et = 0.0;
-    for (TransformPart part : {TransformPart::kMain, TransformPart::kShuffleWrite,
-                               TransformPart::kShuffleRead}) {
-      if (auto it = part_et.find({d.id, part}); it != part_et.end()) {
-        et += it->second.first / it->second.second;
-      }
+    for (const auto& [sum, n] : std::span(et).subspan(id * 3, 3)) {
+      if (n > 0) m.compute_time_ms += sum / n;
     }
-    m.compute_time_ms = et;
     metrics.push_back(std::move(m));
   }
   return metrics;

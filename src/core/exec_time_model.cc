@@ -8,43 +8,49 @@ using minispark::AppParams;
 using minispark::Engine;
 using minispark::RunOptions;
 
-StatusOr<TimeModelResult> BuildTimeModel(
-    const AppFactory& factory, const Schedule& schedule,
+StatusOr<std::vector<TimeModelResult>> BuildTimeModels(
+    const AppFactory& factory, const std::vector<Schedule>& schedules,
     const SizeCalibration& sizes, double memory_factor,
     const minispark::ClusterConfig& machine_type, const TrainingGrid& grid,
     const RunOptions& run_options) {
   if (grid.examples.empty() || grid.features.empty()) {
-    return Status::InvalidArgument("BuildTimeModel: empty training grid");
+    return Status::InvalidArgument("BuildTimeModels: empty training grid");
   }
 
-  TimeModelResult out{math::LinearModel("unfitted", {}, {}), 0.0, {}};
-  std::vector<math::Observation> observations;
+  std::vector<TimeModelResult> out(
+      schedules.size(),
+      TimeModelResult{math::LinearModel("unfitted", {}, {}), 0.0, {}});
+  std::vector<std::vector<math::Observation>> observations(schedules.size());
   RunOptions options = run_options;
 
   for (double e : grid.examples) {
     for (double f : grid.features) {
       const AppParams params{e, f, grid.iterations};
-      auto bytes = PredictScheduleBytes(schedule, sizes, params);
-      if (!bytes.ok()) return bytes.status();
-      const int machines = RecommendMachines(*bytes, machine_type, memory_factor);
-
-      Engine engine(options);
-      auto result = engine.Run(factory(params),
-                               machine_type.WithMachines(machines),
-                               schedule.plan);
-      if (!result.ok()) return result.status();
-      out.training_machine_minutes += result->CostMachineMinutes();
-      out.machines_used.push_back(machines);
-      observations.push_back(
-          math::Observation{params.AsVector(), result->duration_ms});
+      const minispark::Application app = factory(params);
+      const Engine engine(options);
+      for (size_t s = 0; s < schedules.size(); ++s) {
+        auto bytes = PredictScheduleBytes(schedules[s], sizes, params);
+        if (!bytes.ok()) return bytes.status();
+        const int machines =
+            RecommendMachines(*bytes, machine_type, memory_factor);
+        auto result = engine.Run(app, machine_type.WithMachines(machines),
+                                 schedules[s].plan);
+        if (!result.ok()) return result.status();
+        out[s].training_machine_minutes += result->CostMachineMinutes();
+        out[s].machines_used.push_back(machines);
+        observations[s].push_back(
+            math::Observation{params.AsVector(), result->duration_ms});
+      }
       options.seed += 1;
     }
   }
 
-  auto model = math::SelectModelByCrossValidation(math::MakeTimeModelFamilies(),
-                                                  observations);
-  if (!model.ok()) return model.status();
-  out.model = std::move(model).value();
+  for (size_t s = 0; s < schedules.size(); ++s) {
+    auto model = math::SelectModelByCrossValidation(
+        math::MakeTimeModelFamilies(), observations[s]);
+    if (!model.ok()) return model.status();
+    out[s].model = std::move(model).value();
+  }
   return out;
 }
 

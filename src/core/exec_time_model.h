@@ -19,15 +19,19 @@ struct TimeModelResult {
   std::vector<int> machines_used;
 };
 
-/// \brief Stage 4 (§5.4): runs the full-factorial experiments for one
+/// \brief Stage 4 (§5.4): runs the full-factorial experiments for every
 /// schedule — each on the cluster configuration recommended for its
-/// parameters — and fits the best of the four time-model families by
-/// leave-one-out cross-validation.
+/// parameters — and fits, per schedule, the best of the four time-model
+/// families by leave-one-out cross-validation. Returns one result per
+/// schedule, in order.
 ///
-/// The resulting model predicts execution time at the *optimal* machine
+/// Each grid point's application is built once and run under every
+/// schedule; run k of every schedule has seed `run_options.seed + k`.
+///
+/// The resulting models predict execution time at the *optimal* machine
 /// count, so machine count is not a model input.
-[[nodiscard]] StatusOr<TimeModelResult> BuildTimeModel(
-    const AppFactory& factory, const Schedule& schedule,
+[[nodiscard]] StatusOr<std::vector<TimeModelResult>> BuildTimeModels(
+    const AppFactory& factory, const std::vector<Schedule>& schedules,
     const SizeCalibration& sizes, double memory_factor,
     const minispark::ClusterConfig& machine_type, const TrainingGrid& grid,
     const minispark::RunOptions& run_options);

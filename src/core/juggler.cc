@@ -58,14 +58,14 @@ StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
   costs.memory_calibration = memory->training_machine_minutes;
 
   // Stage 4 — execution time models, one per schedule.
+  auto time_results = BuildTimeModels(
+      factory, *schedules, *sizes, memory->memory_factor, config.machine_type,
+      config.time_grid, config.run_options);
+  if (!time_results.ok()) return time_results.status();
   std::vector<math::LinearModel> time_models;
-  for (const Schedule& schedule : *schedules) {
-    auto tm = BuildTimeModel(factory, schedule, *sizes, memory->memory_factor,
-                             config.machine_type, config.time_grid,
-                             config.run_options);
-    if (!tm.ok()) return tm.status();
-    costs.time_models += tm->training_machine_minutes;
-    time_models.push_back(std::move(tm->model));
+  for (TimeModelResult& tm : *time_results) {
+    costs.time_models += tm.training_machine_minutes;
+    time_models.push_back(std::move(tm.model));
   }
 
   TrainedJuggler trained(app_name, std::move(schedules).value(),

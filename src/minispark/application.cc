@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <set>
+#include <utility>
 
 namespace juggler::minispark {
 
@@ -63,22 +64,22 @@ DatasetId DagBuilder::Add(Dataset d) {
   return app_.datasets.back().id;
 }
 
-DatasetId DagBuilder::AddSource(const std::string& name, double bytes,
+DatasetId DagBuilder::AddSource(std::string name, double bytes,
                                 int partitions) {
   Dataset d;
-  d.name = name;
+  d.name = std::move(name);
   d.kind = TransformKind::kSource;
   d.bytes = bytes;
   d.num_partitions = partitions;
   return Add(std::move(d));
 }
 
-DatasetId DagBuilder::AddNarrow(const std::string& name,
+DatasetId DagBuilder::AddNarrow(std::string name,
                                 std::vector<DatasetId> parents, double bytes,
                                 double compute_ms,
                                 double exec_memory_per_task) {
   Dataset d;
-  d.name = name;
+  d.name = std::move(name);
   d.kind = TransformKind::kNarrow;
   d.parents = std::move(parents);
   d.bytes = bytes;
@@ -90,12 +91,12 @@ DatasetId DagBuilder::AddNarrow(const std::string& name,
   return Add(std::move(d));
 }
 
-DatasetId DagBuilder::AddWide(const std::string& name,
+DatasetId DagBuilder::AddWide(std::string name,
                               std::vector<DatasetId> parents, double bytes,
                               double compute_ms, int partitions,
                               double exec_memory_per_task) {
   Dataset d;
-  d.name = name;
+  d.name = std::move(name);
   d.kind = TransformKind::kWide;
   d.parents = std::move(parents);
   d.bytes = bytes;
@@ -108,9 +109,9 @@ DatasetId DagBuilder::AddWide(const std::string& name,
   return Add(std::move(d));
 }
 
-void DagBuilder::AddJob(const std::string& name, DatasetId target,
+void DagBuilder::AddJob(std::string name, DatasetId target,
                         double result_bytes) {
-  app_.jobs.push_back(Job{name, target, result_bytes});
+  app_.jobs.push_back(Job{std::move(name), target, result_bytes});
 }
 
 std::vector<long long> ComputationCounts(const Application& app) {

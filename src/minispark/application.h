@@ -45,22 +45,21 @@ class DagBuilder {
   void SetParams(const AppParams& params) { app_.params = params; }
 
   /// Adds a source (HDFS-read) dataset.
-  DatasetId AddSource(const std::string& name, double bytes, int partitions);
+  DatasetId AddSource(std::string name, double bytes, int partitions);
 
   /// Adds a narrow transformation over one or more parents.
-  DatasetId AddNarrow(const std::string& name, std::vector<DatasetId> parents,
+  DatasetId AddNarrow(std::string name, std::vector<DatasetId> parents,
                       double bytes, double compute_ms,
                       double exec_memory_per_task = 0.0);
 
   /// Adds a wide (shuffle) transformation. `partitions` may differ from the
   /// parents' (repartitioning); pass 0 to inherit from the first parent.
-  DatasetId AddWide(const std::string& name, std::vector<DatasetId> parents,
+  DatasetId AddWide(std::string name, std::vector<DatasetId> parents,
                     double bytes, double compute_ms, int partitions = 0,
                     double exec_memory_per_task = 0.0);
 
   /// Appends a job (action) materializing `target`.
-  void AddJob(const std::string& name, DatasetId target,
-              double result_bytes = 0.0);
+  void AddJob(std::string name, DatasetId target, double result_bytes = 0.0);
 
   void SetDefaultPlan(CachePlan plan) { app_.default_plan = std::move(plan); }
 

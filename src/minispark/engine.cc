@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <map>
 #include <set>
+#include <span>
 #include <vector>
 
 #include "common/random.h"
@@ -98,8 +99,11 @@ struct Piece {
 };
 
 /// What one partition of a dataset costs, computed once per run with the
-/// same expressions ResolveChain would evaluate per task.
+/// same expressions ResolveChain would evaluate per task, and the dataset's
+/// kind and parents, so that the chain walk reads one row per dataset.
 struct PartitionCost {
+  TransformKind kind = TransformKind::kSource;
+  std::span<const DatasetId> parents;
   double bytes = 0.0;          ///< Produced partition size.
   double cache_read_ms = 0.0;  ///< Reading the partition from the cache.
   /// Computing it: a source scan, a narrow transformation's compute, or a
@@ -115,6 +119,8 @@ std::vector<PartitionCost> PartitionCosts(const Application& app,
   costs.reserve(app.datasets.size());
   for (const Dataset& ds : app.datasets) {
     PartitionCost cost;
+    cost.kind = ds.kind;
+    cost.parents = ds.parents;
     cost.bytes = ds.PartitionBytes();
     cost.cache_read_ms = ds.PartitionBytes() / cluster.cache_bandwidth;
     switch (ds.kind) {
@@ -227,16 +233,24 @@ class RunState {
   /// shuffle outputs lost, and delays their cores by the relaunch time.
   void ApplyExecutorLosses(int job_index, int stage_id, double now_ms);
 
+  /// Resolves task `task` of `stage` on `machine`: its chain, then its
+  /// shuffle writes. Returns the task's work in ms, summed in evaluation
+  /// order; when instrumenting, its pieces are left in `pieces_`.
+  template <bool kInstrument>
+  double ResolveTask(const Stage& stage, int task, MachineState& machine);
+
   /// Recursively resolves the cost of obtaining partition `partition` of
   /// dataset `d` on machine `m`, adding each cost piece to the task in
   /// evaluation order (AddPiece).
+  template <bool kInstrument>
   void ResolveChain(DatasetId d, int partition, MachineState& machine);
 
   /// Adds a cost piece to the task being run: its ms to `work_ms_`, and the
   /// piece itself to `pieces_` when instrumenting.
+  template <bool kInstrument>
   void AddPiece(const Piece& piece) {
     work_ms_ += piece.ms;
-    if (profile_) pieces_.push_back(piece);
+    if constexpr (kInstrument) pieces_.push_back(piece);
   }
 
   /// The stats of `d`, which RunResult::dataset_stats then reports.
@@ -249,10 +263,6 @@ class RunState {
     int blocks = 0;
     for (const auto& m : machines_) blocks += m.mem.NumBlocksOf(d);
     return blocks >= app_.dataset(d).num_partitions;
-  }
-
-  int MachineFor(int partition) const {
-    return partition % cluster_.num_machines;
   }
 
   const Application& app_;
@@ -374,6 +384,20 @@ int RunState::CreateStage(DatasetId root) {
   return index;
 }
 
+template <bool kInstrument>
+double RunState::ResolveTask(const Stage& stage, int task,
+                             MachineState& machine) {
+  work_ms_ = 0.0;
+  if constexpr (kInstrument) pieces_.clear();
+  ResolveChain<kInstrument>(stage.terminal, task, machine);
+  for (const auto& [wide_child, bytes] : stage.shuffle_writes) {
+    AddPiece<kInstrument>(Piece{wide_child, TransformPart::kShuffleWrite,
+                                bytes / cluster_.disk_bandwidth, 0.0, false});
+  }
+  return work_ms_;
+}
+
+template <bool kInstrument>
 void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine) {
   const PartitionCost& cost = costs_[static_cast<size_t>(d)];
   const BlockId bid{d, partition};
@@ -382,21 +406,23 @@ void RunState::ResolveChain(DatasetId d, int partition, MachineState& machine) {
   if (persisted && machine.mem.TouchBlock(bid)) {
     ++hits_;
     ++StatsOf(d).hits;
-    AddPiece(Piece{d, TransformPart::kMain, cost.cache_read_ms, cost.bytes,
-                   true});
+    AddPiece<kInstrument>(Piece{d, TransformPart::kMain, cost.cache_read_ms,
+                                cost.bytes, true});
     return;
   }
 
   // A source is scanned and a wide dataset reads its shuffle input; a
   // narrow one first obtains the same partition of every parent.
-  const Dataset& ds = app_.dataset(d);
-  if (ds.kind == TransformKind::kNarrow) {
-    for (DatasetId p : ds.parents) ResolveChain(p, partition, machine);
+  if (cost.kind == TransformKind::kNarrow) {
+    for (DatasetId p : cost.parents) {
+      ResolveChain<kInstrument>(p, partition, machine);
+    }
   }
-  AddPiece(Piece{d,
-                 ds.kind == TransformKind::kWide ? TransformPart::kShuffleRead
-                                                 : TransformPart::kMain,
-                 cost.compute_ms, cost.bytes, false});
+  AddPiece<kInstrument>(Piece{d,
+                              cost.kind == TransformKind::kWide
+                                  ? TransformPart::kShuffleRead
+                                  : TransformPart::kMain,
+                              cost.compute_ms, cost.bytes, false});
 
   if (persisted) {
     DatasetCacheStats& stats = StatsOf(d);
@@ -570,12 +596,25 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     profile_->AddStage(StageRecord{job_index, stage_id, stage.terminal, num_tasks});
   }
 
+  // The run's knobs, read once per stage rather than through options_ on
+  // every task.
   const double instr_factor =
       options_.instrument ? 1.0 + options_.instrumentation_overhead : 1.0;
   const int max_attempts = std::max(1, options_.faults.max_task_attempts);
+  const double noise_sigma = options_.noise_sigma;
+  const double straggler_prob = options_.straggler_prob;
+  const double straggler_factor = options_.straggler_factor;
+  const bool faults = fault_plan_.enabled();
+  const bool task_failures =
+      faults && fault_plan_.spec().task_failure_prob > 0.0;
+  const bool speculation =
+      faults && options_.faults.speculation && machines_.size() > 1;
+  const double speculation_multiplier = options_.faults.speculation_multiplier;
+  const int num_machines = cluster_.num_machines;
 
-  for (int t = 0; t < num_tasks; ++t) {
-    const int machine_index = MachineFor(t);
+  // Task t runs on machine t % num_machines.
+  for (int t = 0, machine_index = 0; t < num_tasks; ++t, ++machine_index) {
+    if (machine_index == num_machines) machine_index = 0;
     if (only_machines != nullptr && only_machines->count(machine_index) == 0) {
       continue;  // Re-execution repairs only the lost hosts' outputs.
     }
@@ -584,8 +623,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     // Retry schedule first: an exhausted task aborts the run before its
     // attempts touch any cache state.
     int failed_attempts = 0;
-    if (fault_plan_.enabled() &&
-        fault_plan_.spec().task_failure_prob > 0.0) {
+    if (task_failures) {
       while (failed_attempts < max_attempts &&
              fault_plan_.TaskFails(job_index, stage_id, t, failed_attempts)) {
         ++failed_attempts;
@@ -599,22 +637,15 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
       }
     }
 
-    work_ms_ = 0.0;
-    pieces_.clear();
-    ResolveChain(stage.terminal, t, machine);
-    for (const auto& [wide_child, bytes] : stage.shuffle_writes) {
-      AddPiece(Piece{wide_child, TransformPart::kShuffleWrite,
-                     bytes / cluster_.disk_bandwidth, 0.0, false});
-    }
-    const double work_ms = work_ms_;
+    const double work_ms = profile_ ? ResolveTask<true>(stage, t, machine)
+                                    : ResolveTask<false>(stage, t, machine);
 
     double scale = machine.spill_factor;
-    if (options_.noise_sigma > 0.0) scale *= rng_.Jitter(options_.noise_sigma);
-    if (options_.straggler_prob > 0.0 &&
-        rng_.Bernoulli(options_.straggler_prob)) {
-      scale *= options_.straggler_factor;
+    if (noise_sigma > 0.0) scale *= rng_.Jitter(noise_sigma);
+    if (straggler_prob > 0.0 && rng_.Bernoulli(straggler_prob)) {
+      scale *= straggler_factor;
     }
-    if (fault_plan_.enabled()) {
+    if (faults) {
       scale *= fault_plan_.StragglerFactor(job_index, stage_id, t);
     }
     scale *= instr_factor;
@@ -658,13 +689,11 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     // loser is killed at that moment.
     double effective_finish = task_finish;
     bool original_killed = false;
-    if (fault_plan_.enabled() && options_.faults.speculation &&
-        machines_.size() > 1) {
+    if (speculation) {
       const double clean_ms =
           cluster_.task_overhead_ms +
           work_ms * machine.spill_factor * instr_factor;
-      const double detect_ms =
-          task_start + clean_ms * options_.faults.speculation_multiplier;
+      const double detect_ms = task_start + clean_ms * speculation_multiplier;
       if (task_finish > detect_ms) {
         const size_t spec_machine =
             (static_cast<size_t>(machine_index) + 1) % machines_.size();

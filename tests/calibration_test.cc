@@ -159,11 +159,13 @@ TEST(BuildTimeModelTest, PredictsUnseenRunsAccurately) {
   ASSERT_TRUE(sizes.ok());
 
   TrainingGrid grid{{4000, 8000, 16000}, {1000, 2000, 4000}, 5};
-  auto tm = BuildTimeModel(w.make, schedules.front(), *sizes, 0.85,
-                           PaperCluster(1), grid, Quiet());
-  ASSERT_TRUE(tm.ok()) << tm.status().ToString();
-  EXPECT_EQ(tm->machines_used.size(), 9u);
-  EXPECT_GT(tm->training_machine_minutes, 0.0);
+  auto results = BuildTimeModels(w.make, {schedules.front()}, *sizes, 0.85,
+                                 PaperCluster(1), grid, Quiet());
+  ASSERT_TRUE(results.ok()) << results.status().ToString();
+  ASSERT_EQ(results->size(), 1u);
+  const TimeModelResult& tm = results->front();
+  EXPECT_EQ(tm.machines_used.size(), 9u);
+  EXPECT_GT(tm.training_machine_minutes, 0.0);
 
   // Validate at interpolated parameters.
   const AppParams test{10000, 3000, 5};
@@ -174,7 +176,7 @@ TEST(BuildTimeModelTest, PredictsUnseenRunsAccurately) {
   auto actual = engine.Run(w.make(test), PaperCluster(machines),
                            schedules.front().plan);
   ASSERT_TRUE(actual.ok());
-  const double predicted = tm->model.Predict(test.AsVector());
+  const double predicted = tm.model.Predict(test.AsVector());
   EXPECT_GT(math::PredictionAccuracy(predicted, actual->duration_ms), 0.8)
       << "predicted " << predicted << " actual " << actual->duration_ms;
 }
@@ -185,9 +187,90 @@ TEST(BuildTimeModelTest, RejectsEmptyGrid) {
   auto sizes =
       CalibrateSizes(w.make, schedules, SmallGrid(), TrainingNode(), Quiet());
   ASSERT_TRUE(sizes.ok());
-  EXPECT_FALSE(BuildTimeModel(w.make, schedules.front(), *sizes, 1.0,
-                              PaperCluster(1), TrainingGrid{}, Quiet())
+  EXPECT_FALSE(BuildTimeModels(w.make, {schedules.front()}, *sizes, 1.0,
+                               PaperCluster(1), TrainingGrid{}, Quiet())
                    .ok());
+}
+
+/// The per-schedule stage 4 that BuildTimeModels replaced, kept as the
+/// reference: every schedule runs the whole grid on its own, rebuilding
+/// each grid point's application, with seeds from `run_options.seed` up.
+StatusOr<TimeModelResult> ReferenceBuildTimeModel(
+    const AppFactory& factory, const Schedule& schedule,
+    const SizeCalibration& sizes, double memory_factor,
+    const ClusterConfig& machine_type, const TrainingGrid& grid,
+    const RunOptions& run_options) {
+  TimeModelResult out{math::LinearModel("unfitted", {}, {}), 0.0, {}};
+  std::vector<math::Observation> observations;
+  RunOptions options = run_options;
+  for (double e : grid.examples) {
+    for (double f : grid.features) {
+      const AppParams params{e, f, grid.iterations};
+      auto bytes = PredictScheduleBytes(schedule, sizes, params);
+      if (!bytes.ok()) return bytes.status();
+      const int machines =
+          RecommendMachines(*bytes, machine_type, memory_factor);
+      Engine engine(options);
+      auto result = engine.Run(factory(params),
+                               machine_type.WithMachines(machines),
+                               schedule.plan);
+      if (!result.ok()) return result.status();
+      out.training_machine_minutes += result->CostMachineMinutes();
+      out.machines_used.push_back(machines);
+      observations.push_back(
+          math::Observation{params.AsVector(), result->duration_ms});
+      options.seed += 1;
+    }
+  }
+  auto model = math::SelectModelByCrossValidation(
+      math::MakeTimeModelFamilies(), observations);
+  if (!model.ok()) return model.status();
+  out.model = std::move(model).value();
+  return out;
+}
+
+// Default RunOptions keep task noise and stragglers on, so a run under the
+// wrong seed changes a duration and with it the fit.
+TEST(BuildTimeModelsTest, MatchesThePerScheduleReference) {
+  const RunOptions options;
+  int compared = 0;
+  for (const auto& w : workloads::AllWorkloads()) {
+    auto schedules = SchedulesFor(w);
+    ASSERT_FALSE(schedules.empty()) << w.name;
+    auto sizes = CalibrateSizes(w.make, schedules, SmallGrid(), TrainingNode(),
+                                options);
+    ASSERT_TRUE(sizes.ok()) << w.name;
+    const AppParams& p = w.paper_params;
+    const TrainingGrid grid{{0.4 * p.examples, 0.7 * p.examples, p.examples},
+                            {0.4 * p.features, 0.7 * p.features, p.features},
+                            p.iterations};
+    for (size_t n = 1; n <= std::min<size_t>(3, schedules.size()); ++n) {
+      const std::vector<Schedule> prefix(schedules.begin(),
+                                         schedules.begin() + n);
+      auto results = BuildTimeModels(w.make, prefix, *sizes, 0.8,
+                                     PaperCluster(1), grid, options);
+      ASSERT_TRUE(results.ok()) << w.name << ": "
+                                << results.status().ToString();
+      ASSERT_EQ(results->size(), n);
+      for (size_t s = 0; s < n; ++s) {
+        auto want = ReferenceBuildTimeModel(w.make, prefix[s], *sizes, 0.8,
+                                            PaperCluster(1), grid, options);
+        ASSERT_TRUE(want.ok()) << w.name;
+        const TimeModelResult& got = (*results)[s];
+        EXPECT_EQ(got.model.name(), want->model.name()) << w.name << " " << s;
+        EXPECT_EQ(got.model.coefficients(), want->model.coefficients())
+            << w.name << " schedule " << s;
+        EXPECT_EQ(got.machines_used, want->machines_used) << w.name;
+        EXPECT_EQ(got.training_machine_minutes,
+                  want->training_machine_minutes)
+            << w.name << " schedule " << s;
+        ++compared;
+      }
+    }
+  }
+  // Every app contributes at least one schedule; some contribute several,
+  // so the shared grid loop is exercised with more than one schedule.
+  EXPECT_GT(compared, 5);
 }
 
 }  // namespace

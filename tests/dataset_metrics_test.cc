@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/units.h"
 #include "core/dataset_metrics.h"
 #include "minispark/engine.h"
@@ -15,6 +18,7 @@ using minispark::DagBuilder;
 using minispark::Engine;
 using minispark::PaperCluster;
 using minispark::RunOptions;
+using minispark::TrainingNode;
 
 /// Instrumented deterministic run returning the profile.
 std::shared_ptr<minispark::ProfilingDb> Profile(
@@ -181,6 +185,106 @@ TEST(DeriveMetricsTest, WorksForAllFiveWorkloads) {
     }
     EXPECT_GT(intermediates, 0) << w.name;
   }
+}
+
+/// A narrow chain whose last eight datasets before the terminal cost
+/// nothing, so each of their records starts when the next one does. Every
+/// task has 17 records: a sort by start time that does not keep ties in
+/// evaluation order moves the terminal off the last position.
+minispark::Application ZeroCostTailApp() {
+  DagBuilder b("zero-cost-tail");
+  DatasetId d = b.AddSource("src", MiB(16), 4);
+  for (int i = 0; i < 7; ++i) {
+    d = b.AddNarrow("work" + std::to_string(i), {d}, MiB(16), 400.0);
+  }
+  for (int i = 0; i < 8; ++i) {
+    d = b.AddNarrow("free" + std::to_string(i), {d}, MiB(16), 0.0);
+  }
+  d = b.AddNarrow("terminal", {d}, MiB(16), 800.0);
+  b.AddJob("count", d, 64);
+  return std::move(b).Build();
+}
+
+TEST(DeriveMetricsTest, ZeroCostRecordsKeepEvaluationOrder) {
+  const auto app = ZeroCostTailApp();
+  auto metrics = DeriveDatasetMetrics(*Profile(app));
+  ASSERT_TRUE(metrics.ok());
+  const auto& m = *metrics;
+  ASSERT_EQ(m.size(), 17u);
+  for (int id = 8; id < 16; ++id) {
+    EXPECT_EQ(m[static_cast<size_t>(id)].compute_time_ms, 0.0)
+        << m[static_cast<size_t>(id)].name;
+  }
+  // 800 ms over 4 partitions, one wave on the training node's cores.
+  EXPECT_NEAR(m[16].compute_time_ms, 200.0, 20.0);
+}
+
+/// FNV-1a 64 over the eight bytes of `word`, continuing from `hash`.
+uint64_t Fnv1a(uint64_t word, uint64_t hash) {
+  for (int i = 0; i < 8; ++i) {
+    hash = (hash ^ ((word >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
+  }
+  return hash;
+}
+
+uint64_t AddMetrics(const minispark::ProfilingDb& db, uint64_t hash) {
+  auto metrics = DeriveDatasetMetrics(db);
+  EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
+  if (!metrics.ok()) return hash;
+  for (const DatasetMetric& m : *metrics) {
+    hash = Fnv1a(static_cast<uint64_t>(m.id), hash);
+    hash = Fnv1a(static_cast<uint64_t>(m.computations), hash);
+    hash = Fnv1a(std::bit_cast<uint64_t>(m.size_bytes), hash);
+    hash = Fnv1a(std::bit_cast<uint64_t>(m.compute_time_ms), hash);
+  }
+  return hash;
+}
+
+// The profiles training derives metrics from: each app's stage-1 sample run
+// and its nine stage-2 size-grid runs (default RunOptions, so with task
+// noise and stragglers), plus one run whose faults retry tasks, launch
+// speculative copies and lose executors, so that a parent stage is
+// re-executed: its records are emitted before those of the child stage
+// that found its shuffle output gone, and its tasks carry several task
+// records each. The digest was recorded from the map-based derivation.
+TEST(DatasetMetricsGoldenTest, TrainingProfilesAreBitIdentical) {
+  uint64_t digest = 0xcbf29ce484222325ULL;
+  RunOptions options;
+  options.instrument = true;
+  for (const auto& w : workloads::AllWorkloads()) {
+    const auto sample =
+        Engine(options).RunDefault(w.make({2000, 500, 3}), TrainingNode());
+    ASSERT_TRUE(sample.ok()) << w.name;
+    digest = AddMetrics(*sample->profile, digest);
+    RunOptions grid_options = options;
+    for (double e : {1000.0, 2000.0, 4000.0}) {
+      for (double f : {250.0, 500.0, 1000.0}) {
+        const auto run = Engine(grid_options)
+                             .RunDefault(w.make({e, f, 2}), TrainingNode());
+        ASSERT_TRUE(run.ok()) << w.name;
+        digest = AddMetrics(*run->profile, digest);
+        grid_options.seed += 1;
+      }
+    }
+  }
+
+  RunOptions faulty = options;
+  faulty.faults.seed = 7;
+  faulty.faults.task_failure_prob = 0.05;
+  faulty.faults.executor_loss_prob = 0.03;
+  faulty.faults.straggler_prob = 0.05;
+  faulty.faults.speculation = true;
+  const auto w = workloads::GetWorkload("svm").value();
+  const auto run = Engine(faulty).RunDefault(w.make(w.paper_params),
+                                             PaperCluster(4));
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  EXPECT_GT(run->stages_reexecuted, 0);
+  EXPECT_GT(run->tasks_retried, 0);
+  EXPECT_GT(run->speculative_launched, 0);
+  EXPECT_GT(run->executors_lost, 0);
+  digest = AddMetrics(*run->profile, digest);
+
+  EXPECT_EQ(digest, 0x137ae9cc4ece7fddULL);
 }
 
 }  // namespace
