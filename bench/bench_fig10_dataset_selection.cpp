@@ -63,9 +63,9 @@ int main() {
     auto run = engine.RunDefault(w.make(minispark::AppParams{2000, 500, 3}),
                                  minispark::TrainingNode());
     if (!run.ok()) return 1;
-    auto metrics = core::DeriveDatasetMetrics(*run->profile);
-    if (!metrics.ok()) return 1;
     const core::MergedDag dag = core::BuildMergedDag(*run->profile);
+    auto metrics = core::DeriveDatasetMetrics(dag, *run->profile);
+    if (!metrics.ok()) return 1;
 
     auto juggler_schedules = core::DetectHotspots(dag, *metrics);
     if (!juggler_schedules.ok()) return 1;

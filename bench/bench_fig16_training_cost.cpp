@@ -6,17 +6,70 @@
 // Also the offline entry of the perf-trajectory series: wall-clock fit time
 // per workload is persisted to BENCH_fit.json (one flat JSON object, the
 // shape BENCH_sim.json shares) so CI tracks training cost across commits,
-// with in-binary acceptance floors on the replicated savings.
+// with in-binary acceptance floors on the replicated savings. Next to the
+// one-shot fit time it records the minimum and median of repeated timings
+// that can resolve a small change: the five-app training at the serving
+// benchmark's (perfbench) config, and stage 2 (CalibrateSizes) alone.
 
 #include <chrono>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <iostream>
 
 #include "bench/bench_common.h"
+#include "core/parameter_calibration.h"
 
 using namespace juggler;        // NOLINT
 using namespace juggler::bench; // NOLINT
+
+namespace {
+
+constexpr int kRepetitions = 20;
+
+/// Minimum and median wall time of `kRepetitions` calls of `pass`, in ms.
+struct RepeatedMs {
+  double min = 0.0;
+  double median = 0.0;
+};
+
+RepeatedMs TimeRepeated(const std::function<void()>& pass) {
+  std::vector<double> ms;
+  for (int i = 0; i < kRepetitions; ++i) {
+    const auto start = std::chrono::steady_clock::now();
+    pass();
+    ms.push_back(std::chrono::duration<double, std::milli>(
+                     std::chrono::steady_clock::now() - start)
+                     .count());
+  }
+  std::sort(ms.begin(), ms.end());
+  return {ms.front(), (ms[(ms.size() - 1) / 2] + ms[ms.size() / 2]) / 2.0};
+}
+
+/// The training config the serving benchmark (perfbench `TrainModels`)
+/// uses: time grids at 0.4/0.7/1.0 x the paper params, no task noise and no
+/// stragglers.
+core::JugglerConfig ServingTrainingConfig(const workloads::Workload& w) {
+  core::JugglerConfig config;
+  config.time_grid = core::TrainingGrid{
+      {0.4 * w.paper_params.examples, 0.7 * w.paper_params.examples,
+       w.paper_params.examples},
+      {0.4 * w.paper_params.features, 0.7 * w.paper_params.features,
+       w.paper_params.features},
+      w.paper_params.iterations};
+  config.memory_reference = w.paper_params;
+  config.run_options.noise_sigma = 0.0;
+  config.run_options.straggler_prob = 0.0;
+  return config;
+}
+
+[[noreturn]] void Die(const std::string& what, const Status& status) {
+  std::fprintf(stderr, "FAIL: %s: %s\n", what.c_str(),
+               status.ToString().c_str());
+  std::exit(1);
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   const std::filesystem::path output_json =
@@ -126,18 +179,51 @@ int main(int argc, char** argv) {
   std::printf("\nfit wall clock: %.3f s total, %.3f s slowest workload\n",
               fit_wall_s, fit_wall_max_s);
 
+  // The offline ledger: the five-app training at the serving benchmark's
+  // config, then its stage 2 alone on each app's stage-1 schedules.
+  std::vector<std::vector<core::Schedule>> schedules;
+  const RepeatedMs train_ms = TimeRepeated([&schedules] {
+    schedules.clear();
+    for (const auto& w : workloads::AllWorkloads()) {
+      auto training = core::TrainJuggler(w.name, w.make,
+                                         ServingTrainingConfig(w));
+      if (!training.ok()) Die("training " + w.name, training.status());
+      schedules.push_back(training->trained.schedules());
+    }
+  });
+  const RepeatedMs sizes_ms = TimeRepeated([&schedules] {
+    size_t i = 0;
+    for (const auto& w : workloads::AllWorkloads()) {
+      const core::JugglerConfig config = ServingTrainingConfig(w);
+      auto sizes = core::CalibrateSizes(w.make, schedules[i++],
+                                        config.size_grid, config.training_node,
+                                        config.run_options);
+      if (!sizes.ok()) Die("calibrating " + w.name, sizes.status());
+    }
+  });
+  std::printf("five-app training (serving config), %d runs: min %.2f ms, "
+              "median %.2f ms\n",
+              kRepetitions, train_ms.min, train_ms.median);
+  std::printf("stage 2 (CalibrateSizes, five apps), %d runs: min %.3f ms, "
+              "median %.3f ms\n",
+              kRepetitions, sizes_ms.min, sizes_ms.median);
+
   // Persisted perf trajectory: one flat JSON document per run.
   {
     std::ofstream out(output_json);
-    char json[384];
+    char json[640];
     std::snprintf(json, sizeof(json),
                   "{\"bench\":\"fit\",\"workloads\":%d,\"fit_wall_s\":%.3f,"
                   "\"fit_wall_max_s\":%.3f,\"fit_wall_avg_s\":%.3f,"
                   "\"simulated_cost_machine_min\":%.2f,"
-                  "\"savings_avg\":%.4f}\n",
+                  "\"savings_avg\":%.4f,\"repetitions\":%d,"
+                  "\"train_min_ms\":%.3f,\"train_median_ms\":%.3f,"
+                  "\"calibrate_sizes_min_ms\":%.4f,"
+                  "\"calibrate_sizes_median_ms\":%.4f}\n",
                   workload_count, fit_wall_s, fit_wall_max_s,
                   fit_wall_s / workload_count, simulated_cost_sum,
-                  savings_avg);
+                  savings_avg, kRepetitions, train_ms.min, train_ms.median,
+                  sizes_ms.min, sizes_ms.median);
     out << json;
     if (!out) {
       std::fprintf(stderr, "FAIL: cannot write %s\n", output_json.c_str());

@@ -89,7 +89,8 @@ void BM_DeriveMetrics(benchmark::State& state) {
   minispark::Engine engine(o);
   const auto run = engine.RunDefault(app, minispark::TrainingNode());
   for (auto _ : state) {
-    auto metrics = core::DeriveDatasetMetrics(*run->profile);
+    auto metrics = core::DeriveDatasetMetrics(
+        core::BuildMergedDag(*run->profile), *run->profile);
     benchmark::DoNotOptimize(metrics);
   }
 }
@@ -103,8 +104,8 @@ void BM_HotspotDetection(benchmark::State& state) {
   o.instrument = true;
   minispark::Engine engine(o);
   const auto run = engine.RunDefault(app, minispark::TrainingNode());
-  const auto metrics = core::DeriveDatasetMetrics(*run->profile).value();
   const auto dag = core::BuildMergedDag(*run->profile);
+  const auto metrics = core::DeriveDatasetMetrics(dag, *run->profile).value();
   for (auto _ : state) {
     auto schedules = core::DetectHotspots(dag, metrics);
     benchmark::DoNotOptimize(schedules);

@@ -43,10 +43,10 @@ int main() {
     auto run = engine.RunDefault(w.make(minispark::AppParams{2000, 500, 3}),
                                  minispark::TrainingNode());
     if (!run.ok()) return 1;
-    auto metrics = core::DeriveDatasetMetrics(*run->profile);
+    const core::MergedDag dag = core::BuildMergedDag(*run->profile);
+    auto metrics = core::DeriveDatasetMetrics(dag, *run->profile);
     if (!metrics.ok()) return 1;
-    auto schedules =
-        core::DetectHotspots(core::BuildMergedDag(*run->profile), *metrics);
+    auto schedules = core::DetectHotspots(dag, *metrics);
     if (!schedules.ok()) return 1;
 
     table.AddRow({w.name, TablePrinter::Num(w.paper_params.examples, 0),

@@ -29,10 +29,10 @@ int main() {
     const auto sample = w.make(minispark::AppParams{2000, 500, 3});
     auto run = engine.RunDefault(sample, minispark::TrainingNode());
     if (!run.ok()) return 1;
-    auto metrics = core::DeriveDatasetMetrics(*run->profile);
+    const core::MergedDag dag = core::BuildMergedDag(*run->profile);
+    auto metrics = core::DeriveDatasetMetrics(dag, *run->profile);
     if (!metrics.ok()) return 1;
-    auto schedules =
-        core::DetectHotspots(core::BuildMergedDag(*run->profile), *metrics);
+    auto schedules = core::DetectHotspots(dag, *metrics);
     if (!schedules.ok()) return 1;
 
     std::string measured;

@@ -45,12 +45,12 @@ int main(int argc, char** argv) {
               run->profile->transforms().size());
 
   // §3 dataset metrics, reconstructed purely from the instrumentation.
-  auto metrics = core::DeriveDatasetMetrics(*run->profile);
+  const core::MergedDag dag = core::BuildMergedDag(*run->profile);
+  auto metrics = core::DeriveDatasetMetrics(dag, *run->profile);
   if (!metrics.ok()) {
     std::cerr << metrics.status().ToString() << "\n";
     return 1;
   }
-  const core::MergedDag dag = core::BuildMergedDag(*run->profile);
 
   std::printf("Intermediate datasets (computed more than once):\n");
   TablePrinter table({"Dataset", "#Computations", "Execution time", "Size",

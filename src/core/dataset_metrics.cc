@@ -95,27 +95,39 @@ MergedDag BuildMergedDag(const ProfilingDb& db) {
   return dag;
 }
 
-namespace {
-
-/// n per dataset: for each job, multiplicities propagate from the target to
-/// parents (one computation per lineage path); totals add up across jobs.
-std::vector<long long> CountComputations(const MergedDag& dag) {
-  std::vector<long long> counts(static_cast<size_t>(dag.num_datasets()), 0);
-  std::vector<long long> mult(counts.size());
+std::vector<long long> EffectiveComputationCounts(
+    const MergedDag& dag, const std::set<DatasetId>& cached) {
+  const size_t n = static_cast<size_t>(dag.num_datasets());
+  std::vector<long long> counts(n, 0);
+  std::vector<long long> mult(n, 0);
+  std::vector<bool> materialized(n, false);
   for (DatasetId target : dag.job_targets) {
     std::fill(mult.begin(), mult.end(), 0);
     mult[static_cast<size_t>(target)] = 1;
     for (int id = dag.num_datasets() - 1; id >= 0; --id) {
       const long long m = mult[static_cast<size_t>(id)];
       if (m == 0) continue;
-      counts[static_cast<size_t>(id)] += m;
-      for (DatasetId p : dag.datasets[static_cast<size_t>(id)].parents) {
-        mult[static_cast<size_t>(p)] += m;
+      if (cached.count(id) > 0) {
+        if (materialized[static_cast<size_t>(id)]) continue;  // cache hit.
+        // First materialization: computed exactly once, then reused even
+        // within this job.
+        materialized[static_cast<size_t>(id)] = true;
+        counts[static_cast<size_t>(id)] += 1;
+        for (DatasetId p : dag.datasets[static_cast<size_t>(id)].parents) {
+          mult[static_cast<size_t>(p)] += 1;
+        }
+      } else {
+        counts[static_cast<size_t>(id)] += m;
+        for (DatasetId p : dag.datasets[static_cast<size_t>(id)].parents) {
+          mult[static_cast<size_t>(p)] += m;
+        }
       }
     }
   }
   return counts;
 }
+
+namespace {
 
 /// One task's transform records, [begin, end) of ProfilingDb::transforms(),
 /// with the bounds its last task record reports.
@@ -127,14 +139,38 @@ struct TaskSpan {
 
 }  // namespace
 
-StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
-    const ProfilingDb& db) {
-  if (db.datasets().empty()) {
-    return Status::InvalidArgument("profile contains no dataset records");
+StatusOr<std::vector<double>> MeasureDatasetSizes(const ProfilingDb& db) {
+  const size_t num_datasets = db.datasets().size();
+  // First recorded size of each partition, NaN where none is recorded.
+  std::vector<std::vector<double>> partition_bytes(num_datasets);
+  for (const TransformRecord& r : db.transforms()) {
+    if (r.dataset < 0 || static_cast<size_t>(r.dataset) >= num_datasets) {
+      return Status::Internal("transform record of an unknown dataset");
+    }
+    if (r.part == TransformPart::kShuffleWrite) continue;
+    auto& parts = partition_bytes[static_cast<size_t>(r.dataset)];
+    const auto p = static_cast<size_t>(r.task_index);
+    if (p >= parts.size()) parts.resize(p + 1, std::nan(""));
+    if (std::isnan(parts[p])) parts[p] = r.partition_bytes;
   }
-  const MergedDag dag = BuildMergedDag(db);
-  const std::vector<long long> counts = CountComputations(dag);
-  const size_t num_datasets = dag.datasets.size();
+  std::vector<double> sizes(num_datasets, 0.0);
+  for (size_t id = 0; id < num_datasets; ++id) {
+    for (double bytes : partition_bytes[id]) {
+      if (!std::isnan(bytes)) sizes[id] += bytes;
+    }
+  }
+  return sizes;
+}
+
+StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
+    const MergedDag& dag, const ProfilingDb& db) {
+  const size_t num_datasets = db.datasets().size();
+  if (num_datasets == 0 || dag.datasets.size() != num_datasets) {
+    return Status::InvalidArgument("empty profile, or a foreign DAG");
+  }
+  auto sizes = MeasureDatasetSizes(db);
+  if (!sizes.ok()) return sizes.status();
+  const std::vector<long long> counts = EffectiveComputationCounts(dag, {});
   const auto& records = db.transforms();
   const auto& tasks = db.tasks();
 
@@ -143,7 +179,6 @@ StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
   // Eq. 2. Its task records (failed attempts, speculative copy, winner) come
   // in the same task order; the last one holds the task's bounds.
   std::vector<TaskSpan> spans;
-  std::vector<std::vector<double>> partition_bytes(num_datasets);  // NaN: none
   size_t t = 0;
   for (size_t begin = 0, end; begin < records.size(); begin = end) {
     const TransformRecord& first = records[begin];
@@ -151,17 +186,8 @@ StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
       return r.job == first.job && r.stage == first.stage &&
              r.task_index == first.task_index;
     };
-    for (end = begin; end < records.size() && same_task(records[end]); ++end) {
-      const TransformRecord& r = records[end];
-      if (r.dataset < 0 || static_cast<size_t>(r.dataset) >= num_datasets) {
-        return Status::Internal("transform record of an unknown dataset");
-      }
-      if (r.part == TransformPart::kShuffleWrite) continue;
-      auto& parts = partition_bytes[static_cast<size_t>(r.dataset)];
-      const auto p = static_cast<size_t>(r.task_index);
-      if (p >= parts.size()) parts.resize(p + 1, std::nan(""));
-      if (std::isnan(parts[p])) parts[p] = r.partition_bytes;
-    }
+    end = begin;
+    while (end < records.size() && same_task(records[end])) ++end;
     while (t < tasks.size() && !same_task(tasks[t])) ++t;
     while (t + 1 < tasks.size() && same_task(tasks[t + 1])) ++t;
     if (t == tasks.size()) {
@@ -225,10 +251,7 @@ StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
   metrics.reserve(num_datasets);
   for (const auto& d : dag.datasets) {
     const auto id = static_cast<size_t>(d.id);
-    DatasetMetric m{d.id, d.name, counts[id], 0.0, 0.0};
-    for (double bytes : partition_bytes[id]) {
-      if (!std::isnan(bytes)) m.size_bytes += bytes;
-    }
+    DatasetMetric m{d.id, d.name, counts[id], (*sizes)[id], 0.0};
     for (const auto& [sum, n] : std::span(et).subspan(id * 3, 3)) {
       if (n > 0) m.compute_time_ms += sum / n;
     }

@@ -1,6 +1,7 @@
 #ifndef JUGGLER_CORE_DATASET_METRICS_H_
 #define JUGGLER_CORE_DATASET_METRICS_H_
 
+#include <set>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,14 @@ struct MergedDag {
 /// Builds the merged DAG from an instrumented run's profile.
 MergedDag BuildMergedDag(const minispark::ProfilingDb& db);
 
+/// \brief Number of times each dataset is computed when the `cached` set is
+/// persisted: path counting where a cached dataset is computed once (at
+/// first materialization) and afterwards served from memory, cutting its
+/// ancestors' recomputations. This is the n-update of Algorithm 1 lines
+/// 21-23 in closed form.
+std::vector<long long> EffectiveComputationCounts(
+    const MergedDag& dag, const std::set<DatasetId>& cached);
+
 /// \brief Per-dataset metrics derived from one instrumented sample run
 /// (paper §3): number of computations, size, computation time.
 struct DatasetMetric {
@@ -53,14 +62,20 @@ struct DatasetMetric {
   double compute_time_ms = 0.0;
 };
 
-/// \brief Derives metrics for every dataset observed in the profile.
-///
-/// Computation counts come from path-counting over the merged DAG;
-/// computation times apply Equation 2 (narrow; three ENT cases averaged over
-/// tasks, times the wave count) and Equation 3 (wide = Shuffle Write +
-/// Shuffle Read); cache-served occurrences are excluded from timing.
-[[nodiscard]] StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
+/// \brief Dataset sizes (§3.2) in bytes, indexed by DatasetId: the sum of
+/// the first recorded size of each partition, shuffle writes excluded. The
+/// one size rule of stage 1, stage 2 and the online feedback. Internal
+/// error on a record of a dataset the profile does not list.
+[[nodiscard]] StatusOr<std::vector<double>> MeasureDatasetSizes(
     const minispark::ProfilingDb& db);
+
+/// \brief Derives metrics for every dataset of `db`, whose merged DAG is
+/// `dag`. Counts are EffectiveComputationCounts with nothing cached, sizes
+/// MeasureDatasetSizes; computation times apply Equation 2 (narrow; three
+/// ENT cases averaged over tasks, times the wave count) and Equation 3
+/// (wide = Shuffle Write + Shuffle Read); cache reads are not timed.
+[[nodiscard]] StatusOr<std::vector<DatasetMetric>> DeriveDatasetMetrics(
+    const MergedDag& dag, const minispark::ProfilingDb& db);
 
 }  // namespace juggler::core
 

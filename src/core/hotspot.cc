@@ -8,38 +8,6 @@
 
 namespace juggler::core {
 
-std::vector<long long> EffectiveComputationCounts(
-    const MergedDag& dag, const std::set<DatasetId>& cached) {
-  const size_t n = static_cast<size_t>(dag.num_datasets());
-  std::vector<long long> counts(n, 0);
-  std::vector<long long> mult(n, 0);
-  std::vector<bool> materialized(n, false);
-  for (DatasetId target : dag.job_targets) {
-    std::fill(mult.begin(), mult.end(), 0);
-    mult[static_cast<size_t>(target)] = 1;
-    for (int id = dag.num_datasets() - 1; id >= 0; --id) {
-      const long long m = mult[static_cast<size_t>(id)];
-      if (m == 0) continue;
-      if (cached.count(id) > 0) {
-        if (materialized[static_cast<size_t>(id)]) continue;  // cache hit.
-        // First materialization: computed exactly once, then reused even
-        // within this job.
-        materialized[static_cast<size_t>(id)] = true;
-        counts[static_cast<size_t>(id)] += 1;
-        for (DatasetId p : dag.datasets[static_cast<size_t>(id)].parents) {
-          mult[static_cast<size_t>(p)] += 1;
-        }
-      } else {
-        counts[static_cast<size_t>(id)] += m;
-        for (DatasetId p : dag.datasets[static_cast<size_t>(id)].parents) {
-          mult[static_cast<size_t>(p)] += m;
-        }
-      }
-    }
-  }
-  return counts;
-}
-
 double CachingBenefitMs(const MergedDag& dag, const std::vector<double>& et,
                         const std::set<DatasetId>& cached, long long n,
                         DatasetId d) {

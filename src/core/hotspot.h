@@ -21,14 +21,6 @@ struct HotspotOptions {
   int max_iterations = 10000;
 };
 
-/// \brief Number of times each dataset is computed when the `cached` set is
-/// persisted: path counting where a cached dataset is computed once (at
-/// first materialization) and afterwards served from memory, cutting its
-/// ancestors' recomputations. This is the n-update of Algorithm 1 lines
-/// 21-23 in closed form.
-std::vector<long long> EffectiveComputationCounts(
-    const MergedDag& dag, const std::set<DatasetId>& cached);
-
 /// \brief Hotspot detection (paper Algorithm 1).
 ///
 /// Produces the incremental list of SCHEDULES: the first caches the single

@@ -22,9 +22,9 @@ StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
   if (!sample.ok()) return sample.status();
   costs.hotspot = sample->CostMachineMinutes();
 
-  auto metrics = DeriveDatasetMetrics(*sample->profile);
-  if (!metrics.ok()) return metrics.status();
   const MergedDag dag = BuildMergedDag(*sample->profile);
+  auto metrics = DeriveDatasetMetrics(dag, *sample->profile);
+  if (!metrics.ok()) return metrics.status();
   auto schedules = DetectHotspots(dag, *metrics, config.hotspot);
   if (!schedules.ok()) return schedules.status();
   if (schedules->empty()) {

@@ -39,12 +39,12 @@ StatusOr<SizeCalibration> CalibrateSizes(
       if (!result.ok()) return result.status();
       out.training_machine_minutes += result->CostMachineMinutes();
       ++out.experiments;
-      auto metrics = DeriveDatasetMetrics(*result->profile);
-      if (!metrics.ok()) return metrics.status();
-      for (const DatasetMetric& m : *metrics) {
-        if (wanted.count(m.id) == 0) continue;
-        observations[m.id].push_back(
-            math::Observation{params.AsVector(), m.size_bytes});
+      auto sizes = MeasureDatasetSizes(*result->profile);
+      if (!sizes.ok()) return sizes.status();
+      for (DatasetId d : wanted) {
+        const auto id = static_cast<size_t>(d);
+        if (id >= sizes->size()) continue;
+        observations[d].push_back({params.AsVector(), (*sizes)[id]});
       }
       // Seed variation across experiments keeps noise independent.
       options.seed += 1;

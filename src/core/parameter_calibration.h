@@ -36,8 +36,9 @@ struct SizeCalibration {
 };
 
 /// \brief Stage 2 (§5.2): runs the full-factorial experiments on the
-/// instrumented engine, measures each scheduled dataset's size, and fits the
-/// best of the four size-model families by leave-one-out cross-validation.
+/// instrumented engine, measures each scheduled dataset's size
+/// (MeasureDatasetSizes), and fits the best of the four size-model families
+/// by leave-one-out cross-validation.
 [[nodiscard]] StatusOr<SizeCalibration> CalibrateSizes(
     const AppFactory& factory, const std::vector<Schedule>& schedules,
     const TrainingGrid& grid, const minispark::ClusterConfig& training_node,

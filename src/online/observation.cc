@@ -4,8 +4,8 @@
 #include <bit>
 #include <cmath>
 #include <cstring>
-#include <map>
-#include <tuple>
+
+#include "core/dataset_metrics.h"
 
 namespace juggler::online {
 
@@ -197,11 +197,22 @@ StatusOr<std::vector<Observation>> DecodeObservationBatch(
   return out;
 }
 
-std::vector<Observation> ObservationsFromProfile(
+StatusOr<std::vector<Observation>> ObservationsFromProfile(
     const std::string& app, const minispark::AppParams& params,
     int schedule_id, uint64_t model_version,
     const minispark::ProfilingDb& profile) {
+  auto sizes = core::MeasureDatasetSizes(profile);
+  if (!sizes.ok()) return sizes.status();
   std::vector<Observation> out;
+  const auto observe = [&](ObservationKind kind, int target, double value) {
+    Observation& o = out.emplace_back();
+    o.kind = kind;
+    o.app = app;
+    o.target = target;
+    o.params = params;
+    o.model_version = model_version;
+    o.value = value;
+  };
   if (!profile.jobs().empty()) {
     double start = profile.jobs().front().start_ms;
     double finish = profile.jobs().front().finish_ms;
@@ -210,39 +221,13 @@ std::vector<Observation> ObservationsFromProfile(
       finish = std::max(finish, job.finish_ms);
     }
     if (finish > start) {
-      Observation o;
-      o.kind = ObservationKind::kRunTime;
-      o.app = app;
-      o.target = schedule_id;
-      o.params = params;
-      o.model_version = model_version;
-      o.value = finish - start;
-      out.push_back(std::move(o));
+      observe(ObservationKind::kRunTime, schedule_id, finish - start);
     }
   }
-  // A dataset recomputed in several stages would double-count if summed
-  // blindly; sum per materialization (dataset, job, stage) and report the
-  // largest complete one.
-  std::map<std::tuple<minispark::DatasetId, int, int>, double> per_occurrence;
-  for (const minispark::TransformRecord& t : profile.transforms()) {
-    if (t.part != minispark::TransformPart::kMain || t.from_cache) continue;
-    if (t.partition_bytes <= 0.0) continue;
-    per_occurrence[{t.dataset, t.job, t.stage}] += t.partition_bytes;
-  }
-  std::map<minispark::DatasetId, double> bytes_by_dataset;
-  for (const auto& [key, bytes] : per_occurrence) {
-    double& best = bytes_by_dataset[std::get<0>(key)];
-    best = std::max(best, bytes);
-  }
-  for (const auto& [dataset, bytes] : bytes_by_dataset) {
-    Observation o;
-    o.kind = ObservationKind::kDatasetSize;
-    o.app = app;
-    o.target = dataset;
-    o.params = params;
-    o.model_version = model_version;
-    o.value = bytes;
-    out.push_back(std::move(o));
+  for (size_t d = 0; d < sizes->size(); ++d) {
+    if ((*sizes)[d] > 0.0) {
+      observe(ObservationKind::kDatasetSize, static_cast<int>(d), (*sizes)[d]);
+    }
   }
   return out;
 }

@@ -107,9 +107,10 @@ std::string EncodeObservationBatch(const std::vector<Observation>& batch);
 
 /// \brief Extracts model-checkable observations from one instrumented run's
 /// profile: one kRunTime record (job span) plus one kDatasetSize record per
-/// dataset that materialized bytes (cache-served occurrences excluded — they
-/// replay a stored size rather than measure one).
-std::vector<Observation> ObservationsFromProfile(
+/// dataset of nonzero core::MeasureDatasetSizes, the sizes stage 2 fits on.
+/// The run time is biased high: RunOptions::instrumentation_overhead (3%)
+/// slows every task, and stage 4 fits on uninstrumented runs.
+[[nodiscard]] StatusOr<std::vector<Observation>> ObservationsFromProfile(
     const std::string& app, const minispark::AppParams& params,
     int schedule_id, uint64_t model_version,
     const minispark::ProfilingDb& profile);

@@ -173,9 +173,9 @@ TEST(CachePolicyTest, PoliciesRunOnRealWorkloads) {
     auto run = engine.RunDefault(w.make(minispark::AppParams{1500, 400, 3}),
                                  minispark::TrainingNode());
     ASSERT_TRUE(run.ok()) << w.name;
-    auto metrics = core::DeriveDatasetMetrics(*run->profile);
-    ASSERT_TRUE(metrics.ok());
     const MergedDag dag = core::BuildMergedDag(*run->profile);
+    auto metrics = core::DeriveDatasetMetrics(dag, *run->profile);
+    ASSERT_TRUE(metrics.ok());
     for (CachePolicy policy : AllCachePolicies()) {
       auto schedules = SelectSchedulesWithPolicy(policy, dag, *metrics, 4);
       ASSERT_TRUE(schedules.ok()) << w.name << " " << CachePolicyName(policy);

@@ -34,9 +34,10 @@ std::vector<Schedule> SchedulesFor(const workloads::Workload& w) {
   Engine engine(o);
   auto run = engine.RunDefault(w.make(AppParams{2000, 500, 3}), TrainingNode());
   EXPECT_TRUE(run.ok());
-  auto metrics = DeriveDatasetMetrics(*run->profile);
+  const MergedDag dag = BuildMergedDag(*run->profile);
+  auto metrics = DeriveDatasetMetrics(dag, *run->profile);
   EXPECT_TRUE(metrics.ok());
-  auto schedules = DetectHotspots(BuildMergedDag(*run->profile), *metrics);
+  auto schedules = DetectHotspots(dag, *metrics);
   EXPECT_TRUE(schedules.ok());
   return *schedules;
 }

@@ -15,7 +15,6 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <functional>
 #include <map>
 #include <memory>
@@ -31,7 +30,6 @@
 #include "cluster/router.h"
 #include "cluster/shard_server.h"
 #include "core/juggler.h"
-#include "core/serialization.h"
 #include "net/http.h"
 #include "net/http_recommend_server.h"
 #include "net/json.h"
@@ -42,7 +40,7 @@
 #include "service/model_registry.h"
 #include "service/prediction_cache.h"
 #include "service/recommendation_service.h"
-#include "workloads/workloads.h"
+#include "test_models.h"
 
 namespace juggler::cluster {
 namespace {
@@ -140,19 +138,8 @@ TEST(HashRingTest, SingleNodeOwnsEverything) {
 // ---------------------------------------------------------------------------
 
 const core::TrainedJuggler& SvmModel() {
-  static const core::TrainedJuggler* const model = [] {
-    const auto w = workloads::GetWorkload("svm").value();
-    core::JugglerConfig config;
-    config.time_grid = core::TrainingGrid{{4000, 8000, 16000},
-                                          {1000, 2000, 4000},
-                                          /*iterations=*/5};
-    config.memory_reference = w.paper_params;
-    config.run_options.noise_sigma = 0.0;
-    config.run_options.straggler_prob = 0.0;
-    auto training = core::TrainJuggler("svm", w.make, config);
-    EXPECT_TRUE(training.ok()) << training.status().ToString();
-    return new core::TrainedJuggler(std::move(training)->trained);
-  }();
+  static const auto* const model =
+      new core::TrainedJuggler(test::TrainSmall("svm"));
   return *model;
 }
 
@@ -178,12 +165,8 @@ struct ClusterFixture {
       int probe_interval_ms = 50,
       const std::function<void(Router::Options*)>& tune = nullptr,
       bool online_shards = false) {
-    dir = fs::path(testing::TempDir()) / ("cluster_" + test_name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    std::ofstream out(dir / "svm.model");
-    EXPECT_TRUE(core::SaveTrainedJuggler(SvmModel(), out).ok());
-    out.close();
+    dir = test::MakeModelDir("cluster", test_name);
+    test::SaveModel(SvmModel(), dir / "svm.model");
 
     std::vector<std::string> addresses;
     for (size_t i = 0; i < shard_count; ++i) {

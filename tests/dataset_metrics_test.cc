@@ -34,6 +34,11 @@ std::shared_ptr<minispark::ProfilingDb> Profile(
   return r->profile;
 }
 
+/// Stage 1's derivation: the merged DAG, then the metrics over it.
+StatusOr<std::vector<DatasetMetric>> Derive(const minispark::ProfilingDb& db) {
+  return DeriveDatasetMetrics(BuildMergedDag(db), db);
+}
+
 minispark::Application ChainApp(int iters) {
   DagBuilder b("chain");
   const auto src = b.AddSource("src", MiB(64), 4);
@@ -83,7 +88,7 @@ TEST(MergedDagTest, OnlyUsedVia) {
 
 TEST(DeriveMetricsTest, ComputationCountsMatchStructure) {
   const auto app = ChainApp(5);
-  auto metrics = DeriveDatasetMetrics(*Profile(app));
+  auto metrics = Derive(*Profile(app));
   ASSERT_TRUE(metrics.ok());
   const auto counts = minispark::ComputationCounts(app);
   for (const auto& m : *metrics) {
@@ -96,18 +101,23 @@ TEST(DeriveMetricsTest, ComputationCountsMatchStructure) {
 
 TEST(DeriveMetricsTest, SizesMatchDatasetBytes) {
   const auto app = ChainApp(3);
-  auto metrics = DeriveDatasetMetrics(*Profile(app));
+  const auto profile = Profile(app);
+  auto metrics = Derive(*profile);
+  auto sizes = MeasureDatasetSizes(*profile);
   ASSERT_TRUE(metrics.ok());
+  ASSERT_TRUE(sizes.ok());
+  ASSERT_EQ(sizes->size(), metrics->size());
   for (const auto& m : *metrics) {
     EXPECT_NEAR(m.size_bytes, app.dataset(m.id).bytes,
                 0.01 * app.dataset(m.id).bytes + 1)
         << "dataset " << m.name;
+    EXPECT_EQ(m.size_bytes, (*sizes)[static_cast<size_t>(m.id)]) << m.name;
   }
 }
 
 TEST(DeriveMetricsTest, ComputeTimeOrdering) {
   // parsed (20 s CPU) must dwarf labeled (1 s) which dwarfs the maps.
-  auto metrics = DeriveDatasetMetrics(*Profile(ChainApp(3)));
+  auto metrics = Derive(*Profile(ChainApp(3)));
   ASSERT_TRUE(metrics.ok());
   const auto& m = *metrics;
   EXPECT_GT(m[1].compute_time_ms, 5 * m[2].compute_time_ms);
@@ -122,7 +132,7 @@ TEST(DeriveMetricsTest, NarrowEtApproximatesComputeCost) {
   const auto src = b.AddSource("src", MiB(4), 4);
   const auto parsed = b.AddNarrow("parsed", {src}, MiB(4), 20000.0);
   b.AddJob("count", parsed, 64);
-  auto metrics = DeriveDatasetMetrics(*Profile(std::move(b).Build()));
+  auto metrics = Derive(*Profile(std::move(b).Build()));
   ASSERT_TRUE(metrics.ok());
   EXPECT_NEAR((*metrics)[1].compute_time_ms, 5000.0, 500.0);
 }
@@ -137,7 +147,7 @@ TEST(DeriveMetricsTest, WavesMultiplyExecutionTime) {
     return std::move(b).Build();
   };
   const auto et = [&](int partitions) {
-    auto metrics = DeriveDatasetMetrics(*Profile(make(partitions)));
+    auto metrics = Derive(*Profile(make(partitions)));
     EXPECT_TRUE(metrics.ok());
     return (*metrics)[1].compute_time_ms;
   };
@@ -149,8 +159,8 @@ TEST(DeriveMetricsTest, WavesMultiplyExecutionTime) {
 TEST(DeriveMetricsTest, CacheHitsExcludedFromTiming) {
   const auto app = ChainApp(6);
   const CachePlan plan{{CacheOp::Persist(2)}};
-  auto cached_metrics = DeriveDatasetMetrics(*Profile(app, 4, plan));
-  auto plain_metrics = DeriveDatasetMetrics(*Profile(app, 4));
+  auto cached_metrics = Derive(*Profile(app, 4, plan));
+  auto plain_metrics = Derive(*Profile(app, 4));
   ASSERT_TRUE(cached_metrics.ok());
   ASSERT_TRUE(plain_metrics.ok());
   // labeled's computation time estimate should be similar whether or not
@@ -161,7 +171,7 @@ TEST(DeriveMetricsTest, CacheHitsExcludedFromTiming) {
 }
 
 TEST(DeriveMetricsTest, WideDatasetSumsWriteAndReadParts) {
-  auto metrics = DeriveDatasetMetrics(*Profile(ChainApp(1)));
+  auto metrics = Derive(*Profile(ChainApp(1)));
   ASSERT_TRUE(metrics.ok());
   // The wide aggregation (id 4) has nonzero ET from write+read parts.
   EXPECT_GT((*metrics)[4].compute_time_ms, 0.0);
@@ -169,14 +179,32 @@ TEST(DeriveMetricsTest, WideDatasetSumsWriteAndReadParts) {
 
 TEST(DeriveMetricsTest, EmptyProfileRejected) {
   minispark::ProfilingDb db;
-  EXPECT_FALSE(DeriveDatasetMetrics(db).ok());
+  EXPECT_FALSE(Derive(db).ok());
+}
+
+TEST(DeriveMetricsTest, DagOfAnotherProfileRejected) {
+  const auto profile = Profile(ChainApp(3));
+  EXPECT_FALSE(
+      DeriveDatasetMetrics(BuildMergedDag(*Profile(ChainApp(1))), *profile)
+          .ok());
+}
+
+TEST(MeasureSizesTest, UnknownDatasetRejected) {
+  minispark::ProfilingDb db;
+  minispark::DatasetRecord src;
+  src.id = 0;
+  db.AddDataset(src);
+  minispark::TransformRecord record;
+  record.dataset = 1;  // Not in the profile's dataset list.
+  db.AddTransform(record);
+  EXPECT_EQ(MeasureDatasetSizes(db).status().code(), StatusCode::kInternal);
 }
 
 TEST(DeriveMetricsTest, WorksForAllFiveWorkloads) {
   for (const auto& w : workloads::AllWorkloads()) {
     const minispark::AppParams small{1500, 400, 2};
     const auto app = w.make(small);
-    auto metrics = DeriveDatasetMetrics(*Profile(app));
+    auto metrics = Derive(*Profile(app));
     ASSERT_TRUE(metrics.ok()) << w.name;
     EXPECT_EQ(metrics->size(), static_cast<size_t>(app.num_datasets()));
     int intermediates = 0;
@@ -207,7 +235,7 @@ minispark::Application ZeroCostTailApp() {
 
 TEST(DeriveMetricsTest, ZeroCostRecordsKeepEvaluationOrder) {
   const auto app = ZeroCostTailApp();
-  auto metrics = DeriveDatasetMetrics(*Profile(app));
+  auto metrics = Derive(*Profile(app));
   ASSERT_TRUE(metrics.ok());
   const auto& m = *metrics;
   ASSERT_EQ(m.size(), 17u);
@@ -228,7 +256,7 @@ uint64_t Fnv1a(uint64_t word, uint64_t hash) {
 }
 
 uint64_t AddMetrics(const minispark::ProfilingDb& db, uint64_t hash) {
-  auto metrics = DeriveDatasetMetrics(db);
+  auto metrics = Derive(db);
   EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
   if (!metrics.ok()) return hash;
   for (const DatasetMetric& m : *metrics) {

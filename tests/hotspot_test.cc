@@ -281,9 +281,9 @@ TEST_P(HotspotPropertyTest, SchedulesAreWellFormed) {
   minispark::Engine engine(ro);
   auto run = engine.RunDefault(app, minispark::PaperCluster(2));
   ASSERT_TRUE(run.ok());
-  auto metrics = DeriveDatasetMetrics(*run->profile);
-  ASSERT_TRUE(metrics.ok());
   const MergedDag dag = BuildMergedDag(*run->profile);
+  auto metrics = DeriveDatasetMetrics(dag, *run->profile);
+  ASSERT_TRUE(metrics.ok());
 
   auto schedules = DetectHotspots(dag, *metrics);
   ASSERT_TRUE(schedules.ok());

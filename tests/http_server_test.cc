@@ -13,7 +13,6 @@
 #include <condition_variable>
 #include <cstring>
 #include <filesystem>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -26,7 +25,6 @@
 #include <gtest/gtest.h>
 
 #include "core/juggler.h"
-#include "core/serialization.h"
 #include "net/http_recommend_server.h"
 #include "net/http_server.h"
 #include "net/json.h"
@@ -35,7 +33,7 @@
 #include "online/online_loop.h"
 #include "service/model_registry.h"
 #include "service/recommendation_service.h"
-#include "workloads/workloads.h"
+#include "test_models.h"
 
 namespace juggler::net {
 namespace {
@@ -457,33 +455,18 @@ INSTANTIATE_TEST_SUITE_P(Backends, HttpServerTest, ::testing::Bool(),
 // HttpRecommendServer routes (no sockets: Handle/HandleFast/MetricsText).
 // ---------------------------------------------------------------------------
 
-/// A model of `app` fitted on a small noise-free grid.
-core::TrainedJuggler TrainSmallModel(const std::string& app) {
-  const auto w = workloads::GetWorkload(app).value();
-  core::JugglerConfig config;
-  config.time_grid = core::TrainingGrid{{4000, 8000, 16000},
-                                        {1000, 2000, 4000},
-                                        /*iterations=*/5};
-  config.memory_reference = w.paper_params;
-  config.run_options.noise_sigma = 0.0;
-  config.run_options.straggler_prob = 0.0;
-  auto training = core::TrainJuggler(app, w.make, config);
-  EXPECT_TRUE(training.ok()) << training.status().ToString();
-  return std::move(training)->trained;
-}
-
 /// One small svm model, trained once for the whole suite (training dominates
 /// test runtime; the routes under test only read it).
 const core::TrainedJuggler& SvmModel() {
   static const auto* const model =
-      new core::TrainedJuggler(TrainSmallModel("svm"));
+      new core::TrainedJuggler(test::TrainSmall("svm"));
   return *model;
 }
 
 /// A second app, for tests that spread traffic over more than one model.
 const core::TrainedJuggler& LirModel() {
   static const auto* const model =
-      new core::TrainedJuggler(TrainSmallModel("lir"));
+      new core::TrainedJuggler(test::TrainSmall("lir"));
   return *model;
 }
 
@@ -498,12 +481,8 @@ struct RecommendFixture {
                             bool with_online = false,
                             service::ModelRegistry::Options registry_options =
                                 service::ModelRegistry::Options{}) {
-    dir = fs::path(testing::TempDir()) / ("http_" + test_name);
-    fs::remove_all(dir);
-    fs::create_directories(dir);
-    std::ofstream out(dir / "svm.model");
-    EXPECT_TRUE(core::SaveTrainedJuggler(SvmModel(), out).ok());
-    out.close();
+    dir = test::MakeModelDir("http", test_name);
+    test::SaveModel(SvmModel(), dir / "svm.model");
     registry = std::make_shared<service::ModelRegistry>(dir.string(),
                                                         registry_options);
     EXPECT_TRUE(registry->Refresh().ok());
@@ -785,10 +764,7 @@ std::string NormaliseCacheHit(std::string body) {
 
 TEST(HttpRecommendServerTest, ConcurrentClientsGetTheBytesHandleReturns) {
   RecommendFixture f("concurrent_clients");
-  {
-    std::ofstream out(f.dir / "lir.model");
-    ASSERT_TRUE(core::SaveTrainedJuggler(LirModel(), out).ok());
-  }
+  test::SaveModel(LirModel(), f.dir / "lir.model");
   ASSERT_TRUE(f.registry->Refresh().ok());
   ASSERT_EQ(f.registry->size(), 2u);
   const auto body_for = [](const std::string& app, int examples) {

@@ -4,6 +4,7 @@
 #include "core/machine_adaptation.h"
 #include "math/stats.h"
 #include "minispark/engine.h"
+#include "test_models.h"
 #include "workloads/workloads.h"
 
 namespace juggler::core {
@@ -12,18 +13,7 @@ namespace {
 using minispark::AppParams;
 using minispark::ClusterConfig;
 using minispark::PaperCluster;
-
-TrainingResult TrainSvm() {
-  const auto w = workloads::GetWorkload("svm").value();
-  JugglerConfig config;
-  config.time_grid = TrainingGrid{{4000, 8000, 16000}, {1000, 2000, 4000}, 10};
-  config.memory_reference = w.paper_params;
-  config.run_options.noise_sigma = 0.0;
-  config.run_options.straggler_prob = 0.0;
-  auto training = TrainJuggler("svm", w.make, config);
-  EXPECT_TRUE(training.ok()) << training.status().ToString();
-  return std::move(training).value();
-}
+using test::TrainSmall;
 
 /// A faster instance family: double the bandwidths, half the overheads.
 ClusterConfig FastMachineType() {
@@ -39,10 +29,10 @@ ClusterConfig FastMachineType() {
 }
 
 TEST(MachineAdaptationTest, FasterMachinesGetScaleBelowOne) {
-  const auto training = TrainSvm();
+  const auto trained = TrainSmall("svm", /*iterations=*/10);
   const auto w = workloads::GetWorkload("svm").value();
   auto adaptation = AdaptTimeModelToMachineType(
-      training.trained, w.make, FastMachineType(),
+      trained, w.make, FastMachineType(),
       {AppParams{6000, 1500, 10}, AppParams{12000, 3000, 10}},
       minispark::RunOptions{});
   ASSERT_TRUE(adaptation.ok()) << adaptation.status().ToString();
@@ -53,18 +43,18 @@ TEST(MachineAdaptationTest, FasterMachinesGetScaleBelowOne) {
 }
 
 TEST(MachineAdaptationTest, AdaptedPredictionBeatsUnadapted) {
-  const auto training = TrainSvm();
+  const auto trained = TrainSmall("svm", /*iterations=*/10);
   const auto w = workloads::GetWorkload("svm").value();
   const ClusterConfig fast = FastMachineType();
   auto adaptation = AdaptTimeModelToMachineType(
-      training.trained, w.make, fast,
+      trained, w.make, fast,
       {AppParams{6000, 1500, 10}, AppParams{12000, 3000, 10}},
       minispark::RunOptions{});
   ASSERT_TRUE(adaptation.ok());
 
   // Validate at unseen parameters on the new machine type.
   const AppParams test{14000, 3500, 10};
-  auto recs = training.trained.RecommendAll(test, fast);
+  auto recs = trained.RecommendAll(test, fast);
   ASSERT_TRUE(recs.ok());
   const auto& rec = recs->front();
 
@@ -88,12 +78,12 @@ TEST(MachineAdaptationTest, OptimizationModelsTransferWithoutAdaptation) {
   // §6.2: schedules, sizes and the memory factor are machine-type
   // independent; only the machine count changes (more memory per machine
   // means fewer machines).
-  const auto training = TrainSvm();
+  const auto trained = TrainSmall("svm", /*iterations=*/10);
   ClusterConfig big = PaperCluster(1);
   big.executor_memory_bytes *= 2.0;
   const AppParams test{16000, 4000, 10};
-  auto on_paper = training.trained.RecommendAll(test, PaperCluster(1));
-  auto on_big = training.trained.RecommendAll(test, big);
+  auto on_paper = trained.RecommendAll(test, PaperCluster(1));
+  auto on_big = trained.RecommendAll(test, big);
   ASSERT_TRUE(on_paper.ok());
   ASSERT_TRUE(on_big.ok());
   for (size_t i = 0; i < on_paper->size(); ++i) {
@@ -105,9 +95,9 @@ TEST(MachineAdaptationTest, OptimizationModelsTransferWithoutAdaptation) {
 }
 
 TEST(MachineAdaptationTest, RejectsEmptyProbes) {
-  const auto training = TrainSvm();
+  const auto trained = TrainSmall("svm", /*iterations=*/10);
   const auto w = workloads::GetWorkload("svm").value();
-  EXPECT_FALSE(AdaptTimeModelToMachineType(training.trained, w.make,
+  EXPECT_FALSE(AdaptTimeModelToMachineType(trained, w.make,
                                            FastMachineType(), {},
                                            minispark::RunOptions{})
                    .ok());

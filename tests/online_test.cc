@@ -1,7 +1,5 @@
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -12,6 +10,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/dataset_metrics.h"
 #include "core/juggler.h"
 #include "core/serialization.h"
 #include "minispark/engine.h"
@@ -22,7 +21,7 @@
 #include "online/online_metrics.h"
 #include "online/refit_engine.h"
 #include "service/model_registry.h"
-#include "workloads/workloads.h"
+#include "test_models.h"
 
 namespace juggler::online {
 namespace {
@@ -30,20 +29,9 @@ namespace {
 namespace fs = std::filesystem;
 using core::TrainedJuggler;
 using minispark::AppParams;
-
-/// Trains a small model deterministically (same recipe as service_test).
-TrainedJuggler TrainSmall(const std::string& name, int iterations = 5) {
-  const auto w = workloads::GetWorkload(name).value();
-  core::JugglerConfig config;
-  config.time_grid =
-      core::TrainingGrid{{4000, 8000, 16000}, {1000, 2000, 4000}, iterations};
-  config.memory_reference = w.paper_params;
-  config.run_options.noise_sigma = 0.0;
-  config.run_options.straggler_prob = 0.0;
-  auto training = core::TrainJuggler(name, w.make, config);
-  EXPECT_TRUE(training.ok()) << training.status().ToString();
-  return std::move(training)->trained;
-}
+using test::MakeModelDir;
+using test::SaveModel;
+using test::TrainSmall;
 
 /// The same model with every time-model coefficient scaled: a deployed model
 /// gone stale, predicting `scale`x the true run time.
@@ -80,23 +68,6 @@ std::vector<Observation> TruthObservations(const TrainedJuggler& truth,
     }
   }
   return out;
-}
-
-/// A fresh directory for `test_name`, private to this process: two
-/// processes running one test binary at once must not clear each other's.
-fs::path MakeModelDir(const std::string& test_name) {
-  const fs::path dir =
-      fs::path(testing::TempDir()) /
-      ("online_" + test_name + "_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
-void SaveModel(const TrainedJuggler& trained, const fs::path& path) {
-  std::ofstream out(path);
-  ASSERT_TRUE(out) << path;
-  ASSERT_TRUE(core::SaveTrainedJuggler(trained, out).ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -257,37 +228,64 @@ TEST(ObservationWireTest, HostileCountCannotForceAllocation) {
       << status.message();
 }
 
+// Online feedback must measure what stage 2 fits the size models on. A
+// persisted wide dataset has no computed kMain record: its computed
+// partitions are shuffle reads and its other reads are cache hits.
 TEST(ObservationWireTest, ProfileExtractionMeasuresRunAndSizes) {
-  const auto w = workloads::GetWorkload("svm").value();
+  minispark::DagBuilder b("wide");
+  const auto src = b.AddSource("src", 64.0 * 1024 * 1024, 4);
+  const auto parsed = b.AddNarrow("parsed", {src}, 32.0 * 1024 * 1024, 400.0);
+  const auto agg = b.AddWide("agg", {parsed}, 8.0 * 1024 * 1024, 200.0);
+  for (int i = 0; i < 2; ++i) {
+    const std::string n = std::to_string(i);
+    b.AddJob("job" + n, b.AddNarrow("use" + n, {agg}, 1024 * 1024, 50.0));
+  }
+  b.SetDefaultPlan(minispark::CachePlan{{minispark::CacheOp::Persist(agg)}});
+  const minispark::Application app = std::move(b).Build();
   minispark::RunOptions options;
   options.instrument = true;
   options.noise_sigma = 0.0;
   options.straggler_prob = 0.0;
-  minispark::Engine engine(options);
-  const AppParams params{8000, 2000, 3};
-  auto run = engine.Run(w.make(params), minispark::PaperCluster(1),
-                        minispark::CachePlan{});
+  auto run =
+      minispark::Engine(options).RunDefault(app, minispark::TrainingNode());
   ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_GT(run->cache_hits, 0);
 
-  const auto batch =
-      ObservationsFromProfile("svm", params, /*schedule_id=*/2,
-                              /*model_version=*/7, *run->profile);
+  auto batch = ObservationsFromProfile("wide", app.params, /*schedule_id=*/2,
+                                       /*model_version=*/7, *run->profile);
+  ASSERT_TRUE(batch.ok()) << batch.status().ToString();
+  auto stage_two = core::MeasureDatasetSizes(*run->profile);
+  ASSERT_TRUE(stage_two.ok());
   size_t run_times = 0;
-  size_t sizes = 0;
-  for (const Observation& o : batch) {
-    EXPECT_EQ(o.app, "svm");
+  std::vector<double> sizes(stage_two->size(), 0.0);
+  for (const Observation& o : *batch) {
+    EXPECT_EQ(o.app, "wide");
     EXPECT_EQ(o.model_version, 7u);
     EXPECT_GT(o.value, 0.0);
     if (o.kind == ObservationKind::kRunTime) {
       ++run_times;
       EXPECT_EQ(o.target, 2);
     } else {
-      EXPECT_EQ(o.kind, ObservationKind::kDatasetSize);
-      ++sizes;
+      ASSERT_EQ(o.kind, ObservationKind::kDatasetSize);
+      sizes.at(static_cast<size_t>(o.target)) = o.value;
     }
   }
   EXPECT_EQ(run_times, 1u);
-  EXPECT_GT(sizes, 0u);
+  EXPECT_EQ(sizes, *stage_two);
+  const double agg_bytes = app.dataset(agg).bytes;
+  EXPECT_NEAR(sizes[static_cast<size_t>(agg)], agg_bytes, 0.01 * agg_bytes);
+}
+
+TEST(ObservationWireTest, ProfileOfAnUnknownDatasetRejected) {
+  minispark::ProfilingDb db;
+  minispark::DatasetRecord src;
+  src.id = 0;
+  db.AddDataset(src);
+  minispark::TransformRecord record;
+  record.dataset = 3;  // Not in the profile's dataset list.
+  db.AddTransform(record);
+  EXPECT_FALSE(ObservationsFromProfile("svm", AppParams{1000, 100, 1}, 1, 1, db)
+                   .ok());
 }
 
 // ---------------------------------------------------------------------------
@@ -445,7 +443,7 @@ TEST(RefitEngineTest, TooFewObservationsIsFailedPrecondition) {
 // ModelPublisher
 
 TEST(ModelPublisherTest, PublishSwapsAtomicallyAndLeavesNoTempFiles) {
-  const fs::path dir = MakeModelDir("publish_swap");
+  const fs::path dir = MakeModelDir("online", "publish_swap");
   const TrainedJuggler truth = TrainSmall("svm");
   ModelPublisher publisher(dir.string());
 
@@ -465,7 +463,7 @@ TEST(ModelPublisherTest, PublishSwapsAtomicallyAndLeavesNoTempFiles) {
 }
 
 TEST(ModelPublisherTest, RollbackRestoresTheDisplacedArtifact) {
-  const fs::path dir = MakeModelDir("publish_rollback");
+  const fs::path dir = MakeModelDir("online", "publish_rollback");
   const TrainedJuggler truth = TrainSmall("svm");
   const TrainedJuggler stale = PerturbTimeModels(truth, 4.0);
   ModelPublisher publisher(dir.string());
@@ -488,7 +486,7 @@ TEST(ModelPublisherTest, RollbackRestoresTheDisplacedArtifact) {
 }
 
 TEST(ModelPublisherTest, RollbackWithoutStashIsNotFound) {
-  ModelPublisher publisher(MakeModelDir("publish_nostash").string());
+  ModelPublisher publisher(MakeModelDir("online", "publish_nostash").string());
   EXPECT_EQ(publisher.Rollback("svm").code(), StatusCode::kNotFound);
 }
 
@@ -502,7 +500,7 @@ struct LoopFixture {
   TrainedJuggler stale;
 
   explicit LoopFixture(const std::string& name)
-      : dir(MakeModelDir(name)),
+      : dir(MakeModelDir("online", name)),
         truth(TrainSmall("svm")),
         stale(PerturbTimeModels(truth, 4.0)) {
     SaveModel(stale, dir / "svm.model");

@@ -5,8 +5,6 @@
 
 #include <gtest/gtest.h>
 
-#include <unistd.h>
-
 #include <atomic>
 #include <filesystem>
 #include <fstream>
@@ -20,26 +18,15 @@
 #include "core/serialization.h"
 #include "online/model_publisher.h"
 #include "service/model_registry.h"
-#include "workloads/workloads.h"
+#include "test_models.h"
 
 namespace juggler::online {
 namespace {
 
 namespace fs = std::filesystem;
 using core::TrainedJuggler;
-
-TrainedJuggler TrainSmall(const std::string& name, int iterations = 5) {
-  const auto w = workloads::GetWorkload(name).value();
-  core::JugglerConfig config;
-  config.time_grid =
-      core::TrainingGrid{{4000, 8000, 16000}, {1000, 2000, 4000}, iterations};
-  config.memory_reference = w.paper_params;
-  config.run_options.noise_sigma = 0.0;
-  config.run_options.straggler_prob = 0.0;
-  auto training = core::TrainJuggler(name, w.make, config);
-  EXPECT_TRUE(training.ok()) << training.status().ToString();
-  return std::move(training)->trained;
-}
+using test::MakeModelDir;
+using test::TrainSmall;
 
 /// The same model with scaled time coefficients — a distinguishable variant
 /// for swap tests.
@@ -54,19 +41,8 @@ TrainedJuggler Variant(const TrainedJuggler& model, double scale) {
                         model.memory(), std::move(scaled));
 }
 
-/// A fresh directory for `test_name`, private to this process: two
-/// processes running one test binary at once must not clear each other's.
-fs::path MakeModelDir(const std::string& test_name) {
-  const fs::path dir =
-      fs::path(testing::TempDir()) /
-      ("publish_" + test_name + "_" + std::to_string(::getpid()));
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
-
 TEST(RegistryPublishTest, ReadersNeverSeeATornArtifact) {
-  const fs::path dir = MakeModelDir("torn");
+  const fs::path dir = MakeModelDir("publish", "torn");
   const TrainedJuggler a = TrainSmall("svm");
   const TrainedJuggler b = Variant(a, 2.0);
   ModelPublisher publisher(dir.string());
@@ -109,7 +85,7 @@ TEST(RegistryPublishTest, ReadersNeverSeeATornArtifact) {
 }
 
 TEST(RegistryPublishTest, CorruptArtifactDegradesToLastGoodUntilRepublish) {
-  const fs::path dir = MakeModelDir("corrupt");
+  const fs::path dir = MakeModelDir("publish", "corrupt");
   const TrainedJuggler good = TrainSmall("svm");
   ModelPublisher publisher(dir.string());
   ASSERT_TRUE(publisher.Publish(good).ok());
@@ -137,7 +113,7 @@ TEST(RegistryPublishTest, CorruptArtifactDegradesToLastGoodUntilRepublish) {
 }
 
 TEST(RegistryPublishTest, SwapsRaceCleanlyWithLazyEviction) {
-  const fs::path dir = MakeModelDir("lazy_evict");
+  const fs::path dir = MakeModelDir("publish", "lazy_evict");
   const TrainedJuggler svm = TrainSmall("svm");
   const TrainedJuggler pca = TrainSmall("pca");
   ModelPublisher publisher(dir.string());
@@ -190,7 +166,8 @@ std::string ArtifactBytes(const TrainedJuggler& model) {
 /// as a new artifact: the publisher renames a fresh file into place, so the
 /// inode differs.
 void ExpectSameSizeSameMtimePublishServes(bool lazy) {
-  const fs::path dir = MakeModelDir(lazy ? "same_stamp_lazy" : "same_stamp");
+  const fs::path dir =
+      MakeModelDir("publish", lazy ? "same_stamp_lazy" : "same_stamp");
   const fs::path artifact = dir / "svm.model";
   const TrainedJuggler old_model = TrainSmall("svm");
   const std::string old_bytes = ArtifactBytes(old_model);

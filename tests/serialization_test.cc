@@ -8,6 +8,7 @@
 #include "core/serialization.h"
 #include "math/stats.h"
 #include "minispark/engine.h"
+#include "test_models.h"
 #include "workloads/workloads.h"
 
 namespace juggler::core {
@@ -15,22 +16,11 @@ namespace {
 
 using minispark::AppParams;
 using minispark::PaperCluster;
-
-TrainingResult TrainSmall(const std::string& name) {
-  const auto w = workloads::GetWorkload(name).value();
-  JugglerConfig config;
-  config.time_grid = TrainingGrid{{4000, 8000, 16000}, {1000, 2000, 4000}, 5};
-  config.memory_reference = w.paper_params;
-  config.run_options.noise_sigma = 0.0;
-  config.run_options.straggler_prob = 0.0;
-  auto training = TrainJuggler(name, w.make, config);
-  EXPECT_TRUE(training.ok()) << training.status().ToString();
-  return std::move(training).value();
-}
+using test::TrainSmall;
 
 TEST(SerializationTest, RoundTripPreservesRecommendations) {
-  const auto training = TrainSmall("svm");
-  const std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("svm");
+  const std::string text = TrainedJugglerToString(trained);
   EXPECT_NE(text.find("juggler-model 1"), std::string::npos);
   EXPECT_NE(text.find("app svm"), std::string::npos);
 
@@ -38,19 +28,19 @@ TEST(SerializationTest, RoundTripPreservesRecommendations) {
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
 
   EXPECT_EQ(loaded->app_name(), "svm");
-  EXPECT_EQ(loaded->schedules().size(), training.trained.schedules().size());
+  EXPECT_EQ(loaded->schedules().size(), trained.schedules().size());
   EXPECT_DOUBLE_EQ(loaded->memory().memory_factor,
-                   training.trained.memory().memory_factor);
+                   trained.memory().memory_factor);
   for (size_t i = 0; i < loaded->schedules().size(); ++i) {
     EXPECT_EQ(loaded->schedules()[i].plan,
-              training.trained.schedules()[i].plan);
+              trained.schedules()[i].plan);
     EXPECT_EQ(loaded->schedules()[i].datasets,
-              training.trained.schedules()[i].datasets);
+              trained.schedules()[i].datasets);
   }
 
   // The online path must be bit-identical after a round trip.
   const AppParams user{12000, 3000, 5};
-  auto original = training.trained.RecommendAll(user, PaperCluster(1));
+  auto original = trained.RecommendAll(user, PaperCluster(1));
   auto restored = loaded->RecommendAll(user, PaperCluster(1));
   ASSERT_TRUE(original.ok());
   ASSERT_TRUE(restored.ok());
@@ -65,8 +55,8 @@ TEST(SerializationTest, RoundTripPreservesRecommendations) {
 }
 
 TEST(SerializationTest, RoundTripSurvivesSecondRoundTrip) {
-  const auto training = TrainSmall("pca");
-  const std::string once = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  const std::string once = TrainedJugglerToString(trained);
   auto loaded = TrainedJugglerFromString(once);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(TrainedJugglerToString(*loaded), once);
@@ -79,8 +69,8 @@ TEST(SerializationTest, RejectsGarbage) {
 }
 
 TEST(SerializationTest, RejectsWrongVersionLine) {
-  const auto training = TrainSmall("pca");
-  const std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  const std::string text = TrainedJugglerToString(trained);
   ASSERT_EQ(text.rfind("juggler-model 1\n", 0), 0u);
   const std::string body = text.substr(text.find('\n') + 1);
   // Future version, zero, negative, and non-numeric version tokens must all
@@ -95,8 +85,8 @@ TEST(SerializationTest, RejectsWrongVersionLine) {
 }
 
 TEST(SerializationTest, RejectsTrailingGarbage) {
-  const auto training = TrainSmall("pca");
-  const std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  const std::string text = TrainedJugglerToString(trained);
   ASSERT_TRUE(TrainedJugglerFromString(text).ok());
   // A registry directory artifact with junk after the model (partial
   // overwrite, concatenated files) must be rejected, not silently accepted.
@@ -111,8 +101,8 @@ TEST(SerializationTest, RejectsTrailingGarbage) {
 }
 
 TEST(SerializationTest, RejectsCorruptedCountLines) {
-  const auto training = TrainSmall("pca");
-  const std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  const std::string text = TrainedJugglerToString(trained);
   for (const char* field : {"schedules ", "size_models ", "time_models "}) {
     const size_t pos = text.find(field);
     ASSERT_NE(pos, std::string::npos) << field;
@@ -123,8 +113,8 @@ TEST(SerializationTest, RejectsCorruptedCountLines) {
 }
 
 TEST(SerializationTest, RejectsTruncatedInput) {
-  const auto training = TrainSmall("pca");
-  const std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  const std::string text = TrainedJugglerToString(trained);
   // Chop the text mid-structure; such prefixes must fail cleanly. (A cut
   // inside the final coefficient may still parse — text formats cannot
   // detect every truncation — so cut at section boundaries.)
@@ -136,8 +126,8 @@ TEST(SerializationTest, RejectsTruncatedInput) {
 }
 
 TEST(SerializationTest, RejectsCountInflationWithoutHugeAllocation) {
-  const auto training = TrainSmall("pca");
-  const std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  const std::string text = TrainedJugglerToString(trained);
   // Inflate a declared count far past what the remaining bytes could hold;
   // the loader must reject from the count line itself instead of sizing a
   // multi-GB vector from one forged integer.
@@ -167,8 +157,8 @@ TEST(SerializationTest, RejectsCountInflationWithoutHugeAllocation) {
 TEST(SerializationTest, RejectsOverflowingPlanDatasetId) {
   // A forged plan op like "p(9999999999999999999)" used to overflow the
   // signed accumulator in CachePlan::Parse (UB); it must be a clean error.
-  const auto training = TrainSmall("pca");
-  const std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  const std::string text = TrainedJugglerToString(trained);
   const size_t pos = text.find("plan ");
   ASSERT_NE(pos, std::string::npos);
   const size_t eol = text.find('\n', pos);
@@ -182,8 +172,8 @@ TEST(SerializationTest, RejectsOverflowingPlanDatasetId) {
 }
 
 TEST(SerializationTest, RejectsUnknownModelFamily) {
-  const auto training = TrainSmall("pca");
-  std::string text = TrainedJugglerToString(training.trained);
+  const auto trained = TrainSmall("pca");
+  std::string text = TrainedJugglerToString(trained);
   const size_t pos = text.find("size~");
   ASSERT_NE(pos, std::string::npos);
   text.replace(pos, 5, "bogus");
@@ -224,20 +214,16 @@ TEST(IterationExtensionTest, PredictsAcrossIterationCounts) {
   // Train the main model at 6 iterations, the extension over {3, 6, 12},
   // then predict a 24-iteration run.
   const auto w = workloads::GetWorkload("lor").value();
-  JugglerConfig config;
-  config.time_grid = TrainingGrid{{4000, 8000, 16000}, {1000, 2000, 4000}, 6};
-  config.memory_reference = w.paper_params;
-  config.run_options.noise_sigma = 0.0;
-  config.run_options.straggler_prob = 0.0;
-  auto training = TrainJuggler("lor", w.make, config);
-  ASSERT_TRUE(training.ok());
-  const auto& trained = training->trained;
+  const auto trained = TrainSmall("lor", 6);
+  minispark::RunOptions quiet;
+  quiet.noise_sigma = 0.0;
+  quiet.straggler_prob = 0.0;
 
   const AppParams reference{12000, 3000, 6};
   auto ext = BuildIterationExtension(
       w.make, trained.schedules().front(), trained.sizes(),
       trained.memory().memory_factor, PaperCluster(1), reference, {3, 6, 12},
-      config.run_options);
+      quiet);
   ASSERT_TRUE(ext.ok()) << ext.status().ToString();
   EXPECT_GT(ext->b, 0.0);  // More iterations take longer.
 
@@ -248,7 +234,7 @@ TEST(IterationExtensionTest, PredictsAcrossIterationCounts) {
   const double predicted =
       ext->Rescale(rec.predicted_time_ms, target_iterations);
 
-  minispark::Engine engine(config.run_options);
+  minispark::Engine engine(quiet);
   auto actual =
       engine.Run(w.make(AppParams{12000, 3000, target_iterations}),
                  PaperCluster(rec.machines), rec.plan);
@@ -262,10 +248,10 @@ TEST(IterationExtensionTest, PredictsAcrossIterationCounts) {
 }
 
 TEST(IterationExtensionTest, RejectsTooFewCounts) {
-  const auto training = TrainSmall("pca");
+  const auto trained = TrainSmall("pca");
   auto ext = BuildIterationExtension(
-      workloads::GetWorkload("pca")->make, training.trained.schedules().front(),
-      training.trained.sizes(), 1.0, PaperCluster(1), AppParams{4000, 800, 5},
+      workloads::GetWorkload("pca")->make, trained.schedules().front(),
+      trained.sizes(), 1.0, PaperCluster(1), AppParams{4000, 800, 5},
       {5}, minispark::RunOptions{});
   EXPECT_FALSE(ext.ok());
 }

@@ -11,13 +11,12 @@
 #include <vector>
 
 #include "core/juggler.h"
-#include "core/serialization.h"
 #include "service/metrics.h"
 #include "service/model_registry.h"
 #include "service/prediction_cache.h"
 #include "service/recommendation_service.h"
 #include "service/thread_pool.h"
-#include "workloads/workloads.h"
+#include "test_models.h"
 
 namespace juggler::service {
 namespace {
@@ -26,34 +25,9 @@ namespace fs = std::filesystem;
 using core::TrainedJuggler;
 using minispark::AppParams;
 using minispark::PaperCluster;
-
-/// Trains a small model deterministically (same recipe as serialization_test).
-TrainedJuggler TrainSmall(const std::string& name, int iterations = 5) {
-  const auto w = workloads::GetWorkload(name).value();
-  core::JugglerConfig config;
-  config.time_grid =
-      core::TrainingGrid{{4000, 8000, 16000}, {1000, 2000, 4000}, iterations};
-  config.memory_reference = w.paper_params;
-  config.run_options.noise_sigma = 0.0;
-  config.run_options.straggler_prob = 0.0;
-  auto training = core::TrainJuggler(name, w.make, config);
-  EXPECT_TRUE(training.ok()) << training.status().ToString();
-  return std::move(training)->trained;
-}
-
-void SaveModel(const TrainedJuggler& trained, const fs::path& path) {
-  std::ofstream out(path);
-  ASSERT_TRUE(out) << path;
-  ASSERT_TRUE(core::SaveTrainedJuggler(trained, out).ok());
-}
-
-/// Fresh empty registry directory for one test.
-fs::path MakeModelDir(const std::string& test_name) {
-  const fs::path dir = fs::path(testing::TempDir()) / ("registry_" + test_name);
-  fs::remove_all(dir);
-  fs::create_directories(dir);
-  return dir;
-}
+using test::MakeModelDir;
+using test::SaveModel;
+using test::TrainSmall;
 
 bool SameRecommendations(const std::vector<core::Recommendation>& a,
                          const std::vector<core::Recommendation>& b) {
@@ -76,7 +50,7 @@ bool SameRecommendations(const std::vector<core::Recommendation>& a,
 // ModelRegistry
 
 TEST(ModelRegistryTest, LoadsArtifactsAndLooksUpByAppName) {
-  const fs::path dir = MakeModelDir("loads");
+  const fs::path dir = MakeModelDir("registry", "loads");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   SaveModel(TrainSmall("pca"), dir / "pca.model");
   std::ofstream(dir / "notes.txt") << "ignored: wrong extension\n";
@@ -101,7 +75,7 @@ TEST(ModelRegistryTest, LoadsArtifactsAndLooksUpByAppName) {
 }
 
 TEST(ModelRegistryTest, RefreshPicksUpNewArtifacts) {
-  const fs::path dir = MakeModelDir("pickup");
+  const fs::path dir = MakeModelDir("registry", "pickup");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   ModelRegistry registry(dir.string());
   ASSERT_TRUE(registry.Refresh().ok());
@@ -116,7 +90,7 @@ TEST(ModelRegistryTest, RefreshPicksUpNewArtifacts) {
 }
 
 TEST(ModelRegistryTest, HotReloadDoesNotInvalidateInFlightReaders) {
-  const fs::path dir = MakeModelDir("hot_reload");
+  const fs::path dir = MakeModelDir("registry", "hot_reload");
   SaveModel(TrainSmall("svm", /*iterations=*/5), dir / "svm.model");
   ModelRegistry registry(dir.string());
   ASSERT_TRUE(registry.Refresh().ok());
@@ -145,7 +119,7 @@ TEST(ModelRegistryTest, HotReloadDoesNotInvalidateInFlightReaders) {
 }
 
 TEST(ModelRegistryTest, MalformedArtifactDoesNotPoisonRefresh) {
-  const fs::path dir = MakeModelDir("malformed_skipped");
+  const fs::path dir = MakeModelDir("registry", "malformed_skipped");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   ModelRegistry registry(dir.string());
   ASSERT_TRUE(registry.Refresh().ok());
@@ -165,7 +139,7 @@ TEST(ModelRegistryTest, MalformedArtifactDoesNotPoisonRefresh) {
 }
 
 TEST(ModelRegistryTest, CorruptedArtifactKeepsLastGoodModelServing) {
-  const fs::path dir = MakeModelDir("corrupted_live");
+  const fs::path dir = MakeModelDir("registry", "corrupted_live");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   SaveModel(TrainSmall("pca"), dir / "pca.model");
   ModelRegistry registry(dir.string());
@@ -201,7 +175,7 @@ TEST(ModelRegistryTest, CorruptedArtifactKeepsLastGoodModelServing) {
 }
 
 TEST(ModelRegistryTest, RefreshRejectsDuplicateAppNames) {
-  const fs::path dir = MakeModelDir("duplicate");
+  const fs::path dir = MakeModelDir("registry", "duplicate");
   const auto svm = TrainSmall("svm");
   SaveModel(svm, dir / "svm.model");
   SaveModel(svm, dir / "svm_copy.model");
@@ -212,7 +186,7 @@ TEST(ModelRegistryTest, RefreshRejectsDuplicateAppNames) {
 }
 
 TEST(ModelRegistryTest, IncrementalRefreshReusesUnchangedArtifacts) {
-  const fs::path dir = MakeModelDir("incremental");
+  const fs::path dir = MakeModelDir("registry", "incremental");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   SaveModel(TrainSmall("pca"), dir / "pca.model");
   ModelRegistry registry(dir.string());
@@ -262,7 +236,7 @@ TEST(ModelRegistryTest, MissingDirectoryIsNotFound) {
 // ModelRegistry: lazy loading + LRU/TTL eviction (cluster-shard memory mode)
 
 TEST(ModelRegistryTest, LazyModeDefersParsingUntilFirstResolve) {
-  const fs::path dir = MakeModelDir("lazy_defer");
+  const fs::path dir = MakeModelDir("registry", "lazy_defer");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   SaveModel(TrainSmall("pca"), dir / "pca.model");
 
@@ -288,7 +262,7 @@ TEST(ModelRegistryTest, LazyModeDefersParsingUntilFirstResolve) {
 }
 
 TEST(ModelRegistryTest, ResolveResidentNeverParses) {
-  const fs::path dir = MakeModelDir("resolve_resident");
+  const fs::path dir = MakeModelDir("registry", "resolve_resident");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
 
   // Eager: every registered model is resident, so it always answers.
@@ -321,7 +295,7 @@ TEST(ModelRegistryTest, ResolveResidentNeverParses) {
 }
 
 TEST(ModelRegistryTest, LazyLruEvictsBeyondMaxLoaded) {
-  const fs::path dir = MakeModelDir("lazy_lru");
+  const fs::path dir = MakeModelDir("registry", "lazy_lru");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   SaveModel(TrainSmall("pca"), dir / "pca.model");
   SaveModel(TrainSmall("lor"), dir / "lor.model");
@@ -351,7 +325,7 @@ TEST(ModelRegistryTest, LazyLruEvictsBeyondMaxLoaded) {
 }
 
 TEST(ModelRegistryTest, LazyTtlEvictsIdleModels) {
-  const fs::path dir = MakeModelDir("lazy_ttl");
+  const fs::path dir = MakeModelDir("registry", "lazy_ttl");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   SaveModel(TrainSmall("pca"), dir / "pca.model");
 
@@ -371,7 +345,7 @@ TEST(ModelRegistryTest, LazyTtlEvictsIdleModels) {
 }
 
 TEST(ModelRegistryTest, LazyRejectsArtifactWhoseAppDiffersFromStem) {
-  const fs::path dir = MakeModelDir("lazy_stem");
+  const fs::path dir = MakeModelDir("registry", "lazy_stem");
   // The file claims app "svm" but is named "other.model": lazy mode
   // registers by stem, so the declared name must match at load time.
   SaveModel(TrainSmall("svm"), dir / "other.model");
@@ -390,7 +364,7 @@ TEST(ModelRegistryTest, LazyRejectsArtifactWhoseAppDiffersFromStem) {
 }
 
 TEST(ModelRegistryTest, LazyMalformedArtifactFailsResolveNotRefresh) {
-  const fs::path dir = MakeModelDir("lazy_malformed");
+  const fs::path dir = MakeModelDir("registry", "lazy_malformed");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   std::ofstream(dir / "broken.model") << "this is not a model artifact\n";
 
@@ -407,7 +381,7 @@ TEST(ModelRegistryTest, LazyMalformedArtifactFailsResolveNotRefresh) {
 }
 
 TEST(ModelRegistryTest, LazyReloadPicksUpChangedArtifacts) {
-  const fs::path dir = MakeModelDir("lazy_reload");
+  const fs::path dir = MakeModelDir("registry", "lazy_reload");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
 
   ModelRegistry::Options options;
@@ -672,7 +646,7 @@ struct ServiceFixture {
 
   explicit ServiceFixture(const std::string& test_name,
                           RecommendationService::Options options = {}) {
-    dir = MakeModelDir(test_name);
+    dir = MakeModelDir("registry", test_name);
     SaveModel(TrainSmall("svm"), dir / "svm.model");
     SaveModel(TrainSmall("pca"), dir / "pca.model");
     registry = std::make_shared<ModelRegistry>(dir.string());
@@ -777,7 +751,7 @@ TEST(RecommendationServiceTest, BatchDedupsAndMatchesSequential) {
 }
 
 TEST(RecommendationServiceTest, ResidentBatchDeclinesOnALazySlotCountingNothing) {
-  const fs::path dir = MakeModelDir("batch_resident");
+  const fs::path dir = MakeModelDir("registry", "batch_resident");
   SaveModel(TrainSmall("svm"), dir / "svm.model");
   SaveModel(TrainSmall("pca"), dir / "pca.model");
   ModelRegistry::Options lazy;
