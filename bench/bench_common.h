@@ -39,17 +39,7 @@ inline minispark::RunOptions ActualRunOptions(uint64_t seed = 42) {
 /// memory-calibration run, and 9 time experiments per schedule at
 /// 0.4x-1x of the paper's parameters.
 inline core::JugglerConfig PaperTrainingConfig(const workloads::Workload& w) {
-  core::JugglerConfig config;
-  config.sample_params = minispark::AppParams{2000, 500, 3};
-  config.size_grid = core::TrainingGrid{{1000, 2000, 4000}, {250, 500, 1000}, 2};
-  config.time_grid = core::TrainingGrid{
-      {0.4 * w.paper_params.examples, 0.7 * w.paper_params.examples,
-       w.paper_params.examples},
-      {0.4 * w.paper_params.features, 0.7 * w.paper_params.features,
-       w.paper_params.features},
-      w.paper_params.iterations};
-  config.memory_reference = w.paper_params;
-  config.machine_type = minispark::PaperCluster(1);
+  core::JugglerConfig config = core::PaperTrainingConfig(w.paper_params);
   config.run_options = ActualRunOptions();
   return config;
 }

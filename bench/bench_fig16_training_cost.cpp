@@ -50,14 +50,7 @@ RepeatedMs TimeRepeated(const std::function<void()>& pass) {
 /// uses: time grids at 0.4/0.7/1.0 x the paper params, no task noise and no
 /// stragglers.
 core::JugglerConfig ServingTrainingConfig(const workloads::Workload& w) {
-  core::JugglerConfig config;
-  config.time_grid = core::TrainingGrid{
-      {0.4 * w.paper_params.examples, 0.7 * w.paper_params.examples,
-       w.paper_params.examples},
-      {0.4 * w.paper_params.features, 0.7 * w.paper_params.features,
-       w.paper_params.features},
-      w.paper_params.iterations};
-  config.memory_reference = w.paper_params;
+  core::JugglerConfig config = core::PaperTrainingConfig(w.paper_params);
   config.run_options.noise_sigma = 0.0;
   config.run_options.straggler_prob = 0.0;
   return config;

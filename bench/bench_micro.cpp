@@ -174,14 +174,7 @@ const CodecInputs& Codec() {
     const minispark::AppParams questions[] = {
         {4000, 200, 3}, {12000, 900, 5}, {19000, 1800, 9}};
     for (const auto& w : workloads::AllWorkloads()) {
-      core::JugglerConfig config;
-      config.time_grid = core::TrainingGrid{
-          {0.4 * w.paper_params.examples, 0.7 * w.paper_params.examples,
-           w.paper_params.examples},
-          {0.4 * w.paper_params.features, 0.7 * w.paper_params.features,
-           w.paper_params.features},
-          w.paper_params.iterations};
-      config.memory_reference = w.paper_params;
+      core::JugglerConfig config = core::PaperTrainingConfig(w.paper_params);
       config.run_options = Quiet();
       const auto trained = core::TrainJuggler(w.name, w.make, config).value();
       std::ostringstream artifact;

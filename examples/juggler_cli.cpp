@@ -40,14 +40,8 @@ int Train(const std::string& name, const std::string& path) {
     std::cerr << workload.status().ToString() << "\n";
     return 1;
   }
-  core::JugglerConfig config;
-  config.time_grid = core::TrainingGrid{
-      {0.4 * workload->paper_params.examples, 0.7 * workload->paper_params.examples,
-       workload->paper_params.examples},
-      {0.4 * workload->paper_params.features, 0.7 * workload->paper_params.features,
-       workload->paper_params.features},
-      workload->paper_params.iterations};
-  config.memory_reference = workload->paper_params;
+  const core::JugglerConfig config =
+      core::PaperTrainingConfig(workload->paper_params);
 
   std::cout << "training '" << name << "' (four offline stages)...\n";
   auto training = core::TrainJuggler(name, workload->make, config);

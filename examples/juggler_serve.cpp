@@ -90,6 +90,7 @@
 
 #include "cluster/router.h"
 #include "cluster/shard_server.h"
+#include "common/parse.h"
 #include "common/table_printer.h"
 #include "common/units.h"
 #include "core/juggler.h"
@@ -172,21 +173,13 @@ int TrainMissing(const fs::path& dir, bool fast) {
       std::printf("have    %s\n", path.c_str());
       continue;
     }
-    core::JugglerConfig config;
+    core::JugglerConfig config = core::PaperTrainingConfig(w.paper_params);
     if (fast) {
       config.time_grid =
           core::TrainingGrid{{4000, 8000, 16000}, {1000, 2000, 4000}, 5};
       config.run_options.noise_sigma = 0.0;
       config.run_options.straggler_prob = 0.0;
-    } else {
-      config.time_grid = core::TrainingGrid{
-          {0.4 * w.paper_params.examples, 0.7 * w.paper_params.examples,
-           w.paper_params.examples},
-          {0.4 * w.paper_params.features, 0.7 * w.paper_params.features,
-           w.paper_params.features},
-          w.paper_params.iterations};
     }
-    config.memory_reference = w.paper_params;
     std::printf("training %s (four offline stages%s)...\n", w.name.c_str(),
                 fast ? ", fast grid" : "");
     auto training = core::TrainJuggler(w.name, w.make, config);
@@ -342,6 +335,7 @@ int main(int argc, char** argv) {
   for (int i = 2; i < argc; ++i) {
     const std::string arg = argv[i];
     const bool has_value = i + 1 < argc;
+    bool parsed = true;  // Numeric values: digits only, no trailing bytes.
     if (arg == "--train") {
       train = true;
     } else if (arg == "--train-fast") {
@@ -355,42 +349,45 @@ int main(int argc, char** argv) {
     } else if (arg == "--host" && has_value) {
       host = argv[++i];
     } else if (arg == "--port" && has_value) {
-      port = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &port);
     } else if (arg == "--workers" && has_value) {
-      workers = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &workers);
     } else if (arg == "--queue-capacity" && has_value) {
-      queue_capacity = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &queue_capacity);
       queue_capacity_given = true;
     } else if (arg == "--cache-capacity" && has_value) {
-      cache_capacity = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &cache_capacity);
     } else if (arg == "--handler-threads" && has_value) {
-      handler_threads = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &handler_threads);
     } else if (arg == "--eval-delay-ms" && has_value) {
-      eval_delay_ms = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &eval_delay_ms);
     } else if (arg == "--max-loaded-models" && has_value) {
-      max_loaded_models = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &max_loaded_models);
     } else if (arg == "--model-ttl-ms" && has_value) {
-      model_ttl_ms = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &model_ttl_ms);
     } else if (arg == "--probe-interval-ms" && has_value) {
-      probe_interval_ms = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &probe_interval_ms);
     } else if (arg == "--rpc-timeout-ms" && has_value) {
-      rpc_timeout_ms = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &rpc_timeout_ms);
     } else if (arg == "--online") {
       online = true;
     } else if (arg == "--online-min-records" && has_value) {
-      online_min_records = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &online_min_records);
     } else if (arg == "--online-interval-ms" && has_value) {
-      online_interval_ms = std::atoi(argv[++i]);
+      parsed = ParseUnsigned(argv[++i], &online_interval_ms);
     } else if (arg == "--online-error-threshold" && has_value) {
-      online_error_threshold = std::atof(argv[++i]);
+      parsed = ParseFiniteDouble(argv[++i], &online_error_threshold);
     } else {
       return Usage();
     }
+    if (!parsed) {
+      std::fprintf(stderr, "bad value for %s: '%s'\n", arg.c_str(), argv[i]);
+      return Usage();
+    }
   }
-  if (port < 0 || port > 65535 || workers < 1 || queue_capacity < 1 ||
-      cache_capacity < 1 || handler_threads < 1 || eval_delay_ms < 0 ||
-      max_loaded_models < 0 || model_ttl_ms < 0 || probe_interval_ms < 1 ||
-      rpc_timeout_ms < 1 || online_min_records < 1 || online_interval_ms < 0 ||
+  if (port > 65535 || workers < 1 || queue_capacity < 1 ||
+      cache_capacity < 1 || handler_threads < 1 || probe_interval_ms < 1 ||
+      rpc_timeout_ms < 1 || online_min_records < 1 ||
       online_error_threshold < 0.0) {
     return Usage();
   }

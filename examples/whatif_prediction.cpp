@@ -25,12 +25,7 @@ int main(int argc, char** argv) {
   }
   const minispark::AppParams base = workload->paper_params;
 
-  core::JugglerConfig config;
-  config.time_grid = core::TrainingGrid{
-      {0.4 * base.examples, 0.7 * base.examples, base.examples},
-      {0.4 * base.features, 0.7 * base.features, base.features},
-      base.iterations};
-  config.memory_reference = base;
+  const core::JugglerConfig config = core::PaperTrainingConfig(base);
 
   std::cout << "Training Juggler for '" << name << "' ...\n";
   auto training = core::TrainJuggler(name, workload->make, config);

@@ -76,18 +76,10 @@ std::optional<rpc::RpcFrame> ShardServer::HandleRecommend(
     const rpc::RpcFrame& request, bool resident_only) {
   auto json = net::Json::Parse(request.payload);
   if (!json.ok()) return ErrorFrame(json.status());
-  auto parsed = net::ParseRecommendRequest(*json);
-  if (!parsed.ok()) return ErrorFrame(parsed.status());
-  std::optional<StatusOr<service::RecommendResponse>> response;
-  if (resident_only) {
-    response = service_->RecommendIfResident(*parsed);
-    if (!response.has_value()) return std::nullopt;  // Needs a lazy load.
-  } else {
-    response = service_->Recommend(*parsed);
-  }
-  if (!response->ok()) return ErrorFrame(response->status());
-  return Reply(rpc::FrameType::kRecommendReply,
-               net::ResponseJson(parsed->app, **response).Dump());
+  auto answer = net::AnswerRecommend(*service_, *json, resident_only);
+  if (!answer.has_value()) return std::nullopt;  // Needs a lazy load.
+  if (!answer->ok()) return ErrorFrame(answer->status());
+  return Reply(rpc::FrameType::kRecommendReply, std::move(**answer).Dump());
 }
 
 rpc::RpcFrame ShardServer::HandleObserve(const rpc::RpcFrame& request) {

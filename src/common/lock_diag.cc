@@ -80,13 +80,23 @@ void DefaultReportHandler(const std::string& report) {
 
 std::atomic<ReportHandler> g_handler{&DefaultReportHandler};
 
-/// Per-thread stack of held named locks. Leaked per thread (TLS-rooted, so
-/// reachable) so unlocks running during static destruction stay safe.
-std::vector<const LockClass*>& HeldStack() {
-  // Intentionally leaked; see function comment.
-  thread_local std::vector<const LockClass*>* held =
-      new std::vector<const LockClass*>();  // NOLINT(naked-new)
-  return *held;
+/// Set when this thread's held stack has been destroyed. Trivially
+/// destructible, so it stays readable for the rest of the thread's exit.
+thread_local bool t_held_stack_gone = false;
+
+/// Owns a thread's held stack and marks it gone on destruction.
+struct HeldStackOwner {
+  std::vector<const LockClass*> held;
+  ~HeldStackOwner() { t_held_stack_gone = true; }
+};
+
+/// Per-thread stack of held named locks, freed when the thread exits. Null
+/// once it is gone: unlocks that run after the thread's TLS destructors
+/// (static destruction on the main thread included) are not tracked.
+std::vector<const LockClass*>* HeldStack() {
+  if (t_held_stack_gone) return nullptr;
+  thread_local HeldStackOwner owner;
+  return &owner.held;
 }
 
 std::string JoinChain(const std::vector<const LockClass*>& held,
@@ -273,18 +283,20 @@ void ResetDeadlockGraphForTesting() {
 
 void OnAcquired(const LockClass* cls) {
   if (!DeadlockDetectorEnabled()) return;
-  std::vector<const LockClass*>& held = HeldStack();
-  if (!held.empty()) CheckOrder(held, cls);
-  held.push_back(cls);
+  std::vector<const LockClass*>* held = HeldStack();
+  if (held == nullptr) return;
+  if (!held->empty()) CheckOrder(*held, cls);
+  held->push_back(cls);
 }
 
 void OnReleased(const LockClass* cls) {
   // Always unwind (even when the detector is off) so a disable between
   // acquire and release cannot leave a stale entry behind.
-  std::vector<const LockClass*>& held = HeldStack();
-  for (auto it = held.rbegin(); it != held.rend(); ++it) {
+  std::vector<const LockClass*>* held = HeldStack();
+  if (held == nullptr) return;
+  for (auto it = held->rbegin(); it != held->rend(); ++it) {
     if (*it == cls) {
-      held.erase(std::next(it).base());
+      held->erase(std::next(it).base());
       return;
     }
   }

@@ -37,6 +37,15 @@ namespace juggler {
   return result.ec == std::errc() && result.ptr == text.data() + text.size();
 }
 
+/// ParseUnsigned() into an int: also false when the value exceeds INT32_MAX.
+/// For counts and durations given on a command line.
+[[nodiscard]] inline bool ParseUnsigned(std::string_view text, int* out) {
+  uint64_t value = 0;
+  if (!ParseUnsigned(text, &value) || value > INT32_MAX) return false;
+  *out = static_cast<int>(value);
+  return true;
+}
+
 /// Parses `text` as a finite double (JSON-style: optional leading '-',
 /// decimal or scientific form; no "inf"/"nan", no leading '+', no hex, no
 /// whitespace). Returns false on malformed input and on overflow; underflow

@@ -2,8 +2,6 @@
 
 namespace juggler {
 
-namespace {
-
 const char* CodeName(StatusCode code) {
   switch (code) {
     case StatusCode::kOk:
@@ -26,7 +24,14 @@ const char* CodeName(StatusCode code) {
   return "UNKNOWN";
 }
 
-}  // namespace
+StatusCode CodeFromName(std::string_view name) {
+  for (int c = static_cast<int>(StatusCode::kOk);
+       c <= static_cast<int>(StatusCode::kAborted); ++c) {
+    const auto code = static_cast<StatusCode>(c);
+    if (name == CodeName(code)) return code;
+  }
+  return StatusCode::kInternal;
+}
 
 std::string Status::ToString() const {
   if (ok()) return "OK";

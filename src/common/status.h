@@ -4,6 +4,7 @@
 #include <cassert>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 
 namespace juggler {
@@ -26,6 +27,15 @@ enum class StatusCode {
   /// from "the library is broken".
   kAborted,
 };
+
+/// Canonical name of a status code ("INVALID_ARGUMENT", ...): the code
+/// Status::ToString() prints and the one the HTTP and JRPC error documents
+/// carry.
+const char* CodeName(StatusCode code);
+
+/// Inverse of CodeName(); kInternal for anything unrecognized (an unknown
+/// code crossing the wire must still fail closed).
+StatusCode CodeFromName(std::string_view name);
 
 /// \brief A cheap, copyable success-or-error result.
 ///

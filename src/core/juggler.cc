@@ -7,6 +7,18 @@ namespace juggler::core {
 using minispark::Engine;
 using minispark::RunOptions;
 
+JugglerConfig PaperTrainingConfig(const minispark::AppParams& paper_params) {
+  JugglerConfig config;
+  config.time_grid = TrainingGrid{
+      {0.4 * paper_params.examples, 0.7 * paper_params.examples,
+       paper_params.examples},
+      {0.4 * paper_params.features, 0.7 * paper_params.features,
+       paper_params.features},
+      paper_params.iterations};
+  config.memory_reference = paper_params;
+  return config;
+}
+
 StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
                                       const AppFactory& factory,
                                       const JugglerConfig& config) {

@@ -35,6 +35,13 @@ struct JugglerConfig {
   HotspotOptions hotspot;
 };
 
+/// \brief The paper's training recipe (§7.1) for a workload whose paper
+/// parameters are `paper_params`: the time experiments run at 0.4x, 0.7x and
+/// 1x its examples and features, at its iteration count, and memory is
+/// calibrated at `paper_params`. Every other field keeps its default; callers
+/// set their own run options.
+JugglerConfig PaperTrainingConfig(const minispark::AppParams& paper_params);
+
 /// \brief Machine-minutes spent per training stage (Figure 16 / Table 5).
 struct TrainingCosts {
   double hotspot = 0.0;

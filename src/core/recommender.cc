@@ -1,6 +1,7 @@
 #include "core/recommender.h"
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 
@@ -22,6 +23,44 @@ Status Objective::Validate() const {
   }
   return Status::OK();
 }
+
+namespace {
+
+/// Pareto filter: drops any schedule that another schedule beats (or ties)
+/// on every dimension, beating it on at least one. The dimensions are
+/// predicted time and cost, plus predicted bytes when `with_memory`. The
+/// kept schedules stay in `all`'s order.
+std::vector<Recommendation> ParetoFront(const std::vector<Recommendation>& all,
+                                        bool with_memory) {
+  const auto dims = [with_memory](const Recommendation& r) {
+    return std::array<double, 3>{r.predicted_time_ms,
+                                 r.predicted_cost_machine_min,
+                                 with_memory ? r.predicted_bytes : 0.0};
+  };
+  std::vector<Recommendation> kept;
+  for (const Recommendation& r : all) {
+    const std::array<double, 3> mine = dims(r);
+    bool dominated = false;
+    for (const Recommendation& other : all) {
+      if (other.schedule_id == r.schedule_id) continue;
+      const std::array<double, 3> theirs = dims(other);
+      bool no_worse = true;
+      bool better = false;
+      for (size_t k = 0; k < mine.size(); ++k) {
+        no_worse = no_worse && theirs[k] <= mine[k];
+        better = better || theirs[k] < mine[k];
+      }
+      if (no_worse && better) {
+        dominated = true;
+        break;
+      }
+    }
+    if (!dominated) kept.push_back(r);
+  }
+  return kept;
+}
+
+}  // namespace
 
 TrainedJuggler::TrainedJuggler(std::string app_name,
                                std::vector<Schedule> schedules,
@@ -62,27 +101,7 @@ StatusOr<std::vector<Recommendation>> TrainedJuggler::Recommend(
     const minispark::ClusterConfig& machine_type) const {
   auto all = RecommendAll(params, machine_type);
   if (!all.ok()) return all.status();
-  // Pareto filter: drop any schedule that another schedule beats (or ties)
-  // on both predicted time and predicted cost, beating it on at least one.
-  std::vector<Recommendation> kept;
-  for (const Recommendation& r : *all) {
-    bool dominated = false;
-    for (const Recommendation& other : *all) {
-      if (other.schedule_id == r.schedule_id) continue;
-      const bool no_worse =
-          other.predicted_time_ms <= r.predicted_time_ms &&
-          other.predicted_cost_machine_min <= r.predicted_cost_machine_min;
-      const bool better =
-          other.predicted_time_ms < r.predicted_time_ms ||
-          other.predicted_cost_machine_min < r.predicted_cost_machine_min;
-      if (no_worse && better) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) kept.push_back(r);
-  }
-  return kept;
+  return ParetoFront(*all, /*with_memory=*/false);
 }
 
 StatusOr<std::vector<Recommendation>> TrainedJuggler::Recommend(
@@ -93,29 +112,10 @@ StatusOr<std::vector<Recommendation>> TrainedJuggler::Recommend(
   if (objective.IsDefault()) return Recommend(params, machine_type);
   auto all = RecommendAll(params, machine_type);
   if (!all.ok()) return all.status();
-  // Three-dimensional Pareto filter over (time, cost, memory). The front
-  // itself is weight-independent; the weights only decide the ordering, so
-  // any two weightings agree on *which* schedules are offered.
-  std::vector<Recommendation> kept;
-  for (const Recommendation& r : *all) {
-    bool dominated = false;
-    for (const Recommendation& other : *all) {
-      if (other.schedule_id == r.schedule_id) continue;
-      const bool no_worse =
-          other.predicted_time_ms <= r.predicted_time_ms &&
-          other.predicted_cost_machine_min <= r.predicted_cost_machine_min &&
-          other.predicted_bytes <= r.predicted_bytes;
-      const bool better =
-          other.predicted_time_ms < r.predicted_time_ms ||
-          other.predicted_cost_machine_min < r.predicted_cost_machine_min ||
-          other.predicted_bytes < r.predicted_bytes;
-      if (no_worse && better) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) kept.push_back(r);
-  }
+  // Three-dimensional front over (time, cost, memory). The front itself is
+  // weight-independent; the weights only decide the ordering, so any two
+  // weightings agree on *which* schedules are offered.
+  std::vector<Recommendation> kept = ParetoFront(*all, /*with_memory=*/true);
   // Scalarize: normalize each dimension by its maximum over the front so the
   // weights are unit-free, then order best-first (stable, so equal scores
   // keep schedule-id order).

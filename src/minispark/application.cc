@@ -1,7 +1,6 @@
 #include "minispark/application.h"
 
 #include <algorithm>
-#include <set>
 #include <utility>
 
 namespace juggler::minispark {
@@ -135,49 +134,6 @@ std::vector<long long> ComputationCounts(const Application& app) {
     }
   }
   return counts;
-}
-
-std::vector<std::vector<DatasetId>> Children(const Application& app) {
-  std::vector<std::set<DatasetId>> sets(static_cast<size_t>(app.num_datasets()));
-  for (const Dataset& d : app.datasets) {
-    for (DatasetId p : d.parents) sets[static_cast<size_t>(p)].insert(d.id);
-  }
-  std::vector<std::vector<DatasetId>> out(sets.size());
-  for (size_t i = 0; i < sets.size(); ++i) {
-    out[i].assign(sets[i].begin(), sets[i].end());
-  }
-  return out;
-}
-
-std::vector<DatasetId> JobLineage(const Application& app, const Job& job) {
-  std::vector<bool> seen(static_cast<size_t>(app.num_datasets()), false);
-  std::vector<DatasetId> stack = {job.target};
-  seen[static_cast<size_t>(job.target)] = true;
-  while (!stack.empty()) {
-    const DatasetId id = stack.back();
-    stack.pop_back();
-    for (DatasetId p : app.dataset(id).parents) {
-      if (!seen[static_cast<size_t>(p)]) {
-        seen[static_cast<size_t>(p)] = true;
-        stack.push_back(p);
-      }
-    }
-  }
-  std::vector<DatasetId> out;
-  for (int i = 0; i < app.num_datasets(); ++i) {
-    if (seen[static_cast<size_t>(i)]) out.push_back(i);
-  }
-  return out;
-}
-
-int FirstJobComputing(const Application& app, DatasetId d) {
-  for (size_t j = 0; j < app.jobs.size(); ++j) {
-    const auto lineage = JobLineage(app, app.jobs[j]);
-    if (std::binary_search(lineage.begin(), lineage.end(), d)) {
-      return static_cast<int>(j);
-    }
-  }
-  return -1;
 }
 
 }  // namespace juggler::minispark

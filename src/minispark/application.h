@@ -80,17 +80,6 @@ class DagBuilder {
 /// the target down to it; the totals add up across jobs.
 std::vector<long long> ComputationCounts(const Application& app);
 
-/// \brief children[d] = datasets that list d as a parent (merged-DAG
-/// children, deduplicated, ascending).
-std::vector<std::vector<DatasetId>> Children(const Application& app);
-
-/// \brief Datasets reachable from the job's target through parent edges
-/// (including the target), ascending order.
-std::vector<DatasetId> JobLineage(const Application& app, const Job& job);
-
-/// \brief Index of the first job whose lineage contains `d`, or -1.
-int FirstJobComputing(const Application& app, DatasetId d);
-
 }  // namespace juggler::minispark
 
 #endif  // JUGGLER_MINISPARK_APPLICATION_H_

@@ -110,18 +110,10 @@ std::optional<HttpResponse> HttpRecommendServer::HandleRecommend(
   const Json* batch =
       json->is_object() ? json->Find("requests") : nullptr;
   if (batch == nullptr) {
-    auto parsed = ParseRecommendRequest(*json);
-    if (!parsed.ok()) return ErrorResponse(parsed.status());
-    std::optional<StatusOr<service::RecommendResponse>> response;
-    if (resident_only) {
-      response = service_->RecommendIfResident(*parsed);
-      if (!response.has_value()) return std::nullopt;  // Needs a lazy load.
-    } else {
-      response = service_->Recommend(*parsed);
-    }
-    if (!response->ok()) return ErrorResponse(response->status());
-    return HttpResponse::JsonBody(
-        200, ResponseJson(parsed->app, **response).Dump());
+    auto answer = AnswerRecommend(*service_, *json, resident_only);
+    if (!answer.has_value()) return std::nullopt;  // Needs a lazy load.
+    if (!answer->ok()) return ErrorResponse(answer->status());
+    return HttpResponse::JsonBody(200, std::move(**answer).Dump());
   }
 
   // Batch: every element must be well-formed (a malformed element is a

@@ -9,39 +9,6 @@
 
 namespace juggler::net {
 
-const char* CodeName(StatusCode code) {
-  switch (code) {
-    case StatusCode::kOk:
-      return "OK";
-    case StatusCode::kInvalidArgument:
-      return "INVALID_ARGUMENT";
-    case StatusCode::kNotFound:
-      return "NOT_FOUND";
-    case StatusCode::kOutOfRange:
-      return "OUT_OF_RANGE";
-    case StatusCode::kFailedPrecondition:
-      return "FAILED_PRECONDITION";
-    case StatusCode::kResourceExhausted:
-      return "RESOURCE_EXHAUSTED";
-    case StatusCode::kAborted:
-      return "ABORTED";
-    case StatusCode::kInternal:
-      return "INTERNAL";
-  }
-  return "UNKNOWN";
-}
-
-StatusCode CodeFromName(const std::string& name) {
-  if (name == "OK") return StatusCode::kOk;
-  if (name == "INVALID_ARGUMENT") return StatusCode::kInvalidArgument;
-  if (name == "NOT_FOUND") return StatusCode::kNotFound;
-  if (name == "OUT_OF_RANGE") return StatusCode::kOutOfRange;
-  if (name == "FAILED_PRECONDITION") return StatusCode::kFailedPrecondition;
-  if (name == "RESOURCE_EXHAUSTED") return StatusCode::kResourceExhausted;
-  if (name == "ABORTED") return StatusCode::kAborted;
-  return StatusCode::kInternal;
-}
-
 int HttpStatusFor(StatusCode code) {
   switch (code) {
     case StatusCode::kInvalidArgument:
@@ -272,6 +239,22 @@ StatusOr<std::vector<online::Observation>> ParseObservationsJson(
     out.push_back(std::move(o));
   }
   return out;
+}
+
+std::optional<StatusOr<JsonText>> AnswerRecommend(
+    service::RecommendationService& service, const Json& json,
+    bool resident_only) {
+  auto parsed = ParseRecommendRequest(json);
+  if (!parsed.ok()) return StatusOr<JsonText>(parsed.status());
+  std::optional<StatusOr<service::RecommendResponse>> response;
+  if (resident_only) {
+    response = service.RecommendIfResident(*parsed);
+    if (!response.has_value()) return std::nullopt;  // Needs a lazy load.
+  } else {
+    response = service.Recommend(*parsed);
+  }
+  if (!response->ok()) return StatusOr<JsonText>(response->status());
+  return StatusOr<JsonText>(ResponseJson(parsed->app, **response));
 }
 
 std::string AppsJson(const service::ModelRegistry& registry) {

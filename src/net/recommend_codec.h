@@ -1,6 +1,7 @@
 #ifndef JUGGLER_NET_RECOMMEND_CODEC_H_
 #define JUGGLER_NET_RECOMMEND_CODEC_H_
 
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,19 +21,13 @@ namespace juggler::net {
 /// parser, one serializer — a router can forward a shard's reply verbatim
 /// because both ends agree on these exact shapes.
 
-/// Canonical name of a status code ("INVALID_ARGUMENT", ...).
-const char* CodeName(StatusCode code);
-
-/// Inverse of CodeName(); kInternal for anything unrecognized (an unknown
-/// code crossing the wire must still fail closed).
-StatusCode CodeFromName(const std::string& name);
-
 /// HTTP status for a Status code: InvalidArgument/OutOfRange -> 400,
 /// NotFound -> 404, ResourceExhausted/FailedPrecondition -> 503,
 /// everything else -> 500.
 int HttpStatusFor(StatusCode code);
 
-/// {"error":{"code":"...","message":"..."}}
+/// {"error":{"code":"...","message":"..."}}, the code by CodeName(): the
+/// one error document every edge sends (HTTP bodies, JRPC kError payloads).
 Json ErrorJson(const Status& status);
 
 /// Reconstructs a Status from an ErrorJson() document (the payload of a
@@ -68,6 +63,16 @@ class JsonText {
 /// same members with Json::Obj().Set(...) and calling Dump().
 JsonText ResponseJson(const std::string& app,
                       const service::RecommendResponse& response);
+
+/// The answer to one recommend question, the same on every edge that
+/// serves one (the HTTP front end and a shard): `json` decoded by
+/// ParseRecommendRequest, resolved by `service` (RecommendIfResident when
+/// `resident_only`, else the blocking Recommend) and encoded by
+/// ResponseJson. nullopt only when `resident_only` and the app's model needs
+/// a lazy load; a decode or service error is the StatusOr's status.
+std::optional<StatusOr<JsonText>> AnswerRecommend(
+    service::RecommendationService& service, const Json& json,
+    bool resident_only);
 
 /// The registry listing every edge serves (GET /v1/apps, a shard's kApps
 /// reply; the router forwards a shard's verbatim):

@@ -1,57 +1,15 @@
 #include "online/observation.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstring>
 
+#include "common/big_endian.h"
 #include "core/dataset_metrics.h"
 
 namespace juggler::online {
 
 namespace {
-
-void AppendU16(std::string* out, uint16_t value) {
-  out->push_back(static_cast<char>(value >> 8));
-  out->push_back(static_cast<char>(value & 0xff));
-}
-
-void AppendU32(std::string* out, uint32_t value) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xff));
-  }
-}
-
-void AppendF64(std::string* out, double value) {
-  AppendU64(out, std::bit_cast<uint64_t>(value));
-}
-
-uint16_t ReadU16(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint16_t>((static_cast<uint16_t>(b[0]) << 8) | b[1]);
-}
-
-uint32_t ReadU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value = (value << 8) | b[i];
-  return value;
-}
-
-uint64_t ReadU64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value = (value << 8) | b[i];
-  return value;
-}
-
-double ReadF64(const char* p) { return std::bit_cast<double>(ReadU64(p)); }
 
 bool KindIsKnown(uint8_t value) {
   return value >= static_cast<uint8_t>(ObservationKind::kRunTime) &&

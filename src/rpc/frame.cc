@@ -2,47 +2,9 @@
 
 #include <cstring>
 
+#include "common/big_endian.h"
+
 namespace juggler::rpc {
-
-namespace {
-
-void AppendU16(std::string* out, uint16_t value) {
-  out->push_back(static_cast<char>(value >> 8));
-  out->push_back(static_cast<char>(value & 0xff));
-}
-
-void AppendU32(std::string* out, uint32_t value) {
-  for (int shift = 24; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xff));
-  }
-}
-
-void AppendU64(std::string* out, uint64_t value) {
-  for (int shift = 56; shift >= 0; shift -= 8) {
-    out->push_back(static_cast<char>((value >> shift) & 0xff));
-  }
-}
-
-uint16_t ReadU16(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  return static_cast<uint16_t>((static_cast<uint16_t>(b[0]) << 8) | b[1]);
-}
-
-uint32_t ReadU32(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  uint32_t value = 0;
-  for (int i = 0; i < 4; ++i) value = (value << 8) | b[i];
-  return value;
-}
-
-uint64_t ReadU64(const char* p) {
-  const auto* b = reinterpret_cast<const unsigned char*>(p);
-  uint64_t value = 0;
-  for (int i = 0; i < 8; ++i) value = (value << 8) | b[i];
-  return value;
-}
-
-}  // namespace
 
 bool IsKnownFrameType(uint8_t value) {
   return value >= static_cast<uint8_t>(FrameType::kPing) &&
@@ -71,10 +33,22 @@ std::string EncodeFrame(const RpcFrame& frame) {
   return out;
 }
 
+void FrameDecoder::Append(const char* data, size_t size) {
+  if (failed_) return;
+  if (read_ > 0) {
+    // Drop the frames consumed since the last Append in one move, not one
+    // per frame.
+    buffer_.erase(0, read_);
+    read_ = 0;
+  }
+  buffer_.append(data, size);
+}
+
 FrameDecoder::Result FrameDecoder::Fail(std::string detail) {
   failed_ = true;
   failed_detail_ = detail;
   buffer_.clear();  // Framing is lost; drop whatever was buffered.
+  read_ = 0;
   Result result;
   result.state = State::kError;
   result.error_detail = std::move(detail);
@@ -88,20 +62,20 @@ FrameDecoder::Result FrameDecoder::Next() {
     result.error_detail = failed_detail_;
     return result;
   }
-  if (buffer_.size() < kFrameHeaderBytes) {
+  const size_t buffered = buffer_.size() - read_;
+  const char* header = buffer_.data() + read_;
+  if (buffered < kFrameHeaderBytes) {
     // Even a truncated header can be pre-checked: the magic must match from
     // byte 0, so a stream that opens with garbage fails before the rest of
     // the "header" ever arrives.
-    const size_t have = buffer_.size() < sizeof(kFrameMagic)
-                            ? buffer_.size()
-                            : sizeof(kFrameMagic);
-    if (std::memcmp(buffer_.data(), kFrameMagic, have) != 0) {
+    const size_t have =
+        buffered < sizeof(kFrameMagic) ? buffered : sizeof(kFrameMagic);
+    if (std::memcmp(header, kFrameMagic, have) != 0) {
       return Fail("bad frame magic (not a JRPC stream)");
     }
     return Result{};  // kNeedMore
   }
 
-  const char* header = buffer_.data();
   if (std::memcmp(header, kFrameMagic, sizeof(kFrameMagic)) != 0) {
     return Fail("bad frame magic (not a JRPC stream)");
   }
@@ -124,7 +98,7 @@ FrameDecoder::Result FrameDecoder::Next() {
                 " bytes exceeds limit of " +
                 std::to_string(limits_.max_payload_bytes));
   }
-  if (buffer_.size() < kFrameHeaderBytes + payload_len) {
+  if (buffered < kFrameHeaderBytes + payload_len) {
     return Result{};  // kNeedMore
   }
 
@@ -132,9 +106,9 @@ FrameDecoder::Result FrameDecoder::Next() {
   result.state = State::kReady;
   result.frame.type = static_cast<FrameType>(type);
   result.frame.request_id = ReadU64(header + 8);
-  result.frame.payload =
-      buffer_.substr(kFrameHeaderBytes, static_cast<size_t>(payload_len));
-  buffer_.erase(0, kFrameHeaderBytes + static_cast<size_t>(payload_len));
+  result.frame.payload.assign(header + kFrameHeaderBytes,
+                              static_cast<size_t>(payload_len));
+  read_ += kFrameHeaderBytes + static_cast<size_t>(payload_len);
   return result;
 }
 

@@ -92,16 +92,15 @@ class FrameDecoder {
 
   /// Buffers incoming bytes; drops everything once poisoned (the connection
   /// is about to close — buffering a hostile stream would be unbounded).
-  void Append(const char* data, size_t size) {
-    if (failed_) return;
-    buffer_.append(data, size);
-  }
+  /// Frames Next() consumed since the last call leave the buffer here, in
+  /// one move, so decoding a pipelined burst is linear in its size.
+  void Append(const char* data, size_t size);
 
   /// Extracts the next complete frame, if any. After kError the decoder is
   /// poisoned: every further Next() reports the same error.
   Result Next();
 
-  size_t buffered_bytes() const { return buffer_.size(); }
+  size_t buffered_bytes() const { return buffer_.size() - read_; }
   bool failed() const { return failed_; }
 
  private:
@@ -109,6 +108,7 @@ class FrameDecoder {
 
   Limits limits_;
   std::string buffer_;
+  size_t read_ = 0;  ///< Bytes of `buffer_` already returned as frames.
   bool failed_ = false;
   std::string failed_detail_;
 };

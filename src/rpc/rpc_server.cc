@@ -4,20 +4,17 @@
 #include <string>
 #include <utility>
 
+#include "net/recommend_codec.h"
+
 namespace juggler::rpc {
 
 namespace {
 
-/// Appends a kError frame in the HTTP API's error JSON shape, which the
+/// Appends a kError frame carrying the HTTP API's error document, which the
 /// router maps back to a Status.
-void AppendError(uint64_t request_id, const char* code,
-                 const std::string& message, std::string* out) {
-  RpcFrame error;
-  error.type = FrameType::kError;
-  error.request_id = request_id;
-  error.payload = std::string("{\"error\":{\"code\":\"") + code +
-                  "\",\"message\":\"" + message + "\"}}";
-  AppendFrame(error, out);
+void AppendError(uint64_t request_id, const Status& status, std::string* out) {
+  AppendFrame(FrameType::kError, request_id, net::ErrorJson(status).Dump(),
+              out);
 }
 
 class FrameCodec final : public net::EventLoopServer::Codec {
@@ -89,14 +86,16 @@ class FrameCodec final : public net::EventLoopServer::Codec {
     }
 
     void AppendOverload(std::string* out) const override {
-      AppendError(request_id_, "RESOURCE_EXHAUSTED",
-                  "rpc server overloaded; retry with backoff", out);
+      AppendError(request_id_,
+                  Status::ResourceExhausted(
+                      "rpc server overloaded; retry with backoff"),
+                  out);
     }
     void AppendProtocolError(std::string* out) const override {
-      AppendError(0, "INVALID_ARGUMENT", result_.error_detail, out);
+      AppendError(0, Status::InvalidArgument(result_.error_detail), out);
     }
     void AppendSlowRead(std::string* out) const override {
-      AppendError(0, "DEADLINE_EXCEEDED", "frame read timeout", out);
+      AppendError(0, Status::Aborted("frame read timeout"), out);
     }
 
    private:

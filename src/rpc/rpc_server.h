@@ -25,9 +25,12 @@ namespace juggler::rpc {
 ///    keeps the HTTP API's error JSON shape so the router can map it back
 ///    to a Status (503 + Retry-After at the HTTP edge);
 ///  - a framing error sends one kError INVALID_ARGUMENT frame and closes;
-///    a client stalling mid-frame gets one kError DEADLINE_EXCEEDED frame
-///    and a close. Both carry request id 0: the stream no longer identifies
-///    a request.
+///    a client stalling mid-frame gets one kError ABORTED frame (the code
+///    RpcChannel reports for a missed call deadline) and a close. Both carry
+///    request id 0: the stream no longer identifies a request.
+///
+/// Every kError payload is net::ErrorJson's document, so messages are
+/// JSON-escaped and codes are StatusCode names.
 class RpcServer : public net::EventLoopServer {
  public:
   struct Options : net::EventLoopServer::Options {

@@ -114,35 +114,5 @@ TEST(ComputationCountsTest, DiamondCountsPaths) {
   EXPECT_EQ(counts[static_cast<size_t>(t)], 1);
 }
 
-TEST(ChildrenTest, InvertsParentEdges) {
-  const Application app = FigureFourApp(1);
-  const auto children = Children(app);
-  EXPECT_EQ(children[0], (std::vector<DatasetId>{1}));
-  EXPECT_EQ(children[2], (std::vector<DatasetId>{3, 4}));  // D3 and D4.
-  EXPECT_TRUE(children[3].empty());
-}
-
-TEST(JobLineageTest, CoversAncestors) {
-  const Application app = FigureFourApp(1);
-  // The count job reaches D3 <- D2 <- D1 <- D0.
-  const auto lineage = JobLineage(app, app.jobs[0]);
-  EXPECT_EQ(lineage, (std::vector<DatasetId>{0, 1, 2, 3}));
-}
-
-TEST(FirstJobComputingTest, FindsEarliestJob) {
-  const Application app = FigureFourApp(2);
-  EXPECT_EQ(FirstJobComputing(app, 3), 0);   // Count probe: job 0.
-  EXPECT_EQ(FirstJobComputing(app, 4), 1);   // Scaled: first iteration.
-  EXPECT_EQ(FirstJobComputing(app, 5), 3);   // Eval dataset: last job.
-}
-
-TEST(FirstJobComputingTest, ReturnsMinusOneForUnreachable) {
-  DagBuilder b("x");
-  const DatasetId s = b.AddSource("s", 10, 1);
-  b.AddSource("orphan", 10, 1);
-  b.AddJob("j", s);
-  EXPECT_EQ(FirstJobComputing(b.app(), 1), -1);
-}
-
 }  // namespace
 }  // namespace juggler::minispark

@@ -4,6 +4,7 @@
 #include "core/dataset_metrics.h"
 #include "core/exec_time_model.h"
 #include "core/hotspot.h"
+#include "core/juggler.h"
 #include "core/memory_calibration.h"
 #include "core/parameter_calibration.h"
 #include "math/stats.h"
@@ -241,10 +242,8 @@ TEST(BuildTimeModelsTest, MatchesThePerScheduleReference) {
     auto sizes = CalibrateSizes(w.make, schedules, SmallGrid(), TrainingNode(),
                                 options);
     ASSERT_TRUE(sizes.ok()) << w.name;
-    const AppParams& p = w.paper_params;
-    const TrainingGrid grid{{0.4 * p.examples, 0.7 * p.examples, p.examples},
-                            {0.4 * p.features, 0.7 * p.features, p.features},
-                            p.iterations};
+    const TrainingGrid grid =
+        core::PaperTrainingConfig(w.paper_params).time_grid;
     for (size_t n = 1; n <= std::min<size_t>(3, schedules.size()); ++n) {
       const std::vector<Schedule> prefix(schedules.begin(),
                                          schedules.begin() + n);

@@ -6,6 +6,7 @@
 #include "common/units.h"
 #include "core/dataset_metrics.h"
 #include "minispark/engine.h"
+#include "test_models.h"
 #include "workloads/workloads.h"
 
 namespace juggler::core {
@@ -247,25 +248,16 @@ TEST(DeriveMetricsTest, ZeroCostRecordsKeepEvaluationOrder) {
   EXPECT_NEAR(m[16].compute_time_ms, 200.0, 20.0);
 }
 
-/// FNV-1a 64 over the eight bytes of `word`, continuing from `hash`.
-uint64_t Fnv1a(uint64_t word, uint64_t hash) {
-  for (int i = 0; i < 8; ++i) {
-    hash = (hash ^ ((word >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-  }
-  return hash;
-}
-
-uint64_t AddMetrics(const minispark::ProfilingDb& db, uint64_t hash) {
+void AddMetrics(const minispark::ProfilingDb& db, test::Fnv1a* digest) {
   auto metrics = Derive(db);
   EXPECT_TRUE(metrics.ok()) << metrics.status().ToString();
-  if (!metrics.ok()) return hash;
+  if (!metrics.ok()) return;
   for (const DatasetMetric& m : *metrics) {
-    hash = Fnv1a(static_cast<uint64_t>(m.id), hash);
-    hash = Fnv1a(static_cast<uint64_t>(m.computations), hash);
-    hash = Fnv1a(std::bit_cast<uint64_t>(m.size_bytes), hash);
-    hash = Fnv1a(std::bit_cast<uint64_t>(m.compute_time_ms), hash);
+    digest->AddWord(static_cast<uint64_t>(m.id));
+    digest->AddWord(static_cast<uint64_t>(m.computations));
+    digest->AddWord(std::bit_cast<uint64_t>(m.size_bytes));
+    digest->AddWord(std::bit_cast<uint64_t>(m.compute_time_ms));
   }
-  return hash;
 }
 
 // The profiles training derives metrics from: each app's stage-1 sample run
@@ -276,21 +268,21 @@ uint64_t AddMetrics(const minispark::ProfilingDb& db, uint64_t hash) {
 // that found its shuffle output gone, and its tasks carry several task
 // records each. The digest was recorded from the map-based derivation.
 TEST(DatasetMetricsGoldenTest, TrainingProfilesAreBitIdentical) {
-  uint64_t digest = 0xcbf29ce484222325ULL;
+  test::Fnv1a digest;
   RunOptions options;
   options.instrument = true;
   for (const auto& w : workloads::AllWorkloads()) {
     const auto sample =
         Engine(options).RunDefault(w.make({2000, 500, 3}), TrainingNode());
     ASSERT_TRUE(sample.ok()) << w.name;
-    digest = AddMetrics(*sample->profile, digest);
+    AddMetrics(*sample->profile, &digest);
     RunOptions grid_options = options;
     for (double e : {1000.0, 2000.0, 4000.0}) {
       for (double f : {250.0, 500.0, 1000.0}) {
         const auto run = Engine(grid_options)
                              .RunDefault(w.make({e, f, 2}), TrainingNode());
         ASSERT_TRUE(run.ok()) << w.name;
-        digest = AddMetrics(*run->profile, digest);
+        AddMetrics(*run->profile, &digest);
         grid_options.seed += 1;
       }
     }
@@ -310,9 +302,9 @@ TEST(DatasetMetricsGoldenTest, TrainingProfilesAreBitIdentical) {
   EXPECT_GT(run->tasks_retried, 0);
   EXPECT_GT(run->speculative_launched, 0);
   EXPECT_GT(run->executors_lost, 0);
-  digest = AddMetrics(*run->profile, digest);
+  AddMetrics(*run->profile, &digest);
 
-  EXPECT_EQ(digest, 0x137ae9cc4ece7fddULL);
+  EXPECT_EQ(digest.value(), 0x137ae9cc4ece7fddULL);
 }
 
 }  // namespace

@@ -204,6 +204,33 @@ TEST_F(DeadlockDetectorTest, RealServingLockTreeIsCycleFree) {
       << "real lock tree reported: " << reports.front();
 }
 
+// Each thread's held-lock stack is freed when the thread exits. A
+// thread_local built before the stack is destroyed after it, so a lock its
+// destructor takes runs with the stack gone: it must not touch the freed
+// stack (an ASan build sees a use after free) and must not report.
+TEST_F(DeadlockDetectorTest, LockAfterTheThreadsHeldStackIsFreedIsSafe) {
+  struct LocksOnExit {
+    Mutex* mu = nullptr;
+    ~LocksOnExit() {
+      if (mu == nullptr) return;
+      MutexLock lock(*mu);  // NOLINT(lock-in-destructor): under test.
+    }
+  };
+  Mutex first(lockdiag::RegisterLockClass("test.deadlock.exit_first", 50));
+  Mutex on_exit(lockdiag::RegisterLockClass("test.deadlock.exit_late", 50));
+  std::thread([&] {
+    thread_local LocksOnExit locks_on_exit;  // Built before the stack.
+    locks_on_exit.mu = &on_exit;
+    MutexLock lock(first);  // The thread's first named lock builds it.
+  }).join();
+  EXPECT_EQ(ReportsSinceSetup(), 0u);
+  for (const auto& s : lockdiag::SnapshotLockStats()) {
+    if (s.name == "test.deadlock.exit_late") {
+      EXPECT_EQ(s.acquisitions, 1u);
+    }
+  }
+}
+
 TEST_F(DeadlockDetectorTest, HoldAndContentionCountersAreMonotonic) {
   const lockdiag::LockClass* cls =
       lockdiag::RegisterLockClass("test.deadlock.contend", 70);

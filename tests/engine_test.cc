@@ -8,6 +8,7 @@
 
 #include "common/units.h"
 #include "minispark/engine.h"
+#include "test_models.h"
 #include "workloads/workloads.h"
 
 namespace juggler::minispark {
@@ -283,11 +284,7 @@ TEST(EngineTest, SvmAreaShape) {
 /// pattern, so "identical" means identical to the last bit.
 class Digest {
  public:
-  void Add(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      hash_ = (hash_ ^ ((v >> (8 * i)) & 0xff)) * 0x100000001b3ULL;
-    }
-  }
+  void Add(uint64_t v) { fnv_.AddWord(v); }
   void Add(int64_t v) { Add(static_cast<uint64_t>(v)); }
   void Add(int v) { Add(static_cast<uint64_t>(static_cast<int64_t>(v))); }
   void Add(bool v) { Add(static_cast<uint64_t>(v)); }
@@ -389,10 +386,10 @@ class Digest {
     }
   }
 
-  uint64_t value() const { return hash_; }
+  uint64_t value() const { return fnv_.value(); }
 
  private:
-  uint64_t hash_ = 0xcbf29ce484222325ULL;
+  test::Fnv1a fnv_;
 };
 
 /// Totals over a grid of runs, to show that the digest covers the paths it

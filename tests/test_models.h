@@ -1,13 +1,33 @@
 #ifndef JUGGLER_TESTS_TEST_MODELS_H_
 #define JUGGLER_TESTS_TEST_MODELS_H_
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
+#include <string_view>
 
 #include "core/juggler.h"
 
 /// Small trained models and model directories shared by the test binaries.
 namespace juggler::test {
+
+/// \brief FNV-1a 64, the digest the golden tests pin. A word enters as its
+/// eight bytes, low byte first; text enters byte by byte.
+class Fnv1a {
+ public:
+  void AddWord(uint64_t word) {
+    for (int i = 0; i < 8; ++i) AddByte((word >> (8 * i)) & 0xff);
+  }
+  void AddBytes(std::string_view bytes) {
+    for (const char c : bytes) AddByte(static_cast<unsigned char>(c));
+  }
+  uint64_t value() const { return hash_; }
+
+ private:
+  void AddByte(uint64_t byte) { hash_ = (hash_ ^ byte) * 0x100000001b3ULL; }
+
+  uint64_t hash_ = 0xcbf29ce484222325ULL;
+};
 
 /// Trains `app` on the small noise-free grid {4000, 8000, 16000} x
 /// {1000, 2000, 4000} at `iterations`: deterministic, and cheap enough to

@@ -36,6 +36,20 @@ REPL_OUT="$("$SERVE" "$MODELS" --train-fast --stdin \
 grep -q "svm" <<< "$REPL_OUT" || fail "REPL did not answer the svm question"
 grep -q "requests" <<< "$REPL_OUT" || fail "REPL exit printed no stats summary"
 
+# --- Numeric flags are parsed whole: a value with trailing bytes or that is
+# not a finite number is a usage error, not a prefix or a NaN that slips
+# past the range checks. (timeout: a misparse would start serving.)
+echo "== rejected flags =="
+for BAD in "--port 80abc" "--workers 4x" "--online-error-threshold nan"; do
+  # shellcheck disable=SC2086  # BAD is a flag and its value.
+  timeout 10 "$SERVE" "$MODELS" $BAD >"$WORKDIR/bad.log" 2>&1
+  RC=$?
+  [ "$RC" -ne 0 ] && [ "$RC" -ne 124 ] \
+    || fail "juggler_serve accepted '$BAD' (exit $RC)"
+  grep -q "bad value for" "$WORKDIR/bad.log" \
+    || fail "'$BAD' was rejected without naming the bad value"
+done
+
 # --- Server mode: deliberately tiny capacity so saturation is reachable:
 # one handler thread and a 1-slot handler dispatch queue.
 echo "== HTTP smoke =="

@@ -40,6 +40,7 @@
 
 #include "cluster/router.h"
 #include "cluster/shard_server.h"
+#include "common/parse.h"
 #include "core/juggler.h"
 #include "core/serialization.h"
 #include "loadgen/generator.h"
@@ -87,20 +88,21 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     const auto value = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : "";
     };
+    bool parsed = true;  // Numeric values: digits only, no trailing bytes.
     if (arg == "--trace") {
       flags->trace = value();
     } else if (arg == "--mode") {
       flags->mode = value();
     } else if (arg == "--shards") {
-      flags->shards = std::atoi(value());
+      parsed = ParseUnsigned(value(), &flags->shards);
     } else if (arg == "--online") {
       flags->online = true;
     } else if (arg == "--seed") {
-      flags->seed = static_cast<uint64_t>(std::atoll(value()));
+      parsed = ParseUnsigned(value(), &flags->seed);
     } else if (arg == "--time-scale") {
-      flags->time_scale = std::atof(value());
+      parsed = ParseFiniteDouble(value(), &flags->time_scale);
     } else if (arg == "--workers") {
-      flags->workers = std::atoi(value());
+      parsed = ParseUnsigned(value(), &flags->workers);
     } else if (arg == "--model-dir") {
       flags->model_dir = value();
     } else if (arg == "--corpus") {
@@ -110,9 +112,13 @@ bool ParseFlags(int argc, char** argv, Flags* flags) {
     } else if (arg == "--bench") {
       flags->bench = value();
     } else if (arg == "--qps-floor") {
-      flags->qps_floor = std::atof(value());
+      parsed = ParseFiniteDouble(value(), &flags->qps_floor);
     } else {
       std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      return false;
+    }
+    if (!parsed) {
+      std::fprintf(stderr, "bad value for %s\n", arg.c_str());
       return false;
     }
   }
@@ -140,14 +146,7 @@ void EnsureModels(const fs::path& dir) {
     const fs::path path =
         dir / (w.name + service::ModelRegistry::kModelSuffix);
     if (fs::exists(path)) continue;
-    core::JugglerConfig config;
-    config.time_grid = core::TrainingGrid{
-        {0.4 * w.paper_params.examples, 0.7 * w.paper_params.examples,
-         w.paper_params.examples},
-        {0.4 * w.paper_params.features, 0.7 * w.paper_params.features,
-         w.paper_params.features},
-        w.paper_params.iterations};
-    config.memory_reference = w.paper_params;
+    core::JugglerConfig config = core::PaperTrainingConfig(w.paper_params);
     config.run_options.noise_sigma = 0.0;
     config.run_options.straggler_prob = 0.0;
     std::printf("  training %-6s -> %s\n", w.name.c_str(), path.c_str());
