@@ -95,6 +95,13 @@ inline void PaperVsMeasured(const std::string& what, const std::string& paper,
               what.c_str(), paper.c_str(), measured.c_str());
 }
 
+/// Median of repeated timings (the mean of the two middle values when the
+/// count is even). `v` must not be empty.
+inline double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return (v[(v.size() - 1) / 2] + v[v.size() / 2]) / 2.0;
+}
+
 }  // namespace juggler::bench
 
 #endif  // JUGGLER_BENCH_BENCH_COMMON_H_

@@ -42,8 +42,7 @@ RepeatedMs TimeRepeated(const std::function<void()>& pass) {
                      std::chrono::steady_clock::now() - start)
                      .count());
   }
-  std::sort(ms.begin(), ms.end());
-  return {ms.front(), (ms[(ms.size() - 1) / 2] + ms[ms.size() / 2]) / 2.0};
+  return {*std::min_element(ms.begin(), ms.end()), Median(ms)};
 }
 
 /// The training config the serving benchmark (perfbench `TrainModels`)

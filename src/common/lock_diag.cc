@@ -35,8 +35,8 @@ struct Registry {
 };
 
 Registry& GetRegistry() {
-  // NOLINT(naked-new): intentionally leaked; see struct comment.
-  static Registry* r = new Registry();  // lint:ignore(naked-new)
+  // Intentionally leaked; see struct comment.
+  static Registry* r = new Registry();  // NOLINT(naked-new): leaked
   return *r;
 }
 
@@ -56,8 +56,8 @@ struct Detector {
 };
 
 Detector& GetDetector() {
-  // NOLINT(naked-new): intentionally leaked, same lifetime story as Registry.
-  static Detector* d = new Detector();  // lint:ignore(naked-new)
+  // Intentionally leaked, same lifetime story as Registry.
+  static Detector* d = new Detector();  // NOLINT(naked-new): leaked
   return *d;
 }
 

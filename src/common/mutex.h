@@ -93,9 +93,9 @@ class CAPABILITY("mutex") Mutex {
   /// Hold-time bookkeeping, touched only by the thread that holds the lock
   /// (the *Instrumented methods assert as much via AssertHeld()).
   uint64_t hold_start_ns_ GUARDED_BY(this) = 0;
-  // NOLINT(unannotated-mutex): this IS the annotated wrapper; the capability
-  // is the enclosing class, so there is nothing to GUARDED_BY here.
-  std::mutex mu_;  // lint:ignore(unannotated-mutex)
+  // This IS the annotated wrapper; the capability is the enclosing class,
+  // so there is nothing to GUARDED_BY here.
+  std::mutex mu_;  // NOLINT(unannotated-mutex): see above
 };
 
 /// \brief RAII lock for `Mutex`, visible to the thread-safety analysis

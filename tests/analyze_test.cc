@@ -1,20 +1,15 @@
-// Tests for the tools/analyze engine (PR 9): lexer and function-scanner
-// units, positive/negative fixtures for each of the four dataflow analyses,
-// NOLINT escapes, baseline and diff semantics, and the real-tree check
-// (every finding in the tree must be covered by tools/analyze/baseline.txt).
+// Tests for the tools/analyze engine: lexer and function-scanner units,
+// positive/negative fixtures for each of the four dataflow analyses, NOLINT
+// escapes, and the check that the real tree has no findings.
 //
-// The legacy lint rules' own tests stay in tests/lint_test.cc; here they
+// The line-scoped rules' own tests are in tests/lint_test.cc; here they
 // only appear through AnalyzeFile, so fixtures are written to not trip them.
 
-#include <algorithm>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "tools/analyze/baseline.h"
 #include "tools/analyze/engine.h"
 #include "tools/analyze/lexer.h"
 
@@ -78,6 +73,18 @@ TEST(LexerTest, HandlesRawStringsAndPreprocessorLines) {
     if (t.kind == TokenKind::kIdentifier) idents.push_back(t.text);
   }
   EXPECT_EQ(idents, (std::vector<std::string>{"auto", "s", "int", "n"}));
+}
+
+TEST(LexerTest, PrefixedRawStringsAreOneLiteral) {
+  std::string code;
+  const std::vector<Token> toks =
+      Lex("auto w = LR\"(x\"y)\";\nint u8R = 0;\n", &code);
+  std::vector<std::string> idents;
+  for (const Token& t : toks) {
+    if (t.kind == TokenKind::kIdentifier) idents.push_back(t.text);
+  }
+  EXPECT_EQ(idents, (std::vector<std::string>{"auto", "w", "int", "u8R"}));
+  EXPECT_EQ(code, "auto w = L        ;\nint u8R = 0;\n");
 }
 
 // ---------------------------------------------------------------------------
@@ -527,124 +534,14 @@ TEST(GuardedFieldTest, NolintSuppressesTheLine) {
 }
 
 // ---------------------------------------------------------------------------
-// Baseline semantics.
-// ---------------------------------------------------------------------------
-
-TEST(BaselineTest, KeyNormalizesWhitespaceAndIgnoresLineNumbers) {
-  Finding a{"src/x.cc", 10, "analyze-narrowing", "m"};
-  Finding b{"src/x.cc", 99, "analyze-narrowing", "other message"};
-  EXPECT_EQ(BaselineKey(a, "  int n = v;  "), BaselineKey(b, "int  n  =  v;"));
-  EXPECT_NE(BaselineKey(a, "int n = v;"), BaselineKey(a, "int m = v;"));
-}
-
-TEST(BaselineTest, ParseSkipsCommentsAndCountsDuplicates) {
-  const Baseline baseline = ParseBaseline(
-      "# header comment\n"
-      "\n"
-      "src/x.cc|rule|int n = v;\n"
-      "src/x.cc|rule|int n = v;\n"
-      "src/y.cc|rule|other\n");
-  ASSERT_EQ(baseline.entries.size(), 2u);
-  EXPECT_EQ(baseline.entries.at("src/x.cc|rule|int n = v;"), 2);
-  EXPECT_EQ(baseline.entries.at("src/y.cc|rule|other"), 1);
-}
-
-TEST(BaselineTest, SerializeRoundTrips) {
-  const std::vector<std::string> keys = {"b|r|2", "a|r|1", "b|r|2"};
-  const Baseline parsed = ParseBaseline(SerializeBaseline(keys));
-  ASSERT_EQ(parsed.entries.size(), 2u);
-  EXPECT_EQ(parsed.entries.at("a|r|1"), 1);
-  EXPECT_EQ(parsed.entries.at("b|r|2"), 2);
-}
-
-TEST(BaselineTest, PartitionConsumesCountsInOrder) {
-  const Finding f{"src/x.cc", 1, "rule", "m"};
-  const std::vector<Finding> findings = {f, f, f};
-  const std::vector<std::string> keys = {"k", "k", "k"};
-  Baseline baseline;
-  baseline.entries["k"] = 2;
-  std::vector<Finding> baselined;
-  std::vector<Finding> fresh;
-  PartitionAgainstBaseline(findings, keys, baseline, &baselined, &fresh);
-  EXPECT_EQ(baselined.size(), 2u);
-  EXPECT_EQ(fresh.size(), 1u);
-}
-
-TEST(BaselineTest, RemovedFindingsLeaveStaleEntriesHarmless) {
-  // A fixed finding simply stops matching; a stale baseline entry never
-  // turns anything into an error.
-  Baseline baseline;
-  baseline.entries["gone|rule|line"] = 3;
-  std::vector<Finding> baselined;
-  std::vector<Finding> fresh;
-  PartitionAgainstBaseline({}, {}, baseline, &baselined, &fresh);
-  EXPECT_TRUE(baselined.empty());
-  EXPECT_TRUE(fresh.empty());
-}
-
-// ---------------------------------------------------------------------------
-// Diff parsing (--diff mode).
-// ---------------------------------------------------------------------------
-
-TEST(DiffTest, ParsesAddedLinesPerFile) {
-  const auto changed = ParseChangedLines(
-      "diff --git a/src/a.cc b/src/a.cc\n"
-      "--- a/src/a.cc\n"
-      "+++ b/src/a.cc\n"
-      "@@ -10,2 +12,3 @@ void f() {\n"
-      "+x\n+y\n+z\n"
-      "@@ -20 +25 @@\n"
-      "+w\n"
-      "@@ -30,2 +33,0 @@\n"
-      "-gone\n-gone\n"
-      "diff --git a/src/b.cc b/src/b.cc\n"
-      "--- /dev/null\n"
-      "+++ b/src/b.cc\n"
-      "@@ -0,0 +1,2 @@\n"
-      "+n1\n+n2\n"
-      "diff --git a/src/c.cc b/src/c.cc\n"
-      "--- a/src/c.cc\n"
-      "+++ /dev/null\n"
-      "@@ -1,4 +0,0 @@\n");
-  ASSERT_EQ(changed.count("src/a.cc"), 1u);
-  EXPECT_EQ(changed.at("src/a.cc"), (std::set<int>{12, 13, 14, 25}));
-  ASSERT_EQ(changed.count("src/b.cc"), 1u);
-  EXPECT_EQ(changed.at("src/b.cc"), (std::set<int>{1, 2}));
-  EXPECT_EQ(changed.count("src/c.cc"), 0u);
-}
-
-// ---------------------------------------------------------------------------
 // The real tree.
 // ---------------------------------------------------------------------------
 
-std::string ReadSourceLine(const std::string& rel_path, int line) {
-  std::ifstream in(std::string(JUGGLER_SOURCE_DIR) + "/" + rel_path);
-  std::string text;
-  for (int i = 0; i < line && std::getline(in, text); ++i) {
-  }
-  return text;
-}
-
-TEST(RealTreeTest, CleanModuloCommittedBaseline) {
-  std::ifstream in(std::string(JUGGLER_SOURCE_DIR) +
-                   "/tools/analyze/baseline.txt");
-  ASSERT_TRUE(in.good()) << "tools/analyze/baseline.txt must be committed";
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  const Baseline baseline = ParseBaseline(buffer.str());
-
-  const std::vector<Finding> findings = AnalyzeTree(JUGGLER_SOURCE_DIR);
-  std::vector<std::string> keys;
-  keys.reserve(findings.size());
-  for (const Finding& f : findings) {
-    keys.push_back(BaselineKey(f, ReadSourceLine(f.file, f.line)));
-  }
-  std::vector<Finding> baselined;
-  std::vector<Finding> fresh;
-  PartitionAgainstBaseline(findings, keys, baseline, &baselined, &fresh);
-  for (const Finding& f : fresh) {
-    ADD_FAILURE() << "fresh finding (fix it, NOLINT it, or baseline it): "
-                  << FormatFinding(f);
+// The tree the analyzer ships in has no findings; juggler_analyze fails on
+// any. JUGGLER_SOURCE_DIR is injected by tests/CMakeLists.txt.
+TEST(RealTreeTest, HasNoFindings) {
+  for (const Finding& f : AnalyzeTree(JUGGLER_SOURCE_DIR)) {
+    ADD_FAILURE() << "fix it or NOLINT it: " << FormatFinding(f);
   }
 }
 

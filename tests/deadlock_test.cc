@@ -5,8 +5,7 @@
 // Also covers the always-on hold-time/contention counters.
 //
 // The seeded fixtures below deliberately acquire locks in a forbidden order;
-// each such line carries the audited NOLINT(deadlock-order) marker described
-// in tools/lint/lint_rules.h.
+// each such line carries an audited NOLINT(deadlock-order) marker.
 
 #include <chrono>
 #include <memory>

@@ -31,19 +31,19 @@ TEST(LintNondeterminism, FlagsRandAndRandomDevice) {
       "}\n"
       "std::random_device rd;\n"
       "std::mt19937 gen(rd());\n";
-  const auto findings = LintFile("src/minispark/engine.cc", bad);
+  const auto findings = AnalyzeFile("src/minispark/engine.cc", bad);
   EXPECT_EQ(CountRule(findings, "nondeterminism"), 3);
   EXPECT_EQ(findings[0].line, 2);
 }
 
 TEST(LintNondeterminism, AllowsRngHomeAndNonSrc) {
   const std::string uses = "std::random_device rd;\n";
-  EXPECT_FALSE(HasRule(LintFile("src/common/random.h",
-                                "#ifndef JUGGLER_COMMON_RANDOM_H_\n"
-                                "#define JUGGLER_COMMON_RANDOM_H_\n" +
-                                    uses + "#endif\n"),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/common/random.h",
+                                   "#ifndef JUGGLER_COMMON_RANDOM_H_\n"
+                                   "#define JUGGLER_COMMON_RANDOM_H_\n" +
+                                       uses + "#endif\n"),
                        "nondeterminism"));
-  EXPECT_FALSE(HasRule(LintFile("bench/bench_micro.cpp", uses),
+  EXPECT_FALSE(HasRule(AnalyzeFile("bench/bench_micro.cpp", uses),
                        "nondeterminism"));
 }
 
@@ -55,14 +55,14 @@ TEST(LintNondeterminism, IgnoresCommentsStringsAndSubstrings) {
       "int random_device_count = 0;  // identifier, not std type? no:\n";
   // `random_device_count` is a longer identifier; boundary check must not
   // fire on the `random_device` prefix.
-  EXPECT_FALSE(HasRule(LintFile("src/minispark/engine.cc", ok),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/minispark/engine.cc", ok),
                        "nondeterminism"));
 }
 
 TEST(LintNondeterminism, NolintSuppresses) {
   const std::string suppressed =
       "int x = rand();  // NOLINT(nondeterminism): seeding torture test\n";
-  EXPECT_FALSE(HasRule(LintFile("src/minispark/engine.cc", suppressed),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/minispark/engine.cc", suppressed),
                        "nondeterminism"));
 }
 
@@ -76,20 +76,20 @@ TEST(LintIostream, FlagsIostreamInLibraryHeader) {
       "#define JUGGLER_CORE_FOO_H_\n"
       "#include <iostream>\n"
       "#endif\n";
-  const auto findings = LintFile("src/core/foo.h", bad);
+  const auto findings = AnalyzeFile("src/core/foo.h", bad);
   EXPECT_TRUE(HasRule(findings, "iostream-in-header"));
 }
 
 TEST(LintIostream, AllowsIostreamInSourcesAndNonSrcHeaders) {
-  EXPECT_FALSE(HasRule(LintFile("src/core/foo.cc", "#include <iostream>\n"),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/core/foo.cc", "#include <iostream>\n"),
                        "iostream-in-header"));
   EXPECT_FALSE(HasRule(
-      LintFile("bench/bench_common.h",
-               "#ifndef JUGGLER_BENCH_BENCH_COMMON_H_\n"
-               "#define JUGGLER_BENCH_BENCH_COMMON_H_\n"
-               "#include <iostream>\n#endif\n"),
+      AnalyzeFile("bench/bench_common.h",
+                  "#ifndef JUGGLER_BENCH_BENCH_COMMON_H_\n"
+                  "#define JUGGLER_BENCH_BENCH_COMMON_H_\n"
+                  "#include <iostream>\n#endif\n"),
       "iostream-in-header"));
-  EXPECT_FALSE(HasRule(LintFile("src/core/foo.cc", "#include <ostream>\n"),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/core/foo.cc", "#include <ostream>\n"),
                        "iostream-in-header"));
 }
 
@@ -98,12 +98,12 @@ TEST(LintIostream, AllowsIostreamInSourcesAndNonSrcHeaders) {
 // ---------------------------------------------------------------------------
 
 TEST(LintNakedNew, FlagsNewAndDelete) {
-  EXPECT_TRUE(HasRule(LintFile("src/core/foo.cc", "auto* p = new Foo();\n"),
+  EXPECT_TRUE(HasRule(AnalyzeFile("src/core/foo.cc", "auto* p = new Foo();\n"),
                       "naked-new"));
   EXPECT_TRUE(
-      HasRule(LintFile("src/core/foo.cc", "delete p;\n"), "naked-new"));
+      HasRule(AnalyzeFile("src/core/foo.cc", "delete p;\n"), "naked-new"));
   EXPECT_TRUE(
-      HasRule(LintFile("src/core/foo.cc", "delete[] arr;\n"), "naked-new"));
+      HasRule(AnalyzeFile("src/core/foo.cc", "delete[] arr;\n"), "naked-new"));
 }
 
 TEST(LintNakedNew, AllowsDeletedMembersMakeUniqueAndNonSrc) {
@@ -113,13 +113,14 @@ TEST(LintNakedNew, AllowsDeletedMembersMakeUniqueAndNonSrc) {
       "    delete;\n"
       "auto p = std::make_unique<Foo>();\n"
       "int renewed = news();\n";
-  EXPECT_FALSE(HasRule(LintFile("src/core/foo.h", ok +
-                                std::string("#ifndef JUGGLER_CORE_FOO_H_\n"
-                                            "#define JUGGLER_CORE_FOO_H_\n"
-                                            "#endif\n")),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/core/foo.h", ok +
+                                   std::string("#ifndef JUGGLER_CORE_FOO_H_\n"
+                                               "#define JUGGLER_CORE_FOO_H_\n"
+                                               "#endif\n")),
                        "naked-new"));
-  EXPECT_FALSE(HasRule(LintFile("tests/foo_test.cc", "auto* p = new Foo();\n"),
-                       "naked-new"));
+  EXPECT_FALSE(
+      HasRule(AnalyzeFile("tests/foo_test.cc", "auto* p = new Foo();\n"),
+              "naked-new"));
 }
 
 TEST(LintNakedNew, DigitSeparatorsDoNotOpenCharLiterals) {
@@ -136,12 +137,22 @@ TEST(LintNakedNew, DigitSeparatorsDoNotOpenCharLiterals) {
            "constexpr double kStep = 0x1'0p-4;  // isn't new\n",
            "const char kQuote = '\\'';  // it's new\n",
        }) {
-    EXPECT_FALSE(HasRule(LintFile("src/core/foo.cc", ok), "naked-new")) << ok;
+    EXPECT_FALSE(HasRule(AnalyzeFile("src/core/foo.cc", ok), "naked-new"))
+        << ok;
   }
   // A real `new` after a separated number is still found.
   EXPECT_TRUE(HasRule(
-      LintFile("src/core/foo.cc", "int n = 1'000; auto* p = new Foo();\n"),
+      AnalyzeFile("src/core/foo.cc", "int n = 1'000; auto* p = new Foo();\n"),
       "naked-new"));
+}
+
+TEST(LintNakedNew, ApostropheInDirectiveDoesNotHideLaterLines) {
+  // An apostrophe in a directive opens no literal past its own line, so the
+  // code below it is still checked.
+  const std::string bad =
+      "#error don't do this\n"
+      "auto* p = new Foo();\n";
+  EXPECT_EQ(CountRule(AnalyzeFile("src/core/foo.cc", bad), "naked-new"), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -153,22 +164,22 @@ TEST(LintRawSync, FlagsStdMutexFamilyInService) {
       "std::mutex mu;\n"
       "std::lock_guard<std::mutex> lock(mu);\n"
       "std::condition_variable cv;\n";
-  const auto findings = LintFile("src/service/foo.cc", bad);
+  const auto findings = AnalyzeFile("src/service/foo.cc", bad);
   EXPECT_EQ(CountRule(findings, "raw-sync-primitive"), 3);
 }
 
 TEST(LintRawSync, AllowsWrappersAndOtherLayers) {
   EXPECT_FALSE(HasRule(
-      LintFile("src/service/foo.cc", "MutexLock lock(mu_);\nCondVar cv_;\n"),
+      AnalyzeFile("src/service/foo.cc", "MutexLock lock(mu_);\nCondVar cv_;\n"),
       "raw-sync-primitive"));
   // common/mutex.h legitimately wraps std::mutex; the rule is scoped to
   // src/service/ and src/net/.
-  EXPECT_FALSE(HasRule(LintFile("src/common/other.cc", "std::mutex mu;\n"),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/common/other.cc", "std::mutex mu;\n"),
                        "raw-sync-primitive"));
 }
 
 TEST(LintRawSync, AppliesToNetSubsystem) {
-  EXPECT_TRUE(HasRule(LintFile("src/net/foo.cc", "std::mutex mu;\n"),
+  EXPECT_TRUE(HasRule(AnalyzeFile("src/net/foo.cc", "std::mutex mu;\n"),
                       "raw-sync-primitive"));
 }
 
@@ -182,20 +193,20 @@ TEST(LintRawSocket, FlagsSocketCallsOutsideNet) {
       "::send(fd, data, size, 0);\n"
       "recv(fd, buffer, size, 0);\n"
       "epoll_wait(ep, events, 64, -1);\n";
-  const auto findings = LintFile("src/service/foo.cc", bad);
+  const auto findings = AnalyzeFile("src/service/foo.cc", bad);
   EXPECT_EQ(CountRule(findings, "raw-socket"), 4);
 }
 
 TEST(LintRawSocket, AllowsNetSubsystemTestsAndBench) {
   const std::string uses = "int fd = ::socket(AF_INET, SOCK_STREAM, 0);\n";
   EXPECT_FALSE(
-      HasRule(LintFile("src/net/socket_util.cc", uses), "raw-socket"));
+      HasRule(AnalyzeFile("src/net/socket_util.cc", uses), "raw-socket"));
   EXPECT_FALSE(
-      HasRule(LintFile("tests/http_server_test.cc", uses), "raw-socket"));
+      HasRule(AnalyzeFile("tests/http_server_test.cc", uses), "raw-socket"));
   EXPECT_FALSE(
-      HasRule(LintFile("bench/bench_http_server.cpp", uses), "raw-socket"));
+      HasRule(AnalyzeFile("bench/bench_http_server.cpp", uses), "raw-socket"));
   EXPECT_FALSE(
-      HasRule(LintFile("examples/juggler_serve.cpp", uses), "raw-socket"));
+      HasRule(AnalyzeFile("examples/juggler_serve.cpp", uses), "raw-socket"));
 }
 
 TEST(LintRawSocket, IgnoresCommentsAndLongerIdentifiers) {
@@ -203,7 +214,7 @@ TEST(LintRawSocket, IgnoresCommentsAndLongerIdentifiers) {
       "// a socket front end would apply backpressure here\n"
       "int websocket_count = 0;\n"
       "void sender();\n";
-  EXPECT_FALSE(HasRule(LintFile("src/service/foo.cc", ok), "raw-socket"));
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/service/foo.cc", ok), "raw-socket"));
 }
 
 // ---------------------------------------------------------------------------
@@ -217,15 +228,15 @@ TEST(LintUncheckedParse, FlagsEveryConversionFamilyOnUntrustedSurfaces) {
       "double d = strtod(s.c_str(), &end);\n"
       "int i = std::stoi(s);\n"
       "sscanf(s.c_str(), \"%d\", &n);\n";
-  EXPECT_EQ(CountRule(LintFile("src/net/http.cc", bad), "unchecked-parse"),
+  EXPECT_EQ(CountRule(AnalyzeFile("src/net/http.cc", bad), "unchecked-parse"),
             5);
-  EXPECT_EQ(CountRule(LintFile("src/core/serialization.cc", bad),
+  EXPECT_EQ(CountRule(AnalyzeFile("src/core/serialization.cc", bad),
                       "unchecked-parse"),
             5);
-  EXPECT_EQ(CountRule(LintFile("src/minispark/cache_plan.cc", bad),
+  EXPECT_EQ(CountRule(AnalyzeFile("src/minispark/cache_plan.cc", bad),
                       "unchecked-parse"),
             5);
-  EXPECT_TRUE(HasRule(LintFile("src/net/json.cc", "v = atof(tok);\n"),
+  EXPECT_TRUE(HasRule(AnalyzeFile("src/net/json.cc", "v = atof(tok);\n"),
                       "unchecked-parse"));
 }
 
@@ -235,10 +246,11 @@ TEST(LintUncheckedParse, ScopedToUntrustedSurfacesOnly) {
   // exists to funnel the untrusted surfaces through common/parse.h, not to
   // ban the functions globally.
   EXPECT_FALSE(
-      HasRule(LintFile("src/common/parse.h", uses), "unchecked-parse"));
+      HasRule(AnalyzeFile("src/common/parse.h", uses), "unchecked-parse"));
   EXPECT_FALSE(
-      HasRule(LintFile("src/minispark/engine.cc", uses), "unchecked-parse"));
-  EXPECT_FALSE(HasRule(LintFile("tests/net_test.cc", uses), "unchecked-parse"));
+      HasRule(AnalyzeFile("src/minispark/engine.cc", uses), "unchecked-parse"));
+  EXPECT_FALSE(
+      HasRule(AnalyzeFile("tests/net_test.cc", uses), "unchecked-parse"));
 }
 
 TEST(LintUncheckedParse, IgnoresCommentsStringsHelpersAndNolint) {
@@ -248,11 +260,11 @@ TEST(LintUncheckedParse, IgnoresCommentsStringsHelpersAndNolint) {
       "uint64_t parsed = 0;\n"
       "if (!common::ParseUnsigned(value, &parsed)) return Fail(400);\n"
       "int histogram_count = 0;\n";
-  EXPECT_FALSE(HasRule(LintFile("src/net/http.cc", ok), "unchecked-parse"));
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/net/http.cc", ok), "unchecked-parse"));
   const std::string suppressed =
       "int n = atoi(s.c_str());  // NOLINT: bounded by caller\n";
   EXPECT_FALSE(
-      HasRule(LintFile("src/net/http.cc", suppressed), "unchecked-parse"));
+      HasRule(AnalyzeFile("src/net/http.cc", suppressed), "unchecked-parse"));
 }
 
 // ---------------------------------------------------------------------------
@@ -268,7 +280,7 @@ TEST(LintUnannotatedMutex, FlagsMutexMemberWithoutGuardedBy) {
       "  int counter_ = 0;\n"
       "};\n"
       "#endif\n";
-  EXPECT_TRUE(HasRule(LintFile("src/service/foo.h", bad),
+  EXPECT_TRUE(HasRule(AnalyzeFile("src/service/foo.h", bad),
                       "unannotated-mutex"));
 }
 
@@ -281,7 +293,7 @@ TEST(LintUnannotatedMutex, SatisfiedByGuardedBy) {
       "  int counter_ GUARDED_BY(mu_) = 0;\n"
       "};\n"
       "#endif\n";
-  EXPECT_FALSE(HasRule(LintFile("src/service/foo.h", good),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/service/foo.h", good),
                        "unannotated-mutex"));
 }
 
@@ -290,21 +302,21 @@ TEST(LintUnannotatedMutex, SatisfiedByGuardedBy) {
 // ---------------------------------------------------------------------------
 
 TEST(LintIncludeGuard, FlagsPragmaOnce) {
-  EXPECT_TRUE(HasRule(LintFile("src/core/foo.h", "#pragma once\n"),
+  EXPECT_TRUE(HasRule(AnalyzeFile("src/core/foo.h", "#pragma once\n"),
                       "include-guard"));
 }
 
 TEST(LintIncludeGuard, FlagsMissingAndMismatchedGuards) {
   EXPECT_TRUE(
-      HasRule(LintFile("src/core/foo.h", "int x;\n"), "include-guard"));
+      HasRule(AnalyzeFile("src/core/foo.h", "int x;\n"), "include-guard"));
   const std::string mismatched =
       "#ifndef WRONG_GUARD_H\n#define WRONG_GUARD_H\n#endif\n";
-  EXPECT_TRUE(HasRule(LintFile("src/core/foo.h", mismatched),
+  EXPECT_TRUE(HasRule(AnalyzeFile("src/core/foo.h", mismatched),
                       "include-guard"));
   const std::string unpaired =
       "#ifndef JUGGLER_CORE_FOO_H_\n#define SOMETHING_ELSE\n#endif\n";
   EXPECT_TRUE(
-      HasRule(LintFile("src/core/foo.h", unpaired), "include-guard"));
+      HasRule(AnalyzeFile("src/core/foo.h", unpaired), "include-guard"));
 }
 
 TEST(LintIncludeGuard, AcceptsCanonicalGuard) {
@@ -313,7 +325,7 @@ TEST(LintIncludeGuard, AcceptsCanonicalGuard) {
       "#define JUGGLER_CORE_FOO_H_\n"
       "int x;\n"
       "#endif  // JUGGLER_CORE_FOO_H_\n";
-  EXPECT_FALSE(HasRule(LintFile("src/core/foo.h", good), "include-guard"));
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/core/foo.h", good), "include-guard"));
 }
 
 TEST(LintIncludeGuard, CanonicalGuardDropsSrcPrefixOnly) {
@@ -335,7 +347,7 @@ TEST(LintBlockingUnderLock, FlagsRpcAndSleepUnderLiveLock) {
       "  auto reply = client->Call(type, payload);\n"
       "  std::this_thread::sleep_for(std::chrono::milliseconds(5));\n"
       "}\n";
-  const auto findings = LintFile("src/cluster/foo.cc", bad);
+  const auto findings = AnalyzeFile("src/cluster/foo.cc", bad);
   EXPECT_EQ(CountRule(findings, "blocking-under-lock"), 2);
   EXPECT_EQ(findings[0].line, 3);
 }
@@ -345,7 +357,7 @@ TEST(LintBlockingUnderLock, FlagsResolveOnTheDeclarationLine) {
   // same line.
   const std::string bad =
       "void F() { MutexLock lock(mu_); registry->Resolve(app); }\n";
-  EXPECT_TRUE(HasRule(LintFile("src/service/foo.cc", bad),
+  EXPECT_TRUE(HasRule(AnalyzeFile("src/service/foo.cc", bad),
                       "blocking-under-lock"));
 }
 
@@ -358,7 +370,7 @@ TEST(LintBlockingUnderLock, AllowsBlockingAfterScopeCloses) {
       "  }\n"
       "  auto reply = client->Call(type, payload);\n"
       "}\n";
-  EXPECT_FALSE(HasRule(LintFile("src/cluster/foo.cc", good),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/cluster/foo.cc", good),
                        "blocking-under-lock"));
 }
 
@@ -369,7 +381,7 @@ TEST(LintBlockingUnderLock, PingAndRouterForwardAreRoundTrips) {
       "  healthy_ = client->Ping().ok();\n"
       "  auto reply = router->Forward(type, key, payload);\n"
       "}\n";
-  const auto findings = LintFile("src/cluster/foo.cc", bad);
+  const auto findings = AnalyzeFile("src/cluster/foo.cc", bad);
   EXPECT_EQ(CountRule(findings, "blocking-under-lock"), 2);
   EXPECT_EQ(findings[0].line, 3);
   EXPECT_EQ(findings[1].line, 4);
@@ -383,7 +395,7 @@ TEST(LintBlockingUnderLock, PingAndRouterForwardAreRoundTrips) {
       "  healthy_ = client->Ping().ok();\n"
       "  auto reply = router->Forward(type, key, payload);\n"
       "}\n";
-  EXPECT_FALSE(HasRule(LintFile("src/cluster/foo.cc", good),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/cluster/foo.cc", good),
                        "blocking-under-lock"));
 }
 
@@ -393,7 +405,7 @@ TEST(LintBlockingUnderLock, ForwardAndWaitIsARoundTrip) {
       "  MutexLock lock(mu_);\n"
       "  auto results = router->ForwardAndWait(plan);\n"
       "}\n";
-  const auto findings = LintFile("src/cluster/foo.cc", bad);
+  const auto findings = AnalyzeFile("src/cluster/foo.cc", bad);
   EXPECT_EQ(CountRule(findings, "blocking-under-lock"), 1);
   ASSERT_FALSE(findings.empty());
   EXPECT_EQ(findings[0].line, 3);
@@ -406,7 +418,7 @@ TEST(LintBlockingUnderLock, ForwardAndWaitIsARoundTrip) {
       "  }\n"
       "  auto results = router->ForwardAndWait(plan);\n"
       "}\n";
-  EXPECT_FALSE(HasRule(LintFile("src/cluster/foo.cc", good),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/cluster/foo.cc", good),
                        "blocking-under-lock"));
 }
 
@@ -416,14 +428,14 @@ TEST(LintBlockingUnderLock, CondVarWaitIsExemptAndNolintSuppresses) {
       "  MutexLock lock(mu_);\n"
       "  while (!done_) cv_.Wait(mu_);\n"
       "}\n";
-  EXPECT_FALSE(HasRule(LintFile("src/service/foo.cc", wait_ok),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/service/foo.cc", wait_ok),
                        "blocking-under-lock"));
   const std::string suppressed =
       "void F() {\n"
       "  MutexLock lock(mu_);\n"
       "  Resolve(app);  // NOLINT(blocking-under-lock): startup only\n"
       "}\n";
-  EXPECT_FALSE(HasRule(LintFile("src/service/foo.cc", suppressed),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/service/foo.cc", suppressed),
                        "blocking-under-lock"));
 }
 
@@ -438,7 +450,7 @@ TEST(LintLockInDestructor, FlagsMutexLockAndRawLockInDtorBody) {
       "  pool_.clear();\n"
       "}\n"
       "Bar::~Bar() { mu_.Lock(); mu_.Unlock(); }\n";
-  const auto findings = LintFile("src/service/foo.cc", bad);
+  const auto findings = AnalyzeFile("src/service/foo.cc", bad);
   EXPECT_EQ(CountRule(findings, "lock-in-destructor"), 2);
   EXPECT_EQ(findings[0].line, 2);
   EXPECT_EQ(findings[1].line, 5);
@@ -454,7 +466,7 @@ TEST(LintLockInDestructor, AllowsLocksOutsideDtorAndPlainDtors) {
       "  pool_.clear();\n"
       "}\n"
       "int x = ~Mask(3);\n";             // Bitwise-not expression, not a dtor.
-  EXPECT_FALSE(HasRule(LintFile("src/service/foo.cc", good),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/service/foo.cc", good),
                        "lock-in-destructor"));
 }
 
@@ -462,10 +474,10 @@ TEST(LintLockInDestructor, UnlockInRaiiDtorIsAllowed) {
   // The RAII guard's own destructor *releases*; "Unlock" must not match the
   // "Lock" token.
   const std::string good = "~MutexLock() RELEASE() { mu_.Unlock(); }\n";
-  EXPECT_FALSE(HasRule(LintFile("src/common/foo.h",
-                                "#ifndef JUGGLER_COMMON_FOO_H_\n"
-                                "#define JUGGLER_COMMON_FOO_H_\n" +
-                                    good + "#endif\n"),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/common/foo.h",
+                                   "#ifndef JUGGLER_COMMON_FOO_H_\n"
+                                   "#define JUGGLER_COMMON_FOO_H_\n" +
+                                       good + "#endif\n"),
                        "lock-in-destructor"));
 }
 
@@ -482,7 +494,7 @@ TEST(LintCondvarWait, FlagsBareSingleArgumentWait) {
       "void G(std::unique_lock<std::mutex>& lk) {\n"
       "  cv.wait(lk);\n"
       "}\n";
-  const auto findings = LintFile("tests/foo_test.cc", bad);
+  const auto findings = AnalyzeFile("tests/foo_test.cc", bad);
   EXPECT_EQ(CountRule(findings, "condvar-wait-predicate"), 2);
   EXPECT_EQ(findings[0].line, 3);
 }
@@ -496,7 +508,7 @@ TEST(LintCondvarWait, AllowsGuardedPredicateAndMultiArgForms) {
       "while (!done_) {\n"
       "  cv_.Wait(mu_);\n"                       // Loop two lines above.
       "}\n";
-  EXPECT_FALSE(HasRule(LintFile("src/service/foo.cc", good),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/service/foo.cc", good),
                        "condvar-wait-predicate"));
 }
 
@@ -504,30 +516,20 @@ TEST(LintCondvarWait, DeclarationsDoNotTrip) {
   const std::string good =
       "void Wait(Mutex& mu) REQUIRES(mu);\n"
       "Status Wait(int timeout_ms);\n";
-  EXPECT_FALSE(HasRule(LintFile("src/common/foo.h",
-                                "#ifndef JUGGLER_COMMON_FOO_H_\n"
-                                "#define JUGGLER_COMMON_FOO_H_\n" +
-                                    good + "#endif\n"),
+  EXPECT_FALSE(HasRule(AnalyzeFile("src/common/foo.h",
+                                   "#ifndef JUGGLER_COMMON_FOO_H_\n"
+                                   "#define JUGGLER_COMMON_FOO_H_\n" +
+                                       good + "#endif\n"),
                        "condvar-wait-predicate"));
 }
 
 // ---------------------------------------------------------------------------
-// Formatting and the real tree
+// Formatting
 // ---------------------------------------------------------------------------
 
 TEST(LintFormat, FindingFormatIsStable) {
   const Finding f{"src/core/foo.cc", 12, "naked-new", "message"};
   EXPECT_EQ(FormatFinding(f), "src/core/foo.cc:12: [naked-new] message");
-}
-
-// The whole point of shipping the linter: the tree it ships in is clean.
-// JUGGLER_SOURCE_DIR is injected by tests/CMakeLists.txt.
-TEST(LintTree, RealSourceTreeIsClean) {
-  const auto findings = LintTree(JUGGLER_SOURCE_DIR);
-  for (const auto& finding : findings) {
-    ADD_FAILURE() << FormatFinding(finding);
-  }
-  EXPECT_TRUE(findings.empty());
 }
 
 }  // namespace

@@ -502,8 +502,7 @@ void CollectTreeContext(const FileUnit& unit, TreeContext* ctx) {
 }
 
 bool IsSuppressed(const std::string& raw_line) {
-  return raw_line.find("NOLINT") != std::string::npos ||
-         raw_line.find("lint:ignore") != std::string::npos;
+  return raw_line.find("NOLINT") != std::string::npos;
 }
 
 namespace {
@@ -532,14 +531,9 @@ void SortFindings(std::vector<Finding>* findings) {
             });
 }
 
-void RunPasses(const FileUnit& unit, const TreeContext& ctx, bool legacy_only,
+void RunPasses(const FileUnit& unit, const TreeContext& ctx,
                std::vector<Finding>* findings) {
-  for (const Pass* pass : AllPasses()) {
-    const std::string name = pass->name();
-    const bool is_new = name.rfind("analyze-", 0) == 0;
-    if (legacy_only && is_new) continue;
-    pass->Run(unit, ctx, findings);
-  }
+  for (const Pass* pass : AllPasses()) pass->Run(unit, ctx, findings);
   // Suppression and sorting are engine duties so no pass re-implements them.
   findings->erase(
       std::remove_if(findings->begin(), findings->end(),
@@ -552,10 +546,23 @@ void RunPasses(const FileUnit& unit, const TreeContext& ctx, bool legacy_only,
   SortFindings(findings);
 }
 
-std::vector<Finding> AnalyzePath(const std::string& rel_path,
+}  // namespace
+
+FileUnit BuildFileUnit(const std::string& rel_path,
+                       const std::string& content) {
+  FileUnit unit;
+  unit.rel_path = rel_path;
+  unit.raw_lines = SplitLines(content);
+  std::string code;
+  unit.tokens = Lex(content, &code);
+  unit.code_lines = SplitLines(code);
+  unit.functions = ScanFunctions(unit.tokens);
+  return unit;
+}
+
+std::vector<Finding> AnalyzeFile(const std::string& rel_path,
                                  const std::string& content,
-                                 const TreeContext* tree_ctx,
-                                 bool legacy_only) {
+                                 const TreeContext* tree_ctx) {
   const FileUnit unit = BuildFileUnit(rel_path, content);
   TreeContext local_ctx;
   if (tree_ctx == nullptr) {
@@ -563,11 +570,11 @@ std::vector<Finding> AnalyzePath(const std::string& rel_path,
     tree_ctx = &local_ctx;
   }
   std::vector<Finding> findings;
-  RunPasses(unit, *tree_ctx, legacy_only, &findings);
+  RunPasses(unit, *tree_ctx, &findings);
   return findings;
 }
 
-std::vector<Finding> WalkTree(const std::string& root, bool legacy_only) {
+std::vector<Finding> AnalyzeTree(const std::string& root) {
   static const char* const kRoots[] = {"src",   "tools",    "tests",
                                        "bench", "examples", "fuzz"};
   // Pass 1: read every file, build units, and collect the cross-file
@@ -595,36 +602,13 @@ std::vector<Finding> WalkTree(const std::string& root, bool legacy_only) {
   std::vector<Finding> findings;
   for (const FileUnit& unit : units) {
     std::vector<Finding> file_findings;
-    RunPasses(unit, ctx, legacy_only, &file_findings);
+    RunPasses(unit, ctx, &file_findings);
     findings.insert(findings.end(),
                     std::make_move_iterator(file_findings.begin()),
                     std::make_move_iterator(file_findings.end()));
   }
   SortFindings(&findings);
   return findings;
-}
-
-}  // namespace
-
-FileUnit BuildFileUnit(const std::string& rel_path,
-                       const std::string& content) {
-  FileUnit unit;
-  unit.rel_path = rel_path;
-  unit.raw_lines = SplitLines(content);
-  unit.code_lines = SplitLines(StripCommentsAndStrings(content));
-  unit.tokens = Lex(content);
-  unit.functions = ScanFunctions(unit.tokens);
-  return unit;
-}
-
-std::vector<Finding> AnalyzeFile(const std::string& rel_path,
-                                 const std::string& content,
-                                 const TreeContext* tree_ctx) {
-  return AnalyzePath(rel_path, content, tree_ctx, /*legacy_only=*/false);
-}
-
-std::vector<Finding> AnalyzeTree(const std::string& root) {
-  return WalkTree(root, /*legacy_only=*/false);
 }
 
 std::string CanonicalGuard(const std::string& rel_path) {
@@ -645,7 +629,7 @@ std::string CanonicalGuard(const std::string& rel_path) {
 
 const std::vector<const Pass*>& AllPasses() {
   static const std::vector<const Pass*>* all = [] {
-    auto* v = new std::vector<const Pass*>(LegacyPasses());
+    auto* v = new std::vector<const Pass*>(LinePasses());
     const auto& dataflow = DataflowPasses();
     v->insert(v->end(), dataflow.begin(), dataflow.end());
     return v;
@@ -657,17 +641,6 @@ std::string FormatFinding(const Finding& f) {
   std::ostringstream out;
   out << f.file << ":" << f.line << ": [" << f.rule << "] " << f.message;
   return out.str();
-}
-
-// --- Legacy entry points (tools/lint compatibility) -------------------------
-
-std::vector<Finding> LintFile(const std::string& rel_path,
-                              const std::string& content) {
-  return AnalyzePath(rel_path, content, nullptr, /*legacy_only=*/true);
-}
-
-std::vector<Finding> LintTree(const std::string& root) {
-  return WalkTree(root, /*legacy_only=*/true);
 }
 
 }  // namespace juggler::analyze

@@ -10,8 +10,7 @@
 
 namespace juggler::analyze {
 
-/// One finding: `file:line: [rule] message`. Same shape and format as the
-/// PR 2 lint tool, so baselines and CI greps carry over unchanged.
+/// One finding: `file:line: [rule] message`.
 struct Finding {
   std::string file;  ///< Repo-relative path, '/' separators.
   int line = 0;      ///< 1-based.
@@ -19,8 +18,8 @@ struct Finding {
   std::string message;
 };
 
-/// "file:line: [rule] message" — the single format the CLI, the tests, and
-/// the baseline machinery all rely on.
+/// "file:line: [rule] message" — the single format the CLI and the tests
+/// rely on.
 std::string FormatFinding(const Finding& f);
 
 /// Canonical include-guard macro for a repo-relative header path
@@ -55,12 +54,13 @@ struct FunctionInfo {
 struct FileUnit {
   std::string rel_path;
   std::vector<std::string> raw_lines;   ///< Verbatim (for NOLINT checks).
-  std::vector<std::string> code_lines;  ///< Comments/strings blanked.
-  std::vector<Token> tokens;            ///< From Lex().
+  std::vector<std::string> code_lines;  ///< Comments/literals blanked.
+  std::vector<Token> tokens;            ///< From the same Lex() pass.
   std::vector<FunctionInfo> functions;  ///< From ScanFunctions().
 };
 
-/// Builds the unit: splits lines, strips, lexes, scans functions.
+/// Builds the unit: splits lines, lexes (tokens and blanked code lines in
+/// one pass), scans functions.
 FileUnit BuildFileUnit(const std::string& rel_path,
                        const std::string& content);
 
@@ -98,8 +98,7 @@ std::string FileStem(const std::string& rel_path);
 /// class names, StatusOr/optional-returning declarations).
 void CollectTreeContext(const FileUnit& unit, TreeContext* ctx);
 
-/// True when the raw line carries a suppression marker (`NOLINT` /
-/// `lint:ignore`). Rule-blind, matching the PR 2 semantics; the documented
+/// True when the raw line carries `NOLINT`. Rule-blind; the documented
 /// convention is `NOLINT(<rule>): reason` so suppressions stay auditable.
 bool IsSuppressed(const std::string& raw_line);
 
@@ -112,8 +111,8 @@ class Pass {
                    std::vector<Finding>* findings) const = 0;
 };
 
-/// The full registry: the eleven legacy rules (ported from tools/lint) plus
-/// the four scope/dataflow analyses. Order is stable.
+/// The full registry: the eleven line-scoped rules plus the four
+/// scope/dataflow analyses. Order is stable.
 const std::vector<const Pass*>& AllPasses();
 
 /// Runs every pass over one file. `ctx` may be empty (single-file mode used
@@ -127,13 +126,6 @@ std::vector<Finding> AnalyzeFile(const std::string& rel_path,
 /// fuzz), builds the TreeContext, analyzes every .h/.cc/.cpp file, and
 /// returns all findings sorted by (file, line, rule).
 std::vector<Finding> AnalyzeTree(const std::string& root);
-
-/// Compat entry points preserved from tools/lint (PR 2): run only the
-/// eleven legacy rules, with their original rule names and messages.
-/// tests/lint_test.cc and any external scripts keep working unchanged.
-std::vector<Finding> LintFile(const std::string& rel_path,
-                              const std::string& content);
-std::vector<Finding> LintTree(const std::string& root);
 
 }  // namespace juggler::analyze
 

@@ -1,202 +1,31 @@
 /// CLI for the juggler_analyze engine (tools/analyze/engine.h).
 ///
-/// Modes:
-///   juggler_analyze <repo-root>                 full tree, baseline-aware
-///   juggler_analyze <repo-root> --diff <ref>    fail only on changed lines
-///   juggler_analyze <repo-root> --write-baseline  regenerate the baseline
+///   juggler_analyze <repo-root>
 ///
-/// Exit status: 0 when no *fresh* findings (full mode) or no fresh findings
-/// on changed lines (diff mode); 1 otherwise; 2 on usage/IO errors.
-/// Baselined findings and — in diff mode — fresh-but-unchanged findings are
-/// printed as warnings so the debt stays visible without blocking.
+/// Runs every pass over the whole tree and prints each finding. Exit status:
+/// 0 when there are none, 1 on any finding, 2 on a usage error. The one
+/// escape is a `NOLINT(<rule>): reason` comment on the finding's line.
 
-#include <cstdio>
-#include <filesystem>
-#include <fstream>
 #include <iostream>
-#include <map>
-#include <sstream>
-#include <string>
 #include <vector>
 
-#include "tools/analyze/baseline.h"
 #include "tools/analyze/engine.h"
 
-namespace {
-
-using juggler::analyze::AnalyzeTree;
-using juggler::analyze::Baseline;
-using juggler::analyze::BaselineKey;
-using juggler::analyze::Finding;
-using juggler::analyze::FormatFinding;
-using juggler::analyze::ParseBaseline;
-using juggler::analyze::ParseChangedLines;
-using juggler::analyze::PartitionAgainstBaseline;
-using juggler::analyze::SerializeBaseline;
-
-/// Lazily-read source lines, for baseline keys (keyed on line text).
-class LineCache {
- public:
-  explicit LineCache(std::string root) : root_(std::move(root)) {}
-
-  std::string LineText(const Finding& f) {
-    auto it = files_.find(f.file);
-    if (it == files_.end()) {
-      std::vector<std::string> lines;
-      std::ifstream in(std::filesystem::path(root_) / f.file,
-                       std::ios::binary);
-      std::string line;
-      while (std::getline(in, line)) {
-        if (!line.empty() && line.back() == '\r') line.pop_back();
-        lines.push_back(line);
-      }
-      it = files_.emplace(f.file, std::move(lines)).first;
-    }
-    const auto& lines = it->second;
-    const size_t idx = static_cast<size_t>(f.line) - 1;
-    return f.line > 0 && idx < lines.size() ? lines[idx] : "";
-  }
-
- private:
-  std::string root_;
-  std::map<std::string, std::vector<std::string>> files_;
-};
-
-std::string RunGitDiff(const std::string& root, const std::string& ref,
-                       bool* ok) {
-  const std::string cmd = "git -C '" + root + "' diff -U0 --no-color '" +
-                          ref + "' -- src tools tests bench examples fuzz "
-                          "2>/dev/null";
-  FILE* pipe = popen(cmd.c_str(), "r");  // NOLINT: CLI glue, no lock held.
-  if (pipe == nullptr) {
-    *ok = false;
-    return "";
-  }
-  std::string out;
-  char buffer[4096];
-  size_t n = 0;
-  while ((n = fread(buffer, 1, sizeof(buffer), pipe)) > 0) {
-    out.append(buffer, n);
-  }
-  *ok = pclose(pipe) == 0;
-  return out;
-}
-
-int Usage() {
-  std::cerr
-      << "usage: juggler_analyze <repo-root> [options]\n"
-         "  --baseline <file>   baseline path (default: "
-         "<root>/tools/analyze/baseline.txt)\n"
-         "  --no-baseline       ignore the baseline (all findings fail)\n"
-         "  --write-baseline    regenerate the baseline from this tree\n"
-         "  --diff <ref>        fail only on findings on lines changed vs "
-         "<ref>\n";
-  return 2;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  if (argc < 2) return Usage();
-  const std::string root = argv[1];
-  std::string baseline_path;
-  bool use_baseline = true;
-  bool write_baseline = false;
-  std::string diff_ref;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg == "--baseline" && i + 1 < argc) {
-      baseline_path = argv[++i];
-    } else if (arg == "--no-baseline") {
-      use_baseline = false;
-    } else if (arg == "--write-baseline") {
-      write_baseline = true;
-    } else if (arg == "--diff" && i + 1 < argc) {
-      diff_ref = argv[++i];
-    } else {
-      return Usage();
-    }
+  if (argc != 2) {
+    std::cerr << "usage: juggler_analyze <repo-root>\n";
+    return 2;
   }
-  if (baseline_path.empty()) {
-    baseline_path = (std::filesystem::path(root) / "tools" / "analyze" /
-                     "baseline.txt")
-                        .string();
+  const std::vector<juggler::analyze::Finding> findings =
+      juggler::analyze::AnalyzeTree(argv[1]);
+  for (const auto& f : findings) {
+    std::cout << "error: " << juggler::analyze::FormatFinding(f) << "\n";
   }
-
-  const std::vector<Finding> findings = AnalyzeTree(root);
-  LineCache lines(root);
-  std::vector<std::string> keys;
-  keys.reserve(findings.size());
-  for (const Finding& f : findings) {
-    keys.push_back(BaselineKey(f, lines.LineText(f)));
-  }
-
-  if (write_baseline) {
-    std::ofstream out(baseline_path, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      std::cerr << "juggler_analyze: cannot write " << baseline_path << "\n";
-      return 2;
-    }
-    out << SerializeBaseline(keys);
-    std::cout << "juggler_analyze: wrote " << findings.size()
-              << " baseline entr" << (findings.size() == 1 ? "y" : "ies")
-              << " to " << baseline_path << "\n";
-    return 0;
-  }
-
-  Baseline baseline;
-  if (use_baseline) {
-    std::ifstream in(baseline_path, std::ios::binary);
-    if (in) {
-      std::ostringstream buffer;
-      buffer << in.rdbuf();
-      baseline = ParseBaseline(buffer.str());
-    }
-  }
-
-  std::vector<Finding> baselined;
-  std::vector<Finding> fresh;
-  PartitionAgainstBaseline(findings, keys, baseline, &baselined, &fresh);
-
-  std::vector<Finding> errors;
-  std::vector<Finding> warnings = baselined;
-  if (diff_ref.empty()) {
-    errors = fresh;
-  } else {
-    bool git_ok = true;
-    const std::string diff = RunGitDiff(root, diff_ref, &git_ok);
-    if (!git_ok && diff.empty()) {
-      std::cerr << "juggler_analyze: git diff against '" << diff_ref
-                << "' failed\n";
-      return 2;
-    }
-    const auto changed = ParseChangedLines(diff);
-    for (const Finding& f : fresh) {
-      const auto it = changed.find(f.file);
-      if (it != changed.end() && it->second.count(f.line) != 0) {
-        errors.push_back(f);
-      } else {
-        warnings.push_back(f);
-      }
-    }
-  }
-
-  for (const Finding& f : warnings) {
-    std::cout << "warning: " << FormatFinding(f) << "\n";
-  }
-  for (const Finding& f : errors) {
-    std::cout << "error: " << FormatFinding(f) << "\n";
-  }
-  if (!errors.empty()) {
-    std::cout << errors.size() << " error(s), " << warnings.size()
-              << " warning(s). Fix the errors, suppress with "
-                 "NOLINT(<rule>): reason, or (for pre-existing debt only) "
-                 "add to tools/analyze/baseline.txt.\n";
+  if (!findings.empty()) {
+    std::cout << findings.size()
+              << " error(s). Fix them, or suppress one with "
+                 "NOLINT(<rule>): reason.\n";
     return 1;
-  }
-  if (!warnings.empty()) {
-    std::cout << warnings.size()
-              << " baselined/unchanged warning(s), 0 errors.\n";
   }
   return 0;
 }

@@ -68,18 +68,47 @@ bool IsIdentChar(char c) {
   return (std::isalnum(static_cast<unsigned char>(c)) != 0) || c == '_';
 }
 
-std::vector<Token> Lex(const std::string& content) {
+std::vector<Token> Lex(const std::string& content, std::string* code) {
   std::vector<Token> tokens;
+  std::string blanked = content;
+  // Blanks [begin, end) of `blanked`, keeping its newlines.
+  const auto blank = [&blanked](size_t begin, size_t end) {
+    for (size_t k = begin; k < end; ++k) {
+      if (blanked[k] != '\n') blanked[k] = ' ';
+    }
+  };
   int line = 1;
   size_t i = 0;
   const size_t n = content.size();
   bool at_line_start = true;  // Only whitespace seen since the last newline.
+  // Start of the preprocessor directive being scanned, or npos. Inside one,
+  // comments and literals are skipped and blanked as in code, other tokens
+  // are not emitted, and the whole directive becomes one token at its end.
+  size_t directive = std::string::npos;
+  int directive_line = 0;
+  const auto emit = [&](TokenKind kind, std::string text, int at) {
+    if (directive == std::string::npos) {
+      tokens.push_back(Token{kind, std::move(text), at});
+    }
+  };
+  const auto end_directive = [&](size_t end) {
+    tokens.push_back(Token{TokenKind::kPreprocessor,
+                           content.substr(directive, end - directive),
+                           directive_line});
+    directive = std::string::npos;
+  };
 
   while (i < n) {
     const char c = content[i];
     const char next = i + 1 < n ? content[i + 1] : '\0';
 
+    if (directive != std::string::npos && c == '\\' && next == '\n') {
+      ++line;  // A continued directive.
+      i += 2;
+      continue;
+    }
     if (c == '\n') {
+      if (directive != std::string::npos) end_directive(i);
       ++line;
       ++i;
       at_line_start = true;
@@ -92,60 +121,49 @@ std::vector<Token> Lex(const std::string& content) {
 
     // Comments.
     if (c == '/' && next == '/') {
+      const size_t start = i;
       while (i < n && content[i] != '\n') ++i;
+      blank(start, i);
       continue;
     }
     if (c == '/' && next == '*') {
+      const size_t start = i;
       i += 2;
       while (i + 1 < n && !(content[i] == '*' && content[i + 1] == '/')) {
         if (content[i] == '\n') ++line;
         ++i;
       }
       i = i + 1 < n ? i + 2 : n;
+      blank(start, i);
       continue;
     }
 
-    // Preprocessor directive: one token for the whole (continued) line.
     if (c == '#' && at_line_start) {
-      std::string text;
-      const int start_line = line;
-      while (i < n) {
-        if (content[i] == '\\' && i + 1 < n && content[i + 1] == '\n') {
-          ++line;
-          i += 2;
-          text.push_back(' ');
-          continue;
-        }
-        if (content[i] == '\n') break;
-        // Strip comments inside the directive.
-        if (content[i] == '/' && i + 1 < n && content[i + 1] == '/') {
-          while (i < n && content[i] != '\n') ++i;
-          break;
-        }
-        text.push_back(content[i]);
-        ++i;
-      }
-      tokens.push_back(Token{TokenKind::kPreprocessor, text, start_line});
+      directive = i;
+      directive_line = line;
+      at_line_start = false;
+      ++i;
       continue;
     }
     at_line_start = false;
 
-    // Raw string literal (must be checked before plain identifiers).
-    if (c == 'R' && next == '"') {
-      const size_t after = SkipRawString(content, i, &line);
-      if (after != i) {
-        tokens.push_back(Token{TokenKind::kString, "", line});
-        i = after;
-        continue;
-      }
-    }
-
-    // Identifier / keyword.
+    // Identifier / keyword, or the (prefixed) R of a raw string literal.
     if (IsIdentStartChar(c)) {
       size_t j = i;
       while (j < n && IsIdentChar(content[j])) ++j;
-      tokens.push_back(
-          Token{TokenKind::kIdentifier, content.substr(i, j - i), line});
+      std::string word = content.substr(i, j - i);
+      if ((word == "R" || word == "LR" || word == "uR" || word == "UR" ||
+           word == "u8R") &&
+          j < n && content[j] == '"') {
+        const size_t after = SkipRawString(content, j - 1, &line);
+        if (after != j - 1) {
+          blank(j - 1, after);
+          emit(TokenKind::kString, "", line);
+          i = after;
+          continue;
+        }
+      }
+      emit(TokenKind::kIdentifier, std::move(word), line);
       i = j;
       continue;
     }
@@ -153,124 +171,49 @@ std::vector<Token> Lex(const std::string& content) {
     // Number (covers 0x1F, 1'000'000, 1.5e-3, trailing suffixes).
     if (IsDigit(c) || (c == '.' && IsDigit(next))) {
       const size_t j = SkipNumber(content, i);
-      tokens.push_back(
-          Token{TokenKind::kNumber, content.substr(i, j - i), line});
+      emit(TokenKind::kNumber, content.substr(i, j - i), line);
       i = j;
       continue;
     }
 
-    // String / char literal.
+    // String / char literal. One left open ends with its line, so a stray
+    // quote (an apostrophe in `#error don't`) cannot hide the lines below.
     if (c == '"' || c == '\'') {
       const char quote = c;
       const int start_line = line;
       ++i;
+      const size_t body = i;
       while (i < n && content[i] != quote) {
         if (content[i] == '\\' && i + 1 < n) {
           if (content[i + 1] == '\n') ++line;
           i += 2;
           continue;
         }
-        if (content[i] == '\n') {  // Unterminated literal: stop at the line.
-          break;
-        }
+        if (content[i] == '\n') break;
         ++i;
       }
+      blank(body, i);
       if (i < n && content[i] == quote) ++i;
-      tokens.push_back(Token{quote == '"' ? TokenKind::kString
-                                          : TokenKind::kCharLiteral,
-                             "", start_line});
+      emit(quote == '"' ? TokenKind::kString : TokenKind::kCharLiteral, "",
+           start_line);
       continue;
     }
 
     // Punctuation: longest listed match, else a single character.
-    bool matched = false;
+    size_t len = 1;
     for (const char* p : kPuncts) {
-      const size_t len = std::char_traits<char>::length(p);
-      if (content.compare(i, len, p) == 0) {
-        tokens.push_back(Token{TokenKind::kPunct, p, line});
-        i += len;
-        matched = true;
+      const size_t plen = std::char_traits<char>::length(p);
+      if (content.compare(i, plen, p) == 0) {
+        len = plen;
         break;
       }
     }
-    if (!matched) {
-      tokens.push_back(Token{TokenKind::kPunct, std::string(1, c), line});
-      ++i;
-    }
+    emit(TokenKind::kPunct, content.substr(i, len), line);
+    i += len;
   }
+  if (directive != std::string::npos) end_directive(n);
+  if (code != nullptr) *code = std::move(blanked);
   return tokens;
-}
-
-std::string StripCommentsAndStrings(const std::string& content) {
-  std::string out = content;
-  enum class State { kCode, kLineComment, kBlockComment, kString, kChar };
-  State state = State::kCode;
-  for (size_t i = 0; i < content.size(); ++i) {
-    const char c = content[i];
-    const char next = i + 1 < content.size() ? content[i + 1] : '\0';
-    switch (state) {
-      case State::kCode:
-        if (c == '/' && next == '/') {
-          state = State::kLineComment;
-          out[i] = out[i + 1] = ' ';
-          ++i;
-        } else if (c == '/' && next == '*') {
-          state = State::kBlockComment;
-          out[i] = out[i + 1] = ' ';
-          ++i;
-        } else if (c == 'R' && next == '"') {
-          // Raw string: blank the whole literal (newlines preserved).
-          int dummy_line = 0;
-          const size_t after = SkipRawString(content, i, &dummy_line);
-          if (after != i) {
-            for (size_t k = i; k < after; ++k) {
-              if (content[k] != '\n') out[k] = ' ';
-            }
-            i = after - 1;
-          }
-        } else if ((IsDigit(c) || (c == '.' && IsDigit(next))) &&
-                   (i == 0 || !IsIdentChar(content[i - 1]))) {
-          // A number is code, and its digit separators are not quotes.
-          i = SkipNumber(content, i) - 1;
-        } else if (c == '"') {
-          state = State::kString;
-        } else if (c == '\'') {
-          state = State::kChar;
-        }
-        break;
-      case State::kLineComment:
-        if (c == '\n') {
-          state = State::kCode;
-        } else {
-          out[i] = ' ';
-        }
-        break;
-      case State::kBlockComment:
-        if (c == '*' && next == '/') {
-          state = State::kCode;
-          out[i] = out[i + 1] = ' ';
-          ++i;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      case State::kString:
-      case State::kChar: {
-        const char quote = state == State::kString ? '"' : '\'';
-        if (c == '\\' && next != '\0') {
-          out[i] = ' ';
-          if (next != '\n') out[i + 1] = ' ';
-          ++i;
-        } else if (c == quote) {
-          state = State::kCode;
-        } else if (c != '\n') {
-          out[i] = ' ';
-        }
-        break;
-      }
-    }
-  }
-  return out;
 }
 
 }  // namespace juggler::analyze

@@ -31,15 +31,17 @@ struct Token {
 /// Tokenizes C++ source. Comments are skipped entirely; string and character
 /// literals (including raw strings and escape sequences) become single
 /// content-less tokens so no analysis ever matches inside them; each
-/// preprocessor directive (with line continuations folded) becomes one
-/// kPreprocessor token carrying its full text.
-std::vector<Token> Lex(const std::string& content);
-
-/// Replaces comment bodies and string/char-literal contents with spaces,
-/// preserving line structure. Retained for the line-scoped legacy rules
-/// (ported from tools/lint) that match tokens per line rather than over the
-/// token stream. Handles raw strings, unlike the PR 2 version.
-std::string StripCommentsAndStrings(const std::string& content);
+/// preprocessor directive (with line continuations) becomes one
+/// kPreprocessor token carrying its source text. A literal left open ends
+/// with its line.
+///
+/// When `code` is given, it receives `content` with every comment, every
+/// raw string and the contents of every other literal replaced by spaces,
+/// newlines kept, for the line-scoped rules that match per line rather than
+/// over the token stream. Both come from the same pass, so they always
+/// agree on what is code.
+std::vector<Token> Lex(const std::string& content,
+                       std::string* code = nullptr);
 
 /// True for [A-Za-z0-9_].
 bool IsIdentChar(char c);

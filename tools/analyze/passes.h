@@ -9,11 +9,11 @@
 /// units. Not part of the public surface; include engine.h instead.
 namespace juggler::analyze {
 
-/// The eleven line-scoped rules ported from tools/lint (PR 2 + PR 7),
-/// behavior-identical. Rule names are unchanged ("naked-new", ...).
-const std::vector<const Pass*>& LegacyPasses();
+/// The eleven line-scoped rules ("naked-new", "nondeterminism", ...), in
+/// line_passes.cc.
+const std::vector<const Pass*>& LinePasses();
 
-/// The four scope/dataflow analyses new in this layer. Rule names are
+/// The four scope/dataflow analyses, in dataflow_passes.cc. Rule names are
 /// prefixed "analyze-" (analyze-taint-bounds, analyze-unchecked-deref,
 /// analyze-guarded-field, analyze-narrowing).
 const std::vector<const Pass*>& DataflowPasses();
