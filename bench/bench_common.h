@@ -51,14 +51,14 @@ struct SweepPoint {
   double cost_machine_min = 0.0;
 };
 
-/// Runs `plan` on 1..max machines (paper Figure 9 methodology).
+/// Runs `plan` on 1..kMaxMachines machines (paper Figure 9 methodology),
+/// machine count m at seed 42 + m.
 inline std::vector<SweepPoint> SweepMachines(
     const workloads::Workload& w, const minispark::AppParams& params,
-    const minispark::CachePlan& plan, int max_machines = kMaxMachines,
-    uint64_t seed = 42) {
+    const minispark::CachePlan& plan) {
   std::vector<SweepPoint> out;
-  for (int m = 1; m <= max_machines; ++m) {
-    minispark::Engine engine(ActualRunOptions(seed + static_cast<uint64_t>(m)));
+  for (int m = 1; m <= kMaxMachines; ++m) {
+    minispark::Engine engine(ActualRunOptions(42 + static_cast<uint64_t>(m)));
     auto r = engine.Run(w.make(params), minispark::PaperCluster(m), plan);
     if (!r.ok()) {
       std::fprintf(stderr, "run failed: %s\n", r.status().ToString().c_str());

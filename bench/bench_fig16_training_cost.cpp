@@ -187,8 +187,8 @@ int main(int argc, char** argv) {
     size_t i = 0;
     for (const auto& w : workloads::AllWorkloads()) {
       const core::JugglerConfig config = ServingTrainingConfig(w);
-      auto sizes = core::CalibrateSizes(w.make, schedules[i++],
-                                        config.size_grid, config.training_node,
+      auto sizes = core::CalibrateSizes(w.make, schedules[i++], core::kSizeGrid,
+                                        minispark::TrainingNode(),
                                         config.run_options);
       if (!sizes.ok()) Die("calibrating " + w.name, sizes.status());
     }

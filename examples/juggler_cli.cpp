@@ -13,6 +13,7 @@
 #include <iostream>
 #include <string>
 
+#include "common/parse.h"
 #include "common/table_printer.h"
 #include "common/units.h"
 #include "core/juggler.h"
@@ -143,11 +144,20 @@ int main(int argc, char** argv) {
   const std::string command = argv[1];
   if (command == "train" && argc == 4) return Train(argv[2], argv[3]);
   if (command == "recommend" && (argc == 5 || argc == 6)) {
-    return Recommend(argv[2], std::atof(argv[3]), std::atof(argv[4]),
-                     argc == 6 ? std::atof(argv[5]) : 12.0);
+    double examples = 0.0;
+    double features = 0.0;
+    double machine_gb = 12.0;
+    if (!ParseFiniteDouble(argv[3], &examples) ||
+        !ParseFiniteDouble(argv[4], &features) ||
+        (argc == 6 && !ParseFiniteDouble(argv[5], &machine_gb))) {
+      return Usage();
+    }
+    return Recommend(argv[2], examples, features, machine_gb);
   }
   if (command == "simulate" && (argc == 4 || argc == 5)) {
-    return Simulate(argv[2], std::atoi(argv[3]), argc == 5 ? argv[4] : "");
+    int machines = 0;
+    if (!ParseUnsigned(argv[3], &machines)) return Usage();
+    return Simulate(argv[2], machines, argc == 5 ? argv[4] : "");
   }
   return Usage();
 }

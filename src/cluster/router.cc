@@ -212,7 +212,6 @@ rpc::RpcChannel::Options Router::ClientOptions(size_t index,
   options.port = shards_[index]->port;
   options.connect_timeout_ms = options_.connect_timeout_ms;
   options.call_timeout_ms = call_timeout_ms;
-  options.limits = options_.limits;
   return options;
 }
 

@@ -86,7 +86,6 @@ class Router {
     int rpc_timeout_ms = 5'000;
     int connect_timeout_ms = 1'000;
     int probe_interval_ms = 250;
-    rpc::FrameDecoder::Limits limits;
   };
 
   /// Validates addresses. Start() launches the prober.

@@ -72,9 +72,6 @@ class CAPABILITY("mutex") Mutex {
   /// in a caller outside the translation unit).
   void AssertHeld() const ASSERT_CAPABILITY(this) {}
 
-  /// The lock class this mutex was registered under, or nullptr.
-  const lockdiag::LockClass* lock_class() const { return cls_; }
-
   /// Escape hatch for interop (e.g. `CondVar`). Callers are responsible for
   /// keeping the analysis informed via annotations on their own functions.
   std::mutex& native_handle() { return mu_; }

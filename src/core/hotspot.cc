@@ -31,6 +31,9 @@ double CachingBenefitMs(const MergedDag& dag, const std::vector<double>& et,
 
 namespace {
 
+/// Safety bound on Algorithm 1's selection iterations.
+constexpr int kMaxIterations = 10000;
+
 /// True if `d` is the sole (merged-DAG) child of some dataset in `cached` —
 /// such datasets are never added to a schedule containing their parent.
 bool IsSingleChildOfAny(const MergedDag& dag,
@@ -104,7 +107,7 @@ StatusOr<std::vector<Schedule>> DetectHotspots(
   std::vector<std::vector<DatasetId>> snapshots;
 
   int iterations = 0;
-  while (!candidates.empty() && iterations++ < options.max_iterations) {
+  while (!candidates.empty() && iterations++ < kMaxIterations) {
     const std::set<DatasetId> cached(schedule_cur.begin(), schedule_cur.end());
     const std::vector<long long> n_eff = EffectiveComputationCounts(dag, cached);
 
@@ -153,7 +156,7 @@ StatusOr<std::vector<Schedule>> DetectHotspots(
     if (re_evaluation) continue;
     snapshots.push_back(schedule_cur);
   }
-  if (iterations >= options.max_iterations) {
+  if (iterations >= kMaxIterations) {
     JUGGLER_LOG(Warning) << "hotspot detection hit the iteration bound; "
                             "returning the schedules found so far";
   }

@@ -17,8 +17,6 @@ struct HotspotOptions {
   bool reevaluate = true;
   bool unpersist = true;
   bool dedup_equal_cost = true;
-  /// Safety bound on selection iterations.
-  int max_iterations = 10000;
 };
 
 /// \brief Hotspot detection (paper Algorithm 1).

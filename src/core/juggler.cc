@@ -1,11 +1,20 @@
 #include "core/juggler.h"
 
 #include "common/logging.h"
+#include "core/hotspot.h"
 
 namespace juggler::core {
 
 using minispark::Engine;
 using minispark::RunOptions;
+
+namespace {
+
+/// Stage 1 sample-run parameters: a small data sample with few iterations
+/// keeps the hotspot-detection overhead minimal.
+constexpr minispark::AppParams kSampleParams{2000, 500, 3};
+
+}  // namespace
 
 JugglerConfig PaperTrainingConfig(const minispark::AppParams& paper_params) {
   JugglerConfig config;
@@ -29,15 +38,15 @@ StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
   RunOptions sample_options = config.run_options;
   sample_options.instrument = true;
   Engine sample_engine(sample_options);
-  auto sample = sample_engine.RunDefault(factory(config.sample_params),
-                                         config.training_node);
+  const minispark::ClusterConfig training_node = minispark::TrainingNode();
+  auto sample = sample_engine.RunDefault(factory(kSampleParams), training_node);
   if (!sample.ok()) return sample.status();
   costs.hotspot = sample->CostMachineMinutes();
 
   const MergedDag dag = BuildMergedDag(*sample->profile);
   auto metrics = DeriveDatasetMetrics(dag, *sample->profile);
   if (!metrics.ok()) return metrics.status();
-  auto schedules = DetectHotspots(dag, *metrics, config.hotspot);
+  auto schedules = DetectHotspots(dag, *metrics);
   if (!schedules.ok()) return schedules.status();
   if (schedules->empty()) {
     return Status::FailedPrecondition(
@@ -48,8 +57,8 @@ StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
                     << " schedule(s) detected";
 
   // Stage 2 — parameter calibration (size models).
-  auto sizes = CalibrateSizes(factory, *schedules, config.size_grid,
-                              config.training_node, config.run_options);
+  auto sizes = CalibrateSizes(factory, *schedules, kSizeGrid, training_node,
+                              config.run_options);
   if (!sizes.ok()) return sizes.status();
   costs.parameter_calibration = sizes->training_machine_minutes;
 
@@ -62,8 +71,9 @@ StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
   for (const Schedule& s : *schedules) {
     if (s.memory_bytes > calib_schedule->memory_bytes) calib_schedule = &s;
   }
+  const minispark::ClusterConfig machine_type = minispark::PaperCluster(1);
   auto memory = CalibrateMemory(factory, *calib_schedule, *sizes,
-                                config.machine_type, config.memory_reference,
+                                machine_type, config.memory_reference,
                                 config.memory_reference.iterations,
                                 config.run_options);
   if (!memory.ok()) return memory.status();
@@ -71,7 +81,7 @@ StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
 
   // Stage 4 — execution time models, one per schedule.
   auto time_results = BuildTimeModels(
-      factory, *schedules, *sizes, memory->memory_factor, config.machine_type,
+      factory, *schedules, *sizes, memory->memory_factor, machine_type,
       config.time_grid, config.run_options);
   if (!time_results.ok()) return time_results.status();
   std::vector<math::LinearModel> time_models;
@@ -83,7 +93,7 @@ StatusOr<TrainingResult> TrainJuggler(const std::string& app_name,
   TrainedJuggler trained(app_name, std::move(schedules).value(),
                          std::move(sizes).value(), std::move(memory).value(),
                          std::move(time_models));
-  return TrainingResult{std::move(trained), costs, std::move(metrics).value()};
+  return TrainingResult{std::move(trained), costs};
 }
 
 }  // namespace juggler::core

@@ -6,7 +6,6 @@
 #include "common/status.h"
 #include "core/dataset_metrics.h"
 #include "core/exec_time_model.h"
-#include "core/hotspot.h"
 #include "core/memory_calibration.h"
 #include "core/parameter_calibration.h"
 #include "core/recommender.h"
@@ -15,24 +14,21 @@
 
 namespace juggler::core {
 
+/// \brief Stage 2 grid (size models): tiny datasets on the training node,
+/// minispark::TrainingNode(), which also runs stage 1.
+inline const TrainingGrid kSizeGrid{{1000, 2000, 4000}, {250, 500, 1000}, 2};
+
 /// \brief Configuration of the four offline training stages (§5, Figure 8).
+/// Stage 1 samples at fixed small parameters and stage 2 runs kSizeGrid,
+/// both on minispark::TrainingNode(); stages 3-4 train for the target
+/// machine type, minispark::PaperCluster(1).
 struct JugglerConfig {
-  /// Stage 1 sample-run parameters: a small data sample with few iterations
-  /// keeps the hotspot-detection overhead minimal.
-  minispark::AppParams sample_params{2000, 500, 3};
-  /// Stage 2 grid (size models): tiny datasets on the training node.
-  TrainingGrid size_grid{{1000, 2000, 4000}, {250, 500, 1000}, 2};
   /// Stage 4 grid (time models): realistic sizes on the target cluster.
   TrainingGrid time_grid;
   /// Reference parameters for stage 3 (feature count held fixed while the
   /// example count is solved so the first schedule fills M).
   minispark::AppParams memory_reference{10000, 1000, 3};
-  /// The paper's single small node used for stages 1-2.
-  minispark::ClusterConfig training_node = minispark::TrainingNode();
-  /// The target machine type (stages 3-4 and the online path).
-  minispark::ClusterConfig machine_type = minispark::PaperCluster(1);
   minispark::RunOptions run_options;
-  HotspotOptions hotspot;
 };
 
 /// \brief The paper's training recipe (§7.1) for a workload whose paper
@@ -62,8 +58,6 @@ struct TrainingCosts {
 struct TrainingResult {
   TrainedJuggler trained;
   TrainingCosts costs;
-  /// The stage-1 metrics, kept for inspection/debugging.
-  std::vector<DatasetMetric> sample_metrics;
 };
 
 /// \brief Runs the four offline stages in order (§5.1-§5.4): hotspot

@@ -14,6 +14,10 @@ namespace {
 
 constexpr int64_t kSliceMs = 100;
 
+/// Distinct parameter combinations per app. Few keeps the prediction cache
+/// hot (recurring questions, the paper's case).
+constexpr int kParamCombos = 6;
+
 /// Stable 64-bit string hash (FNV-1a) so per-app derived streams do not
 /// depend on std::hash's implementation.
 uint64_t Fnv1a(const std::string& text) {
@@ -164,9 +168,7 @@ std::vector<LoadEvent> GenerateEvents(const Trace& trace,
   const std::vector<std::string> malformed_pool =
       options.malformed_pool.empty() ? BuiltinMalformed()
                                      : options.malformed_pool;
-  const int combo_count = options.param_combos > 0 ? options.param_combos : 1;
-  const std::vector<double> combo_cdf =
-      ZipfCdf(static_cast<size_t>(combo_count), 1.0);
+  const std::vector<double> combo_cdf = ZipfCdf(kParamCombos, 1.0);
 
   int64_t phase_start_ms = 0;
   for (size_t phase_index = 0; phase_index < trace.phases.size();
@@ -179,7 +181,7 @@ std::vector<LoadEvent> GenerateEvents(const Trace& trace,
     std::vector<std::vector<ParamCombo>> combos;
     combos.reserve(apps.size());
     for (const std::string& app : apps) {
-      combos.push_back(MakeCombos(app, options.seed, combo_count));
+      combos.push_back(MakeCombos(app, options.seed, kParamCombos));
     }
     const std::vector<double> app_cdf = ZipfCdf(apps.size(), phase.zipf_s);
     const double mix_total = phase.mix.Total();

@@ -39,10 +39,6 @@ struct GeneratorOptions {
   /// Raw byte strings for malformed events (the soak harness seeds this from
   /// the committed fuzz corpora); built-in adversarial samples when empty.
   std::vector<std::string> malformed_pool;
-  /// Distinct parameter combinations per app. Small keeps the prediction
-  /// cache hot (recurring questions, the paper's case); large forces
-  /// evaluations.
-  int param_combos = 6;
 };
 
 /// Expands the trace into a time-ordered event sequence. Rates follow each

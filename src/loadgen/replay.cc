@@ -17,6 +17,19 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
+/// Deadlines of one dial and of one request/response exchange.
+constexpr int kConnectTimeoutMs = 2'000;
+constexpr int kResponseTimeoutMs = 5'000;
+
+/// Slowloris clients: bytes trickle every kSlowTrickleMs; the server must
+/// reap the connection within kSlowHoldMs + its own deadline.
+constexpr int kSlowTrickleMs = 40;
+constexpr int kSlowHoldMs = 3'000;
+
+/// Concurrent dedicated slow-client threads; excess slow events are demoted
+/// to plain valid requests.
+constexpr int kMaxSlowClients = 8;
+
 int RemainingMs(Clock::time_point deadline) {
   const auto left = std::chrono::duration_cast<std::chrono::milliseconds>(
       deadline - Clock::now());
@@ -228,13 +241,12 @@ Status Exchange(SharedState* state, const std::string& request, int* fd,
     if (!reused) {
       auto connected = net::ConnectTcp(state->options.host,
                                        state->options.port,
-                                       state->options.connect_timeout_ms);
+                                       kConnectTimeoutMs);
       if (!connected.ok()) return connected.status();
       *fd = *connected;
     }
     const auto deadline =
-        Clock::now() +
-        std::chrono::milliseconds(state->options.response_timeout_ms);
+        Clock::now() + std::chrono::milliseconds(kResponseTimeoutMs);
     Status status = SendAll(*fd, request, deadline);
     if (status.ok()) {
       *out = WireResponse{};
@@ -303,7 +315,7 @@ void HandleValid(SharedState* state, const LoadEvent& event, int* fd) {
 void HandleMalformed(SharedState* state, const LoadEvent& event) {
   auto connected =
       net::ConnectTcp(state->options.host, state->options.port,
-                      state->options.connect_timeout_ms);
+                      kConnectTimeoutMs);
   if (connected.ok()) {
     const int fd = *connected;
     const auto deadline = Clock::now() + std::chrono::milliseconds(500);
@@ -326,12 +338,12 @@ void HandleMalformed(SharedState* state, const LoadEvent& event) {
 
 /// Slowloris: trickle a never-completing request and expect the server's
 /// header-read deadline to reap the connection (408 and/or close) within
-/// `slow_hold_ms`. Blocks this worker for the duration; concurrency is
+/// kSlowHoldMs. Blocks this worker for the duration; concurrency is
 /// capped by the caller.
 void HandleSlow(SharedState* state, const LoadEvent& event) {
   auto connected =
       net::ConnectTcp(state->options.host, state->options.port,
-                      state->options.connect_timeout_ms);
+                      kConnectTimeoutMs);
   if (!connected.ok()) {
     MutexLock lock(state->stats_mu);
     ++state->phases[event.phase].slow_sent;
@@ -347,11 +359,9 @@ void HandleSlow(SharedState* state, const LoadEvent& event) {
   // `partial` gets through.
   size_t sent = 0;
   bool reaped = false;
-  const auto deadline =
-      Clock::now() + std::chrono::milliseconds(state->options.slow_hold_ms);
+  const auto deadline = Clock::now() + std::chrono::milliseconds(kSlowHoldMs);
   while (Clock::now() < deadline && !reaped) {
-    auto ready =
-        net::WaitFd(fd, /*want_write=*/false, state->options.slow_trickle_ms);
+    auto ready = net::WaitFd(fd, /*want_write=*/false, kSlowTrickleMs);
     if (!ready.ok()) {
       reaped = true;  // Error state (e.g. RST): the server dropped us.
       break;
@@ -373,8 +383,8 @@ void HandleSlow(SharedState* state, const LoadEvent& event) {
   }
   if (!reaped) {
     // Grace period: the reap may be in flight.
-    const auto grace = Clock::now() + std::chrono::milliseconds(
-                                          state->options.response_timeout_ms);
+    const auto grace =
+        Clock::now() + std::chrono::milliseconds(kResponseTimeoutMs);
     while (Clock::now() < grace && !reaped) {
       auto ready = net::WaitFd(fd, /*want_write=*/false, 100);
       if (!ready.ok()) {
@@ -424,7 +434,7 @@ void WorkerLoop(SharedState* state) {
         // valid requests rather than silently dropping load.
         int active = state->slow_active.load(std::memory_order_relaxed);
         bool claimed = false;
-        while (active < state->options.max_slow_clients) {
+        while (active < kMaxSlowClients) {
           if (state->slow_active.compare_exchange_weak(
                   active, active + 1, std::memory_order_relaxed)) {
             claimed = true;
@@ -484,7 +494,6 @@ StatusOr<SimpleResponse> HttpFetch(const std::string& host, uint16_t port,
   JUGGLER_RETURN_IF_ERROR(status);
   SimpleResponse response;
   response.status = wire.status;
-  response.has_retry_after = wire.retry_after;
   response.body = std::move(wire.body);
   return response;
 }

@@ -29,15 +29,6 @@ struct ReplayOptions {
   /// a 60s run at one fifth the rate (used by CI to hit soak wall-time
   /// floors without longer traces).
   double time_scale = 1.0;
-  int connect_timeout_ms = 2'000;
-  int response_timeout_ms = 5'000;
-  /// Slowloris clients: bytes trickle every `slow_trickle_ms`; the server
-  /// must reap the connection within `slow_hold_ms` + its own deadline.
-  int slow_trickle_ms = 40;
-  int slow_hold_ms = 3'000;
-  /// Concurrent dedicated slow-client threads; excess slow events are
-  /// demoted to plain valid requests.
-  int max_slow_clients = 8;
 };
 
 /// Replays `events` (as produced by GenerateEvents for `trace`). Returns one
@@ -53,7 +44,6 @@ struct ReplayOptions {
 /// Status; any complete response (including 4xx/5xx) is ok.
 struct SimpleResponse {
   int status = 0;
-  bool has_retry_after = false;
   std::string body;
 };
 [[nodiscard]] StatusOr<SimpleResponse> HttpFetch(

@@ -82,7 +82,6 @@ class MetricsMonitor {
                const std::map<std::string, double>& samples);
 
   uint64_t scrapes() const { return scrapes_; }
-  const std::vector<Verdict>& violations() const { return violations_; }
 
   /// Summary verdicts: one per rule, failing if any scrape violated it.
   std::vector<Verdict> Verdicts() const;

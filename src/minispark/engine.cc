@@ -45,6 +45,13 @@ namespace {
 /// typed error, not a hang.
 constexpr int kMaxRecoveryDepth = 16;
 
+/// Compute-cost multiplier at full execution-memory shortfall (models
+/// spilling when execution memory cannot be granted).
+constexpr double kSpillComputePenalty = 1.0;
+
+/// Extra work every task does when the run is instrumented.
+constexpr double kInstrumentationOverhead = 0.03;
+
 /// A set of partition indices of one dataset, as a bitmap. It grows on
 /// demand rather than being sized to the dataset's partition count: a narrow
 /// dataset inherits only its first parent's count (DagBuilder::AddNarrow),
@@ -582,7 +589,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
     if (want <= 0.0) continue;
     machine.granted = machine.mem.AcquireExecution(want);
     const double shortfall = (want - machine.granted) / want;
-    machine.spill_factor = 1.0 + options_.spill_compute_penalty * shortfall;
+    machine.spill_factor = 1.0 + kSpillComputePenalty * shortfall;
   }
 
   for (size_t m = 0; m < machines_.size(); ++m) {
@@ -599,7 +606,7 @@ StatusOr<double> RunState::ExecuteStageTasks(const Stage& stage, int job_index,
   // The run's knobs, read once per stage rather than through options_ on
   // every task.
   const double instr_factor =
-      options_.instrument ? 1.0 + options_.instrumentation_overhead : 1.0;
+      options_.instrument ? 1.0 + kInstrumentationOverhead : 1.0;
   const int max_attempts = std::max(1, options_.faults.max_task_attempts);
   const double noise_sigma = options_.noise_sigma;
   const double straggler_prob = options_.straggler_prob;

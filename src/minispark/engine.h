@@ -18,8 +18,8 @@ namespace juggler::minispark {
 /// \brief Knobs for one simulated run.
 struct RunOptions {
   /// Collect Spark_i-style low-level runtime data into RunResult::profile.
-  /// Adds `instrumentation_overhead` to every task (profiling
-  /// transformations are lightweight but not free, §4).
+  /// Slows every task by 3% (profiling transformations are lightweight but
+  /// not free, §4).
   bool instrument = false;
   uint64_t seed = 42;
   /// Multiplicative lognormal jitter applied to each task (sigma). 0 makes
@@ -28,10 +28,6 @@ struct RunOptions {
   /// Straggler injection: probability and slowdown factor per task.
   double straggler_prob = 0.01;
   double straggler_factor = 2.5;
-  /// Compute-cost multiplier at full execution-memory shortfall (models
-  /// spilling when execution memory cannot be granted).
-  double spill_compute_penalty = 1.0;
-  double instrumentation_overhead = 0.03;
   /// Deterministic fault schedule (task failures, executor loss, plan-driven
   /// stragglers + speculation). Default: no faults — the engine behaves
   /// exactly as it did before the recovery layer existed.
@@ -135,8 +131,6 @@ class Engine {
                                  const ClusterConfig& cluster) const {
     return Run(app, cluster, app.default_plan);
   }
-
-  const RunOptions& options() const { return options_; }
 
  private:
   RunOptions options_;

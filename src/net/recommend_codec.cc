@@ -178,11 +178,9 @@ StatusOr<std::vector<online::Observation>> ParseObservationsJson(
       o.kind = online::ObservationKind::kRunTime;
     } else if (kind == "dataset_size") {
       o.kind = online::ObservationKind::kDatasetSize;
-    } else if (kind == "serve_latency") {
-      o.kind = online::ObservationKind::kServeLatency;
     } else {
-      return Status::InvalidArgument(
-          at + ": 'kind' must be run_time, dataset_size, or serve_latency");
+      return Status::InvalidArgument(at +
+                                     ": 'kind' must be run_time or dataset_size");
     }
     o.app = record.StringOr("app", "");
     if (o.app.empty() || o.app.size() > online::kMaxAppBytes) {

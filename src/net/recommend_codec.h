@@ -94,7 +94,7 @@ HttpResponse ErrorResponse(const Status& status);
 HttpResponse MethodNotAllowed(const std::string& allow);
 
 /// Decodes the JSON form of POST /v1/observe: a top-level array of
-///   {"kind":"run_time"|"dataset_size"|"serve_latency","app":"svm",
+///   {"kind":"run_time"|"dataset_size","app":"svm",
 ///    "target":N,"params":{"examples":N,"features":N,"iterations":N},
 ///    "model_version":N,"value":N,"predicted":N}   // predicted optional
 /// The HTTP edge re-encodes the result through the binary wire format before

@@ -15,13 +15,16 @@ namespace juggler::net {
 
 namespace {
 
+/// Pending-connection queue length passed to listen(2).
+constexpr int kListenBacklog = 128;
+
 Status Errno(const std::string& what) {
   return Status::Internal(what + ": " + std::strerror(errno));
 }
 
 }  // namespace
 
-StatusOr<int> ListenTcp(const std::string& host, uint16_t port, int backlog) {
+StatusOr<int> ListenTcp(const std::string& host, uint16_t port) {
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
@@ -45,7 +48,7 @@ StatusOr<int> ListenTcp(const std::string& host, uint16_t port, int backlog) {
     CloseFd(fd);
     return status;
   }
-  if (::listen(fd, backlog) != 0) {
+  if (::listen(fd, kListenBacklog) != 0) {
     const Status status = Errno("listen");
     CloseFd(fd);
     return status;

@@ -18,8 +18,7 @@ namespace juggler::net {
 /// `host:port` (SO_REUSEADDR set; `host` must be a numeric IPv4 address such
 /// as "127.0.0.1" or "0.0.0.0"; port 0 asks the kernel for an ephemeral
 /// port — read it back with LocalPort()).
-[[nodiscard]] StatusOr<int> ListenTcp(const std::string& host, uint16_t port,
-                                      int backlog = 128);
+[[nodiscard]] StatusOr<int> ListenTcp(const std::string& host, uint16_t port);
 
 /// The port a bound socket actually listens on.
 [[nodiscard]] StatusOr<uint16_t> LocalPort(int fd);

@@ -18,8 +18,8 @@ namespace juggler::online {
 /// \brief Bounded, thread-safe intake buffer for live observations.
 ///
 /// Every feedback edge funnels through here: the HTTP POST /v1/observe
-/// handler, the shard tier's kObserve frames, and in-process producers (the
-/// serving loop recording its own latencies). The buffer is a ring: when
+/// handler, the shard tier's kObserve frames, and in-process producers such
+/// as online::ObservationsFromProfile. The buffer is a ring: when
 /// full, the *oldest* observation is dropped — under sustained overload the
 /// refit engine should see the freshest traffic, not a frozen prefix — and
 /// every drop is counted for /metrics.

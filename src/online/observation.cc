@@ -13,7 +13,7 @@ namespace {
 
 bool KindIsKnown(uint8_t value) {
   return value >= static_cast<uint8_t>(ObservationKind::kRunTime) &&
-         value <= static_cast<uint8_t>(ObservationKind::kServeLatency);
+         value <= static_cast<uint8_t>(ObservationKind::kDatasetSize);
 }
 
 bool Encodable(const Observation& o) {

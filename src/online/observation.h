@@ -21,10 +21,6 @@ enum class ObservationKind : uint8_t {
   /// Materialized size of one dataset at the given parameters, in bytes
   /// (the size-model target, §5.2). `target` is the DatasetId.
   kDatasetSize = 2,
-  /// Serving-tier request latency in microseconds (from the
-  /// RecommendationService latency histogram). Not a model target; feeds
-  /// the observed-vs-predicted error trigger and capacity planning.
-  kServeLatency = 3,
 };
 
 /// \brief One live-traffic outcome: the actual value a deployed model's
@@ -108,8 +104,8 @@ std::string EncodeObservationBatch(const std::vector<Observation>& batch);
 /// \brief Extracts model-checkable observations from one instrumented run's
 /// profile: one kRunTime record (job span) plus one kDatasetSize record per
 /// dataset of nonzero core::MeasureDatasetSizes, the sizes stage 2 fits on.
-/// The run time is biased high: RunOptions::instrumentation_overhead (3%)
-/// slows every task, and stage 4 fits on uninstrumented runs.
+/// The run time is biased high: instrumentation (RunOptions::instrument)
+/// slows every task by 3%, and stage 4 fits on uninstrumented runs.
 [[nodiscard]] StatusOr<std::vector<Observation>> ObservationsFromProfile(
     const std::string& app, const minispark::AppParams& params,
     int schedule_id, uint64_t model_version,

@@ -71,13 +71,9 @@ OnlineJuggler::AttemptResult OnlineJuggler::MaybeRefit(const std::string& app,
                                                       size_t* consumed) {
   {
     const std::vector<Observation> pending = collector_->SnapshotApp(app);
-    size_t model_records = 0;
-    for (const Observation& o : pending) {
-      if (o.kind != ObservationKind::kServeLatency) ++model_records;
-    }
     const bool triggered =
-        engine_.CountTriggered(model_records) ||
-        engine_.IntervalTriggered(SinceLastAttemptMs(app), model_records) ||
+        engine_.CountTriggered(pending.size()) ||
+        engine_.IntervalTriggered(SinceLastAttemptMs(app), pending.size()) ||
         engine_.ErrorTriggered(pending);
     if (!triggered) return AttemptResult::kSkipped;
   }

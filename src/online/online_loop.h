@@ -89,8 +89,6 @@ class OnlineJuggler {
   [[nodiscard]] Status Rollback(const std::string& app);
 
   FeedbackCollector& collector() { return *collector_; }
-  const RefitEngine& engine() const { return engine_; }
-  ModelPublisher& publisher() { return *publisher_; }
 
  private:
   /// Evaluates triggers for one app and, when fired, takes its buffered

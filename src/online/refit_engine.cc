@@ -12,10 +12,12 @@ namespace juggler::online {
 
 namespace {
 
-bool IsModelTarget(const Observation& o) {
-  return o.kind == ObservationKind::kRunTime ||
-         o.kind == ObservationKind::kDatasetSize;
-}
+/// Fraction of the most recent observations held out of the fit and used to
+/// judge candidate vs incumbent.
+constexpr double kHoldoutFraction = 0.25;
+
+/// The holdout never shrinks below this many observations.
+constexpr size_t kMinHoldout = 3;
 
 math::Observation ToMathObservation(const Observation& o) {
   return math::Observation{{o.params.examples, o.params.features}, o.value};
@@ -54,15 +56,7 @@ bool RefitOne(const math::LinearModel& incumbent,
 
 }  // namespace
 
-RefitEngine::RefitEngine(const Options& options) : options_(options) {
-  options_.holdout_fraction =
-      std::clamp(options_.holdout_fraction, 0.05, 0.9);
-  options_.min_holdout = std::max<size_t>(1, options_.min_holdout);
-}
-
-size_t RefitEngine::MinObservations() const {
-  return options_.min_holdout + 2;
-}
+size_t RefitEngine::MinObservations() const { return kMinHoldout + 2; }
 
 bool RefitEngine::CountTriggered(size_t model_records) const {
   return model_records >= std::max(options_.min_records, MinObservations());
@@ -78,11 +72,7 @@ bool RefitEngine::IntervalTriggered(int64_t since_last_attempt_ms,
 bool RefitEngine::ErrorTriggered(
     const std::vector<Observation>& observations) const {
   if (options_.error_threshold <= 0.0) return false;
-  size_t model_records = 0;
-  for (const Observation& o : observations) {
-    if (IsModelTarget(o)) ++model_records;
-  }
-  return model_records >= MinObservations() &&
+  return observations.size() >= MinObservations() &&
          ObservedError(observations) > options_.error_threshold;
 }
 
@@ -91,7 +81,7 @@ double RefitEngine::ObservedError(
   double sum = 0.0;
   size_t n = 0;
   for (const Observation& o : observations) {
-    if (!IsModelTarget(o) || o.predicted <= 0.0 || o.value <= 0.0) continue;
+    if (o.predicted <= 0.0 || o.value <= 0.0) continue;
     sum += std::abs(o.value - o.predicted) / o.value;
     ++n;
   }
@@ -114,12 +104,10 @@ double RefitEngine::HoldoutError(const core::TrainedJuggler& model,
       if (it == schedule_index.end()) continue;
       predicted = model.time_models()[it->second].Predict(
           {o.params.examples, o.params.features});
-    } else if (o.kind == ObservationKind::kDatasetSize) {
+    } else {
       auto it = model.sizes().models.find(o.target);
       if (it == model.sizes().models.end()) continue;
       predicted = it->second.Predict({o.params.examples, o.params.features});
-    } else {
-      continue;
     }
     sum += std::abs(predicted - o.value) / o.value;
     ++n;
@@ -134,7 +122,7 @@ StatusOr<RefitEngine::Outcome> RefitEngine::Refit(
   std::vector<Observation> model_obs;
   model_obs.reserve(observations.size());
   for (const Observation& o : observations) {
-    if (IsModelTarget(o) && o.value > 0.0) model_obs.push_back(o);
+    if (o.value > 0.0) model_obs.push_back(o);
   }
   if (model_obs.size() < MinObservations()) {
     return Status::FailedPrecondition(
@@ -145,10 +133,8 @@ StatusOr<RefitEngine::Outcome> RefitEngine::Refit(
   // Time-ordered split: train on the oldest, judge on the most recent — the
   // candidate must predict where traffic is heading, not where it has been.
   size_t holdout_size = static_cast<size_t>(
-      std::ceil(options_.holdout_fraction *
-                static_cast<double>(model_obs.size())));
-  holdout_size = std::clamp(holdout_size, options_.min_holdout,
-                            model_obs.size() - 1);
+      std::ceil(kHoldoutFraction * static_cast<double>(model_obs.size())));
+  holdout_size = std::clamp(holdout_size, kMinHoldout, model_obs.size() - 1);
   const size_t train_size = model_obs.size() - holdout_size;
   const std::vector<Observation> train(model_obs.begin(),
                                        model_obs.begin() + train_size);
@@ -166,7 +152,7 @@ StatusOr<RefitEngine::Outcome> RefitEngine::Refit(
     }
   }
 
-  Outcome outcome{incumbent, 0.0, 0.0, false, train_size, holdout_size, 0, 0};
+  Outcome outcome{incumbent, 0.0, 0.0, false, 0, 0};
   core::SizeCalibration sizes = incumbent.sizes();
   for (auto& [dataset, model] : sizes.models) {
     auto it = size_train.find(dataset);

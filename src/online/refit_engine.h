@@ -30,11 +30,6 @@ class RefitEngine {
     /// Error trigger: refit when the observed-vs-predicted mean relative
     /// error across buffered observations exceeds this (0 disables).
     double error_threshold = 0.0;
-    /// Fraction of the most recent observations held out of the fit and
-    /// used to judge candidate vs incumbent.
-    double holdout_fraction = 0.25;
-    /// The holdout never shrinks below this many observations.
-    size_t min_holdout = 3;
   };
 
   /// The verdict for one candidate refit.
@@ -46,15 +41,11 @@ class RefitEngine {
     /// True iff the candidate strictly improved the holdout error. Only an
     /// accepted candidate may be published.
     bool accepted = false;
-    size_t train_records = 0;
-    size_t holdout_records = 0;
     size_t size_models_refit = 0;
     size_t time_models_refit = 0;
   };
 
-  explicit RefitEngine(const Options& options);
-
-  const Options& options() const { return options_; }
+  explicit RefitEngine(const Options& options) : options_(options) {}
 
   /// Fewest model-target observations any trigger may fire at: enough to
   /// carve off a holdout and still have something to fit.
@@ -66,7 +57,7 @@ class RefitEngine {
   bool ErrorTriggered(const std::vector<Observation>& observations) const;
 
   /// Mean relative |value - predicted| / value across observations that
-  /// carry a prediction (model targets only). 0 when none do.
+  /// carry a prediction. 0 when none do.
   static double ObservedError(const std::vector<Observation>& observations);
 
   /// Holdout error of a model set: each run-time observation is scored
@@ -77,7 +68,8 @@ class RefitEngine {
                              const std::vector<Observation>& holdout);
 
   /// Refits the incumbent's size/time models on the training split (oldest
-  /// observations) and judges the candidate on the holdout (most recent).
+  /// observations) and judges the candidate on the holdout (the most recent
+  /// quarter, at least three).
   /// Per-target policy: enough data re-selects the family by leave-one-out
   /// cross-validation, a thin slice refits the incumbent's own family, and
   /// too-thin data keeps the incumbent's model untouched. FailedPrecondition

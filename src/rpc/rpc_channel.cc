@@ -33,7 +33,7 @@ void RpcChannel::Dial(std::vector<Outcome>* outcomes) {
     return;
   }
   fd_ = *fd;
-  decoder_ = FrameDecoder(options_.limits);  // Fresh framing per connection.
+  decoder_ = FrameDecoder();  // Fresh framing per connection.
   // Write interest reports the end of the handshake, success or failure.
   if (Status added = poller_->Add(fd_, /*want_read=*/true, /*want_write=*/true);
       !added.ok()) {

@@ -45,7 +45,6 @@ class RpcChannel {
     /// Deadline of one call, from Send() to its reply. Must cover a cold
     /// model evaluation on the shard.
     int call_timeout_ms = 5'000;
-    FrameDecoder::Limits limits;
   };
 
   /// A reply frame (kError included: an application answer), or the
@@ -56,7 +55,7 @@ class RpcChannel {
   };
 
   RpcChannel(const Options& options, net::Poller* poller)
-      : options_(options), poller_(poller), decoder_(options.limits) {}
+      : options_(options), poller_(poller) {}
   ~RpcChannel() { Close(); }
 
   RpcChannel(const RpcChannel&) = delete;

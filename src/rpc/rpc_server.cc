@@ -19,10 +19,8 @@ void AppendError(uint64_t request_id, const Status& status, std::string* out) {
 
 class FrameCodec final : public net::EventLoopServer::Codec {
  public:
-  FrameCodec(const FrameDecoder::Limits& limits, RpcServer::Handler handler,
-             RpcServer::FastHandler fast_handler)
-      : limits_(limits),
-        handler_(std::move(handler)),
+  FrameCodec(RpcServer::Handler handler, RpcServer::FastHandler fast_handler)
+      : handler_(std::move(handler)),
         fast_handler_(std::move(fast_handler)) {}
 
   std::unique_ptr<net::EventLoopServer::Decoder> NewDecoder() const override {
@@ -30,14 +28,14 @@ class FrameCodec final : public net::EventLoopServer::Codec {
   }
 
   size_t read_pause_bytes() const override {
-    return limits_.max_payload_bytes + 2 * kFrameHeaderBytes + 4096;
+    return FrameDecoder::Limits().max_payload_bytes + 2 * kFrameHeaderBytes +
+           4096;
   }
 
  private:
   class Decoder final : public net::EventLoopServer::Decoder {
    public:
-    explicit Decoder(const FrameCodec* codec)
-        : codec_(codec), decoder_(codec->limits_) {}
+    explicit Decoder(const FrameCodec* codec) : codec_(codec) {}
 
     void Append(const char* data, size_t size) override {
       decoder_.Append(data, size);
@@ -105,7 +103,6 @@ class FrameCodec final : public net::EventLoopServer::Codec {
     uint64_t request_id_ = 0;  ///< Of the frame last decoded; 0 before any.
   };
 
-  const FrameDecoder::Limits limits_;
   const RpcServer::Handler handler_;
   const RpcServer::FastHandler fast_handler_;
 };
@@ -116,7 +113,7 @@ RpcServer::RpcServer(const Options& options, Handler handler,
                      FastHandler fast_handler)
     : net::EventLoopServer(
           options,
-          std::make_unique<FrameCodec>(options.limits, std::move(handler),
+          std::make_unique<FrameCodec>(std::move(handler),
                                        std::move(fast_handler))) {}
 
 }  // namespace juggler::rpc

@@ -33,9 +33,7 @@ namespace juggler::rpc {
 /// JSON-escaped and codes are StatusCode names.
 class RpcServer : public net::EventLoopServer {
  public:
-  struct Options : net::EventLoopServer::Options {
-    FrameDecoder::Limits limits;
-  };
+  using Options = net::EventLoopServer::Options;
 
   /// Runs on a handler-pool thread; may block (e.g. on a model evaluation).
   /// The returned frame's request_id is overwritten with the request's.

@@ -56,12 +56,6 @@ class LatencyHistogram {
     return snap;
   }
 
-  void Reset() {
-    for (auto& b : buckets_) b.store(0, std::memory_order_relaxed);
-    sum_us_.store(0.0, std::memory_order_relaxed);
-    max_us_.store(0.0, std::memory_order_relaxed);
-  }
-
  private:
   static constexpr int kNumBuckets = 64;
 

@@ -103,14 +103,6 @@ size_t PredictionCache::FlushApp(const std::string& app) {
   return removed;
 }
 
-void PredictionCache::Clear() {
-  for (auto& shard : shards_) {
-    MutexLock lock(shard->mu);
-    shard->lru.clear();
-    shard->index.clear();
-  }
-}
-
 PredictionCache::Stats PredictionCache::GetStats() const {
   Stats stats;
   stats.hits = hits_.load(std::memory_order_relaxed);

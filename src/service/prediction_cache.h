@@ -65,8 +65,6 @@ class PredictionCache {
   /// entry when the shard is at capacity.
   void Put(const std::string& key, Value value);
 
-  void Clear();
-
   /// Drops every entry whose key was built for `app` (any model version,
   /// parameters, or machine type). Returns how many entries were removed.
   /// Called when the online loop publishes a replacement model: the
@@ -96,7 +94,7 @@ class PredictionCache {
     Shard();
     /// Lock class "service.PredictionCache.shard" (rank cache=40): the
     /// innermost lock of the serving stack. Shards are only ever locked one
-    /// at a time (Clear/GetStats iterate sequentially, never nested).
+    /// at a time (FlushApp/GetStats iterate sequentially, never nested).
     Mutex mu ACQUIRED_AFTER(lockdiag::kRegistryOrder);
     /// Most recent at the front; each node owns (key, value).
     std::list<std::pair<std::string, Value>> lru GUARDED_BY(mu);

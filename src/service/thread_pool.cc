@@ -51,11 +51,6 @@ void ThreadPool::Shutdown() {
   }
 }
 
-size_t ThreadPool::QueueDepth() const {
-  MutexLock lock(mu_);
-  return queue_.size();
-}
-
 void ThreadPool::WorkerLoop() {
   for (;;) {
     std::function<void()> task;

@@ -40,18 +40,13 @@ class ThreadPool {
   /// Called automatically by the destructor.
   void Shutdown() EXCLUDES(mu_);
 
-  /// Tasks currently waiting (excludes tasks being executed).
-  size_t QueueDepth() const EXCLUDES(mu_);
-
-  int num_threads() const { return static_cast<int>(workers_.size()); }
-
  private:
   void WorkerLoop() EXCLUDES(mu_);
 
   const size_t queue_capacity_;
   /// Lock class "service.ThreadPool.mu" (rank service=20): leaf within the
   /// service layer — never held across a blocking call or another lock.
-  mutable Mutex mu_ ACQUIRED_AFTER(lockdiag::kNetOrder)
+  Mutex mu_ ACQUIRED_AFTER(lockdiag::kNetOrder)
       ACQUIRED_BEFORE(lockdiag::kRegistryOrder);
   CondVar work_available_;
   std::deque<std::function<void()>> queue_ GUARDED_BY(mu_);

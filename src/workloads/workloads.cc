@@ -69,6 +69,14 @@ void AddGradientIteration(DagBuilder* b, int iter, const GradientIterSpec& s) {
   b->AddJob(tag + "/gradient", prev, s.vector_bytes);
 }
 
+/// MakeRandomApplication's shape: prep-chain datasets jobs may reuse, the
+/// longest private narrow/wide tail per job, the largest source or shared
+/// dataset, and the chance that a transformation is wide.
+constexpr int kRandomSharedDatasets = 8;
+constexpr int kRandomMaxChainPerJob = 4;
+constexpr double kRandomMaxDatasetBytes = MiB(512);
+constexpr double kRandomWideProbability = 0.25;
+
 }  // namespace
 
 Application MakeLinearRegression(const AppParams& params) {
@@ -419,16 +427,16 @@ Application MakeRandomApplication(Rng* rng, const RandomAppOptions& options) {
   b.SetParams(AppParams{1e3, 1e2, 1});
 
   std::vector<DatasetId> pool;
-  const DatasetId src = b.AddSource("src", rng->Uniform(MiB(1), options.max_dataset_bytes),
+  const DatasetId src = b.AddSource("src", rng->Uniform(MiB(1), kRandomMaxDatasetBytes),
                                     static_cast<int>(rng->UniformInt(1, 16)));
   pool.push_back(src);
 
-  for (int i = 0; i < options.num_shared_datasets; ++i) {
+  for (int i = 0; i < kRandomSharedDatasets; ++i) {
     const DatasetId parent = pool[rng->UniformInt(pool.size())];
-    const double bytes = rng->Uniform(MiB(1), options.max_dataset_bytes);
+    const double bytes = rng->Uniform(MiB(1), kRandomMaxDatasetBytes);
     const double compute = rng->Uniform(10.0, 5e4);
     DatasetId id;
-    if (rng->Bernoulli(options.wide_probability)) {
+    if (rng->Bernoulli(kRandomWideProbability)) {
       id = b.AddWide("shared" + std::to_string(i), {parent}, bytes, compute,
                      static_cast<int>(rng->UniformInt(1, 8)));
     } else {
@@ -439,8 +447,8 @@ Application MakeRandomApplication(Rng* rng, const RandomAppOptions& options) {
 
   for (int j = 0; j < options.num_jobs; ++j) {
     DatasetId prev = pool[rng->UniformInt(pool.size())];
-    const int chain = static_cast<int>(rng->UniformInt(
-        1, std::max(1, options.max_chain_per_job)));
+    const int chain =
+        static_cast<int>(rng->UniformInt(1, kRandomMaxChainPerJob));
     for (int k = 0; k < chain; ++k) {
       const double bytes = rng->Uniform(1024.0, MiB(64));
       const double compute = rng->Uniform(1.0, 1e4);
@@ -448,7 +456,7 @@ Application MakeRandomApplication(Rng* rng, const RandomAppOptions& options) {
       name += std::to_string(j);
       name += 'c';
       name += std::to_string(k);
-      if (rng->Bernoulli(options.wide_probability)) {
+      if (rng->Bernoulli(kRandomWideProbability)) {
         prev = b.AddWide(name, {prev}, bytes, compute,
                          static_cast<int>(rng->UniformInt(1, 8)));
       } else {

@@ -57,11 +57,7 @@ Application MakeSvm(const AppParams& params);
 /// \brief Options for the synthetic random-DAG generator used by property
 /// tests: arbitrary but valid applications with shared intermediates.
 struct RandomAppOptions {
-  int num_shared_datasets = 8;   ///< Prep-chain datasets jobs may reuse.
   int num_jobs = 6;
-  int max_chain_per_job = 4;     ///< Private narrow/wide tail per job.
-  double max_dataset_bytes = 512.0 * 1024 * 1024;
-  double wide_probability = 0.25;
 };
 
 /// Generates a random valid application (Validate() always passes).

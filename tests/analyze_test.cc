@@ -5,6 +5,7 @@
 // The line-scoped rules' own tests are in tests/lint_test.cc; here they
 // only appear through AnalyzeFile, so fixtures are written to not trip them.
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
@@ -85,6 +86,16 @@ TEST(LexerTest, PrefixedRawStringsAreOneLiteral) {
   }
   EXPECT_EQ(idents, (std::vector<std::string>{"auto", "w", "int", "u8R"}));
   EXPECT_EQ(code, "auto w = L        ;\nint u8R = 0;\n");
+}
+
+TEST(LexerTest, RawStringSpanningLinesHasItsFirstLine) {
+  const std::vector<Token> toks = Lex("auto s = R\"(a\nb\nc)\";\nint n;\n");
+  const auto str = std::find_if(toks.begin(), toks.end(), [](const Token& t) {
+    return t.kind == TokenKind::kString;
+  });
+  ASSERT_NE(str, toks.end());
+  EXPECT_EQ(str->line, 1);
+  EXPECT_EQ(toks.back().line, 4);  // Lines after the literal still count.
 }
 
 // ---------------------------------------------------------------------------

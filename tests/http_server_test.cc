@@ -1025,6 +1025,10 @@ TEST(HttpRecommendServerTest, ObserveRejectsMalformedBodies) {
   EXPECT_EQ(status_of(R"([{"kind":"nope","app":"svm","target":1,)"
                       R"("params":{"examples":1,"features":1},"value":1}])"),
             400);
+  // Serving latency is no observation kind: nothing refits on it.
+  EXPECT_EQ(status_of(R"([{"kind":"serve_latency","app":"svm","target":0,)"
+                      R"("params":{"examples":1,"features":1},"value":41}])"),
+            400);
   // Binary magic followed by garbage crosses into the wire decoder and is
   // rejected there.
   EXPECT_EQ(status_of("JOBSgarbage"), 400);

@@ -29,14 +29,11 @@ int TestIterations(const workloads::Workload& w) {
 
 JugglerConfig SmallConfig(const workloads::Workload& w) {
   JugglerConfig config;
-  config.sample_params = AppParams{2000, 500, 3};
-  config.size_grid = TrainingGrid{{1000, 2000, 4000}, {250, 500, 1000}, 2};
   // Time models assume a fixed iteration count (paper §6.1): train and
   // query at the same one.
   config.time_grid = TrainingGrid{
       {6000, 10000, 16000}, {1500, 2500, 4000}, TestIterations(w)};
   config.memory_reference = w.paper_params;
-  config.machine_type = PaperCluster(1);
   config.run_options.noise_sigma = 0.005;
   config.run_options.straggler_prob = 0.0;
   return config;

@@ -97,13 +97,6 @@ TEST(ObservationWireTest, RoundTripsEveryKind) {
     o.predicted = 0.0;
     batch.push_back(o);
   }
-  {
-    Observation o = SampleObservation();
-    o.kind = ObservationKind::kServeLatency;
-    o.target = 0;
-    o.value = 41.0;
-    batch.push_back(o);
-  }
 
   const std::string bytes = EncodeObservationBatch(batch);
   auto decoded = DecodeObservationBatch(bytes);
@@ -181,6 +174,11 @@ TEST(ObservationWireTest, RejectsMalformedBytes) {
     std::string wire = good;
     wire[kObservationBatchHeaderBytes] = 99;
     cases.push_back({"unknown kind", wire});
+  }
+  {
+    std::string wire = good;
+    wire[kObservationBatchHeaderBytes] = 3;  // Serving latency, never a kind.
+    cases.push_back({"kind 3", wire});
   }
   {
     std::string wire = good;
@@ -371,8 +369,8 @@ TEST(FeedbackCollectorTest, EncodedBatchesAreAllOrNothing) {
 // RefitEngine
 
 TEST(RefitEngineTest, TriggersRespectMinimums) {
-  RefitEngine engine({.min_records = 10, .interval_ms = 1000,
-                      .error_threshold = 0.5, .min_holdout = 3});
+  RefitEngine engine(
+      {.min_records = 10, .interval_ms = 1000, .error_threshold = 0.5});
   EXPECT_FALSE(engine.CountTriggered(9));
   EXPECT_TRUE(engine.CountTriggered(10));
 
@@ -423,7 +421,7 @@ TEST(RefitEngineTest, RejectsCandidateThatRegressesHoldout) {
   observations.insert(observations.end(), honest.end() - holdout,
                       honest.end());
 
-  RefitEngine engine({.min_records = 8, .holdout_fraction = 0.25});
+  RefitEngine engine({.min_records = 8});
   auto outcome = engine.Refit(truth, observations);
   ASSERT_TRUE(outcome.ok()) << outcome.status().ToString();
   EXPECT_FALSE(outcome->accepted);
@@ -432,7 +430,7 @@ TEST(RefitEngineTest, RejectsCandidateThatRegressesHoldout) {
 
 TEST(RefitEngineTest, TooFewObservationsIsFailedPrecondition) {
   const TrainedJuggler truth = TrainSmall("svm");
-  RefitEngine engine({.min_records = 4, .min_holdout = 3});
+  RefitEngine engine({.min_records = 4});
   std::vector<Observation> thin(TruthObservations(truth));
   thin.resize(engine.MinObservations() - 1);
   EXPECT_EQ(engine.Refit(truth, thin).status().code(),

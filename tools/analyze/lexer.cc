@@ -155,10 +155,11 @@ std::vector<Token> Lex(const std::string& content, std::string* code) {
       if ((word == "R" || word == "LR" || word == "uR" || word == "UR" ||
            word == "u8R") &&
           j < n && content[j] == '"') {
+        const int start_line = line;
         const size_t after = SkipRawString(content, j - 1, &line);
         if (after != j - 1) {
           blank(j - 1, after);
-          emit(TokenKind::kString, "", line);
+          emit(TokenKind::kString, "", start_line);
           i = after;
           continue;
         }
